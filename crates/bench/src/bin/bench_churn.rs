@@ -20,91 +20,35 @@
 //! run) so the pre-phaser reference stays next to the current numbers.
 
 use std::sync::Arc;
-use std::time::Instant;
 
+use armbar_bench::best_pass;
+use armbar_bench::report::{self, Point};
 use armbar_core::registry::AlgorithmId;
 use armbar_experiments::figs::churn::churn_run_ns;
 use armbar_topology::{Platform, Topology};
-
-/// One measured point: simulated episodes completed per wall-second.
-struct ChurnPoint {
-    key: String,
-    episodes_per_sec: f64,
-}
 
 /// Episodes per run: long enough for a period-10 flap to complete several
 /// full cycles, short enough that one attempt stays O(100 ms) at P = 64.
 const EPISODES: u32 = 40;
 /// Independently seeded runs per timed attempt.
 const REPS: u64 = 4;
-/// Timed attempts; best is reported (shared-VM wall clocks are noisy, the
-/// maximum over attempts estimates capability — same policy as bench_sim).
+/// Timed attempts; best is reported.
 const ATTEMPTS: u32 = 5;
 
-fn churn_point(id: AlgorithmId, p: usize, period: Option<u32>) -> ChurnPoint {
+/// Simulated episodes completed per wall-second.
+fn churn_point(id: AlgorithmId, p: usize, period: Option<u32>) -> Point {
     let topo = Arc::new(Topology::preset(Platform::Kunpeng920));
     let one_rep = |rep: u64| churn_run_ns(&topo, p, id, period, EPISODES, 0x5EED ^ rep);
-    one_rep(u64::from(EPISODES)); // untimed warm-up (spawns the sim team)
-    let mut best = 0.0f64;
-    for _ in 0..ATTEMPTS {
-        let t0 = Instant::now();
-        for rep in 0..REPS {
-            one_rep(rep);
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        best = best.max((REPS * u64::from(EPISODES)) as f64 / secs);
-    }
+    let (episodes_per_sec, _) = best_pass(ATTEMPTS, REPS, one_rep, |runs, secs| {
+        (runs.len() as u64 * u64::from(EPISODES)) as f64 / secs
+    });
     let regime = match period {
         None => "steady".to_string(),
         Some(per) => format!("churn{}", 100 / per),
     };
-    ChurnPoint {
-        key: format!("{}_p{}_{}", id.label().to_ascii_lowercase(), p, regime),
-        episodes_per_sec: best,
-    }
-}
-
-/// Minimal flat-JSON number extraction: finds `"key": <number>` anywhere
-/// (first hit wins — `benches` precedes `baseline`).
-fn first_number(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json[at..].trim_start();
-    let end = rest.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))?;
-    rest[..end].parse().ok()
-}
-
-/// Extracts the committed `baseline` section verbatim, if present.
-fn baseline_section(json: &str) -> Option<String> {
-    let at = json.find("\"baseline\": {")?;
-    let open = at + "\"baseline\": ".len();
-    let mut depth = 0usize;
-    for (i, c) in json[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(json[open..=open + i].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn render_section(points: &[ChurnPoint]) -> String {
-    let mut s = String::from("{\n");
-    for (i, p) in points.iter().enumerate() {
-        let sep = if i + 1 == points.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    \"episodes_per_sec_{}\": {:.0}{sep}\n",
-            p.key, p.episodes_per_sec
-        ));
-    }
-    s.push_str("  }");
-    s
+    let key = format!("episodes_per_sec_{}_p{p}_{regime}", id.label().to_ascii_lowercase());
+    eprintln!("{key:>36}: {episodes_per_sec:>10.0} episodes/s");
+    Point::new(key, episodes_per_sec)
 }
 
 fn main() {
@@ -112,84 +56,14 @@ fn main() {
     let flag_value =
         |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned());
     let out = flag_value("--out").unwrap_or_else(|| "BENCH_churn.json".to_string());
-    let summary_path = flag_value("--summary");
+    let summary = flag_value("--summary");
 
     let mut points = Vec::new();
     for id in AlgorithmId::PHASERS {
         for period in [None, Some(10u32)] {
-            let pt = churn_point(id, 64, period);
-            eprintln!("churn {:>22}: {:>10.0} episodes/s", pt.key, pt.episodes_per_sec);
-            points.push(pt);
+            points.push(churn_point(id, 64, period));
         }
     }
-
-    // Delta of this run against the committed `benches` section
-    // (informational only — there is no gate flag on purpose).
-    let previous = std::fs::read_to_string(&out).ok();
-    let mut deltas: Vec<(String, f64, f64)> = Vec::new(); // (key, old, new)
-    if let Some(prev) = &previous {
-        eprintln!("-- delta vs committed {out} --");
-        for p in &points {
-            let key = format!("episodes_per_sec_{}", p.key);
-            if let Some(old) = first_number(prev, &key) {
-                eprintln!(
-                    "{:>32}: {:+.1}% ({:.0} -> {:.0})",
-                    p.key,
-                    (p.episodes_per_sec / old - 1.0) * 100.0,
-                    old,
-                    p.episodes_per_sec
-                );
-                deltas.push((key, old, p.episodes_per_sec));
-            }
-        }
-    }
-
-    if let Some(path) = &summary_path {
-        let mut md = String::from(
-            "## Phaser churn bench (non-blocking)\n\n| key | committed | this run | delta |\n|---|---:|---:|---:|\n",
-        );
-        for (key, old, new) in &deltas {
-            md.push_str(&format!(
-                "| `{key}` | {old:.0} | {new:.0} | {:+.1}% |\n",
-                (new / old - 1.0) * 100.0
-            ));
-        }
-        if deltas.is_empty() {
-            for p in &points {
-                md.push_str(&format!(
-                    "| `episodes_per_sec_{}` | _none_ | {:.0} | |\n",
-                    p.key, p.episodes_per_sec
-                ));
-            }
-        }
-        use std::io::Write as _;
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .and_then(|mut f| f.write_all(md.as_bytes()))
-            .expect("failed to append --summary file");
-    }
-
-    // Carry the committed baseline forward; keys new to this run are
-    // seeded with the fresh measurement so future deltas have a reference.
-    let old_baseline = previous.as_deref().and_then(baseline_section);
-    let carried: Vec<ChurnPoint> = points
-        .iter()
-        .map(|p| {
-            let key = format!("episodes_per_sec_{}", p.key);
-            let eps = old_baseline
-                .as_deref()
-                .and_then(|o| first_number(o, &key))
-                .unwrap_or(p.episodes_per_sec);
-            ChurnPoint { key: p.key.clone(), episodes_per_sec: eps }
-        })
-        .collect();
-    let doc = format!(
-        "{{\n  \"benches\": {},\n  \"baseline\": {}\n}}\n",
-        render_section(&points),
-        render_section(&carried)
-    );
-    std::fs::write(&out, doc).expect("failed to write BENCH_churn.json");
-    eprintln!("wrote {out}");
+    // Informational only — there is no gate flag on purpose.
+    report::write(&out, &points, "Phaser churn bench (non-blocking)", summary.as_deref(), None);
 }

@@ -8,7 +8,7 @@
 //! every experiment suite, and writes the numbers as JSON to the repo root.
 //!
 //! ```text
-//! bench_sim [--out PATH] [--skip-experiments] [--gate-drop-pct N] [--summary PATH]
+//! bench_sim [--out PATH] [--gate-drop-pct N] [--summary PATH]
 //! ```
 //!
 //! `--gate-drop-pct N` turns the run into a perf gate: after writing the
@@ -29,17 +29,13 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use armbar_bench::best_pass;
+use armbar_bench::report::{self, Gate, Point};
 use armbar_core::env::Barrier;
 use armbar_core::registry::AlgorithmId;
-use armbar_experiments::{figs, Scale};
+use armbar_experiments::{Scale, SUITES};
 use armbar_simcoh::{Arena, OpKind, SimBuilder};
 use armbar_topology::{Platform, Topology};
-
-/// One measured point: engine operations per wall-clock second.
-struct EnginePoint {
-    key: String,
-    ops_per_sec: f64,
-}
 
 /// Measurement effort for one engine point. The paper-scale points (P ≤ 64)
 /// keep the historical 30×12×6 schedule so the trajectory stays comparable
@@ -50,14 +46,12 @@ struct EnginePoint {
 struct Effort {
     /// Episodes per simulation run; sized so one point takes O(100 ms).
     episodes: u32,
-    /// Independently seeded runs per point (amortizes thread spawn noise —
+    /// Independently seeded runs per attempt (amortizes thread spawn noise —
     /// and, post-overhaul, exercises episode reuse).
     reps: u64,
-    /// Timed attempts per point; the best is reported. The host is a shared
-    /// single-core VM whose wall clocks swing ±40% with neighbor load, so
-    /// the maximum over a few attempts estimates engine capability far more
-    /// stably than any single draw (switch-bound workloads barely benefit:
-    /// the context-switch floor is the same in every attempt).
+    /// Timed attempts per point; the best is reported (switch-bound
+    /// workloads barely benefit: the context-switch floor is the same in
+    /// every attempt).
     attempts: u32,
 }
 
@@ -71,7 +65,8 @@ impl Effort {
     }
 }
 
-fn engine_point(platform: Platform, p: usize, id: AlgorithmId) -> EnginePoint {
+/// Engine operations per wall-clock second of one barrier microbench.
+fn engine_point(platform: Platform, p: usize, id: AlgorithmId) -> Point {
     let topo = Arc::new(Topology::preset(platform));
     let effort = Effort::for_threads(p);
     let episodes = effort.episodes;
@@ -89,18 +84,12 @@ fn engine_point(platform: Platform, p: usize, id: AlgorithmId) -> EnginePoint {
             .expect("benchmark barrier must complete");
         stats.total_mem_ops() + stats.ops(OpKind::Compute)
     };
-    one_rep(u64::from(episodes)); // untimed warm-up (spawns the sim team)
-    let mut best = 0.0f64;
-    for _ in 0..effort.attempts {
-        let mut total_ops = 0u64;
-        let t0 = Instant::now();
-        for rep in 0..effort.reps {
-            total_ops += one_rep(rep);
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        best = best.max(total_ops as f64 / secs);
-    }
-    EnginePoint { key: format!("{}_p{}", id.label().to_ascii_lowercase(), p), ops_per_sec: best }
+    let (ops_per_sec, _) = best_pass(effort.attempts, effort.reps, one_rep, |ops, secs| {
+        ops.iter().sum::<u64>() as f64 / secs
+    });
+    let key = format!("engine_ops_per_sec_{}_p{p}", id.label().to_ascii_lowercase());
+    eprintln!("{key:>36}: {ops_per_sec:>12.0} ops/s");
+    Point::new(key, ops_per_sec)
 }
 
 /// Wall-clock seconds of a quick-scale regeneration of every suite
@@ -108,97 +97,10 @@ fn engine_point(platform: Platform, p: usize, id: AlgorithmId) -> EnginePoint {
 fn quick_experiments_secs() -> f64 {
     let scale = Scale::quick();
     let t0 = Instant::now();
-    let suites = [
-        figs::tables_1_2_3::run(&scale),
-        figs::fig05::run(&scale),
-        figs::fig06::run(&scale),
-        figs::fig07::run(&scale),
-        figs::fig11::run(&scale),
-        figs::fig12::run(&scale),
-        figs::fig13::run(&scale),
-        figs::table4::run(&scale),
-        figs::model_report::run(&scale),
-        figs::ablations::run(&scale),
-        figs::phase_breakdown::run(&scale),
-        figs::hotspot::run(&scale),
-        figs::kilocore::run(&scale),
-        figs::crossover::run(&scale),
-    ];
-    let reports: usize = suites.iter().map(Vec::len).sum();
-    assert!(reports > 0, "experiment suites produced nothing");
+    for (slug, run) in SUITES {
+        assert!(!run(&scale).is_empty(), "suite {slug} produced nothing");
+    }
     t0.elapsed().as_secs_f64()
-}
-
-/// Minimal flat-JSON number extraction: finds `"key": <number>` anywhere in
-/// the document (keys are unique across sections by construction, except
-/// that `benches` precedes `baseline` — the first hit is the current run).
-fn first_number(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json[at..].trim_start();
-    let end = rest.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))?;
-    rest[..end].parse().ok()
-}
-
-/// Extracts the committed `baseline` section verbatim, if present.
-fn baseline_section(json: &str) -> Option<String> {
-    let at = json.find("\"baseline\": {")?;
-    let open = at + "\"baseline\": ".len();
-    let mut depth = 0usize;
-    for (i, c) in json[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(json[open..=open + i].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Builds the carried-forward `baseline` section. Each key of the fresh run
-/// takes its value from the committed baseline when present there; a key
-/// that is new in this run (e.g. a freshly added engine point) is seeded
-/// with the fresh measurement so future deltas have a reference. (The old
-/// behavior copied the committed baseline verbatim, so a key added to
-/// `benches` never entered `baseline` at all.)
-fn carry_baseline(points: &[EnginePoint], quick_secs: Option<f64>, old: Option<&str>) -> String {
-    let carried: Vec<EnginePoint> = points
-        .iter()
-        .map(|p| {
-            let key = format!("engine_ops_per_sec_{}", p.key);
-            let ops = old.and_then(|o| first_number(o, &key)).unwrap_or(p.ops_per_sec);
-            EnginePoint { key: p.key.clone(), ops_per_sec: ops }
-        })
-        .collect();
-    let old_quick = old.and_then(|o| first_number(o, "all_experiments_quick_secs"));
-    let quick = match quick_secs {
-        Some(q) => Some(old_quick.unwrap_or(q)),
-        None => old_quick,
-    };
-    render_section(&carried, quick)
-}
-
-fn render_section(points: &[EnginePoint], quick_secs: Option<f64>) -> String {
-    let mut s = String::from("{\n");
-    for p in points {
-        s.push_str(&format!("    \"engine_ops_per_sec_{}\": {:.0},\n", p.key, p.ops_per_sec));
-    }
-    match quick_secs {
-        Some(q) => s.push_str(&format!("    \"all_experiments_quick_secs\": {q:.2}\n")),
-        None => {
-            // Trim the trailing comma of the last engine point.
-            let t = s.trim_end_matches(",\n").len();
-            s.truncate(t);
-            s.push('\n');
-        }
-    }
-    s.push_str("  }");
-    s
 }
 
 fn main() {
@@ -206,28 +108,24 @@ fn main() {
     let flag_value =
         |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned());
     let out = flag_value("--out").unwrap_or_else(|| "BENCH_sim.json".to_string());
-    let skip_experiments = args.iter().any(|a| a == "--skip-experiments");
-    let gate_drop_pct: Option<f64> = flag_value("--gate-drop-pct").map(|s| {
-        s.parse().unwrap_or_else(|_| {
+    let gate = flag_value("--gate-drop-pct").map(|s| Gate {
+        prefix: "engine_ops_per_sec_",
+        max_drop_pct: s.parse().unwrap_or_else(|_| {
             eprintln!("error: bad --gate-drop-pct value {s:?}");
             std::process::exit(2);
-        })
+        }),
     });
-    let summary_path = flag_value("--summary");
+    let summary = flag_value("--summary");
 
     let mut points = Vec::new();
     for id in [AlgorithmId::Sense, AlgorithmId::Stour] {
         for p in [16usize, 64] {
-            let pt = engine_point(Platform::Phytium2000Plus, p, id);
-            eprintln!("engine {:>14}: {:>12.0} ops/s", pt.key, pt.ops_per_sec);
-            points.push(pt);
+            points.push(engine_point(Platform::Phytium2000Plus, p, id));
         }
         // Kilocore points: the hierarchical MemPool presets at their full
         // core counts, exercising the sharded scheduler end to end.
         for (platform, p) in [(Platform::MemPool256, 256usize), (Platform::MemPool1024, 1024)] {
-            let pt = engine_point(platform, p, id);
-            eprintln!("engine {:>14}: {:>12.0} ops/s", pt.key, pt.ops_per_sec);
-            points.push(pt);
+            points.push(engine_point(platform, p, id));
         }
     }
     // Contender points: the lock-guarded counters are the engine's worst
@@ -235,91 +133,14 @@ fn main() {
     // their throughput is tracked at paper scale only.
     for id in [AlgorithmId::ShyCtr, AlgorithmId::ShyProxy] {
         for p in [16usize, 64] {
-            let pt = engine_point(Platform::Phytium2000Plus, p, id);
-            eprintln!("engine {:>14}: {:>12.0} ops/s", pt.key, pt.ops_per_sec);
-            points.push(pt);
+            points.push(engine_point(Platform::Phytium2000Plus, p, id));
         }
     }
-    let quick_secs = if skip_experiments {
-        None
-    } else {
-        let q = quick_experiments_secs();
-        eprintln!("all_experiments --quick: {q:.2} s");
-        Some(q)
-    };
+    let quick_secs = quick_experiments_secs();
+    eprintln!("all_experiments --quick: {quick_secs:.2} s");
+    points.push(Point::new("all_experiments_quick_secs", quick_secs));
 
-    // Delta of this run against the committed `benches` section: engine
-    // keys are gateable, the wall-clock key is informational only.
-    let previous = std::fs::read_to_string(&out).ok();
-    let mut deltas: Vec<(String, f64, f64)> = Vec::new(); // (key, old, new)
-    if let Some(prev) = &previous {
-        eprintln!("-- delta vs committed {out} --");
-        for p in &points {
-            let key = format!("engine_ops_per_sec_{}", p.key);
-            if let Some(old) = first_number(prev, &key) {
-                eprintln!(
-                    "{:>28}: {:+.1}% ({:.0} -> {:.0})",
-                    p.key,
-                    (p.ops_per_sec / old - 1.0) * 100.0,
-                    old,
-                    p.ops_per_sec
-                );
-                deltas.push((key, old, p.ops_per_sec));
-            }
-        }
-        if let (Some(q), Some(old)) = (quick_secs, first_number(prev, "all_experiments_quick_secs"))
-        {
-            eprintln!(
-                "{:>28}: {:+.1}% ({:.2} s -> {:.2} s)",
-                "quick experiments",
-                (q / old - 1.0) * 100.0,
-                old,
-                q
-            );
-        }
-    }
-
-    if let Some(path) = &summary_path {
-        let mut md = String::from(
-            "## Simulator perf gate\n\n| key | committed | this run | delta |\n|---|---:|---:|---:|\n",
-        );
-        for (key, old, new) in &deltas {
-            md.push_str(&format!(
-                "| `{key}` | {old:.0} | {new:.0} | {:+.1}% |\n",
-                (new / old - 1.0) * 100.0
-            ));
-        }
-        if deltas.is_empty() {
-            md.push_str("| _no committed baseline found_ | | | |\n");
-        }
-        use std::io::Write as _;
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .and_then(|mut f| f.write_all(md.as_bytes()))
-            .expect("failed to append --summary file");
-    }
-
-    let section = render_section(&points, quick_secs);
-    let old_baseline = previous.as_deref().and_then(baseline_section);
-    let baseline = carry_baseline(&points, quick_secs, old_baseline.as_deref());
-    let doc = format!("{{\n  \"benches\": {section},\n  \"baseline\": {baseline}\n}}\n");
-    std::fs::write(&out, doc).expect("failed to write BENCH_sim.json");
-    eprintln!("wrote {out}");
-
-    if let Some(limit) = gate_drop_pct {
-        let failures: Vec<&(String, f64, f64)> =
-            deltas.iter().filter(|(_, old, new)| (1.0 - new / old) * 100.0 > limit).collect();
-        for (key, old, new) in &failures {
-            eprintln!(
-                "PERF GATE FAIL {key}: {new:.0} ops/s is {:.1}% below committed {old:.0}",
-                (1.0 - new / old) * 100.0
-            );
-        }
-        if !failures.is_empty() {
-            std::process::exit(1);
-        }
-        eprintln!("perf gate: all {} engine keys within {limit}% of committed", deltas.len());
+    if !report::write(&out, &points, "Simulator perf gate", summary.as_deref(), gate) {
+        std::process::exit(1);
     }
 }

@@ -1,50 +1,46 @@
-//! Runs every experiment in the workspace and writes all CSVs to
-//! `results/` — the full paper regeneration in one command.
+//! Runs the experiment suites and writes their CSVs to `results/` — the
+//! full paper regeneration in one command.
 //!
 //! ```text
-//! all_experiments [--quick] [--jobs N] [--out DIR]
+//! all_experiments [--quick] [--jobs N] [--out DIR] [--only SLUG,...]
 //! ```
 //!
 //! `--quick` runs the reduced test scale (CI smoke), `--jobs N` sets the
 //! sweep-pool worker count (default: `ARMBAR_JOBS` or all cores; output
-//! is byte-identical at any value), `--out DIR` redirects the CSVs.
-use armbar_experiments::{figs, runner::results_dir, Scale};
+//! is byte-identical at any value), `--out DIR` redirects the CSVs, and
+//! `--only` runs just the listed suites (in table order, same file names).
+//! An unknown flag or slug exits 2 and lists the valid slugs.
+use armbar_experiments::{runner::results_dir, select, Scale, SUITES};
+
+fn usage(error: &str) -> ! {
+    let slugs: Vec<&str> = SUITES.iter().map(|(slug, _)| *slug).collect();
+    eprintln!("error: {error}");
+    eprintln!("usage: all_experiments [--quick] [--jobs N] [--out DIR] [--only SLUG,...]");
+    eprintln!("suites: {}", slugs.join(", "));
+    std::process::exit(2);
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value =
-        |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned());
-    let scale = if args.iter().any(|a| a == "--quick") { Scale::quick() } else { Scale::full() };
-    if let Some(jobs) = flag_value("--jobs") {
-        match jobs.parse::<usize>() {
-            Ok(n) if n >= 1 => armbar_sweep::set_global_jobs(n),
-            _ => {
-                eprintln!("error: bad --jobs value {jobs:?} (need a positive integer)");
-                std::process::exit(2);
-            }
+    let mut scale = Scale::full();
+    let mut dir = results_dir();
+    let mut suites = SUITES.to_vec();
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().unwrap_or_else(|| usage(&format!("{flag} needs a value")));
+        match flag.as_str() {
+            "--quick" => scale = Scale::quick(),
+            "--jobs" => match value().parse::<usize>() {
+                Ok(n) if n >= 1 => armbar_sweep::set_global_jobs(n),
+                _ => usage("bad --jobs value (need a positive integer)"),
+            },
+            "--out" => dir = value().into(),
+            "--only" => suites = select(&value()).unwrap_or_else(|e| usage(&e)),
+            _ => usage(&format!("unknown flag {flag:?}")),
         }
     }
-    let dir = flag_value("--out").map(std::path::PathBuf::from).unwrap_or_else(results_dir);
 
-    let suites: Vec<(&str, Vec<armbar_experiments::Report>)> = vec![
-        ("tables_1_2_3", figs::tables_1_2_3::run(&scale)),
-        ("fig05", figs::fig05::run(&scale)),
-        ("fig06", figs::fig06::run(&scale)),
-        ("fig07", figs::fig07::run(&scale)),
-        ("fig11", figs::fig11::run(&scale)),
-        ("fig12", figs::fig12::run(&scale)),
-        ("fig13", figs::fig13::run(&scale)),
-        ("table4", figs::table4::run(&scale)),
-        ("model_report", figs::model_report::run(&scale)),
-        ("ablations", figs::ablations::run(&scale)),
-        ("phase_breakdown", figs::phase_breakdown::run(&scale)),
-        ("hotspot", figs::hotspot::run(&scale)),
-        ("kilocore", figs::kilocore::run(&scale)),
-        ("churn", figs::churn::run(&scale)),
-        ("crossover", figs::crossover::run(&scale)),
-    ];
-    for (slug, reports) in suites {
-        for (i, report) in reports.iter().enumerate() {
+    for (slug, run) in suites {
+        for (i, report) in run(&scale).iter().enumerate() {
             report.print();
             report.write_csv(&dir, &format!("{slug}_{i}")).expect("failed to write CSV");
         }

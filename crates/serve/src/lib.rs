@@ -20,13 +20,11 @@
 //!   releases flush through the owning shard, eliding the broadcast when
 //!   nobody is parked and coalescing co-shard releases into one notify.
 //!
-//! [`load`] is the seeded Zipf load driver behind `BENCH_serve.json` and
-//! the `armbar serve` CLI subcommand; [`report`] renders the bench JSON
-//! with the workspace's baseline-carry-forward convention.
+//! [`load`] is the seeded Zipf load driver behind the `armbar serve` CLI
+//! subcommand and armbar-bench's `bench_serve` writer.
 
 pub mod load;
 pub mod registry;
-pub mod report;
 pub mod team;
 
 pub use load::{outcome_csv, outcome_json, run_load, summary_text, LoadConfig, LoadReport};
