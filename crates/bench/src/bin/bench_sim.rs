@@ -3,9 +3,11 @@
 //! Measures engine throughput (operations per wall-second through the
 //! rendezvous scheduler) for a SENSE and a STOUR barrier microbench at
 //! P ∈ {16, 64} on the paper's 64-core Phytium preset and at
-//! P ∈ {256, 1024} on the hierarchical MemPool presets (exercising the
-//! sharded scheduler), plus the wall-clock of a quick-scale regeneration of
-//! every experiment suite, and writes the numbers as JSON to the repo root.
+//! P ∈ {256, 1024} on the hierarchical MemPool presets (thousand-wide
+//! sharer sets and wake sweeps), DIS at P = 1024 and the two contenders at
+//! P ∈ {16, 64} and at P = 256 (write-stall storms on one line), plus the
+//! wall-clock of a quick-scale regeneration of every experiment suite, and
+//! writes the numbers as JSON to the repo root.
 //!
 //! ```text
 //! bench_sim [--out PATH] [--gate-drop-pct N] [--summary PATH]
@@ -123,18 +125,21 @@ fn main() {
             points.push(engine_point(Platform::Phytium2000Plus, p, id));
         }
         // Kilocore points: the hierarchical MemPool presets at their full
-        // core counts, exercising the sharded scheduler end to end.
+        // core counts, where every write meets a thousand-wide sharer set.
         for (platform, p) in [(Platform::MemPool256, 256usize), (Platform::MemPool1024, 1024)] {
             points.push(engine_point(platform, p, id));
         }
     }
+    points.push(engine_point(Platform::MemPool1024, 1024, AlgorithmId::Dissemination));
     // Contender points: the lock-guarded counters are the engine's worst
-    // case for RMW traffic (CAS storms and spin wake-ups on one line), so
-    // their throughput is tracked at paper scale only.
+    // case for RMW traffic (CAS storms and spin wake-ups on one line: at
+    // P = 256 every processed op is re-posted a hundred times behind the
+    // line's queue), the stall-queue path.
     for id in [AlgorithmId::ShyCtr, AlgorithmId::ShyProxy] {
         for p in [16usize, 64] {
             points.push(engine_point(Platform::Phytium2000Plus, p, id));
         }
+        points.push(engine_point(Platform::MemPool256, 256, id));
     }
     let quick_secs = quick_experiments_secs();
     eprintln!("all_experiments --quick: {quick_secs:.2} s");

@@ -307,8 +307,9 @@ mod tests {
         let out = scratch_file("quick-rise.json", committed);
         assert!(write(&out, &scaled("all_experiments_quick_secs", 1.25), "t", None, gate));
         // The written file keeps the committed format (2-decimal seconds).
+        let quick = first_number(committed, "all_experiments_quick_secs").unwrap();
         let doc = std::fs::read_to_string(&out).unwrap();
-        assert!(doc.contains("\"all_experiments_quick_secs\": 30.26\n"));
+        assert!(doc.contains(&format!("\"all_experiments_quick_secs\": {:.2}\n", quick * 1.25)));
         std::fs::remove_file(&out).unwrap();
     }
 }

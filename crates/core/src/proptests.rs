@@ -53,14 +53,12 @@ fn arb_uneven_topology() -> impl Strategy<Value = Arc<Topology>> {
 }
 
 /// Arbitrary *hierarchical* machines in the MemPool mold: tiles of 2–5
-/// cores nested in groups of 2–4 tiles, 1–4 groups per cluster, with the
-/// scheduler sharded either per tile (up to 40 tiny shards) or per group.
-/// This is the shape family the kilocore presets come from; the property
-/// pins that nothing in any algorithm — or in the sharded engine — assumes
-/// a particular tile/group/shard alignment.
+/// cores nested in groups of 2–4 tiles, 1–4 groups per cluster. This is
+/// the shape family the kilocore presets come from; the property pins that
+/// nothing in any algorithm assumes a particular tile/group alignment.
 fn arb_hierarchical_topology() -> impl Strategy<Value = Arc<Topology>> {
-    (2usize..=5, 2usize..=4, 1usize..=4, any::<bool>(), 5.0f64..40.0).prop_map(
-        |(tile, tiles_per_group, groups, shard_at_tile, group_ns)| {
+    (2usize..=5, 2usize..=4, 1usize..=4, 5.0f64..40.0).prop_map(
+        |(tile, tiles_per_group, groups, group_ns)| {
             let group = tile * tiles_per_group;
             let cores = group * groups;
             let topo = TopologyBuilder::new("prop-hier", cores)
@@ -70,7 +68,6 @@ fn arb_hierarchical_topology() -> impl Strategy<Value = Arc<Topology>> {
                 .layer("across groups", group_ns * 2.1, 0.55)
                 .n_c(tile.min(4))
                 .hierarchy(&[tile, group])
-                .shard_cores(if shard_at_tile { tile } else { group })
                 .coherence(1.5, 0.6, 0.01)
                 .noc_ns(0.8)
                 .build();
@@ -107,8 +104,7 @@ proptest! {
     }
 
     /// Every registry barrier completes on arbitrary tile/group/cluster
-    /// hierarchies — the kilocore shape family — at any thread count,
-    /// regardless of how the engine is sharded across the machine.
+    /// hierarchies — the kilocore shape family — at any thread count.
     #[test]
     fn any_barrier_on_hierarchical_shapes(
         id in arb_algorithm(),

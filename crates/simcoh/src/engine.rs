@@ -4,21 +4,19 @@
 //! Simulated threads are stackful fibers multiplexed on the calling thread
 //! (the default; see the `fiber` module) or OS threads (the fallback
 //! transport, and what explicit [`SimTeam`](crate::team::SimTeam) runs
-//! use). Either way each [`SimThread`] operation is a rendezvous with the
+//! use). Either way each [`SimThread`] operation is a handoff to the
 //! engine, which processes operations in virtual-time order (ties broken
 //! by thread id). Host scheduling therefore cannot influence results: a
 //! run is a pure function of `(topology, seed, program)` — identical bytes
 //! under both transports.
 //!
-//! ## Sharded scheduler
+//! ## One heap and the stall queue
 //!
-//! The ready/running tables are sharded by the topology's
-//! `shard_cores` boundary (one shard per cluster/group on the hierarchical
-//! presets). A pass drains the active shard until the global rendezvous
-//! invariant — "process the minimal ready key iff it is ≤ every running
-//! key" — would be violated, then re-merges the S shard heads. Identical
-//! processing order to a single global heap at any shard count; see
-//! `DESIGN.md` §13.
+//! Posted operations wait in one ready heap keyed `(time, tid)`; an op
+//! that finds its line busy is re-posted into a stall queue of per-time
+//! runs, which a write storm fills and drains at O(1) per op. The engine
+//! processes the smaller head of the two iff no running thread's key is
+//! below it; see `DESIGN.md` §13.
 //!
 //! ## Cooperative scheduling
 //!
@@ -46,13 +44,13 @@
 
 use std::cell::UnsafeCell;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use armbar_topology::{CoreId, RmwOp, Topology};
+use armbar_topology::{CoreId, LayerId, RmwOp, Topology};
 
 use crate::arena::{Addr, Arena};
 use crate::error::{DeadlockWaiter, SimError, WaitKind};
@@ -187,252 +185,238 @@ impl Ord for TimeKey {
 /// never ambiguous.
 type SchedKey = (TimeKey, usize);
 
-/// One scheduler shard: the ready heap and running set of the threads whose
-/// cores fall in one [`Topology::shard_cores`]-sized slice of the machine.
+/// Ops re-posted after stalling on a busy line, grouped into runs that
+/// share one re-post time (the line's `available_at`). A write storm on
+/// one line re-posts every queued op at the same time, in ascending tid
+/// order, so most pushes append to an existing run and most pops take the
+/// front of the earliest one — O(1) each, where a heap pays a sift both
+/// ways.
 #[derive(Default)]
-struct Shard {
-    /// Posted-but-unprocessed operations of this shard's threads.
-    ready: BinaryHeap<Reverse<SchedKey>>,
-    /// This shard's threads executing user code.
-    running: BTreeSet<SchedKey>,
+struct StallQueue {
+    /// Runs ordered by time, *latest first*: the head run is the last one.
+    /// Each run's tids are ascending.
+    runs: Vec<(TimeKey, VecDeque<usize>)>,
+    /// Emptied run deques kept for reuse, so a one-off stall allocates
+    /// nothing.
+    pool: Vec<VecDeque<usize>>,
 }
 
-/// The cluster-sharded scheduler (DESIGN.md §13). Threads are partitioned
-/// by core into shards; each shard keeps its own flat ready heap and
-/// running set, and the engine processes a shard's intra-cluster traffic
-/// without touching the other shards' structures until a *cross-shard
-/// rendezvous* is required — when the active shard's head key crosses the
-/// floor imposed by the other shards.
-///
-/// Sharding never changes which operation is processed next: `pop_next`
-/// implements exactly the global rule "process the minimal ready key iff it
-/// is ≤ every running key", so results are byte-identical at any shard
-/// size. A machine with one shard degenerates to the classic single-heap
-/// scheduler.
-struct Sched {
-    shards: Vec<Shard>,
-    /// tid → shard index (threads pin to cores 1:1).
-    shard_of: Vec<u32>,
-    /// Shard currently being drained by an engine pass, if any.
-    active: Option<usize>,
-    /// Frozen at rendezvous time: the minimal ready head among *non-active*
-    /// shards. Exact for the duration of an active stretch because no pass
-    /// ever pushes ready work into another shard (re-posts stay on the
-    /// posting thread's shard).
-    ready_floor: Option<SchedKey>,
-    /// Minimal running key among *non-active* shards; maintained
-    /// incrementally as replies promote threads of other shards back into
-    /// their running sets (keys only ever at or above the op being
-    /// processed, so a min update is exact).
-    run_floor: Option<SchedKey>,
-}
-
-impl Sched {
-    fn new(nthreads: usize, shard_map: Vec<u32>) -> Self {
-        debug_assert_eq!(shard_map.len(), nthreads);
-        let nshards = shard_map.iter().copied().max().map_or(1, |m| m as usize + 1);
-        let mut shards: Vec<Shard> = (0..nshards).map(|_| Shard::default()).collect();
-        for t in 0..nthreads {
-            shards[shard_map[t] as usize].running.insert((TimeKey(0.0), t));
-        }
-        Self { shards, shard_of: shard_map, active: None, ready_floor: None, run_floor: None }
-    }
-
-    #[inline]
-    fn shard(&self, tid: usize) -> usize {
-        self.shard_of[tid] as usize
-    }
-
-    /// Invalidates the active-shard cache; called at engine-pass entry and
-    /// by any mutation the incremental floors do not cover.
-    #[inline]
-    fn begin_pass(&mut self) {
-        self.active = None;
-    }
-
-    fn push_ready(&mut self, key: SchedKey) {
-        let s = self.shard(key.1);
-        if self.active.is_some_and(|a| a != s) {
-            // Only re-posts (same shard) happen mid-pass; anything else
-            // forces a fresh rendezvous.
-            self.active = None;
-        }
-        self.shards[s].ready.push(Reverse(key));
-    }
-
-    fn insert_running(&mut self, key: SchedKey) {
-        let s = self.shard(key.1);
-        self.shards[s].running.insert(key);
-        if self.active.is_some_and(|a| a != s) && self.run_floor.is_none_or(|f| key < f) {
-            self.run_floor = Some(key);
+impl StallQueue {
+    fn push(&mut self, (t, tid): SchedKey) {
+        // Descending order: a run later than `t` sorts before it.
+        match self.runs.binary_search_by(|(rt, _)| t.cmp(rt)) {
+            Ok(i) => {
+                let run = &mut self.runs[i].1;
+                if run.back().is_none_or(|&b| b < tid) {
+                    run.push_back(tid);
+                } else {
+                    let at = run.binary_search(&tid).expect_err("tid stalled twice");
+                    run.insert(at, tid);
+                }
+            }
+            Err(i) => {
+                let mut run = self.pool.pop().unwrap_or_default();
+                run.push_back(tid);
+                self.runs.insert(i, (t, run));
+            }
         }
     }
 
-    fn remove_running(&mut self, key: &SchedKey) -> bool {
-        let s = self.shard(key.1);
-        let removed = self.shards[s].running.remove(key);
-        // Removals happen only between passes (a thread posting or
-        // finishing); the next pass rescans, but drop the cache anyway.
-        self.active = None;
-        removed
+    fn peek(&self) -> Option<SchedKey> {
+        self.runs.last().map(|(t, run)| (*t, run[0]))
     }
 
-    fn running_first(&self) -> Option<SchedKey> {
-        self.shards.iter().filter_map(|s| s.running.first().copied()).min()
+    fn pop(&mut self) {
+        let (_, run) = self.runs.last_mut().expect("pop from an empty stall queue");
+        run.pop_front();
+        if run.is_empty() {
+            let (_, run) = self.runs.pop().expect("checked above");
+            self.pool.push(run);
+        }
     }
 
-    fn running_is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.running.is_empty())
-    }
-
-    fn ready_is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.ready.is_empty())
+    fn is_empty(&self) -> bool {
+        self.runs.is_empty()
     }
 
     fn clear(&mut self) {
-        for s in &mut self.shards {
-            s.ready.clear();
-            s.running.clear();
-        }
-        self.active = None;
-    }
-
-    /// Cross-shard rendezvous: pick the shard owning the globally minimal
-    /// ready key and freeze the floors the other shards impose on it.
-    fn rendezvous(&mut self) -> Option<usize> {
-        let mut best: Option<(SchedKey, usize)> = None;
-        for (i, sh) in self.shards.iter().enumerate() {
-            if let Some(&Reverse(k)) = sh.ready.peek() {
-                if best.is_none_or(|(bk, _)| k < bk) {
-                    best = Some((k, i));
-                }
-            }
-        }
-        let (_, s) = best?;
-        let mut ready_floor: Option<SchedKey> = None;
-        let mut run_floor: Option<SchedKey> = None;
-        for (i, sh) in self.shards.iter().enumerate() {
-            if i == s {
-                continue;
-            }
-            if let Some(&Reverse(k)) = sh.ready.peek() {
-                if ready_floor.is_none_or(|f| k < f) {
-                    ready_floor = Some(k);
-                }
-            }
-            if let Some(&k) = sh.running.first() {
-                if run_floor.is_none_or(|f| k < f) {
-                    run_floor = Some(k);
-                }
-            }
-        }
-        self.active = Some(s);
-        self.ready_floor = ready_floor;
-        self.run_floor = run_floor;
-        Some(s)
-    }
-
-    /// Pops the next processable operation under the exact global rule:
-    /// the minimal ready key, iff it is ≤ every running key. Returns `None`
-    /// when the pass must end (no ready op, or the head is gated by a
-    /// running thread that will post an earlier key).
-    fn pop_next(&mut self) -> Option<SchedKey> {
-        loop {
-            let s = match self.active {
-                Some(s) => s,
-                None => self.rendezvous()?,
-            };
-            let Some(&Reverse(head)) = self.shards[s].ready.peek() else {
-                // Active shard drained; rendezvous with the rest.
-                self.active = None;
-                continue;
-            };
-            if self.ready_floor.is_some_and(|f| f < head) {
-                // Another shard now owns the global minimum.
-                self.active = None;
-                continue;
-            }
-            // After the checks above `head` is the global ready minimum;
-            // it is processable iff no running thread anywhere is below it.
-            let own_run = self.shards[s].running.first().copied();
-            let gate = match (self.run_floor, own_run) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            if gate.is_some_and(|g| g < head) {
-                return None;
-            }
-            self.shards[s].ready.pop();
-            return Some(head);
+        for (_, mut run) in self.runs.drain(..) {
+            run.clear();
+            self.pool.push(run);
         }
     }
 }
 
-/// A registered spin-waiter with its registration sequence number. The seq
-/// defines the global wake order (identical to the registration order of
-/// the flat list this table replaced) and guards slot reuse: a stale
-/// `(seq, slot)` index entry whose slot was recycled no longer matches.
+/// The default-mode scheduler (DESIGN.md §13): one ready heap for posted
+/// operations, the [`StallQueue`] for busy-line re-posts, and the set of
+/// threads executing user code. `pop_next` implements the rule "process
+/// the minimal ready key iff it is ≤ every running key" over the union of
+/// the heap and the stall queue.
+struct Sched {
+    /// Posted-but-unprocessed operations (first posts).
+    ready: BinaryHeap<Reverse<SchedKey>>,
+    /// Posted-but-unprocessed operations re-posted after a line stall.
+    stalls: StallQueue,
+    /// Threads executing user code, at their engine-known time.
+    running: BTreeSet<SchedKey>,
+}
+
+impl Sched {
+    fn new(nthreads: usize) -> Self {
+        Self {
+            ready: BinaryHeap::with_capacity(nthreads),
+            stalls: StallQueue::default(),
+            running: (0..nthreads).map(|t| (TimeKey(0.0), t)).collect(),
+        }
+    }
+
+    fn push_ready(&mut self, key: SchedKey) {
+        self.ready.push(Reverse(key));
+    }
+
+    fn push_stall(&mut self, key: SchedKey) {
+        self.stalls.push(key);
+    }
+
+    fn insert_running(&mut self, key: SchedKey) {
+        self.running.insert(key);
+    }
+
+    fn remove_running(&mut self, key: &SchedKey) -> bool {
+        self.running.remove(key)
+    }
+
+    fn running_first(&self) -> Option<SchedKey> {
+        self.running.first().copied()
+    }
+
+    fn running_is_empty(&self) -> bool {
+        self.running.is_empty()
+    }
+
+    fn ready_is_empty(&self) -> bool {
+        self.ready.is_empty() && self.stalls.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.ready.clear();
+        self.stalls.clear();
+        self.running.clear();
+    }
+
+    /// Pops the next processable operation: the minimal key of the heap
+    /// and the stall queue, iff no running thread sits below it. Returns
+    /// `None` when the pass must end (no ready op, or the head is gated by
+    /// a running thread that will post an earlier key).
+    fn pop_next(&mut self) -> Option<SchedKey> {
+        let heap = self.ready.peek().map(|&Reverse(k)| k);
+        let stall = self.stalls.peek();
+        let (head, from_stall) = match (heap, stall) {
+            (Some(h), Some(s)) if s < h => (s, true),
+            (Some(h), _) => (h, false),
+            (None, Some(s)) => (s, true),
+            (None, None) => return None,
+        };
+        if self.running.first().is_some_and(|&r| r < head) {
+            return None;
+        }
+        if from_stall {
+            self.stalls.pop();
+        } else {
+            self.ready.pop();
+        }
+        Some(head)
+    }
+}
+
+/// Blocked spin-waiters, indexed for the wake path. Each registration
+/// carries a sequence number: the seq defines the global wake order (the
+/// registration order) and guards slot reuse — a stale `(seq, slot)`
+/// index entry whose slot was recycled no longer matches.
+///
+/// Registrations are indexed by *word*: a write can only satisfy waiters
+/// watching the word it changed (every blocked waiter is unsatisfied at
+/// the current values), so the sweep evaluates that word's bucket alone.
+/// The per-line spinner sets carry what a write does to every other
+/// waiter on its line: they re-fetch it and rejoin its sharers.
 struct WaiterTable {
     slots: Vec<Option<(u64, Waiter)>>,
     free: Vec<usize>,
-    /// line key → `(seq, slot)` registrations in seq (= append) order.
-    /// Dense, parallel to the line directory, so a store's waiter lookup is
-    /// one indexed load instead of an O(waiters) scan.
-    by_line: Vec<Vec<(u64, u32)>>,
+    /// Word index (`addr >> 2`) → `(seq, slot)` registrations in seq
+    /// (= append) order; may hold stale entries of multi-word waiters
+    /// already woken through another word.
+    by_word: Vec<Vec<(u64, u32)>>,
+    /// Line key → tids of the blocked waiters watching a word on it.
+    spinners: Vec<CoreSet>,
+    line_shift: u32,
     next_seq: u64,
-    len: usize,
 }
 
 impl WaiterTable {
-    fn new() -> Self {
-        Self { slots: Vec::new(), free: Vec::new(), by_line: Vec::new(), next_seq: 0, len: 0 }
-    }
-
-    /// Registers a waiter under every distinct line key it watches.
-    fn register(&mut self, w: Waiter, line_keys: &[u32]) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some((seq, w));
-                i
-            }
-            None => {
-                self.slots.push(Some((seq, w)));
-                self.slots.len() - 1
-            }
-        };
-        self.len += 1;
-        for &k in line_keys {
-            let i = k as usize;
-            if i >= self.by_line.len() {
-                self.by_line.resize_with(i + 1, Vec::new);
-            }
-            self.by_line[i].push((seq, slot as u32));
+    fn new(line_shift: u32) -> Self {
+        Self {
+            slots: Vec::new(),
+            free: Vec::new(),
+            by_word: Vec::new(),
+            spinners: Vec::new(),
+            line_shift,
+            next_seq: 0,
         }
     }
 
-    /// Takes the registration bucket for one line (possibly containing
-    /// stale entries for already-woken multi-line waiters).
-    fn take_bucket(&mut self, line_key: u32) -> Vec<(u64, u32)> {
-        match self.by_line.get_mut(line_key as usize) {
+    /// Registers a waiter under every distinct word it watches and as a
+    /// spinner on every line holding one.
+    fn register(&mut self, w: Waiter) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let slot = self.free.pop().unwrap_or(self.slots.len());
+        let entry = (seq, slot as u32);
+        for &a in &w.addrs {
+            let line = (a >> self.line_shift) as usize;
+            if line >= self.spinners.len() {
+                self.spinners.resize(line + 1, CoreSet::EMPTY);
+            }
+            self.spinners[line].insert(w.tid);
+            let word = (a >> 2) as usize;
+            if word >= self.by_word.len() {
+                self.by_word.resize_with(word + 1, Vec::new);
+            }
+            // A word listed twice already ends its bucket with this entry.
+            if self.by_word[word].last() != Some(&entry) {
+                self.by_word[word].push(entry);
+            }
+        }
+        if slot == self.slots.len() {
+            self.slots.push(Some((seq, w)));
+        } else {
+            self.slots[slot] = Some((seq, w));
+        }
+    }
+
+    /// The blocked waiters watching some word of line `line_key`, if any.
+    fn spinners(&self, line_key: u32) -> Option<&CoreSet> {
+        self.spinners.get(line_key as usize).filter(|s| !s.is_empty())
+    }
+
+    /// Takes the registration bucket for one word (possibly containing
+    /// stale entries for already-woken multi-word waiters); empty when no
+    /// waiter ever watched the word.
+    fn take_bucket(&mut self, word: u32) -> Vec<(u64, u32)> {
+        match self.by_word.get_mut(word as usize) {
             Some(b) => std::mem::take(b),
             None => Vec::new(),
         }
     }
 
     /// Restores the still-blocked entries of a bucket after a wake sweep.
-    fn put_bucket(&mut self, line_key: u32, bucket: Vec<(u64, u32)>) {
-        if bucket.is_empty() {
-            return;
-        }
-        let i = line_key as usize;
-        debug_assert!(self.by_line[i].is_empty(), "bucket repopulated during wake sweep");
-        self.by_line[i] = bucket;
+    fn put_bucket(&mut self, word: u32, bucket: Vec<(u64, u32)>) {
+        let i = word as usize;
+        debug_assert!(self.by_word[i].is_empty(), "bucket repopulated during wake sweep");
+        self.by_word[i] = bucket;
     }
 
     /// Takes the waiter out of `slot` if it still matches `seq`; the caller
-    /// either wakes it (slot stays free) or restores it via `restore`.
+    /// either wakes it (then `release`) or restores it via `restore`.
     fn take_slot(&mut self, slot: u32, seq: u64) -> Option<Waiter> {
         let entry = self.slots.get_mut(slot as usize)?;
         match entry {
@@ -451,11 +435,14 @@ impl WaiterTable {
         self.slots[slot as usize] = Some((seq, w));
     }
 
-    /// Frees a woken waiter's slot for reuse.
-    fn release(&mut self, slot: u32) {
+    /// Frees a woken waiter's slot for reuse and drops it from the spinner
+    /// sets of its lines.
+    fn release(&mut self, slot: u32, w: &Waiter) {
         debug_assert!(self.slots[slot as usize].is_none());
+        for &a in &w.addrs {
+            self.spinners[(a >> self.line_shift) as usize].remove(w.tid);
+        }
         self.free.push(slot as usize);
-        self.len -= 1;
     }
 
     /// All blocked waiters in registration order (diagnostics snapshots).
@@ -471,10 +458,8 @@ impl WaiterTable {
         let mut v: Vec<(u64, Waiter)> = self.slots.drain(..).flatten().collect();
         v.sort_unstable_by_key(|&(s, _)| s);
         self.free.clear();
-        for b in &mut self.by_line {
-            b.clear();
-        }
-        self.len = 0;
+        self.by_word.clear();
+        self.spinners.clear();
         v.into_iter().map(|(_, w)| w).collect()
     }
 }
@@ -527,8 +512,8 @@ struct Waiter {
 /// operation and run the engine to quiescence.
 struct State {
     slots: Vec<Slot>,
-    /// The sharded ready/running scheduler. Used for ready ordering only in
-    /// default (heap-order) mode; the running sets are live in both modes.
+    /// The ready/stall/running scheduler. Used for ready ordering only in
+    /// default (heap-order) mode; the running set is live in both modes.
     sched: Sched,
     /// Posted-but-unprocessed operations in policy mode, unordered — the
     /// installed [`SchedulePolicy`] picks among them.
@@ -540,7 +525,7 @@ struct State {
     /// Whether this run was configured with a policy (stable across the
     /// take/restore in `run_engine_policy`).
     policy_mode: bool,
-    /// Blocked spin-waiters, indexed by watched line.
+    /// Blocked spin-waiters, indexed by watched word and line.
     waiters: WaiterTable,
     time: Vec<f64>,
     /// Dense per-line directory, indexed `addr >> line_shift`.
@@ -609,7 +594,6 @@ impl WeakMem {
 impl State {
     fn new(
         nthreads: usize,
-        shard_map: Vec<u32>,
         seed: u64,
         op_budget: u64,
         reserve_bytes: usize,
@@ -619,11 +603,11 @@ impl State {
         let policy_mode = policy.is_some();
         Self {
             slots: (0..nthreads).map(|_| Slot { pending: None, finished: false }).collect(),
-            sched: Sched::new(nthreads, shard_map),
+            sched: Sched::new(nthreads),
             ready_list: if policy_mode { Vec::with_capacity(nthreads) } else { Vec::new() },
             policy,
             policy_mode,
-            waiters: WaiterTable::new(),
+            waiters: WaiterTable::new(line_shift),
             time: vec![0.0; nthreads],
             lines: vec![Line::default(); reserve_bytes.div_ceil(1usize << line_shift)],
             values: vec![0; reserve_bytes.div_ceil(4)],
@@ -650,6 +634,16 @@ impl State {
             self.ready_list.push(key);
         } else {
             self.sched.push_ready(key);
+        }
+    }
+
+    /// Re-posts an operation that stalled on a busy line.
+    #[inline]
+    fn post_stall(&mut self, key: SchedKey) {
+        if self.policy_mode {
+            self.ready_list.push(key);
+        } else {
+            self.sched.push_stall(key);
         }
     }
 }
@@ -685,7 +679,7 @@ pub struct SimThread {
     /// Locally accumulated `compute_ns` time `(total ns, op count)` not yet
     /// applied to the engine clock. A compute touches no line, draws no
     /// jitter and occupies no interconnect — its only effect is to raise
-    /// this thread's own scheduling key — so it needs no rendezvous: the
+    /// this thread's own scheduling key — so it needs no handoff: the
     /// accumulator is folded into the clock at the next real operation (or
     /// at thread finish). Other threads' operations gate on this thread's
     /// key exactly as they would have gated on the posted compute op, so
@@ -871,6 +865,11 @@ impl SimThread {
     /// every intervening write pays invalidation costs to it — exactly the
     /// crowd effect of hardware spin-waiting.
     ///
+    /// `pred` must be a pure function of the value: the engine re-evaluates
+    /// it only when a write changes the word at `addr`, so a predicate that
+    /// reads anything else (a clock, a counter it bumps) would see fewer
+    /// calls than a hardware loop makes and could stay blocked.
+    ///
     /// The predicate is opaque to deadlock diagnostics; prefer
     /// [`SimThread::spin_until_eq`] / [`SimThread::spin_until_ge`] when the
     /// condition has one of those shapes, so a hang reports its target.
@@ -906,7 +905,7 @@ impl SimThread {
 
     /// Advances this thread's clock by `ns` of pure local computation.
     ///
-    /// Free of any engine rendezvous: the time is accumulated locally and
+    /// Free of any engine handoff: the time is accumulated locally and
     /// folded into the clock at the next real operation. A long compute-only
     /// stretch still posts a heartbeat every [`DEFERRED_COMPUTE_FLUSH`] ops
     /// so the live-lock budget keeps counting.
@@ -1025,11 +1024,9 @@ impl SimBuilder {
         let line_bytes = self.topo.cacheline_bytes();
         debug_assert!(line_bytes.is_power_of_two(), "topology validates the line size");
         let line_shift = line_bytes.trailing_zeros();
-        let shard_map = (0..self.nthreads).map(|t| self.topo.shard_of(t) as u32).collect();
         Shared {
             mx: Mutex::new(State::new(
                 self.nthreads,
-                shard_map,
                 self.seed,
                 self.op_budget,
                 self.reserve_bytes,
@@ -1176,7 +1173,6 @@ impl Shared {
             self.run_engine_policy(g);
             return;
         }
-        g.sched.begin_pass();
         while g.outcome.is_none() && g.panics.is_empty() {
             // `pop_next` yields the globally minimal ready key unless it is
             // gated by a running thread that will post an earlier one.
@@ -1311,7 +1307,7 @@ impl Shared {
         if !g.panics.is_empty() {
             // A body panicked (surfaced by the caller as ThreadPanic, with
             // the blocked peers attached). Tear everyone else down — parked
-            // waiters AND threads still running or mid-rendezvous — so the
+            // waiters AND threads still running or mid-handoff — so the
             // driver can hand the workers back.
             g.panic_waiters = self.waiter_info(g);
             g.outcome = Some(Ok(())); // sentinel; collect() reports the panic
@@ -1363,7 +1359,7 @@ impl Shared {
             .collect()
     }
 
-    /// Tears the episode down: every thread blocked in a rendezvous (posted
+    /// Tears the episode down: every thread blocked in a handoff (posted
     /// or spin-waiting) receives `Reply::Abort`; running threads observe the
     /// `aborted` flag at their next call. Does not block — the driver waits
     /// for the workers in `collect`.
@@ -1416,6 +1412,13 @@ impl Shared {
         g.lines.get(key as usize).copied().unwrap_or_default()
     }
 
+    /// When `addr`'s line is next free for a transfer (0 for unbacked
+    /// lines) — the busy check, without copying the directory entry.
+    #[inline]
+    fn available_at(&self, g: &State, addr: Addr) -> f64 {
+        g.lines.get(self.line_key(addr) as usize).map_or(0.0, |l| l.available_at)
+    }
+
     /// Mutable directory lookup, growing the dense table on demand.
     #[inline]
     fn line_mut<'a>(&self, g: &'a mut State, key: u32) -> &'a mut Line {
@@ -1440,6 +1443,30 @@ impl Shared {
         g.values[i] = v;
     }
 
+    /// The non-local layers joining `t` to members of `set`, as a bitmask
+    /// over `L_i` indices (`t` itself joins over the local layer and never
+    /// counts; a topology has at most 64 layers). A latency or RFO matrix entry depends only on the layer, so
+    /// a maximum or minimum over the set is one over these layers — a few
+    /// word ANDs per layer instead of a walk over up to P members.
+    fn layers_of(&self, t: CoreId, set: &CoreSet) -> u64 {
+        let mut present = 0u64;
+        for i in 0..self.topo.layers().len() {
+            if set.intersects(self.topo.layer_mask(t, LayerId(i as u8))) {
+                present |= 1 << i;
+            }
+        }
+        present
+    }
+
+    /// Smallest transfer latency from `t` to any member of a non-empty
+    /// `set` (`ε` when `t` itself is one).
+    fn nearest_latency(&self, t: CoreId, set: &CoreSet) -> f64 {
+        let local = if set.contains(t) { self.topo.epsilon_ns() } else { f64::INFINITY };
+        layer_ids(self.layers_of(t, set))
+            .map(|l| self.topo.layer_latency_ns(l))
+            .fold(local, f64::min)
+    }
+
     /// Cost of acquiring ownership for a write by `t`, and whether it was
     /// remote. Does not include the RFO fan-out.
     fn write_transfer(&self, t: CoreId, line: &Line) -> (f64, bool) {
@@ -1447,56 +1474,38 @@ impl Shared {
             Some(o) if o == t => (self.topo.epsilon_ns(), false),
             Some(o) => (self.topo.latency_row(t)[o], true),
             None if line.sharers.is_empty() => (self.topo.epsilon_ns(), false),
-            None => {
-                let row = self.topo.latency_row(t);
-                let l = line.sharers.iter().map(|s| row[s]).fold(f64::INFINITY, f64::min);
-                (l, true)
-            }
+            None => (self.nearest_latency(t, &line.sharers), true),
         }
     }
 
-    /// RFO fan-out cost for a write by `t` to a line with the given sharer
-    /// set: the farthest invalidation `α_i·L_i` plus the per-extra-sharer
-    /// serialization charge at the network controller.
-    fn rfo_cost(&self, t: CoreId, sharers: &CoreSet) -> f64 {
-        let row = self.topo.rfo_row(t);
-        let mut n_other = 0usize;
-        let mut worst = 0.0f64;
-        for s in sharers.iter() {
-            if s == t {
-                continue;
-            }
-            n_other += 1;
-            worst = worst.max(row[s]);
-        }
+    /// RFO fan-out cost for a write whose line has `n_other` sharers besides
+    /// the writer, joined to it over the layers in `present`: the farthest
+    /// invalidation `α_i·L_i` plus the per-extra-sharer serialization charge
+    /// at the network controller.
+    fn rfo_cost(&self, present: u64, n_other: usize) -> f64 {
         if n_other == 0 {
-            0.0
-        } else {
-            worst + self.topo.coherence().inv_ns * (n_other - 1).min(INV_FANOUT_CAP) as f64
+            return 0.0;
         }
+        let worst = layer_ids(present)
+            .map(|l| self.topo.alpha(l) * self.topo.layer_latency_ns(l))
+            .fold(0.0f64, f64::max);
+        worst + self.topo.coherence().inv_ns * (n_other - 1).min(INV_FANOUT_CAP) as f64
     }
 
     /// Latency to the farthest core currently holding a copy (owner or
-    /// sharer), excluding `t` itself. An exclusive-ownership acquisition
-    /// cannot commit before the farthest holder has acknowledged, so this
-    /// bounds the transfer term of a write from below — it is what makes a
-    /// write to a line whose *spinning reader* sits across the machine cost
-    /// the paper's `W_R = (1+α)·L_far` even when the previous writer was
+    /// sharer), excluding `t` itself; `present` holds the layers joining
+    /// `t` to the sharers. An exclusive-ownership acquisition cannot commit
+    /// before the farthest holder has acknowledged, so this bounds the
+    /// transfer term of a write from below — it is what makes a write to a
+    /// line whose *spinning reader* sits across the machine cost the
+    /// paper's `W_R = (1+α)·L_far` even when the previous writer was
     /// nearby.
-    fn farthest_holder_latency(&self, t: CoreId, line: &Line) -> f64 {
-        let row = self.topo.latency_row(t);
-        let mut worst = 0.0f64;
-        if let Some(o) = line.owner {
-            if o != t {
-                worst = worst.max(row[o]);
-            }
-        }
-        for s in line.sharers.iter() {
-            if s != t {
-                worst = worst.max(row[s]);
-            }
-        }
-        worst
+    fn farthest_holder_latency(&self, t: CoreId, line: &Line, present: u64) -> f64 {
+        let owner = match line.owner {
+            Some(o) if o != t => self.topo.latency_row(t)[o],
+            _ => 0.0,
+        };
+        layer_ids(present).map(|l| self.topo.layer_latency_ns(l)).fold(owner, f64::max)
     }
 
     fn jitter(&self, g: &mut State) -> f64 {
@@ -1543,8 +1552,7 @@ impl Shared {
     /// waiters the commits satisfy.
     fn weak_flush(&self, g: &mut State, tid: usize) {
         while let Some((addr, v)) = g.weak.as_mut().and_then(|w| w.buffers[tid].pop_front()) {
-            self.do_write(g, tid, addr, v, None);
-            self.wake_waiters(g, addr, tid);
+            self.commit_write(g, tid, addr, v, None);
         }
     }
 
@@ -1561,8 +1569,7 @@ impl Shared {
                 return;
             };
             let (addr, v) = g.weak.as_mut().unwrap().buffers[tid].remove(pos).unwrap();
-            self.do_write(g, tid, addr, v, None);
-            self.wake_waiters(g, addr, tid);
+            self.commit_write(g, tid, addr, v, None);
         }
     }
 
@@ -1587,8 +1594,7 @@ impl Shared {
         };
         let (addr, v) = g.weak.as_mut().unwrap().buffers[tid].pop_front().unwrap();
         g.stats.mix_schedule(0xD5A1, (tid as u64) ^ u64::from(addr));
-        self.do_write(g, tid, addr, v, None);
-        self.wake_waiters(g, addr, tid);
+        self.commit_write(g, tid, addr, v, None);
         true
     }
 
@@ -1703,11 +1709,10 @@ impl Shared {
             | OpReq::FetchAdd(a, _)
             | OpReq::CmpXchg(a, _, _)
             | OpReq::Swap(a, _)
-            | OpReq::SpinUntil(a, _, _) => self.line_at(g, self.line_key(*a)).available_at,
-            OpReq::SpinUntilAllGe(addrs, _) => addrs
-                .iter()
-                .map(|&a| self.line_at(g, self.line_key(a)).available_at)
-                .fold(0.0, f64::max),
+            | OpReq::SpinUntil(a, _, _) => self.available_at(g, *a),
+            OpReq::SpinUntilAllGe(addrs, _) => {
+                addrs.iter().map(|&a| self.available_at(g, a)).fold(0.0, f64::max)
+            }
             _ => 0.0,
         };
         if busy_until > g.time[tid] {
@@ -1718,7 +1723,7 @@ impl Shared {
             g.stats.record_stall(tid, is_write, busy_until - g.time[tid]);
             g.time[tid] = busy_until;
             g.slots[tid].pending = Some(op);
-            g.post_ready((TimeKey(busy_until), tid));
+            g.post_stall((TimeKey(busy_until), tid));
             return;
         }
 
@@ -1734,14 +1739,12 @@ impl Shared {
                 self.reply(g, tid, Reply::Value(v));
             }
             OpReq::Store(addr, v, _) => {
-                self.do_write(g, tid, addr, v, None);
-                self.wake_waiters(g, addr, tid);
+                self.commit_write(g, tid, addr, v, None);
                 self.reply(g, tid, Reply::Value(0));
             }
             OpReq::FetchAdd(addr, d) => {
                 let old = self.value(g, addr);
-                self.do_write(g, tid, addr, old.wrapping_add(d), Some(RmwOp::FetchAdd));
-                self.wake_waiters(g, addr, tid);
+                self.commit_write(g, tid, addr, old.wrapping_add(d), Some(RmwOp::FetchAdd));
                 self.reply(g, tid, Reply::Value(old));
             }
             OpReq::CmpXchg(addr, current, new) => {
@@ -1757,14 +1760,12 @@ impl Shared {
                 } else {
                     (old, RmwOp::CmpXchgFail)
                 };
-                self.do_write(g, tid, addr, stored, Some(kind));
-                self.wake_waiters(g, addr, tid);
+                self.commit_write(g, tid, addr, stored, Some(kind));
                 self.reply(g, tid, Reply::Value(old));
             }
             OpReq::Swap(addr, new) => {
                 let old = self.value(g, addr);
-                self.do_write(g, tid, addr, new, Some(RmwOp::Swap));
-                self.wake_waiters(g, addr, tid);
+                self.commit_write(g, tid, addr, new, Some(RmwOp::Swap));
                 self.reply(g, tid, Reply::Value(old));
             }
             OpReq::SpinUntil(addr, pred, kind) => {
@@ -1774,11 +1775,12 @@ impl Shared {
                     self.weak_spin_success(g, tid, addr, v);
                     self.reply(g, tid, Reply::Value(v));
                 } else {
-                    let keys = [self.line_key(addr)];
-                    g.waiters.register(
-                        Waiter { tid, addrs: vec![addr], cond: WaitCond::Pred(pred), kind },
-                        &keys,
-                    );
+                    g.waiters.register(Waiter {
+                        tid,
+                        addrs: vec![addr],
+                        cond: WaitCond::Pred(pred),
+                        kind,
+                    });
                 }
             }
             OpReq::SpinUntilAllGe(addrs, epoch) => {
@@ -1788,18 +1790,12 @@ impl Shared {
                     self.weak_spin_success(g, tid, addrs[0], seen);
                     self.reply(g, tid, Reply::Value(epoch));
                 } else {
-                    let mut keys: Vec<u32> = addrs.iter().map(|&a| self.line_key(a)).collect();
-                    keys.sort_unstable();
-                    keys.dedup();
-                    g.waiters.register(
-                        Waiter {
-                            tid,
-                            addrs,
-                            cond: WaitCond::AllGe(epoch),
-                            kind: WaitKind::AllGe(epoch),
-                        },
-                        &keys,
-                    );
+                    g.waiters.register(Waiter {
+                        tid,
+                        addrs,
+                        cond: WaitCond::AllGe(epoch),
+                        kind: WaitKind::AllGe(epoch),
+                    });
                 }
             }
             OpReq::Mark(label) => {
@@ -1834,11 +1830,10 @@ impl Shared {
             g.stats.record_read(tid, key, true, false);
         } else {
             let start = now.max(line.available_at);
-            let row = self.topo.latency_row(tid);
             let src = if let Some(o) = line.owner {
-                row[o]
+                self.topo.latency_row(tid)[o]
             } else if !line.sharers.is_empty() {
-                line.sharers.iter().map(|s| row[s]).fold(f64::INFINITY, f64::min)
+                self.nearest_latency(tid, &line.sharers)
             } else {
                 self.topo.max_latency_ns()
             };
@@ -1876,11 +1871,10 @@ impl Shared {
             if snapshot.sharers.contains(tid) {
                 continue;
             }
-            let row = self.topo.latency_row(tid);
             let src = if let Some(o) = snapshot.owner {
-                row[o]
+                self.topo.latency_row(tid)[o]
             } else if !snapshot.sharers.is_empty() {
-                snapshot.sharers.iter().map(|s| row[s]).fold(f64::INFINITY, f64::min)
+                self.nearest_latency(tid, &snapshot.sharers)
             } else {
                 self.topo.max_latency_ns()
             };
@@ -1904,15 +1898,33 @@ impl Shared {
         g.time[tid] = now + cost * jf;
     }
 
+    /// Commits a store or RMW of `new_value` to `addr` and runs the wake
+    /// sweep it triggers.
+    fn commit_write(
+        &self,
+        g: &mut State,
+        tid: usize,
+        addr: Addr,
+        new_value: u32,
+        rmw: Option<RmwOp>,
+    ) {
+        let changed = self.value(g, addr) != new_value;
+        self.do_write(g, tid, addr, new_value, rmw);
+        self.wake_waiters(g, addr, tid, changed);
+    }
+
     fn do_write(&self, g: &mut State, tid: usize, addr: Addr, new_value: u32, rmw: Option<RmwOp>) {
         let now = g.time[tid];
         let key = self.line_key(addr);
         let line_snapshot = self.line_at(g, key);
         let start = now.max(line_snapshot.available_at);
-        let (near_transfer, remote) = self.write_transfer(tid, &line_snapshot);
-        let transfer = near_transfer.max(self.farthest_holder_latency(tid, &line_snapshot));
         let sharers_snapshot = line_snapshot.sharers;
-        let rfo = self.rfo_cost(tid, &sharers_snapshot);
+        let present = self.layers_of(tid, &sharers_snapshot);
+        let invalidated = sharers_snapshot.len() - usize::from(sharers_snapshot.contains(tid));
+        let (near_transfer, remote) = self.write_transfer(tid, &line_snapshot);
+        let transfer =
+            near_transfer.max(self.farthest_holder_latency(tid, &line_snapshot, present));
+        let rfo = self.rfo_cost(present, invalidated);
         // Atomic RMWs carry a surcharge beyond a plain store: on ARMv8 the
         // far-atomic / exclusive-monitor handshake adds another partial
         // round trip. This is the cost the paper credits static tournament
@@ -1928,11 +1940,7 @@ impl Shared {
         };
         // Remote transfers occupy the shared interconnect; local writes to
         // an exclusively-held line do not.
-        let queue = if remote || sharers_snapshot.iter().any(|s| s != tid) {
-            self.noc_queue(g, start)
-        } else {
-            0.0
-        };
+        let queue = if remote || invalidated > 0 { self.noc_queue(g, start) } else { 0.0 };
         let jf = self.jitter(g);
         let end = start + queue + (transfer + rfo + rmw_alu) * jf;
 
@@ -1951,23 +1959,34 @@ impl Shared {
             w.last_seen[tid].insert(addr, new_value);
         }
         g.time[tid] = end;
-        let invalidated = sharers_snapshot.iter().filter(|&s| s != tid).count();
         g.stats.record_write(tid, key, remote, invalidated);
     }
 
-    /// After a write to `addr`'s line completes: waiters whose predicate is
-    /// now satisfied wake (paying the transfer from the writer plus the
-    /// staggered reader-contention term); unsatisfied waiters on the same
-    /// line immediately re-fetch it (they are spinning), so they rejoin the
-    /// sharer set and future writes keep paying invalidation costs to them.
-    fn wake_waiters(&self, g: &mut State, addr: Addr, writer: usize) {
+    /// After a write to `addr`'s line completes: every waiter spinning on
+    /// the line immediately re-fetches it, rejoining the sharer set so that
+    /// future writes keep paying invalidation costs to it; waiters whose
+    /// predicate is now satisfied wake (paying the transfer from the writer
+    /// plus the staggered reader-contention term).
+    ///
+    /// A blocked waiter is unsatisfied at the current values, so only a
+    /// write that `changed` a word can wake anyone, and only a waiter
+    /// watching that word. The re-fetch of the others touches nothing the
+    /// sweep reads, so it is applied to the whole line at once.
+    fn wake_waiters(&self, g: &mut State, addr: Addr, writer: usize, changed: bool) {
         let key = self.line_key(addr);
-        // Only waiters indexed under this line can match; the per-line
-        // bucket replaces the old scan over every blocked thread in the
-        // machine. Entries are `(seq, slot)` in registration order, so the
-        // wake order (and therefore every staggered wake time and jitter
-        // draw) is identical to the flat list's.
-        let bucket = g.waiters.take_bucket(key);
+        let Some(spinners) = g.waiters.spinners(key) else { return };
+        // `do_write` just backed the line.
+        let line = &mut g.lines[key as usize];
+        line.sharers.union_with(spinners);
+        line.readers_since_write += spinners.len() as u32;
+        if !changed {
+            return;
+        }
+        // Entries are `(seq, slot)` in registration order, so the wake
+        // order (and therefore every staggered wake time and jitter draw)
+        // is the registration order of the satisfied waiters.
+        let word = addr >> 2;
+        let mut bucket = g.waiters.take_bucket(word);
         if bucket.is_empty() {
             return;
         }
@@ -1975,56 +1994,62 @@ impl Shared {
         let read_c = self.topo.coherence().read_contention_ns;
 
         let mut woken = 0usize;
-        let mut remaining = Vec::with_capacity(bucket.len());
-        for (seq, slot) in bucket {
-            // A stale entry (multi-line waiter already woken via another of
-            // its lines) no longer matches its slot's seq; drop it.
+        let mut kept = 0;
+        for i in 0..bucket.len() {
+            let (seq, slot) = bucket[i];
+            // A stale entry (multi-word waiter already woken via another of
+            // its words) no longer matches its slot's seq; drop it.
             let Some(w) = g.waiters.take_slot(slot, seq) else { continue };
             let satisfied = match &w.cond {
                 WaitCond::Pred(pred) => pred(self.value(g, w.addrs[0])),
                 WaitCond::AllGe(epoch) => self.all_ge(g, &w.addrs, *epoch),
             };
-            // Whether woken or still spinning, the waiter re-fetches the
-            // written line immediately, rejoining the sharer set so that
-            // subsequent writes keep paying invalidation costs to it.
-            let line = self.line_mut(g, key);
-            line.sharers.insert(w.tid);
-            line.readers_since_write += 1;
-            if satisfied {
-                let lat = self.topo.latency_row(w.tid)[writer];
-                // A batched waiter re-fetched every other flag line as its
-                // writers dirtied it; those (pipelined) refetches are paid
-                // now, as the overlap fraction of each line's pull from its
-                // current owner. Without this, a flat 64-way group would
-                // observe 63 arrivals for the price of one.
-                let mlp_extra: f64 = match &w.cond {
-                    WaitCond::Pred(_) => 0.0,
-                    WaitCond::AllGe(_) => w
-                        .addrs
-                        .iter()
-                        .filter(|&&a| self.line_key(a) != key)
-                        .map(|&a| {
-                            self.line_at(g, self.line_key(a))
-                                .owner
-                                .map_or(0.0, |o| 0.3 * self.topo.latency_row(w.tid)[o])
-                        })
-                        .sum(),
-                };
-                let jf = self.jitter(g);
-                g.time[w.tid] = end + (lat + mlp_extra + read_c * woken as f64) * jf;
-                woken += 1;
-                let reply_value = self.value(g, w.addrs[0]);
-                self.weak_spin_success(g, w.tid, w.addrs[0], reply_value);
-                g.stats.record_spin_wakeup(w.tid);
-                self.reply(g, w.tid, Reply::Value(reply_value));
-                g.waiters.release(slot);
-            } else {
+            if !satisfied {
                 g.waiters.restore(slot, seq, w);
-                remaining.push((seq, slot));
+                bucket[kept] = (seq, slot);
+                kept += 1;
+                continue;
             }
+            let lat = self.topo.latency_row(w.tid)[writer];
+            // A batched waiter re-fetched every other flag line as its
+            // writers dirtied it; those (pipelined) refetches are paid
+            // now, as the overlap fraction of each line's pull from its
+            // current owner. Without this, a flat 64-way group would
+            // observe 63 arrivals for the price of one.
+            let mlp_extra: f64 = match &w.cond {
+                WaitCond::Pred(_) => 0.0,
+                WaitCond::AllGe(_) => w
+                    .addrs
+                    .iter()
+                    .filter(|&&a| self.line_key(a) != key)
+                    .map(|&a| {
+                        self.line_at(g, self.line_key(a))
+                            .owner
+                            .map_or(0.0, |o| 0.3 * self.topo.latency_row(w.tid)[o])
+                    })
+                    .sum(),
+            };
+            let jf = self.jitter(g);
+            g.time[w.tid] = end + (lat + mlp_extra + read_c * woken as f64) * jf;
+            woken += 1;
+            let reply_value = self.value(g, w.addrs[0]);
+            self.weak_spin_success(g, w.tid, w.addrs[0], reply_value);
+            g.stats.record_spin_wakeup(w.tid);
+            self.reply(g, w.tid, Reply::Value(reply_value));
+            g.waiters.release(slot, &w);
         }
-        g.waiters.put_bucket(key, remaining);
+        bucket.truncate(kept);
+        g.waiters.put_bucket(word, bucket);
     }
+}
+
+/// The layer ids whose bits are set in a [`Shared::layers_of`] mask.
+fn layer_ids(mut present: u64) -> impl Iterator<Item = LayerId> {
+    std::iter::from_fn(move || {
+        let i = present.checked_ilog2()?;
+        present &= !(1 << i);
+        Some(LayerId(i as u8))
+    })
 }
 
 #[cfg(test)]
@@ -2450,7 +2475,7 @@ mod tests {
                 if ctx.tid() == 0 {
                     ctx.spin_until_ge(a, 1);
                 } else {
-                    // A real rendezvous op: its reply is gated behind t0's
+                    // A real engine op: its reply is gated behind t0's
                     // wait registration, so the snapshot is deterministic.
                     ctx.now_ns();
                     panic!("writer died before releasing");
@@ -2578,7 +2603,7 @@ mod tests {
         let mut arena = Arena::new();
         let a = arena.alloc_u32();
         let g64 = arena.alloc_padded_u32(64);
-        // Four threads hammer one counter, then rendezvous on a flag: the
+        // Four threads hammer one counter, then meet on a flag: the
         // RMWs serialize (write stalls), the flag write invalidates the
         // spinners' copies (RFO fan-out), and the spinners wake remotely.
         let stats = SimBuilder::new(topo(), 4)
@@ -2630,47 +2655,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(stats.coherence().total().total_mem_ops(), 2);
-    }
-
-    #[test]
-    fn shard_count_never_changes_results() {
-        // The same machine at 1, 2, 4, and 8 scheduler shards must produce
-        // bit-identical runs: sharding is a scheduling partition, not a
-        // model change.
-        let run = |shard_cores: usize| {
-            let t = Arc::new(
-                TopologyBuilder::new("shardtest", 16)
-                    .epsilon_ns(1.0)
-                    .layer("near", 10.0, 0.5)
-                    .layer("far", 40.0, 0.5)
-                    .hierarchy(&[4])
-                    .shard_cores(shard_cores)
-                    .coherence(2.0, 3.0, 0.2)
-                    .build(),
-            );
-            let mut arena = Arena::new();
-            let a = arena.alloc_padded_u32(64);
-            let gflag = arena.alloc_padded_u32(64);
-            let stats = SimBuilder::new(t, 16)
-                .seed(42)
-                .run(move |ctx| {
-                    for round in 1..=3u32 {
-                        let prev = ctx.fetch_add(a, 1);
-                        if prev == 16 * round - 1 {
-                            ctx.store(gflag, round);
-                        } else {
-                            ctx.spin_until_ge(gflag, round);
-                        }
-                        ctx.compute_ns(5.0 * ctx.tid() as f64);
-                    }
-                })
-                .unwrap();
-            (stats.per_thread_time_ns().to_vec(), stats.schedule_hash())
-        };
-        let baseline = run(16);
-        for shards in [8, 4, 2] {
-            assert_eq!(run(shards), baseline, "shard_cores={shards} diverged");
-        }
     }
 
     #[test]

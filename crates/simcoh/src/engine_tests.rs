@@ -465,3 +465,90 @@ fn default_schedule_hash_is_stable_and_seed_independent_ops() {
     assert_eq!(run(1).schedule_hash(), run(2).schedule_hash());
     assert_ne!(run(1).schedule_hash(), 0, "hash must record the processed ops");
 }
+
+#[test]
+fn failed_cas_wakes_no_one_but_keeps_the_spinners_as_sharers() {
+    // t1 and t2 spin on `a == 5`. t0's failed CAS rewrites the unchanged
+    // value: it invalidates both spinners' copies, wakes neither, and the
+    // spinners re-fetch the line — so t0's next write pays them again.
+    let mut arena = Arena::new();
+    let a = arena.alloc_padded_u32(64);
+    SimBuilder::new(topo(), 3)
+        .run(move |ctx| {
+            if ctx.tid() != 0 {
+                assert_eq!(ctx.spin_until_eq(a, 5), 5);
+                return;
+            }
+            ctx.compute_ns(100.0); // let both spinners park first
+            let c0 = ctx.coherence_counters();
+            assert_eq!(ctx.compare_exchange(a, 9, 7), 0, "the CAS must fail");
+            let c1 = ctx.coherence_counters();
+            assert_eq!(c1.rfo_invalidations - c0.rfo_invalidations, 2);
+            assert_eq!(c1.spin_wakeups, 0, "an unchanged word wakes no one");
+            ctx.store(a, 5);
+            let c2 = ctx.coherence_counters();
+            assert_eq!(c2.rfo_invalidations - c1.rfo_invalidations, 2, "spinners re-added");
+            assert_eq!(c2.spin_wakeups, 2);
+        })
+        .unwrap();
+}
+
+#[test]
+fn store_to_a_neighbouring_word_leaves_the_spinner_blocked_but_charged() {
+    // t1 spins on word 1; t0 stores word 0 of the same line twice. Each
+    // store invalidates the spinner's copy without waking it, and the
+    // spinner re-fetches the line after each one.
+    let mut arena = Arena::new();
+    let base = arena.alloc_u32_array(2);
+    let (w0, w1) = (base, base + 4);
+    SimBuilder::new(topo(), 2)
+        .run(move |ctx| {
+            if ctx.tid() == 1 {
+                assert_eq!(ctx.spin_until_eq(w1, 1), 1);
+                return;
+            }
+            ctx.compute_ns(100.0); // let the spinner park first
+            ctx.store(w0, 7);
+            let c = ctx.coherence_counters();
+            assert_eq!((c.rfo_invalidations, c.spin_wakeups), (1, 0));
+            // t0 now owns the line and t1 shares it again: the write waits
+            // for the farthest holder (L0 = 10) and pays its RFO (α·L0 = 5).
+            let t0 = ctx.now_ns();
+            ctx.store(w0, 8);
+            assert_eq!(ctx.now_ns() - t0, 15.0);
+            let c = ctx.coherence_counters();
+            assert_eq!((c.rfo_invalidations, c.spin_wakeups), (2, 0));
+            ctx.store(w1, 1); // release the spinner
+        })
+        .unwrap();
+}
+
+#[test]
+fn a_run_keeps_nothing_its_body_captured() {
+    // The engine state of a finished run is freed, body included, under
+    // either transport and whether the run succeeds or deadlocks.
+    let token = Arc::new(());
+    let mut arena = Arena::new();
+    let flag = arena.alloc_padded_u32(64);
+    let held = Arc::clone(&token);
+    SimBuilder::new(topo(), 4)
+        .run(move |ctx| {
+            let _ = &held;
+            if ctx.tid() == 0 {
+                ctx.store(flag, 1);
+            } else {
+                ctx.spin_until_eq(flag, 1);
+            }
+        })
+        .unwrap();
+    assert_eq!(Arc::strong_count(&token), 1, "a finished run leaked its body");
+    let held = Arc::clone(&token);
+    let err = SimBuilder::new(topo(), 2)
+        .run(move |ctx| {
+            let _ = &held;
+            ctx.spin_until_eq(flag, 1);
+        })
+        .unwrap_err();
+    assert!(matches!(err, SimError::Deadlock { .. }), "{err}");
+    assert_eq!(Arc::strong_count(&token), 1, "an aborted run leaked its body");
+}

@@ -1,6 +1,6 @@
 //! Stackful-coroutine ("fiber") transport for simulated threads.
 //!
-//! The OS transport rendezvouses through `park`/`unpark`, which costs a
+//! The OS transport hands off through `park`/`unpark`, which costs a
 //! futex round trip (~2µs) every time the engine switches between simulated
 //! threads — and a barrier episode is nothing *but* switches. This module
 //! runs every simulated thread of an episode as a fiber on **one** OS
@@ -53,7 +53,7 @@ mod imp {
     use std::ptr::NonNull;
 
     /// Fiber stack size. Simulation bodies are shallow (a barrier algorithm
-    /// plus the engine rendezvous), but proptest/debug builds are greedy;
+    /// plus the engine handoff), but proptest/debug builds are greedy;
     /// 256 KiB leaves a wide margin. Allocated without zeroing, so untouched
     /// pages never become resident.
     const STACK_SIZE: usize = 256 * 1024;
@@ -311,15 +311,26 @@ mod imp {
     }
 
     /// Rust-side entry of every fiber (called by [`fiber_boot`]): runs the
-    /// episode body with a fiber-transport [`SimThread`], then routes
-    /// through the engine's finish protocol. Panics — user or the engine's
-    /// internal `AbortSignal` tear-down — are caught here; unwinding past
-    /// the hand-seeded boot frame would be undefined behavior.
+    /// thread to its finish point, then parks the fiber for good. This
+    /// frame never returns or unwinds, so it owns nothing: everything the
+    /// thread held — its `Arc`s of the engine state and the body, its
+    /// [`SimThread`] — lives in [`run_fiber`]'s frame and is dropped when
+    /// that returns. Otherwise every run's engine state would leak.
     unsafe extern "C" fn fiber_entry(arg: *mut BootArgs) -> ! {
         // SAFETY: `arg` points at the Box the Fiber owns; the runtime (and
         // therefore the fiber table) outlives this fiber.
         let (rt, tid) = unsafe { ((*arg).rt, (*arg).tid) };
         let rt = unsafe { &*rt };
+        run_fiber(rt, tid);
+        rt.finish_current()
+    }
+
+    /// Runs the episode body with a fiber-transport [`SimThread`], then
+    /// routes through the engine's finish protocol. Panics — user or the
+    /// engine's internal `AbortSignal` tear-down — are caught here;
+    /// unwinding past the hand-seeded boot frame would be undefined
+    /// behavior.
+    fn run_fiber(rt: &FiberRt, tid: usize) {
         let (shared, body, nthreads) = {
             let inner = rt.inner.borrow();
             (Arc::clone(&inner.shared), Arc::clone(&inner.body), inner.fibers.len())
@@ -338,9 +349,9 @@ mod imp {
         };
         let deferred = ctx.take_deferred();
         drop(ctx);
+        drop(body);
         let (wakes, _all_done) = shared.finish_thread_core(tid, panic_msg, deferred);
         rt.enqueue_wakes(&wakes, tid);
-        rt.finish_current()
     }
 
     /// Runs one episode entirely on fibers: every simulated thread becomes
@@ -375,7 +386,7 @@ mod imp {
                 inner.fibers.push(Fiber { ctx, stack, _boot: boot });
                 // Seed in tid order: before any operation is posted, every
                 // start order yields the same engine schedule, but tid
-                // order keeps the very first rendezvous sequence obvious.
+                // order keeps the very first handoff sequence obvious.
                 inner.runnable.push_back(tid);
             }
         }

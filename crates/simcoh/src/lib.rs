@@ -42,9 +42,10 @@
 //! in explicit [`SimTeam`] runs) they are OS threads pooled in
 //! episode-reusable teams. Results are byte-identical across transports.
 //!
-//! At P≥256 the engine's scheduler is additionally *sharded* per machine
-//! cluster (see `DESIGN.md` §13) — a pure scheduling-data-structure
-//! partition that never changes the processing order.
+//! The host cost of a modeled operation does not grow with P: stalled ops
+//! wait in a per-time stall queue beside the one ready heap, spin-waiters
+//! are indexed by the word they watch, and sharer-set reductions run over
+//! per-layer core masks (see `DESIGN.md` §11 and §13).
 //!
 //! ```
 //! use std::sync::Arc;

@@ -59,6 +59,22 @@ impl CoreSet {
         self.bits = [0; Self::WORDS];
     }
 
+    /// Whether the set shares a member with `mask`, a bitset in the same
+    /// word layout (e.g. a `Topology::layer_mask`); words past the end of
+    /// `mask` count as empty.
+    #[inline]
+    pub fn intersects(&self, mask: &[u64]) -> bool {
+        self.bits.iter().zip(mask).any(|(a, b)| a & b != 0)
+    }
+
+    /// Adds every member of `other`.
+    #[inline]
+    pub fn union_with(&mut self, other: &CoreSet) {
+        for (a, b) in self.bits.iter_mut().zip(other.bits) {
+            *a |= b;
+        }
+    }
+
     /// Iterates over member core ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
         (0..Self::WORDS).flat_map(move |w| {
@@ -168,6 +184,18 @@ mod tests {
         assert_eq!(s.len(), 2);
         let full: CoreSet = (0..CoreSet::CAPACITY).collect();
         assert_eq!(full.len(), 1024);
+    }
+
+    #[test]
+    fn coreset_intersects_and_unions() {
+        let a: CoreSet = [1usize, 70].into_iter().collect();
+        assert!(a.intersects(&[0, 1 << 6]));
+        assert!(a.intersects(&[1 << 1]));
+        assert!(!a.intersects(&[1 << 2, 1 << 7]));
+        assert!(!a.intersects(&[0]), "words past the mask are empty");
+        let mut b: CoreSet = [2usize, 70].into_iter().collect();
+        b.union_with(&a);
+        assert_eq!(b.iter().collect::<Vec<_>>(), vec![1, 2, 70]);
     }
 
     #[test]

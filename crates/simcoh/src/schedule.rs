@@ -11,7 +11,7 @@
 //! ## Why arbitrary picks are sound
 //!
 //! Each simulated thread has at most one outstanding operation (the
-//! rendezvous protocol enforces program order per thread), so executing
+//! handoff protocol enforces program order per thread), so executing
 //! ready operations in *any* order yields a sequentially consistent
 //! interleaving of the program — exactly the set of executions a barrier
 //! must survive. What a non-default order gives up is the *cost model*:

@@ -156,7 +156,12 @@ impl SimTeam {
         }
         // `collect` returns only after every participant passed its finish
         // point, so the next episode cannot race this one's workers.
-        shared.collect()
+        let result = shared.collect();
+        // Every participant took its copy of the job and dropped its body
+        // before finishing; release the job's, so nothing the body captured
+        // outlives the run.
+        self.ctrl.mx.lock().job = None;
+        result
     }
 }
 
@@ -186,22 +191,24 @@ fn worker_loop(index: usize, ctrl: &Ctrl) {
                 }
                 if c.epoch != seen {
                     seen = c.epoch;
-                    let job = c.job.clone().expect("epoch advanced without a job");
-                    if index < job.participants {
-                        break job;
+                    match &c.job {
+                        Some(job) if index < job.participants => break job.clone(),
+                        // Not a participant this episode (whose job may
+                        // already be released); fall through to wait. (No
+                        // missed work: the driver blocks until an episode
+                        // fully finishes before publishing the next, so a
+                        // participant is always parked here — or about to
+                        // re-check the epoch — while its episode's job is
+                        // published.)
+                        _ => continue,
                     }
-                    // Not a participant this episode; fall through to wait.
-                    // (No missed work: the driver blocks until an episode
-                    // fully finishes before publishing the next, so a
-                    // participant is always parked here — or about to
-                    // re-check the epoch — when its episode appears.)
-                    continue;
                 }
                 ctrl.start_cv[index].wait(&mut c);
             }
         };
-        let ctx = SimThread::new(Arc::clone(&job.shared), index, job.participants);
-        let result = catch_unwind(AssertUnwindSafe(|| (job.body)(&ctx)));
+        let Episode { shared, body, participants } = job;
+        let ctx = SimThread::new(Arc::clone(&shared), index, participants);
+        let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
         let panic_msg = match result {
             Ok(()) => None,
             // NB: `&*p` reborrows the payload itself; `&p` would unsize the
@@ -214,7 +221,11 @@ fn worker_loop(index: usize, ctrl: &Ctrl) {
                 }
             }
         };
-        job.shared.finish_thread(index, panic_msg, ctx.take_deferred());
+        let deferred = ctx.take_deferred();
+        // The driver may return as soon as the last participant finishes,
+        // so drop the body first: nothing it captured outlives the run.
+        drop(body);
+        shared.finish_thread(index, panic_msg, deferred);
     }
 }
 

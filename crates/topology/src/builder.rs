@@ -40,7 +40,6 @@ pub struct TopologyBuilder {
     epsilon_ns: f64,
     layers: Vec<Layer>,
     n_c: Option<usize>,
-    shard_cores: Option<usize>,
     pair_layer: Option<Vec<LayerId>>,
     coherence: CoherenceParams,
     rmw_costs: RmwCosts,
@@ -60,7 +59,6 @@ impl TopologyBuilder {
             epsilon_ns: 1.0,
             layers: Vec::new(),
             n_c: None,
-            shard_cores: None,
             pair_layer: None,
             coherence: CoherenceParams::new(0.0, 0.0, 0.0),
             rmw_costs: RmwCosts::legacy(),
@@ -94,15 +92,6 @@ impl TopologyBuilder {
     pub fn n_c(mut self, n_c: usize) -> Self {
         assert!(n_c >= 1);
         self.n_c = Some(n_c);
-        self
-    }
-
-    /// Sets the scheduler shard size (cores per shard; see
-    /// [`Topology::shard_cores`]). Defaults to the whole machine — a single
-    /// shard, i.e. the classic global scheduler.
-    pub fn shard_cores(mut self, cores: usize) -> Self {
-        assert!(cores >= 1);
-        self.shard_cores = Some(cores);
         self
     }
 
@@ -202,8 +191,8 @@ impl TopologyBuilder {
             pair_layer,
             latency_matrix: Vec::new(),
             rfo_matrix: Vec::new(),
+            layer_masks: Vec::new(),
             n_c: self.n_c.unwrap_or(self.num_cores),
-            shard_cores: self.shard_cores.unwrap_or(self.num_cores),
             coherence: self.coherence,
             rmw_costs: self.rmw_costs,
         };
@@ -259,22 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_cores_defaults_to_single_shard() {
-        let t = toy();
-        assert_eq!(t.shard_cores(), 8);
-        assert_eq!(t.num_shards(), 1);
-        let sharded = TopologyBuilder::new("toy", 8)
-            .layer("near", 10.0, 0.4)
-            .layer("far", 40.0, 0.8)
-            .hierarchy(&[4])
-            .shard_cores(4)
-            .build();
-        assert_eq!(sharded.num_shards(), 2);
-        assert_eq!(sharded.shard_of(3), 0);
-        assert_eq!(sharded.shard_of(4), 1);
-    }
-
-    #[test]
     fn pair_layer_fn_works() {
         let t = TopologyBuilder::new("fn", 4)
             .layer("even-odd", 7.0, 0.1)
@@ -317,6 +290,14 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn hierarchy_rejects_nonincreasing() {
         let _ = TopologyBuilder::new("x", 8).layer("a", 1.0, 0.0).hierarchy(&[4, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 latency layers")]
+    fn build_rejects_more_than_64_layers() {
+        let b =
+            (0..65).fold(TopologyBuilder::new("x", 2), |b, i| b.layer(&format!("L{i}"), 1.0, 0.0));
+        let _ = b.pair_layer_fn(|_, _| LayerId(0)).build();
     }
 
     #[test]

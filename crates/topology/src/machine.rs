@@ -94,12 +94,13 @@ pub struct Topology {
     /// Dense `num_cores × num_cores` cache of [`Topology::rfo_ns`]:
     /// `rfo_matrix[w·n + h] = α_i · L_i` for the layer joining `w` and `h`.
     pub(crate) rfo_matrix: Vec<f64>,
+    /// Per-(core, layer) bitsets over cores, [`Topology::mask_words`] words
+    /// each: bit `b` of the mask for `(a, L_i)` is set iff `layer(a, b) ==
+    /// L_i`. Lets the simulator reduce a sharer set to the layers present
+    /// in it with a few word ANDs instead of a walk over its members.
+    pub(crate) layer_masks: Vec<u64>,
     /// Logical core-cluster size `N_c` (Section III-A).
     pub(crate) n_c: usize,
-    /// Cores per scheduler shard: the granularity at which the simulator
-    /// partitions its ready/running tables. Equal to `num_cores` (one
-    /// shard) unless the preset opts in to sharding.
-    pub(crate) shard_cores: usize,
     pub(crate) coherence: CoherenceParams,
     /// Per-op-kind atomic RMW surcharge parameters (DESIGN.md §17).
     /// [`RmwCosts::legacy`] unless the preset/builder differentiates.
@@ -164,7 +165,7 @@ impl Topology {
     }
 
     /// Returns a copy of this machine with a different RMW cost table —
-    /// everything else (latencies, coherence, sharding) unchanged. Used by
+    /// everything else (latencies, coherence) unchanged. Used by
     /// the identity tests to run an ARM preset under the legacy shared
     /// surcharge, and by experiments that sweep cost shapes.
     pub fn with_rmw_costs(mut self, costs: RmwCosts) -> Self {
@@ -260,28 +261,26 @@ impl Topology {
         self.cluster_of(a) == self.cluster_of(b)
     }
 
-    /// Cores per scheduler shard. The simulator keeps one ready heap and
-    /// one running set per shard (DESIGN.md §13); a machine with
-    /// `shard_cores == num_cores` runs the classic single-shard scheduler.
-    /// Sharding is a *scheduling* partition only — it never changes which
-    /// op the engine processes next, so results are byte-identical at any
-    /// shard size.
+    /// Words per core bitset: `⌈num_cores / 64⌉`.
     #[inline]
-    pub fn shard_cores(&self) -> usize {
-        self.shard_cores
+    pub fn mask_words(&self) -> usize {
+        self.num_cores.div_ceil(64)
     }
 
-    /// Scheduler shard index of a core (cores `[k·S, (k+1)·S)` form
-    /// shard `k` where `S = shard_cores`).
+    /// The cores joined to `core` over the non-local layer `layer`, as a
+    /// bitset of [`Topology::mask_words`] words (bit `b % 64` of word
+    /// `b / 64` stands for core `b`). Since a latency or RFO matrix entry
+    /// depends only on the layer, a maximum or minimum over a core set
+    /// equals the one over the layers whose masks intersect it.
+    ///
+    /// # Panics
+    /// Panics if `core` is out of range or `layer` is [`LayerId::LOCAL`].
     #[inline]
-    pub fn shard_of(&self, core: CoreId) -> usize {
-        core / self.shard_cores
-    }
-
-    /// Number of scheduler shards.
-    #[inline]
-    pub fn num_shards(&self) -> usize {
-        self.num_cores.div_ceil(self.shard_cores)
+    pub fn layer_mask(&self, core: CoreId, layer: LayerId) -> &[u64] {
+        assert!(core < self.num_cores, "core id out of range");
+        let w = self.mask_words();
+        let i = (core * self.layers.len() + layer.index()) * w;
+        &self.layer_masks[i..i + w]
     }
 
     /// The largest (outermost) layer latency of the machine, in ns.
@@ -310,36 +309,40 @@ impl Topology {
         sum / n as f64
     }
 
-    /// Fills the dense latency/RFO caches from the layer table. Called once
-    /// by the builder, after validation; the cached values are exactly the
-    /// per-call layer math they replace (same expressions, same `f64`
-    /// results), so lookups are bit-identical to the formulas.
+    /// Fills the dense latency/RFO caches and the per-(core, layer) masks
+    /// from the layer table. Called once by the builder, after validation;
+    /// the cached values are exactly the per-call layer math they replace
+    /// (same expressions, same `f64` results), so lookups are bit-identical
+    /// to the formulas.
     pub(crate) fn compute_matrices(&mut self) {
         let n = self.num_cores;
+        let (nl, w) = (self.layers.len(), self.mask_words());
         let mut latency = vec![0.0; n * n];
         let mut rfo = vec![0.0; n * n];
+        let mut masks = vec![0u64; n * nl * w];
         for a in 0..n {
             for b in 0..n {
                 let l = self.pair_layer[a * n + b];
                 latency[a * n + b] = self.layer_latency_ns(l);
                 rfo[a * n + b] = self.alpha(l) * self.layer_latency_ns(l);
+                if !l.is_local() {
+                    masks[(a * nl + l.index()) * w + b / 64] |= 1u64 << (b % 64);
+                }
             }
         }
         self.latency_matrix = latency;
         self.rfo_matrix = rfo;
+        self.layer_masks = masks;
     }
 
     /// Verifies internal consistency; called by the builder and presets.
-    /// Checks the matrix is symmetric, the diagonal is LOCAL, and every
-    /// referenced layer exists.
+    /// Checks the matrix is symmetric, the diagonal is LOCAL, every
+    /// referenced layer exists, and there are at most 64 layers.
     pub(crate) fn validate(&self) {
         assert_eq!(self.pair_layer.len(), self.num_cores * self.num_cores);
         assert!(self.n_c >= 1 && self.n_c <= self.num_cores);
-        assert!(
-            self.shard_cores >= 1 && self.shard_cores <= self.num_cores,
-            "shard_cores out of range: {}",
-            self.shard_cores
-        );
+        // The simulator folds sharer sets into a 64-bit set of layers.
+        assert!(self.layers.len() <= 64, "at most 64 latency layers, got {}", self.layers.len());
         for a in 0..self.num_cores {
             for b in 0..self.num_cores {
                 let l = self.pair_layer[a * self.num_cores + b];
@@ -412,46 +415,32 @@ mod tests {
     }
 
     #[test]
-    fn shards_partition_cores_on_every_preset() {
+    fn cached_matrices_equal_layer_math_exactly() {
+        // The simulator's hot path reads the dense caches and the layer
+        // masks; they must be bit-identical to the formulas and the pair
+        // map they replace, on every preset.
         for p in Platform::EVERY {
             let t = Topology::preset(p);
-            assert!(t.shard_cores() >= 1 && t.shard_cores() <= t.num_cores());
-            let mut seen = vec![0usize; t.num_shards()];
-            for c in 0..t.num_cores() {
-                seen[t.shard_of(c)] += 1;
-            }
-            assert_eq!(seen.iter().sum::<usize>(), t.num_cores(), "{p:?}");
-            // Shards never split a logical cluster: the scheduler partition
-            // is at least as coarse as N_c.
-            if t.shard_cores() < t.num_cores() {
-                assert_eq!(t.shard_cores() % t.n_c(), 0, "{p:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn paper_platforms_default_to_documented_shards() {
-        // Phytium and Xeon run the classic single-shard scheduler;
-        // ThunderX2 shards by socket, Kunpeng 920 by SCCL.
-        assert_eq!(Topology::preset(Platform::Phytium2000Plus).num_shards(), 1);
-        assert_eq!(Topology::preset(Platform::XeonGold).num_shards(), 1);
-        assert_eq!(Topology::preset(Platform::ThunderX2).num_shards(), 2);
-        assert_eq!(Topology::preset(Platform::Kunpeng920).num_shards(), 2);
-    }
-
-    #[test]
-    fn cached_matrices_equal_layer_math_exactly() {
-        // The simulator's hot path reads the dense caches; they must be
-        // bit-identical to the formulas they replace, on every preset.
-        for p in Platform::ALL {
-            let t = Topology::preset(p);
+            let nl = t.layers().len();
             for a in 0..t.num_cores() {
+                let masks: Vec<&[u64]> =
+                    (0..nl).map(|i| t.layer_mask(a, LayerId(i as u8))).collect();
+                assert!(masks.iter().all(|m| m.len() == t.mask_words()), "{p:?} {a}");
                 for b in 0..t.num_cores() {
                     let l = t.layer(a, b);
                     assert_eq!(t.latency_ns(a, b), t.layer_latency_ns(l), "{p:?} {a} {b}");
                     assert_eq!(t.rfo_ns(a, b), t.alpha(l) * t.layer_latency_ns(l), "{p:?} {a} {b}");
                     assert_eq!(t.latency_row(a)[b], t.latency_ns(a, b));
                     assert_eq!(t.rfo_row(a)[b], t.rfo_ns(a, b));
+                    for (i, m) in masks.iter().enumerate() {
+                        let member = m[b / 64] >> (b % 64) & 1 == 1;
+                        assert_eq!(member, l == LayerId(i as u8), "{p:?} {a} {b} L{i}");
+                    }
+                }
+                // No stray bits past the last core.
+                let tail = t.num_cores() % 64;
+                if tail != 0 {
+                    assert!(masks.iter().all(|m| m[m.len() - 1] >> tail == 0), "{p:?} {a}");
                 }
             }
         }

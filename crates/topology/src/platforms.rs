@@ -123,7 +123,6 @@ pub fn thunderx2() -> Topology {
         .layer("across sockets", 140.7, 0.9)
         .n_c(32)
         .hierarchy(&[32])
-        .shard_cores(32) // one scheduler shard per socket
         .coherence(22.0, 12.0, 0.03)
         .noc_ns(4.0)
         // Vulcan cores are ARMv8.1: LSE far atomics execute FAA/SWP near
@@ -147,7 +146,6 @@ pub fn kunpeng920() -> Topology {
         .layer("across SCCLs", 75.0, 0.5)
         .n_c(4)
         .hierarchy(&[4, 32])
-        .shard_cores(32) // one scheduler shard per SCCL
         .coherence(5.0, 0.8, 0.22)
         .noc_ns(2.5)
         // TSV110 cores are ARMv8.2 with LSE far atomics, same shape as
@@ -188,7 +186,6 @@ fn mempool(name: &str, cores: usize) -> Topology {
         .layer("across groups", 21.0, 0.55)
         .n_c(4)
         .hierarchy(&[4, 64])
-        .shard_cores(64) // one scheduler shard per group
         .coherence(1.5, 0.6, 0.01)
         .noc_ns(0.8)
         .build()
@@ -305,8 +302,6 @@ mod tests {
         assert_eq!(t.num_cores(), 1024);
         assert_eq!(t.n_c(), 4);
         assert_eq!(t.num_clusters(), 256); // tiles
-        assert_eq!(t.shard_cores(), 64); // groups
-        assert_eq!(t.num_shards(), 16);
         assert_eq!(t.latency_ns(0, 3), 2.0); // within a tile
         assert_eq!(t.latency_ns(0, 63), 10.0); // within a group
         assert_eq!(t.latency_ns(0, 1023), 21.0); // across groups
@@ -318,7 +313,6 @@ mod tests {
     fn mempool_256_is_the_quarter_scale_point() {
         let t = mempool_256();
         assert_eq!(t.num_cores(), 256);
-        assert_eq!(t.num_shards(), 4);
         // Same per-layer numbers as the 1024-core machine — only the
         // group count differs, so curves are comparable across scales.
         let big = mempool_1024();
