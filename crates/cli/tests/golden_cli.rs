@@ -1,5 +1,7 @@
 //! Golden-file regression for the `armbar` CLI's structured output: the
-//! `trace` and `chaos` CSV formats are pinned byte-for-byte.
+//! `trace` and `chaos` CSV formats, the `conform` tables (fixed, phaser,
+//! and weak JSON) and the fence report's shrunk reproducers are pinned
+//! byte-for-byte.
 //!
 //! Unlike `tests/golden_master.rs` (which pins the *model's numbers*
 //! through the library API), these tests pin the *CLI contract*: flag
@@ -98,4 +100,70 @@ fn chaos_csv_matches_committed_fixture_byte_for_byte() {
         "csv",
     ]);
     check_golden("golden_chaos_kunpeng_sim.csv", &fresh);
+}
+
+#[test]
+fn conform_csv_matches_committed_fixture_byte_for_byte() {
+    let fresh = armbar(&["conform", "--algos", "SENSE,DIS,SHY-CTR", "--seeds", "8", "--jobs", "1"]);
+    check_golden("golden_conform_sense_dis_shyctr.csv", &fresh);
+}
+
+#[test]
+fn conform_phasers_csv_matches_committed_fixture_byte_for_byte() {
+    let fresh = armbar(&[
+        "conform",
+        "--phasers",
+        "--threads",
+        "4",
+        "--episodes",
+        "3",
+        "--seeds",
+        "4",
+        "--jobs",
+        "1",
+    ]);
+    check_golden("golden_conform_phasers.csv", &fresh);
+}
+
+#[test]
+fn conform_weak_json_matches_committed_fixture_byte_for_byte() {
+    let fresh = armbar(&[
+        "conform",
+        "--weak",
+        "--algos",
+        "SENSE",
+        "--threads",
+        "4",
+        "--seeds",
+        "4",
+        "--jobs",
+        "1",
+        "--format",
+        "json",
+    ]);
+    check_golden("golden_conform_weak_sense.json", &fresh);
+}
+
+/// The fence report pins shrunk reproducers: every demotion level that
+/// fails ships a `[replay: ...]` line minimized by the shared shrink.
+#[test]
+fn fence_report_matches_committed_fixture_byte_for_byte() {
+    let report =
+        std::env::temp_dir().join(format!("armbar_golden_fences_{}.md", std::process::id()));
+    armbar(&[
+        "conform",
+        "--seeds",
+        "1",
+        "--algos",
+        "SENSE,DIS",
+        "--fence-seeds",
+        "4",
+        "--jobs",
+        "1",
+        "--fence-report",
+        report.to_str().unwrap(),
+    ]);
+    let fresh = std::fs::read_to_string(&report).expect("the fence report was not written");
+    let _ = std::fs::remove_file(&report);
+    check_golden("golden_fences_sense_dis.md", &fresh);
 }
