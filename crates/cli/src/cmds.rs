@@ -3,7 +3,8 @@
 use std::sync::Arc;
 
 use armbar_conformance::{
-    conform_matrix_on, phaser_conform_matrix_on, ConformConfig, PhaserConformConfig,
+    conform_matrix_on, phaser_conform_matrix_on, ConformCell, ConformConfig, ExplorerConfig,
+    PhaserConformConfig,
 };
 use armbar_core::prelude::*;
 use armbar_epcc::{
@@ -155,6 +156,65 @@ fn parse_algos(rest: &[String]) -> Result<Vec<AlgorithmId>, String> {
     Ok(out)
 }
 
+/// `--platforms NAME,...` (or `--platform`), if given.
+fn parse_platforms(rest: &[String]) -> Result<Option<Vec<Platform>>, String> {
+    let Some(spec) = flag_value(rest, "--platforms").or_else(|| flag_value(rest, "--platform"))
+    else {
+        return Ok(None);
+    };
+    spec.split(',')
+        .map(|part| parse_platform(&[part.trim().to_string()]))
+        .collect::<Result<_, _>>()
+        .map(Some)
+}
+
+/// An integer flag that must be at least `min`; `what` names it in the
+/// error.
+fn count_flag(rest: &[String], flag: &str, what: &str, min: u32) -> Result<Option<u32>, String> {
+    match flag_value(rest, flag) {
+        None => Ok(None),
+        Some(s) => match s.parse::<u32>() {
+            Ok(n) if n >= min => Ok(Some(n)),
+            _ => Err(format!("bad {what} {s:?} (need at least {min})")),
+        },
+    }
+}
+
+/// A seed flag, decimal or `0x`-prefixed hex.
+fn seed_flag(rest: &[String], flag: &str) -> Result<Option<u64>, String> {
+    let Some(s) = flag_value(rest, flag) else {
+        return Ok(None);
+    };
+    match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => s.parse(),
+    }
+    .map(Some)
+    .map_err(|_| format!("bad {flag} {s:?}"))
+}
+
+/// `--format csv|json` (default csv): whether to render JSON.
+fn json_format(rest: &[String]) -> Result<bool, String> {
+    match flag_value(rest, "--format").as_deref() {
+        None | Some("csv") => Ok(false),
+        Some("json") => Ok(true),
+        Some(f) => Err(format!("unknown format {f:?} (expected csv or json)")),
+    }
+}
+
+/// Writes `text` to `--out FILE`, naming `what` it holds on stderr, or
+/// prints it.
+fn emit(rest: &[String], text: &str, what: &str) -> Result<(), String> {
+    match flag_value(rest, "--out") {
+        Some(path) => {
+            std::fs::write(&path, text).map_err(|e| format!("writing {path:?}: {e}"))?;
+            eprintln!("wrote {what} to {path}");
+        }
+        None => print!("{text}"),
+    }
+    Ok(())
+}
+
 /// `armbar platforms`
 pub fn platforms() -> Result<(), String> {
     for p in Platform::EVERY {
@@ -303,17 +363,8 @@ pub fn trace(rest: &[String]) -> Result<(), String> {
         }
         None => vec![AlgorithmId::Optimized],
     };
-    let episodes: u32 = match flag_value(rest, "--episodes") {
-        Some(s) => s.parse().map_err(|_| format!("bad episode count {s:?}"))?,
-        None => 8,
-    };
-    if episodes == 0 {
-        return Err("--episodes must be at least 1".into());
-    }
-    let format = flag_value(rest, "--format").unwrap_or_else(|| "csv".into());
-    if format != "csv" && format != "json" {
-        return Err(format!("unknown format {format:?} (expected csv or json)"));
-    }
+    let episodes = count_flag(rest, "--episodes", "episode count", 1)?.unwrap_or(8);
+    let json = json_format(rest)?;
     let pool = parse_pool(rest)?;
 
     // One deterministic simulation per algorithm; concurrent traces
@@ -332,7 +383,7 @@ pub fn trace(rest: &[String]) -> Result<(), String> {
         .collect();
     let per_algo: Vec<Vec<EpisodeTrace>> = pool.run(jobs).into_iter().collect::<Result<_, _>>()?;
 
-    let text = if format == "csv" {
+    let text = if !json {
         // Multiple algorithms concatenate as self-describing CSV blocks
         // (each carries its own `#` provenance header).
         algos
@@ -353,14 +404,7 @@ pub fn trace(rest: &[String]) -> Result<(), String> {
         format!("[\n{}\n]\n", docs.join(",\n"))
     };
     let total: usize = per_algo.iter().map(Vec::len).sum();
-    match flag_value(rest, "--out") {
-        Some(path) => {
-            std::fs::write(&path, &text).map_err(|e| format!("writing {path:?}: {e}"))?;
-            eprintln!("wrote {total} episodes to {path}");
-        }
-        None => print!("{text}"),
-    }
-    Ok(())
+    emit(rest, &text, &format!("{total} episodes"))
 }
 
 /// `armbar chaos [--platforms ...] [--algos ...] [--scenarios ...]
@@ -372,15 +416,8 @@ pub fn chaos(rest: &[String]) -> Result<(), String> {
     let churn = rest.iter().any(|a| a == "--churn");
     let defaults = if churn { ChaosConfig::churn() } else { ChaosConfig::default() };
 
-    let platforms = match flag_value(rest, "--platforms").or_else(|| flag_value(rest, "--platform"))
-    {
-        Some(spec) => {
-            let mut out = Vec::new();
-            for part in spec.split(',') {
-                out.push(parse_platform(&[part.trim().to_string()])?);
-            }
-            out
-        }
+    let platforms = match parse_platforms(rest)? {
+        Some(platforms) => platforms,
         // Default: the three ARM machines of the paper (churn cells are
         // membership-driven, so one machine model suffices there).
         None if churn => defaults.platforms.clone(),
@@ -418,28 +455,10 @@ pub fn chaos(rest: &[String]) -> Result<(), String> {
         Some(s) => vec![Backend::parse(s)
             .ok_or_else(|| format!("unknown backend {s:?} (expected sim, host, or both)"))?],
     };
-    let threads = match flag_value(rest, "--threads") {
-        Some(s) => match s.parse() {
-            Ok(0) | Err(_) => return Err(format!("bad thread count {s:?} (need at least 1)")),
-            Ok(n) => n,
-        },
-        None => defaults.threads,
-    };
-    let episodes = match flag_value(rest, "--episodes") {
-        Some(s) => match s.parse() {
-            Ok(0) | Err(_) => return Err(format!("bad episode count {s:?} (need at least 1)")),
-            Ok(n) => n,
-        },
-        None => defaults.episodes,
-    };
-    let seed = match flag_value(rest, "--seed") {
-        Some(s) => match s.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => s.parse(),
-        }
-        .map_err(|_| format!("bad seed {s:?}"))?,
-        None => defaults.seed,
-    };
+    let threads =
+        count_flag(rest, "--threads", "thread count", 1)?.map_or(defaults.threads, |n| n as usize);
+    let episodes = count_flag(rest, "--episodes", "episode count", 1)?.unwrap_or(defaults.episodes);
+    let seed = seed_flag(rest, "--seed")?.unwrap_or(defaults.seed);
     let deadline = match flag_value(rest, "--deadline-ms") {
         Some(s) => match s.parse() {
             Ok(0) | Err(_) => return Err(format!("bad deadline {s:?} (need at least 1 ms)")),
@@ -457,184 +476,169 @@ pub fn chaos(rest: &[String]) -> Result<(), String> {
         seed,
         deadline,
     };
-    let format = flag_value(rest, "--format").unwrap_or_else(|| "csv".into());
-    if format != "csv" && format != "json" {
-        return Err(format!("unknown format {format:?} (expected csv or json)"));
-    }
+    let json = json_format(rest)?;
     let pool = parse_pool(rest)?;
 
     let cells = chaos_matrix_on(&pool, &config);
-    let text =
-        if format == "csv" { render_csv(&cells, &config) } else { render_json(&cells, &config) };
-    match flag_value(rest, "--out") {
-        Some(path) => {
-            std::fs::write(&path, &text).map_err(|e| format!("writing {path:?}: {e}"))?;
-            eprintln!("wrote {} chaos cells to {path}", cells.len());
-        }
-        None => print!("{text}"),
-    }
-    Ok(())
+    let text = if json { render_json(&cells, &config) } else { render_csv(&cells, &config) };
+    emit(rest, &text, &format!("{} chaos cells", cells.len()))
 }
 
-/// `armbar conform [--quick] [--weak] [--platforms ...] [--algos ...]
-/// [--threads N] [--episodes N] [--seeds N] [--schedule-seed N]
-/// [--budget N] [--reorder-budget N] [--fence-report FILE] [--jobs N]
-/// [--format csv|json] [--out FILE]`
+/// The schedule-search flags `conform`, `conform --phasers` and the
+/// phaser leg of `conform --weak` share, parsed once; `None` keeps the
+/// checker's default.
+struct SearchFlags {
+    weak: bool,
+    platforms: Option<Vec<Platform>>,
+    threads: Option<usize>,
+    episodes: Option<u32>,
+    seeds: Option<u32>,
+    base_seed: Option<u64>,
+    budget: Option<u32>,
+    reorder_budget: Option<u32>,
+}
+
+impl SearchFlags {
+    fn parse(rest: &[String]) -> Result<Self, String> {
+        let budget = |flag: &str| {
+            flag_value(rest, flag).map(|s| s.parse().map_err(|_| format!("bad {flag} {s:?}")))
+        };
+        Ok(Self {
+            weak: rest.iter().any(|a| a == "--weak"),
+            platforms: parse_platforms(rest)?,
+            threads: count_flag(rest, "--threads", "thread count", 1)?.map(|n| n as usize),
+            episodes: count_flag(rest, "--episodes", "episode count", 1)?,
+            seeds: count_flag(rest, "--seeds", "seed count", 1)?,
+            base_seed: seed_flag(rest, "--schedule-seed")?,
+            budget: budget("--budget").transpose()?,
+            reorder_budget: budget("--reorder-budget").transpose()?,
+        })
+    }
+
+    /// `explorer` under these flags: `--weak` turns on the bounded
+    /// weak-memory search (reordering budget 64, p=0.8), and `--budget` /
+    /// `--reorder-budget` override either budget.
+    fn explorer(&self, mut explorer: ExplorerConfig) -> ExplorerConfig {
+        if self.weak {
+            explorer = ExplorerConfig { reorder_prob: 0.8, ..explorer }.with_reorder_budget(64);
+        }
+        if let Some(budget) = self.budget {
+            explorer = explorer.with_budget(budget);
+        }
+        if let Some(rb) = self.reorder_budget {
+            explorer = explorer.with_reorder_budget(rb);
+        }
+        explorer
+    }
+
+    /// The phaser matrix under these flags (slots clamp up to the two a
+    /// churn script needs).
+    fn phaser_config(&self) -> PhaserConformConfig {
+        let d = PhaserConformConfig::default();
+        PhaserConformConfig {
+            platforms: self.platforms.clone().unwrap_or(d.platforms),
+            threads: self.threads.map_or(d.threads, |t| t.max(2)),
+            episodes: self.episodes.unwrap_or(d.episodes),
+            seeds: self.seeds.unwrap_or(d.seeds),
+            base_seed: self.base_seed.unwrap_or(d.base_seed),
+            explorer: self.explorer(d.explorer),
+            ..d
+        }
+    }
+}
+
+/// One line of the nonzero-exit report: the cell and its reproducer.
+fn violation_line(c: &ConformCell) -> String {
+    let under = c.scenario.map(|s| format!(" under {}", s.label())).unwrap_or_default();
+    format!("{}{under} on {}: {}", c.algorithm.label(), c.platform.label(), c.detail())
+}
+
+/// Fails with the report when any cell violated `oracles`.
+fn report_violations(violated: Vec<String>, oracles: &str) -> Result<(), String> {
+    if violated.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "{} cell(s) violated the {oracles} oracles:\n  {}",
+        violated.len(),
+        violated.join("\n  ")
+    ))
+}
+
+/// `armbar conform [--quick] [--weak] [--phasers] [--platforms ...]
+/// [--algos ...] [--scenarios ...] [--threads N] [--episodes N]
+/// [--seeds N] [--schedule-seed N] [--budget N] [--reorder-budget N]
+/// [--fence-report FILE] [--jobs N] [--format csv|json] [--out FILE]`
 ///
 /// `--weak` turns on the bounded weak-memory search (reordering budget 64
 /// per trial) and extends the sweep to the phasers: the fixed-membership
 /// matrix runs first, then the churn matrix, both under the same
-/// reordering explorer. `--reorder-budget N` sets the budget explicitly
-/// (without `--weak`, the default 0 keeps the engine sequentially
-/// consistent). `--fence-report FILE` additionally runs the
+/// reordering explorer and search flags. `--reorder-budget N` sets the
+/// budget explicitly (without `--weak`, the default 0 keeps the engine
+/// sequentially consistent). `--fence-report FILE` additionally runs the
 /// fence-minimization matrix (`--fence-seeds N` seeds per demotion
-/// level) and writes its Markdown report.
+/// level) and writes its Markdown report. `--phasers` runs the phaser
+/// matrix alone.
 ///
 /// Exits nonzero (after writing the table) if any cell records a
 /// violation, so CI can gate on it directly.
 pub fn conform(rest: &[String]) -> Result<(), String> {
+    let flags = SearchFlags::parse(rest)?;
+    let json = json_format(rest)?;
+    let pool = parse_pool(rest)?;
     if rest.iter().any(|a| a == "--phasers") {
-        return conform_phasers(rest);
+        return conform_phasers(rest, &flags, json, &pool);
     }
     let quick = rest.iter().any(|a| a == "--quick");
-    let weak = rest.iter().any(|a| a == "--weak");
-    let mut config = ConformConfig::default();
-    if quick {
-        // The acceptance sweep: every algorithm, ≥1000 distinct schedules
-        // per cell.
-        config.seeds = 1200;
-    }
-    if weak {
-        config.explorer =
-            armbar_conformance::ExplorerConfig { reorder_prob: 0.8, ..config.explorer }
-                .with_reorder_budget(64);
-    }
-
-    if let Some(spec) = flag_value(rest, "--platforms").or_else(|| flag_value(rest, "--platform")) {
-        let mut out = Vec::new();
-        for part in spec.split(',') {
-            out.push(parse_platform(&[part.trim().to_string()])?);
-        }
-        config.platforms = out;
-    }
-    if flag_value(rest, "--algos").is_some() {
-        config.algorithms = parse_algos(rest)?;
-    }
-    if let Some(s) = flag_value(rest, "--threads") {
-        config.threads = match s.parse() {
-            Ok(0) | Err(_) => return Err(format!("bad thread count {s:?} (need at least 1)")),
-            Ok(n) => n,
-        };
-    }
-    if let Some(s) = flag_value(rest, "--episodes") {
-        config.episodes = match s.parse() {
-            Ok(0) | Err(_) => return Err(format!("bad episode count {s:?} (need at least 1)")),
-            Ok(n) => n,
-        };
-    }
-    if let Some(s) = flag_value(rest, "--seeds") {
-        config.seeds = match s.parse() {
-            Ok(0) | Err(_) => return Err(format!("bad seed count {s:?} (need at least 1)")),
-            Ok(n) => n,
-        };
-    }
-    if let Some(s) = flag_value(rest, "--schedule-seed") {
-        config.base_seed = match s.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => s.parse(),
-        }
-        .map_err(|_| format!("bad --schedule-seed {s:?}"))?;
-    }
-    if let Some(s) = flag_value(rest, "--budget") {
-        let budget = s.parse().map_err(|_| format!("bad --budget {s:?}"))?;
-        config.explorer = config.explorer.with_budget(budget);
-    }
-    if let Some(s) = flag_value(rest, "--reorder-budget") {
-        let rb = s.parse().map_err(|_| format!("bad --reorder-budget {s:?}"))?;
-        config.explorer = config.explorer.with_reorder_budget(rb);
-    }
-    let fence_seeds = match flag_value(rest, "--fence-seeds") {
-        Some(s) => match s.parse() {
-            Ok(0) | Err(_) => return Err(format!("bad --fence-seeds {s:?} (need at least 1)")),
-            Ok(n) => Some(n),
+    let d = ConformConfig::default();
+    let config = ConformConfig {
+        platforms: flags.platforms.clone().unwrap_or(d.platforms),
+        algorithms: if flag_value(rest, "--algos").is_some() {
+            parse_algos(rest)?
+        } else {
+            d.algorithms
         },
-        None => None,
+        threads: flags.threads.unwrap_or(d.threads),
+        episodes: flags.episodes.unwrap_or(d.episodes),
+        // The --quick acceptance sweep: ≥1000 distinct schedules per cell.
+        seeds: flags.seeds.unwrap_or(if quick { 1200 } else { d.seeds }),
+        base_seed: flags.base_seed.unwrap_or(d.base_seed),
+        explorer: flags.explorer(d.explorer),
+        ..d
     };
-    let format = flag_value(rest, "--format").unwrap_or_else(|| "csv".into());
-    if format != "csv" && format != "json" {
-        return Err(format!("unknown format {format:?} (expected csv or json)"));
-    }
-    let pool = parse_pool(rest)?;
+    let fence_seeds = count_flag(rest, "--fence-seeds", "--fence-seeds", 1)?;
 
-    let cells = conform_matrix_on(&pool, &config);
-    let mut text = if format == "csv" {
-        armbar_conformance::render_csv(&cells, &config)
-    } else {
+    let mut cells = conform_matrix_on(&pool, &config);
+    let mut text = if json {
         armbar_conformance::render_json(&cells, &config)
+    } else {
+        armbar_conformance::render_csv(&cells, &config)
     };
-
-    let mut violated: Vec<String> = cells
-        .iter()
-        .filter(|c| !c.violations.is_empty())
-        .map(|c| format!("{} on {}: {}", c.algorithm.label(), c.platform.label(), c.detail()))
-        .collect();
-
     // Under --weak the phasers ride along: dynamic membership is where
     // a reordered arrival or eviction store does the most damage.
-    let mut phaser_cell_count = 0;
-    if weak {
-        let mut pconfig = PhaserConformConfig {
-            platforms: config.platforms.clone(),
-            explorer: config.explorer,
-            threads: config.threads.max(2),
-            ..PhaserConformConfig::default()
-        };
-        if let Some(s) = flag_value(rest, "--seeds") {
-            pconfig.seeds = s.parse().map_err(|_| format!("bad seed count {s:?}"))?;
-        }
-        if let Some(s) = flag_value(rest, "--schedule-seed") {
-            pconfig.base_seed = match s.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16),
-                None => s.parse(),
-            }
-            .map_err(|_| format!("bad --schedule-seed {s:?}"))?;
-        }
+    if flags.weak {
+        let pconfig = flags.phaser_config();
         let pcells = phaser_conform_matrix_on(&pool, &pconfig);
-        phaser_cell_count = pcells.len();
-        text.push_str(&if format == "csv" {
-            armbar_conformance::render_phaser_csv(&pcells, &pconfig)
-        } else {
+        text.push_str(&if json {
             armbar_conformance::render_phaser_json(&pcells, &pconfig)
+        } else {
+            armbar_conformance::render_phaser_csv(&pcells, &pconfig)
         });
-        violated.extend(pcells.iter().filter(|c| !c.violations.is_empty()).map(|c| {
-            format!(
-                "{} under {} on {}: {}",
-                c.algorithm.label(),
-                c.scenario.label(),
-                c.platform.label(),
-                c.detail()
-            )
-        }));
+        cells.extend(pcells);
     }
-
-    match flag_value(rest, "--out") {
-        Some(path) => {
-            std::fs::write(&path, &text).map_err(|e| format!("writing {path:?}: {e}"))?;
-            eprintln!("wrote {} conformance cells to {path}", cells.len() + phaser_cell_count);
-        }
-        None => print!("{text}"),
-    }
+    emit(rest, &text, &format!("{} conformance cells", cells.len()))?;
+    let mut violated: Vec<String> =
+        cells.iter().filter(|c| !c.violations.is_empty()).map(violation_line).collect();
 
     if let Some(path) = flag_value(rest, "--fence-report") {
-        let mut fcfg = armbar_conformance::FenceConfig {
+        let d = armbar_conformance::FenceConfig::default();
+        let fcfg = armbar_conformance::FenceConfig {
             platforms: config.platforms.clone(),
             algorithms: config.algorithms.clone(),
             threads: config.threads,
-            ..armbar_conformance::FenceConfig::default()
+            seeds: fence_seeds.unwrap_or(d.seeds),
+            ..d
         };
-        if let Some(n) = fence_seeds {
-            fcfg.seeds = n;
-        }
         let fcells = armbar_conformance::fence_matrix_on(&pool, &fcfg);
         let md = armbar_conformance::render_fence_markdown(&fcells, &fcfg);
         std::fs::write(&path, &md).map_err(|e| format!("writing {path:?}: {e}"))?;
@@ -647,42 +651,26 @@ pub fn conform(rest: &[String]) -> Result<(), String> {
             )
         }));
     }
-
-    if violated.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "{} cell(s) violated the safety oracles:\n  {}",
-            violated.len(),
-            violated.join("\n  ")
-        ))
-    }
+    report_violations(violated, "safety")
 }
 
-/// `armbar conform --phasers [--platforms ...] [--algos ...]
-/// [--scenarios ...] [--threads N] [--episodes N] [--seeds N]
-/// [--schedule-seed N] [--budget N] [--jobs N] [--format csv|json]
-/// [--out FILE]`
+/// `armbar conform --phasers [--algos ...] [--scenarios ...]` plus the
+/// shared search flags.
 ///
 /// The dynamic-membership arm of `conform`: searches
 /// register/deregister/eviction interleavings of the phasers under seeded
 /// churn scripts and audits the membership oracles. Exits nonzero on any
 /// violation, with a shrunk reproducer in the table.
-fn conform_phasers(rest: &[String]) -> Result<(), String> {
-    let mut config = PhaserConformConfig::default();
-    if rest.iter().any(|a| a == "--weak") {
-        config.explorer =
-            armbar_conformance::ExplorerConfig { reorder_prob: 0.8, ..config.explorer }
-                .with_reorder_budget(64);
+fn conform_phasers(
+    rest: &[String],
+    flags: &SearchFlags,
+    json: bool,
+    pool: &SweepPool,
+) -> Result<(), String> {
+    if let Some(t @ ..=1) = flags.threads {
+        return Err(format!("bad thread count \"{t}\" (churn needs at least 2)"));
     }
-
-    if let Some(spec) = flag_value(rest, "--platforms").or_else(|| flag_value(rest, "--platform")) {
-        let mut out = Vec::new();
-        for part in spec.split(',') {
-            out.push(parse_platform(&[part.trim().to_string()])?);
-        }
-        config.platforms = out;
-    }
+    let mut config = flags.phaser_config();
     if flag_value(rest, "--algos").is_some() {
         let algos = parse_algos(rest)?;
         if let Some(bad) = algos.iter().find(|a| !AlgorithmId::PHASERS.contains(a)) {
@@ -709,83 +697,18 @@ fn conform_phasers(rest: &[String]) -> Result<(), String> {
         }
         config.scenarios = out;
     }
-    if let Some(s) = flag_value(rest, "--threads") {
-        config.threads = match s.parse() {
-            Ok(0) | Ok(1) | Err(_) => {
-                return Err(format!("bad thread count {s:?} (churn needs at least 2)"))
-            }
-            Ok(n) => n,
-        };
-    }
-    if let Some(s) = flag_value(rest, "--episodes") {
-        config.episodes = match s.parse() {
-            Ok(0) | Err(_) => return Err(format!("bad episode count {s:?} (need at least 1)")),
-            Ok(n) => n,
-        };
-    }
-    if let Some(s) = flag_value(rest, "--seeds") {
-        config.seeds = match s.parse() {
-            Ok(0) | Err(_) => return Err(format!("bad seed count {s:?} (need at least 1)")),
-            Ok(n) => n,
-        };
-    }
-    if let Some(s) = flag_value(rest, "--schedule-seed") {
-        config.base_seed = match s.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => s.parse(),
-        }
-        .map_err(|_| format!("bad --schedule-seed {s:?}"))?;
-    }
-    if let Some(s) = flag_value(rest, "--budget") {
-        let budget = s.parse().map_err(|_| format!("bad --budget {s:?}"))?;
-        config.explorer = config.explorer.with_budget(budget);
-    }
-    if let Some(s) = flag_value(rest, "--reorder-budget") {
-        let rb = s.parse().map_err(|_| format!("bad --reorder-budget {s:?}"))?;
-        config.explorer = config.explorer.with_reorder_budget(rb);
-    }
-    let format = flag_value(rest, "--format").unwrap_or_else(|| "csv".into());
-    if format != "csv" && format != "json" {
-        return Err(format!("unknown format {format:?} (expected csv or json)"));
-    }
-    let pool = parse_pool(rest)?;
 
-    let cells = phaser_conform_matrix_on(&pool, &config);
-    let text = if format == "csv" {
-        armbar_conformance::render_phaser_csv(&cells, &config)
-    } else {
+    let cells = phaser_conform_matrix_on(pool, &config);
+    let text = if json {
         armbar_conformance::render_phaser_json(&cells, &config)
-    };
-    match flag_value(rest, "--out") {
-        Some(path) => {
-            std::fs::write(&path, &text).map_err(|e| format!("writing {path:?}: {e}"))?;
-            eprintln!("wrote {} phaser conformance cells to {path}", cells.len());
-        }
-        None => print!("{text}"),
-    }
-
-    let violated: Vec<String> = cells
-        .iter()
-        .filter(|c| !c.violations.is_empty())
-        .map(|c| {
-            format!(
-                "{} under {} on {}: {}",
-                c.algorithm.label(),
-                c.scenario.label(),
-                c.platform.label(),
-                c.detail()
-            )
-        })
-        .collect();
-    if violated.is_empty() {
-        Ok(())
     } else {
-        Err(format!(
-            "{} cell(s) violated the membership oracles:\n  {}",
-            violated.len(),
-            violated.join("\n  ")
-        ))
-    }
+        armbar_conformance::render_phaser_csv(&cells, &config)
+    };
+    emit(rest, &text, &format!("{} phaser conformance cells", cells.len()))?;
+    report_violations(
+        cells.iter().filter(|c| !c.violations.is_empty()).map(violation_line).collect(),
+        "membership",
+    )
 }
 
 /// Column order shared by the CSV header and both renderers.
@@ -908,33 +831,14 @@ pub fn serve(rest: &[String]) -> Result<(), String> {
     if cfg.drop_frac > 1.0 {
         return Err(format!("bad --drop-frac value {} (need 0..=1)", cfg.drop_frac));
     }
-    if let Some(s) = flag_value(rest, "--seed") {
-        cfg.seed = match s.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => s.parse(),
-        }
-        .map_err(|_| format!("bad seed {s:?}"))?;
-    }
-    let format = flag_value(rest, "--format").unwrap_or_else(|| "csv".into());
-    if format != "csv" && format != "json" {
-        return Err(format!("unknown format {format:?} (expected csv or json)"));
-    }
+    cfg.seed = seed_flag(rest, "--seed")?.unwrap_or(cfg.seed);
+    let json = json_format(rest)?;
 
     let report = armbar_serve::run_load(&cfg);
     eprint!("{}", armbar_serve::summary_text(&report));
-    let text = if format == "csv" {
-        armbar_serve::outcome_csv(&report)
-    } else {
-        armbar_serve::outcome_json(&report)
-    };
-    match flag_value(rest, "--out") {
-        Some(path) => {
-            std::fs::write(&path, &text).map_err(|e| format!("writing {path:?}: {e}"))?;
-            eprintln!("wrote {} tenant rows to {path}", report.outcomes.len());
-        }
-        None => print!("{text}"),
-    }
-    Ok(())
+    let text =
+        if json { armbar_serve::outcome_json(&report) } else { armbar_serve::outcome_csv(&report) };
+    emit(rest, &text, &format!("{} tenant rows", report.outcomes.len()))
 }
 
 #[cfg(test)]
@@ -1314,6 +1218,44 @@ mod tests {
         assert!(text.contains("PH-CTR"), "{text}");
         assert!(text.contains("PH-TREE"), "{text}");
         assert!(!text.contains("VIOLATED"), "{text}");
+    }
+
+    #[test]
+    fn conform_weak_phaser_leg_honours_the_search_flags() {
+        // A phaser reproducer's `episodes E` must replay through
+        // `conform --weak`: the phaser leg takes the same search flags as
+        // the fixed matrix.
+        let out = std::env::temp_dir().join("armbar_conform_weak_episodes.csv");
+        conform(&[
+            "--weak".to_string(),
+            "--algos".into(),
+            "SENSE".into(),
+            "--threads".into(),
+            "4".into(),
+            "--episodes".into(),
+            "3".into(),
+            "--seeds".into(),
+            "2".into(),
+            "--schedule-seed".into(),
+            "0xF00".into(),
+            "--jobs".into(),
+            "2".into(),
+            "--out".into(),
+            out.to_str().unwrap().into(),
+        ])
+        .unwrap();
+        let text = std::fs::read_to_string(&out).unwrap();
+        let _ = std::fs::remove_file(&out);
+        let header = text
+            .lines()
+            .find(|l| l.starts_with("# conform-phasers:"))
+            .unwrap_or_else(|| panic!("no phaser header in:\n{text}"));
+        assert!(
+            header.starts_with(
+                "# conform-phasers: base seed 0xf00, seeds/cell 2, episodes 3, threads 4,"
+            ),
+            "{header}"
+        );
     }
 
     #[test]

@@ -1,22 +1,24 @@
-//! Trial runner, safety-oracle classification, and the conformance matrix.
+//! The fixed-barrier trial, the shared result types, and the conformance
+//! matrix.
 //!
 //! One *trial* = one seeded, perturbed simulation of `episodes` audited
 //! barrier episodes (`Barrier::wait_conformed`) on one (platform,
 //! algorithm) pair. Trials are pure functions of their seed, so every
-//! violation is replayable; a shrinking pass then minimizes the
-//! perturbation budget and episode count of the reproducer.
+//! violation is replayable; the shared search path (`search.rs`) runs
+//! the seed loop and shrinks the reproducer.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use armbar_core::env::{MARK_ENTER, MARK_EXIT};
 use armbar_core::{AlgorithmId, Barrier, EpisodeOracle};
+use armbar_faults::Scenario;
 use armbar_simcoh::stats::Mark;
-use armbar_simcoh::{Arena, SimBuilder, SimError};
+use armbar_simcoh::{Arena, SimBuilder};
 use armbar_sweep::{Job, SweepPool};
 use armbar_topology::{Platform, Topology};
 
 use crate::explorer::{ExplorerConfig, ExplorerPolicy};
+use crate::search::{classify, search, SearchOutcome, TrialResult};
 
 /// What to check: the cross product of platforms × algorithms, each cell
 /// searched over `seeds` perturbed schedules.
@@ -129,13 +131,16 @@ pub struct Violation {
     pub episodes: u32,
 }
 
-/// One (platform, algorithm) cell of the conformance matrix.
+/// One (platform, algorithm) cell of the conformance matrix, or one
+/// (platform, phaser, scenario) cell of the phaser matrix.
 #[derive(Debug, Clone)]
 pub struct ConformCell {
     /// Modeled machine.
     pub platform: Platform,
     /// Algorithm under audit.
     pub algorithm: AlgorithmId,
+    /// Churn script family searched (phaser cells only).
+    pub scenario: Option<Scenario>,
     /// Threads per trial (after clamping to the platform).
     pub threads: usize,
     /// Trials actually run (the search stops at the first violation).
@@ -147,6 +152,26 @@ pub struct ConformCell {
 }
 
 impl ConformCell {
+    /// The cell a search of (platform, algorithm, scenario) at `threads`
+    /// produced.
+    pub(crate) fn new(
+        platform: Platform,
+        algorithm: AlgorithmId,
+        scenario: Option<Scenario>,
+        threads: usize,
+        outcome: SearchOutcome,
+    ) -> Self {
+        Self {
+            platform,
+            algorithm,
+            scenario,
+            threads,
+            trials: outcome.trials,
+            distinct_schedules: outcome.distinct_schedules,
+            violations: outcome.violation.into_iter().collect(),
+        }
+    }
+
     /// Table status column.
     pub fn status(&self) -> &'static str {
         if self.violations.is_empty() {
@@ -168,40 +193,9 @@ impl ConformCell {
     }
 }
 
-/// The i-th trial seed of a search (golden-ratio stride keeps neighboring
-/// trials decorrelated while staying replayable from `base` alone).
-pub fn trial_seed(base: u64, i: u32) -> u64 {
-    base.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1
-}
-
-/// Outcome of one trial: the schedule fingerprint, or a classified
-/// violation.
-type TrialResult = Result<u64, (ViolationKind, String)>;
-
-/// Runs one audited, perturbed trial of `algorithm`.
-fn run_trial(
-    topo: &Arc<Topology>,
-    algorithm: AlgorithmId,
-    threads: usize,
-    episodes: u32,
-    seed: u64,
-    explorer: ExplorerConfig,
-    op_budget: u64,
-) -> TrialResult {
-    run_trial_with(
-        topo,
-        &|arena, p, t| algorithm.build(arena, p, t),
-        threads,
-        episodes,
-        seed,
-        explorer,
-        op_budget,
-    )
-}
-
-/// [`run_trial`] with an arbitrary barrier factory — the testing seam for
-/// deliberately broken barriers.
-pub(crate) fn run_trial_with(
+/// Runs one audited, perturbed trial of the barrier `build` makes — the
+/// testing seam for deliberately broken (or fence-demoted) barriers.
+pub(crate) fn run_trial(
     topo: &Arc<Topology>,
     build: &dyn Fn(&mut Arena, usize, &Topology) -> Box<dyn Barrier>,
     threads: usize,
@@ -224,32 +218,10 @@ pub(crate) fn run_trial_with(
                 barrier.wait_conformed(sim, &oracle, e);
             }
         });
-    match result {
-        Ok(stats) => match check_quiescence(stats.marks(), p, episodes) {
-            Ok(()) => Ok(stats.schedule_hash()),
-            Err(detail) => Err((ViolationKind::Quiescence, detail)),
-        },
-        Err(SimError::Deadlock { waiters }) => Err((
-            ViolationKind::LostWakeup,
-            match waiters.first() {
-                Some(w) => format!("{} blocked; first: {w}", waiters.len()),
-                None => "all threads blocked".to_string(),
-            },
-        )),
-        Err(SimError::ThreadPanic { tid, message, .. }) => {
-            let kind = if message.contains("early exit") {
-                ViolationKind::EarlyExit
-            } else if message.contains("epoch skew") {
-                ViolationKind::EpochSkew
-            } else {
-                ViolationKind::Panic
-            };
-            Err((kind, format!("t{tid}: {message}")))
-        }
-        Err(SimError::OpBudgetExhausted { ops, budget }) => {
-            Err((ViolationKind::Livelock, format!("{ops} ops exceeded budget {budget}")))
-        }
-    }
+    let stats = result.map_err(classify)?;
+    check_quiescence(stats.marks(), p, episodes)
+        .map(|()| stats.schedule_hash())
+        .map_err(|detail| (ViolationKind::Quiescence, detail))
 }
 
 /// The quiescence oracle: each thread's phase marks must be exactly
@@ -282,106 +254,17 @@ pub fn check_quiescence(marks: &[Mark], threads: usize, episodes: u32) -> Result
     Ok(())
 }
 
-/// Powers-of-two shrink ladder below `limit`: 0, 1, 2, 4, … .
-pub(crate) fn shrink_candidates(limit: u32) -> Vec<u32> {
-    let mut candidates: Vec<u32> = vec![0];
-    let mut b = 1;
-    while b < limit {
-        candidates.push(b);
-        b *= 2;
-    }
-    candidates
-}
-
-/// Minimizes a failing trial: smallest weak-memory reordering budget first
-/// (so a reproducer at rbudget 0 is provably a scheduling bug, not a
-/// memory-ordering bug), then the smallest perturbation budget
-/// (0, 1, 2, 4, …) that still violates, then the smallest episode count.
-/// Every probe is deterministic, so the returned reproducer is exact.
-fn shrink(
-    topo: &Arc<Topology>,
-    algorithm: AlgorithmId,
-    cfg: &ConformConfig,
-    seed: u64,
-    found: (ViolationKind, String),
-) -> Violation {
-    let mut budget = cfg.explorer.budget;
-    let mut reorder_budget = cfg.explorer.reorder_budget;
-    let mut episodes = cfg.episodes;
-    let mut kind = found.0;
-    let mut detail = found.1;
-
-    let probe = |budget: u32, reorder_budget: u32, episodes: u32| {
-        run_trial(
-            topo,
-            algorithm,
-            cfg.threads,
-            episodes,
-            seed,
-            cfg.explorer.with_budget(budget).with_reorder_budget(reorder_budget),
-            cfg.op_budget,
-        )
-        .err()
-    };
-
-    for &cand in &shrink_candidates(cfg.explorer.reorder_budget) {
-        if let Some((k, d)) = probe(budget, cand, episodes) {
-            reorder_budget = cand;
-            kind = k;
-            detail = d;
-            break;
-        }
-    }
-    for &cand in &shrink_candidates(cfg.explorer.budget) {
-        if let Some((k, d)) = probe(cand, reorder_budget, episodes) {
-            budget = cand;
-            kind = k;
-            detail = d;
-            break;
-        }
-    }
-    for e in 1..cfg.episodes {
-        if let Some((k, d)) = probe(budget, reorder_budget, e) {
-            episodes = e;
-            kind = k;
-            detail = d;
-            break;
-        }
-    }
-    Violation { kind, detail, seed, budget, reorder_budget, episodes }
-}
-
-/// Searches one (platform, algorithm) cell: runs up to `cfg.seeds` trials,
-/// counting distinct schedule fingerprints, and stops at the first
-/// violation (which it shrinks before reporting).
+/// Searches one (platform, algorithm) cell: up to `cfg.seeds` trials,
+/// stopping at the first violation (shrunk before reporting).
 fn run_cell(platform: Platform, algorithm: AlgorithmId, cfg: &ConformConfig) -> ConformCell {
     let topo = Arc::new(Topology::preset(platform));
     let threads = cfg.threads.min(topo.num_cores()).max(1);
-    let mut distinct: HashSet<u64> = HashSet::new();
-    let mut violations = Vec::new();
-    let mut trials = 0;
-    for i in 0..cfg.seeds {
-        let seed = trial_seed(cfg.base_seed, i);
-        trials += 1;
-        match run_trial(&topo, algorithm, threads, cfg.episodes, seed, cfg.explorer, cfg.op_budget)
-        {
-            Ok(hash) => {
-                distinct.insert(hash);
-            }
-            Err(found) => {
-                violations.push(shrink(&topo, algorithm, cfg, seed, found));
-                break;
-            }
-        }
-    }
-    ConformCell {
-        platform,
-        algorithm,
-        threads,
-        trials,
-        distinct_schedules: distinct.len(),
-        violations,
-    }
+    let build = |arena: &mut Arena, p: usize, t: &Topology| algorithm.build(arena, p, t);
+    let trial = |explorer, episodes, seed| {
+        run_trial(&topo, &build, threads, episodes, seed, explorer, cfg.op_budget)
+    };
+    let outcome = search(&trial, cfg.explorer, cfg.episodes, cfg.seeds, cfg.base_seed);
+    ConformCell::new(platform, algorithm, None, threads, outcome)
 }
 
 /// Runs the conformance matrix on the ambient [`SweepPool`]
@@ -558,22 +441,23 @@ mod tests {
             })
         };
         let cfg = ExplorerConfig::default();
-        let mut caught = None;
-        for i in 0..50u32 {
-            let seed = trial_seed(0xBAD, i);
-            if let Err((kind, detail)) = run_trial_with(&topo, &build, 4, 2, seed, cfg, 4_000_000) {
-                caught = Some((seed, kind, detail));
-                break;
-            }
-        }
-        let (seed, kind, detail) = caught.expect("the schedule search must expose the deserter");
+        let trial = |explorer, episodes, seed| {
+            run_trial(&topo, &build, 4, episodes, seed, explorer, 4_000_000)
+        };
+        let found = search(&trial, cfg, 2, 50, 0xBAD);
+        let v = found.violation.expect("the schedule search must expose the deserter");
+        let (kind, detail) =
+            trial(cfg, 2, v.seed).expect_err("the search stopped at a failing seed");
         assert!(
             matches!(kind, ViolationKind::EarlyExit | ViolationKind::EpochSkew),
             "{kind}: {detail}"
         );
-        // The reproducer replays deterministically with the same verdict.
-        let replay = run_trial_with(&topo, &build, 4, 2, seed, cfg, 4_000_000);
+        // The reproducer replays deterministically with the same verdict,
+        // and the shrunk one with its recorded verdict.
+        let replay = trial(cfg, 2, v.seed);
         assert_eq!(replay.err().map(|(k, _)| k), Some(kind));
+        let shrunk = cfg.with_budget(v.budget).with_reorder_budget(v.reorder_budget);
+        assert_eq!(trial(shrunk, v.episodes, v.seed).err().map(|(k, _)| k), Some(v.kind));
     }
 
     #[test]
@@ -596,14 +480,5 @@ mod tests {
             Mark { tid: 0, label: MARK_ENTER, time_ns: 1.0 },
         ];
         assert!(check_quiescence(&reversed, 1, 1).is_err());
-    }
-
-    #[test]
-    fn trial_seeds_are_distinct_and_replayable() {
-        let mut seen = HashSet::new();
-        for i in 0..1000 {
-            assert!(seen.insert(trial_seed(0xC0F0, i)));
-        }
-        assert_eq!(trial_seed(1, 7), trial_seed(1, 7));
     }
 }

@@ -34,8 +34,9 @@ use armbar_simcoh::Addr;
 use armbar_sweep::{Job, SweepPool};
 use armbar_topology::{Platform, Topology};
 
-use crate::checker::{run_trial_with, shrink_candidates, Violation};
+use crate::checker::{run_trial, Violation};
 use crate::explorer::ExplorerConfig;
+use crate::search::{search, TrialResult};
 
 /// How far to demote the annotations inside `Barrier::wait`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -246,70 +247,33 @@ impl FenceCell {
     }
 }
 
+/// The conformance trial of `algorithm` with its `wait` demoted to `level`.
+fn demoted_trial<'a>(
+    topo: &'a Arc<Topology>,
+    algorithm: AlgorithmId,
+    level: FenceLevel,
+    cfg: &'a FenceConfig,
+) -> impl Fn(ExplorerConfig, u32, u64) -> TrialResult + 'a {
+    move |explorer, episodes, seed| {
+        let build =
+            |arena: &mut armbar_simcoh::Arena, p: usize, t: &Topology| -> Box<dyn Barrier> {
+                Box::new(WeakenedBarrier { inner: algorithm.build(arena, p, t), level })
+            };
+        run_trial(topo, &build, cfg.threads, episodes, seed, explorer, cfg.op_budget)
+    }
+}
+
 /// Probes one demotion level of one cell: runs up to `cfg.seeds` trials
-/// and shrinks the first violation (reordering budget first).
+/// and shrinks the first violation.
 fn probe_level(
     topo: &Arc<Topology>,
     algorithm: AlgorithmId,
     level: FenceLevel,
     cfg: &FenceConfig,
 ) -> LevelResult {
-    let build = |arena: &mut armbar_simcoh::Arena, p: usize, t: &Topology| -> Box<dyn Barrier> {
-        Box::new(WeakenedBarrier { inner: algorithm.build(arena, p, t), level })
-    };
-    let run = |budget: u32, reorder_budget: u32, episodes: u32, seed: u64| {
-        run_trial_with(
-            topo,
-            &build,
-            cfg.threads,
-            episodes,
-            seed,
-            cfg.explorer.with_budget(budget).with_reorder_budget(reorder_budget),
-            cfg.op_budget,
-        )
-    };
-    for i in 0..cfg.seeds {
-        let seed = crate::checker::trial_seed(cfg.base_seed, i);
-        let Err(found) = run(cfg.explorer.budget, cfg.explorer.reorder_budget, cfg.episodes, seed)
-        else {
-            continue;
-        };
-        // Shrink: reordering budget first, then perturbation budget, then
-        // episodes — the same ladder as the conformance checker's.
-        let mut budget = cfg.explorer.budget;
-        let mut reorder_budget = cfg.explorer.reorder_budget;
-        let mut episodes = cfg.episodes;
-        let (mut kind, mut detail) = found;
-        for &cand in &shrink_candidates(cfg.explorer.reorder_budget) {
-            if let Err((k, d)) = run(budget, cand, episodes, seed) {
-                reorder_budget = cand;
-                kind = k;
-                detail = d;
-                break;
-            }
-        }
-        for &cand in &shrink_candidates(cfg.explorer.budget) {
-            if let Err((k, d)) = run(cand, reorder_budget, episodes, seed) {
-                budget = cand;
-                kind = k;
-                detail = d;
-                break;
-            }
-        }
-        for e in 1..cfg.episodes {
-            if let Err((k, d)) = run(budget, reorder_budget, e, seed) {
-                episodes = e;
-                kind = k;
-                detail = d;
-                break;
-            }
-        }
-        return LevelResult {
-            level,
-            violation: Some(Violation { kind, detail, seed, budget, reorder_budget, episodes }),
-        };
-    }
-    LevelResult { level, violation: None }
+    let trial = demoted_trial(topo, algorithm, level, cfg);
+    let outcome = search(&trial, cfg.explorer, cfg.episodes, cfg.seeds, cfg.base_seed);
+    LevelResult { level, violation: outcome.violation }
 }
 
 /// Probes one (platform, algorithm) row, weakest level first.
@@ -454,21 +418,11 @@ mod tests {
         // The shrunk reproducer replays deterministically.
         let topo = Arc::new(Topology::preset(Platform::Kunpeng920));
         let cfg = quick_cfg(vec![AlgorithmId::Sense]);
-        let build =
-            |arena: &mut armbar_simcoh::Arena, p: usize, t: &Topology| -> Box<dyn Barrier> {
-                Box::new(WeakenedBarrier {
-                    inner: AlgorithmId::Sense.build(arena, p, t),
-                    level: FenceLevel::RelaxStores,
-                })
-            };
-        let replay = run_trial_with(
-            &topo,
-            &build,
-            cfg.threads,
+        let trial = demoted_trial(&topo, AlgorithmId::Sense, FenceLevel::RelaxStores, &cfg);
+        let replay = trial(
+            cfg.explorer.with_budget(broken.budget).with_reorder_budget(broken.reorder_budget),
             broken.episodes,
             broken.seed,
-            cfg.explorer.with_budget(broken.budget).with_reorder_budget(broken.reorder_budget),
-            cfg.op_budget,
         );
         assert_eq!(replay.err().map(|(k, _)| k), Some(broken.kind));
     }

@@ -29,7 +29,14 @@
 //! probability, and injects targeted delays at flag read/write sites. Every
 //! trial is a pure function of its seed, so a violation ships with a
 //! deterministic reproducer — and a shrinking pass minimizes the
-//! perturbation budget and episode count before reporting.
+//! reordering budget, perturbation budget and episode count before
+//! reporting.
+//!
+//! The fixed checker, the phaser checker and the [`fence`] probe share one
+//! search path: each supplies a trial closure from `(explorer, episodes,
+//! seed)` to a schedule fingerprint or a classified violation, and one
+//! seed loop, one shrink and one `SimError` classifier do the rest. Both
+//! checkers report [`ConformCell`]s.
 //!
 //! ```
 //! use armbar_conformance::{conform_matrix, ConformConfig};
@@ -50,6 +57,7 @@ pub mod fence;
 mod litmus;
 pub mod phaser;
 pub mod report;
+mod search;
 
 pub use checker::{
     conform_matrix, conform_matrix_on, ConformCell, ConformConfig, Violation, ViolationKind,
@@ -61,6 +69,7 @@ pub use fence::{
 };
 pub use phaser::{
     check_membership_ledger, phaser_conform_matrix, phaser_conform_matrix_on, render_phaser_csv,
-    render_phaser_json, PhaserConformCell, PhaserConformConfig,
+    render_phaser_json, PhaserConformConfig,
 };
 pub use report::{render_csv, render_json};
+pub use search::trial_seed;

@@ -26,8 +26,8 @@ use armbar_core::MemCtx;
 use armbar_simcoh::{Addr, Arena, SimBuilder, SimThread};
 use armbar_topology::{Platform, Topology};
 
-use crate::checker::trial_seed;
 use crate::explorer::{ExplorerConfig, ExplorerPolicy};
+use crate::search::trial_seed;
 
 /// Bounded poll count for flag-waiting litmus readers. A bound (instead
 /// of a spin) keeps every trial terminating even when the signalling

@@ -2,7 +2,8 @@
 //! interleavings with membership safety oracles.
 //!
 //! Where [`crate::checker`] audits *fixed-membership* barriers, this module
-//! audits the dynamic-membership [`Phaser`]s: each trial runs a seeded
+//! audits the dynamic-membership
+//! [`Phaser`](armbar_core::phaser::Phaser)s: each trial runs a seeded
 //! [`ChurnPlan`] script (a late join, an orderly leave, a crash eviction,
 //! or a leave/rejoin flap) under the same perturbing
 //! [`ExplorerPolicy`](crate::ExplorerPolicy) the fixed checker uses, then
@@ -16,27 +17,30 @@
 //! * **no phantom arrival** — no completion, leave, or eviction is ever
 //!   recorded for a slot outside the committed membership.
 //!
+//! Each trial runs the churn team through `armbar_faults::run_churn_sim`,
+//! the same harness `chaos --churn` uses, with the explorer installed.
 //! Trials are pure functions of their seed (the script, the schedule, and
 //! the stall-detection budget all derive from it), so every violation
-//! ships with a deterministic reproducer, shrunk exactly like the fixed
-//! checker's: smallest perturbation budget first, then fewest episodes.
+//! ships with a deterministic reproducer, found and shrunk by the same
+//! search path (`search.rs`) as the fixed checker's.
 
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use armbar_core::phaser::{
-    decode_phaser_mark, Phaser, PH_COMPLETED, PH_EVICTED, PH_JOINED, PH_LEFT, PH_MARK_EPOCH_MAX,
+    decode_phaser_mark, PH_COMPLETED, PH_EVICTED, PH_JOINED, PH_LEFT, PH_MARK_EPOCH_MAX,
 };
-use armbar_core::{AlgorithmId, BarrierError, RobustConfig, RobustPhaser};
+use armbar_core::{AlgorithmId, BarrierError};
 use armbar_faults::harness::CHURN_SIM_MAX_POLLS;
-use armbar_faults::{build_phaser, churn_thread, ChurnPlan, ChurnVerdict, Scenario};
+use armbar_faults::{
+    build_phaser, run_churn_sim, ChurnPlan, ChurnVerdict, PhaserFactory, Scenario,
+};
 use armbar_simcoh::stats::Mark;
-use armbar_simcoh::{Arena, SimBuilder, SimError};
 use armbar_sweep::{Job, SweepPool};
 use armbar_topology::{Platform, Topology};
 
-use crate::checker::{trial_seed, Violation, ViolationKind};
+use crate::checker::{ConformCell, ViolationKind};
 use crate::explorer::{ExplorerConfig, ExplorerPolicy};
+use crate::search::{classify, search, TrialResult};
 
 /// What to check: platforms × phaser algorithms × churn scenarios, each
 /// cell searched over `seeds` perturbed schedules.
@@ -63,9 +67,9 @@ pub struct PhaserConformConfig {
     /// Engine op budget per trial (perturbation delays count against it).
     pub op_budget: u64,
     /// Stall-detection budget in failed polls (see
-    /// [`RobustConfig::max_polls`]). Must stay far above any healthy wait
-    /// *including* injected delays, or the explorer provokes wrongful
-    /// evictions of merely-slow members.
+    /// [`armbar_core::RobustConfig::max_polls`]). Must stay far above any
+    /// healthy wait *including* injected delays, or the explorer provokes
+    /// wrongful evictions of merely-slow members.
     pub max_polls: u64,
 }
 
@@ -86,135 +90,24 @@ impl Default for PhaserConformConfig {
     }
 }
 
-/// One (platform, algorithm, scenario) cell of the phaser matrix.
-#[derive(Debug, Clone)]
-pub struct PhaserConformCell {
-    /// Modeled machine.
-    pub platform: Platform,
-    /// Phaser under audit.
-    pub algorithm: AlgorithmId,
-    /// Churn script family searched.
-    pub scenario: Scenario,
-    /// Slots per trial (after clamping to the platform).
-    pub threads: usize,
-    /// Trials actually run (the search stops at the first violation).
-    pub trials: u32,
-    /// Distinct schedule fingerprints observed across those trials.
-    pub distinct_schedules: usize,
-    /// Violations found (at most one per cell; shrunk before reporting).
-    pub violations: Vec<Violation>,
-}
-
-impl PhaserConformCell {
-    /// Table status column.
-    pub fn status(&self) -> &'static str {
-        if self.violations.is_empty() {
-            "ok"
-        } else {
-            "VIOLATED"
-        }
-    }
-
-    /// Table detail column: the reproducer, or the schedule coverage.
-    pub fn detail(&self) -> String {
-        match self.violations.first() {
-            None => format!("{} distinct schedules", self.distinct_schedules),
-            Some(v) => format!(
-                "{}: {} [replay: seed {:#x} budget {} rbudget {} episodes {}]",
-                v.kind, v.detail, v.seed, v.budget, v.reorder_budget, v.episodes
-            ),
-        }
-    }
-}
-
-/// Outcome of one trial: the schedule fingerprint, or a classified
-/// violation.
-type TrialResult = Result<u64, (ViolationKind, String)>;
-
-/// A phaser factory taking `(arena, capacity, initial_members, topo)` —
-/// the testing seam for deliberately broken phasers.
-type PhaserFactory<'a> = &'a dyn Fn(&mut Arena, usize, usize, &Topology) -> Box<dyn Phaser>;
-
-/// Runs one perturbed churn trial of `algorithm`.
-fn run_phaser_trial(
-    topo: &Arc<Topology>,
-    algorithm: AlgorithmId,
-    scenario: Scenario,
-    cfg: &PhaserConformConfig,
-    episodes: u32,
-    seed: u64,
-    explorer: ExplorerConfig,
-) -> TrialResult {
-    run_phaser_trial_with(
-        topo,
-        &|arena, cap, initial, t| {
-            build_phaser(algorithm, arena, cap, initial, t)
-                .expect("phaser conformance requires a phaser algorithm")
-        },
-        scenario,
-        cfg,
-        episodes,
-        seed,
-        explorer,
-    )
-}
-
-/// [`run_phaser_trial`] with an arbitrary phaser factory.
-pub(crate) fn run_phaser_trial_with(
+/// Runs one perturbed churn trial of the phaser `build` makes — the
+/// testing seam for deliberately broken phasers.
+pub(crate) fn run_phaser_trial(
     topo: &Arc<Topology>,
     build: PhaserFactory<'_>,
     scenario: Scenario,
     cfg: &PhaserConformConfig,
+    explorer: ExplorerConfig,
     episodes: u32,
     seed: u64,
-    explorer: ExplorerConfig,
 ) -> TrialResult {
     let p = cfg.threads.min(topo.num_cores()).max(2);
     let plan = ChurnPlan::scenario(scenario, seed, p, episodes);
-    let mut arena = Arena::new();
-    let inner = build(&mut arena, p, plan.initial_members(), topo);
-    let aux = arena.alloc_padded_u32(topo.cacheline_bytes());
-    let robust = Arc::new(RobustPhaser::new(
-        &mut arena,
-        topo.cacheline_bytes(),
-        inner,
-        RobustConfig { max_polls: Some(cfg.max_polls), ..RobustConfig::default() },
-    ));
-    let verdicts = Arc::new(Mutex::new(vec![None; p]));
-    let result = SimBuilder::new(Arc::clone(topo), p)
-        .seed(seed)
-        .op_budget(cfg.op_budget)
-        .reserve_for(&arena)
-        .schedule_policy(ExplorerPolicy::new(seed, explorer))
-        .run({
-            let robust = Arc::clone(&robust);
-            let verdicts = Arc::clone(&verdicts);
-            let plan = plan.clone();
-            move |sim| {
-                let v = churn_thread(&robust, sim, &plan, aux, episodes);
-                verdicts.lock().unwrap()[sim.tid()] = Some(v);
-            }
-        });
-    let stats = match result {
-        Ok(stats) => stats,
-        Err(SimError::Deadlock { waiters }) => {
-            return Err((
-                ViolationKind::LostWakeup,
-                match waiters.first() {
-                    Some(w) => format!("{} blocked; first: {w}", waiters.len()),
-                    None => "all threads blocked".to_string(),
-                },
-            ))
-        }
-        Err(SimError::ThreadPanic { tid, message, .. }) => {
-            return Err((ViolationKind::Panic, format!("t{tid}: {message}")))
-        }
-        Err(SimError::OpBudgetExhausted { ops, budget }) => {
-            return Err((ViolationKind::Livelock, format!("{ops} ops exceeded budget {budget}")))
-        }
-    };
-    let verdicts: Vec<ChurnVerdict> =
-        verdicts.lock().unwrap().iter().cloned().map(Option::unwrap).collect();
+    let (stats, verdicts) = run_churn_sim(topo, &plan, episodes, build, cfg.max_polls, |sim| {
+        sim.op_budget(cfg.op_budget).schedule_policy(ExplorerPolicy::new(seed, explorer))
+    })
+    .expect("phaser conformance requires a phaser algorithm")
+    .map_err(classify)?;
     check_verdicts(&plan, &verdicts)?;
     check_membership_ledger(stats.marks(), p, plan.initial_members(), episodes)
         .map(|()| stats.schedule_hash())
@@ -386,66 +279,6 @@ pub fn check_membership_ledger(
     Ok(())
 }
 
-/// Minimizes a failing churn trial exactly like the fixed checker's
-/// shrink: smallest weak-memory reordering budget first, then the
-/// smallest perturbation budget (0, 1, 2, 4, …) that still violates, then
-/// the fewest episodes. The churn script re-derives from the seed at every
-/// probe, so each probe is deterministic and the returned reproducer
-/// exact.
-fn shrink_with(
-    topo: &Arc<Topology>,
-    build: PhaserFactory<'_>,
-    scenario: Scenario,
-    cfg: &PhaserConformConfig,
-    seed: u64,
-    found: (ViolationKind, String),
-) -> Violation {
-    let mut budget = cfg.explorer.budget;
-    let mut reorder_budget = cfg.explorer.reorder_budget;
-    let mut episodes = cfg.episodes;
-    let mut kind = found.0;
-    let mut detail = found.1;
-
-    let probe = |budget: u32, reorder_budget: u32, episodes: u32| {
-        run_phaser_trial_with(
-            topo,
-            build,
-            scenario,
-            cfg,
-            episodes,
-            seed,
-            cfg.explorer.with_budget(budget).with_reorder_budget(reorder_budget),
-        )
-        .err()
-    };
-
-    for &cand in &crate::checker::shrink_candidates(cfg.explorer.reorder_budget) {
-        if let Some((k, d)) = probe(budget, cand, episodes) {
-            reorder_budget = cand;
-            kind = k;
-            detail = d;
-            break;
-        }
-    }
-    for &cand in &crate::checker::shrink_candidates(cfg.explorer.budget) {
-        if let Some((k, d)) = probe(cand, reorder_budget, episodes) {
-            budget = cand;
-            kind = k;
-            detail = d;
-            break;
-        }
-    }
-    for e in 1..cfg.episodes {
-        if let Some((k, d)) = probe(budget, reorder_budget, e) {
-            episodes = e;
-            kind = k;
-            detail = d;
-            break;
-        }
-    }
-    Violation { kind, detail, seed, budget, reorder_budget, episodes }
-}
-
 /// Searches one (platform, algorithm, scenario) cell: up to `cfg.seeds`
 /// trials, stopping at the first violation (shrunk before reporting).
 fn run_phaser_cell(
@@ -453,53 +286,28 @@ fn run_phaser_cell(
     algorithm: AlgorithmId,
     scenario: Scenario,
     cfg: &PhaserConformConfig,
-) -> PhaserConformCell {
+) -> ConformCell {
     let topo = Arc::new(Topology::preset(platform));
     let threads = cfg.threads.min(topo.num_cores()).max(2);
-    let mut distinct: HashSet<u64> = HashSet::new();
-    let mut violations = Vec::new();
-    let mut trials = 0;
-    for i in 0..cfg.seeds {
-        let seed = trial_seed(cfg.base_seed, i);
-        trials += 1;
-        match run_phaser_trial(&topo, algorithm, scenario, cfg, cfg.episodes, seed, cfg.explorer) {
-            Ok(hash) => {
-                distinct.insert(hash);
-            }
-            Err(found) => {
-                let build: PhaserFactory<'_> = &|arena, cap, initial, t| {
-                    build_phaser(algorithm, arena, cap, initial, t)
-                        .expect("phaser conformance requires a phaser algorithm")
-                };
-                violations.push(shrink_with(&topo, build, scenario, cfg, seed, found));
-                break;
-            }
-        }
-    }
-    PhaserConformCell {
-        platform,
-        algorithm,
-        scenario,
-        threads,
-        trials,
-        distinct_schedules: distinct.len(),
-        violations,
-    }
+    let build: PhaserFactory<'_> =
+        &|arena, cap, initial, t| build_phaser(algorithm, arena, cap, initial, t);
+    let trial = |explorer, episodes, seed| {
+        run_phaser_trial(&topo, build, scenario, cfg, explorer, episodes, seed)
+    };
+    let outcome = search(&trial, cfg.explorer, cfg.episodes, cfg.seeds, cfg.base_seed);
+    ConformCell::new(platform, algorithm, Some(scenario), threads, outcome)
 }
 
 /// Runs the phaser conformance matrix on the ambient [`SweepPool`].
-pub fn phaser_conform_matrix(cfg: &PhaserConformConfig) -> Vec<PhaserConformCell> {
+pub fn phaser_conform_matrix(cfg: &PhaserConformConfig) -> Vec<ConformCell> {
     phaser_conform_matrix_on(&SweepPool::ambient(), cfg)
 }
 
 /// [`phaser_conform_matrix`] on an explicit pool. Cells are pure functions
 /// of the config, fan out as parallel jobs, and collect in submission
 /// order — the rendered table is byte-identical at any worker count.
-pub fn phaser_conform_matrix_on(
-    pool: &SweepPool,
-    cfg: &PhaserConformConfig,
-) -> Vec<PhaserConformCell> {
-    let mut jobs: Vec<Job<'_, PhaserConformCell>> = Vec::new();
+pub fn phaser_conform_matrix_on(pool: &SweepPool, cfg: &PhaserConformConfig) -> Vec<ConformCell> {
+    let mut jobs: Vec<Job<'_, ConformCell>> = Vec::new();
     for &platform in &cfg.platforms {
         for &algorithm in &cfg.algorithms {
             for &scenario in &cfg.scenarios {
@@ -514,7 +322,7 @@ pub fn phaser_conform_matrix_on(
 
 /// Renders phaser cells as CSV with a `#`-prefixed provenance header. No
 /// wall-clock values, so equal configurations are byte-identical.
-pub fn render_phaser_csv(cells: &[PhaserConformCell], cfg: &PhaserConformConfig) -> String {
+pub fn render_phaser_csv(cells: &[ConformCell], cfg: &PhaserConformConfig) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "# conform-phasers: base seed {:#x}, seeds/cell {}, episodes {}, threads {}, \
@@ -537,7 +345,7 @@ pub fn render_phaser_csv(cells: &[PhaserConformCell], cfg: &PhaserConformConfig)
             c.platform.label(),
             c.threads,
             c.algorithm.label(),
-            c.scenario.label(),
+            c.scenario.map_or("", Scenario::label),
             c.trials,
             c.distinct_schedules,
             c.violations.len(),
@@ -550,7 +358,7 @@ pub fn render_phaser_csv(cells: &[PhaserConformCell], cfg: &PhaserConformConfig)
 
 /// Renders phaser cells as a JSON document (same fields as the CSV, plus
 /// the full shrunk reproducer per violation).
-pub fn render_phaser_json(cells: &[PhaserConformCell], cfg: &PhaserConformConfig) -> String {
+pub fn render_phaser_json(cells: &[ConformCell], cfg: &PhaserConformConfig) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"base_seed\": {},\n", cfg.base_seed));
@@ -568,7 +376,7 @@ pub fn render_phaser_json(cells: &[PhaserConformCell], cfg: &PhaserConformConfig
             c.platform.label(),
             c.threads,
             c.algorithm.label(),
-            c.scenario.label(),
+            c.scenario.map_or("", Scenario::label),
             c.trials,
             c.distinct_schedules,
             c.status(),
@@ -595,7 +403,7 @@ pub fn render_phaser_json(cells: &[PhaserConformCell], cfg: &PhaserConformConfig
 #[cfg(test)]
 mod tests {
     use super::*;
-    use armbar_core::phaser::phaser_mark;
+    use armbar_core::phaser::{phaser_mark, Phaser};
     use armbar_core::{CentralPhaser, MemCtx};
 
     fn quick_cfg() -> PhaserConformConfig {
@@ -618,7 +426,7 @@ mod tests {
                 c.violations.is_empty(),
                 "{} under {}: {}",
                 c.algorithm.label(),
-                c.scenario.label(),
+                c.scenario.map_or("", Scenario::label),
                 c.detail()
             );
         }
@@ -633,7 +441,7 @@ mod tests {
                 c.violations.is_empty(),
                 "{} under {}: {}",
                 c.algorithm.label(),
-                c.scenario.label(),
+                c.scenario.map_or("", Scenario::label),
                 c.detail()
             );
             assert_eq!(c.trials, 12);
@@ -758,25 +566,15 @@ mod tests {
         let topo = Arc::new(Topology::preset(Platform::Kunpeng920));
         let cfg = quick_cfg();
         let build: PhaserFactory<'_> = &|arena, cap, initial, t| {
-            Box::new(LyingLeaver { inner: CentralPhaser::new(arena, cap, initial, t) })
+            Some(Box::new(LyingLeaver { inner: CentralPhaser::new(arena, cap, initial, t) }))
         };
-        let mut caught = None;
-        for i in 0..50u32 {
-            let seed = trial_seed(0xBAD, i);
-            if let Err(found) = run_phaser_trial_with(
-                &topo,
-                build,
-                Scenario::Leave,
-                &cfg,
-                cfg.episodes,
-                seed,
-                cfg.explorer,
-            ) {
-                caught = Some((seed, found));
-                break;
-            }
-        }
-        let (seed, found) = caught.expect("the churn search must expose the lying deregister");
+        let trial = |explorer, episodes, seed| {
+            run_phaser_trial(&topo, build, Scenario::Leave, &cfg, explorer, episodes, seed)
+        };
+        let out = search(&trial, cfg.explorer, cfg.episodes, 50, 0xBAD);
+        let v = out.violation.expect("the churn search must expose the lying deregister");
+        let found = trial(cfg.explorer, cfg.episodes, v.seed)
+            .expect_err("the search stopped at a failing seed");
         assert!(
             matches!(found.0, ViolationKind::LostMember | ViolationKind::PhantomArrival),
             "{}: {}",
@@ -785,16 +583,11 @@ mod tests {
         );
         // The shrunk reproducer replays deterministically with a
         // membership-oracle verdict.
-        let v = shrink_with(&topo, build, Scenario::Leave, &cfg, seed, found);
         assert!(v.budget <= cfg.explorer.budget && v.episodes <= cfg.episodes);
-        let replay = run_phaser_trial_with(
-            &topo,
-            build,
-            Scenario::Leave,
-            &cfg,
-            v.episodes,
-            seed,
+        let replay = trial(
             cfg.explorer.with_budget(v.budget).with_reorder_budget(v.reorder_budget),
+            v.episodes,
+            v.seed,
         );
         assert_eq!(replay.err().map(|(k, _)| k), Some(v.kind));
     }

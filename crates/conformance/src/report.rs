@@ -5,7 +5,7 @@
 use crate::checker::{ConformCell, ConformConfig};
 
 /// Renders cells as CSV. The provenance header records everything needed
-//  to replay the table.
+/// to replay the table.
 pub fn render_csv(cells: &[ConformCell], cfg: &ConformConfig) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -93,6 +93,7 @@ mod tests {
         ConformCell {
             platform: Platform::Kunpeng920,
             algorithm: AlgorithmId::Sense,
+            scenario: None,
             threads: 8,
             trials: 10,
             distinct_schedules: 9,

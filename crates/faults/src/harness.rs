@@ -28,7 +28,7 @@ use armbar_core::{
     AlgorithmId, Barrier, BarrierError, CentralPhaser, HostMem, MemCtx, Phaser, RobustBarrier,
     RobustConfig, RobustPhaser, SpinPolicy, TreePhaser,
 };
-use armbar_simcoh::{Addr, Arena, SimBuilder, SimError};
+use armbar_simcoh::{Addr, Arena, RunStats, SimBuilder, SimError};
 use armbar_sweep::{Job, SweepPool};
 use armbar_topology::{Platform, Topology};
 
@@ -401,8 +401,8 @@ pub enum ChurnVerdict {
 /// One thread's run of its [`ChurnPlan`] script: identical on both
 /// backends, since every churn event is membership-driven (no memory
 /// faults are injected). `aux` is the scripted handshake word behind
-/// [`ChurnPlan::gate`]. Public so the conformance checker can drive the
-/// *same* script under its schedule explorer.
+/// [`ChurnPlan::gate`]. On the simulator, [`run_churn_sim`] runs it for
+/// every slot.
 pub fn churn_thread(
     robust: &RobustPhaser,
     ctx: &dyn MemCtx,
@@ -512,6 +512,55 @@ fn classify_churn(plan: &ChurnPlan, verdicts: &[ChurnVerdict]) -> CellOutcome {
     }
 }
 
+/// A phaser factory taking `(arena, capacity, initial_members, topo)`;
+/// `None` for fixed-membership algorithms, which cannot run churn. The
+/// testing seam for deliberately broken phasers.
+pub type PhaserFactory<'a> =
+    &'a dyn Fn(&mut Arena, usize, usize, &Topology) -> Option<Box<dyn Phaser>>;
+
+/// Runs `plan` on the simulator: builds the phaser and the `aux`
+/// handshake word, wraps them in a [`RobustPhaser`] with a stall-detection
+/// budget of `max_polls` failed polls, runs [`churn_thread`] on every slot
+/// of the plan for `episodes` epochs, and collects the verdicts in slot
+/// order. The run is seeded with the plan's seed; `sim` adds the caller's
+/// knobs (schedule policy, op budget). `None` when `build` yields no
+/// phaser. The one churn team on the simulator: `chaos --churn` and the
+/// phaser conformance search both run through here.
+pub fn run_churn_sim(
+    topo: &Arc<Topology>,
+    plan: &ChurnPlan,
+    episodes: u32,
+    build: PhaserFactory<'_>,
+    max_polls: u64,
+    sim: impl FnOnce(SimBuilder) -> SimBuilder,
+) -> Option<Result<(RunStats, Vec<ChurnVerdict>), SimError>> {
+    let p = plan.scripts().len();
+    let mut arena = Arena::new();
+    let inner = build(&mut arena, p, plan.initial_members(), topo)?;
+    let aux = arena.alloc_padded_u32(topo.cacheline_bytes());
+    let robust = Arc::new(RobustPhaser::new(
+        &mut arena,
+        topo.cacheline_bytes(),
+        inner,
+        RobustConfig { max_polls: Some(max_polls), ..RobustConfig::default() },
+    ));
+    let verdicts = Arc::new(Mutex::new(vec![None; p]));
+    let result =
+        sim(SimBuilder::new(Arc::clone(topo), p).seed(plan.seed())).reserve_for(&arena).run({
+            let robust = Arc::clone(&robust);
+            let verdicts = Arc::clone(&verdicts);
+            let plan = plan.clone();
+            move |sim| {
+                let v = churn_thread(&robust, sim, &plan, aux, episodes);
+                verdicts.lock().unwrap()[sim.tid()] = Some(v);
+            }
+        });
+    Some(result.map(|stats| {
+        let verdicts = verdicts.lock().unwrap().iter().cloned().map(Option::unwrap).collect();
+        (stats, verdicts)
+    }))
+}
+
 fn run_churn_sim_cell(
     platform: Platform,
     algorithm: AlgorithmId,
@@ -520,37 +569,16 @@ fn run_churn_sim_cell(
 ) -> CellOutcome {
     let topo = Arc::new(Topology::preset(platform));
     let p = config.threads.min(topo.num_cores()).max(2);
-    let episodes = config.episodes;
-    let plan = ChurnPlan::scenario(scenario, config.seed, p, episodes);
-    let mut arena = Arena::new();
-    let Some(inner) = build_phaser(algorithm, &mut arena, p, plan.initial_members(), &topo) else {
-        return CellOutcome::Detected {
+    let plan = ChurnPlan::scenario(scenario, config.seed, p, config.episodes);
+    let build: PhaserFactory<'_> =
+        &|arena, cap, initial, t| build_phaser(algorithm, arena, cap, initial, t);
+    match run_churn_sim(&topo, &plan, config.episodes, build, CHURN_SIM_MAX_POLLS, |sim| sim) {
+        None => CellOutcome::Detected {
             mechanism: "churn scenarios require a phaser algorithm".to_string(),
-        };
-    };
-    let aux = arena.alloc_padded_u32(topo.cacheline_bytes());
-    let robust = Arc::new(RobustPhaser::new(
-        &mut arena,
-        topo.cacheline_bytes(),
-        inner,
-        RobustConfig { max_polls: Some(CHURN_SIM_MAX_POLLS), ..RobustConfig::default() },
-    ));
-    let verdicts = Arc::new(Mutex::new(vec![None; p]));
-    let result = SimBuilder::new(topo, p).seed(config.seed).run({
-        let robust = Arc::clone(&robust);
-        let verdicts = Arc::clone(&verdicts);
-        let plan = plan.clone();
-        move |sim| {
-            let v = churn_thread(&robust, sim, &plan, aux, episodes);
-            verdicts.lock().unwrap()[sim.tid()] = Some(v);
-        }
-    });
-    if let Err(e) = result {
-        return CellOutcome::Poisoned { mechanism: format!("sim aborted: {e}") };
+        },
+        Some(Err(e)) => CellOutcome::Poisoned { mechanism: format!("sim aborted: {e}") },
+        Some(Ok((_, verdicts))) => classify_churn(&plan, &verdicts),
     }
-    let verdicts: Vec<ChurnVerdict> =
-        verdicts.lock().unwrap().iter().cloned().map(Option::unwrap).collect();
-    classify_churn(&plan, &verdicts)
 }
 
 fn run_churn_host_cell(
@@ -595,7 +623,8 @@ fn run_churn_host_cell(
 }
 
 /// Renders cells as CSV with a `#`-prefixed provenance header. Contains no
-/// wall-clock values, so equal seeds yield byte-identical output.
+/// wall-clock values, so equal seeds yield byte-identical output. Commas in
+/// the detail column become `;`, so every row keeps seven fields.
 pub fn render_csv(cells: &[ChaosCell], config: &ChaosConfig) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -614,7 +643,7 @@ pub fn render_csv(cells: &[ChaosCell], config: &ChaosConfig) -> String {
             c.algorithm.label(),
             c.scenario,
             c.status(),
-            c.detail()
+            c.detail().replace(',', ";")
         ));
     }
     out
@@ -831,5 +860,25 @@ mod tests {
         let json = render_json(&cells, &config);
         assert!(json.contains("\"scenario\": \"crash\""));
         assert!(json.contains("\"status\": \"detected\""));
+    }
+
+    #[test]
+    fn csv_escapes_commas_in_the_detail_column() {
+        // A deadlocked churn cell's detail carries `SimError`'s Display,
+        // which joins the blocked waiters with ", ".
+        let cell = ChaosCell {
+            backend: Backend::Sim,
+            platform: Platform::Kunpeng920,
+            algorithm: AlgorithmId::PhaserCentral,
+            scenario: Scenario::Flap,
+            threads: 4,
+            outcome: CellOutcome::Poisoned {
+                mechanism: "sim aborted: deadlock: t0 on addr 0x40, t1 on addr 0x80".to_string(),
+            },
+        };
+        let csv = render_csv(&[cell], &ChaosConfig::churn());
+        let row = csv.lines().nth(2).expect("one data row");
+        assert_eq!(row.split(',').count(), 7, "{row}");
+        assert!(row.ends_with("t0 on addr 0x40; t1 on addr 0x80"), "{row}");
     }
 }

@@ -50,6 +50,7 @@ pub mod plan;
 pub use ctx::FaultyCtx;
 pub use harness::{
     build_phaser, chaos_matrix, chaos_matrix_on, churn_thread, render_csv, render_json,
-    silence_injected_crashes, Backend, CellOutcome, ChaosCell, ChaosConfig, ChurnVerdict,
+    run_churn_sim, silence_injected_crashes, Backend, CellOutcome, ChaosCell, ChaosConfig,
+    ChurnVerdict, PhaserFactory,
 };
 pub use plan::{ChurnPlan, Fault, FaultPlan, Scenario, SlotScript};
