@@ -552,3 +552,150 @@ fn a_run_keeps_nothing_its_body_captured() {
     assert!(matches!(err, SimError::Deadlock { .. }), "{err}");
     assert_eq!(Arc::strong_count(&token), 1, "an aborted run leaked its body");
 }
+
+// ---------------------------------------------------------------------------
+// Busy-line storm oracle: the policy path re-posts every stalled op through
+// one dispatch each, and under MinTimePolicy it reproduces the default
+// processing order exactly. Whatever the default engine does with a busy
+// line's queued losers must leave every observable bit where that oracle
+// puts it.
+
+use crate::engine::SimThread;
+use crate::stats::RunStats;
+
+/// SHY-CTR's shape on raw simulator ops: a CAS test-and-test-and-set lock
+/// and a monotonic arrival counter on one line, exited by a `≥` spin.
+fn cas_counter_storm(lock: u32, count: u32, episodes: u32) -> impl Fn(&SimThread) + Clone {
+    move |ctx: &SimThread| {
+        let p = ctx.nthreads() as u32;
+        for _ in 0..episodes {
+            while ctx.compare_exchange(lock, 0, 1) != 0 {
+                ctx.spin_until_eq(lock, 0);
+            }
+            let c = ctx.load(count).wrapping_add(1);
+            ctx.store_relaxed(count, c);
+            ctx.store(lock, 0);
+            ctx.spin_until_ge(count, c.div_ceil(p) * p);
+        }
+    }
+}
+
+/// Runs `body` on the default engine and under [`MinTimePolicy`], asserts
+/// the two agree on the schedule hash, every thread's clock and every
+/// thread's coherence counters (exact `f64` equality), or on the error,
+/// and returns the default engine's result.
+fn assert_matches_policy_oracle(
+    topo: Arc<Topology>,
+    p: usize,
+    budget: Option<u64>,
+    body: impl Fn(&SimThread) + Clone + Send + Sync + 'static,
+) -> Result<RunStats, SimError> {
+    let run = |policy: bool| {
+        let b = SimBuilder::new(Arc::clone(&topo), p).seed(7);
+        let b = match budget {
+            Some(ops) => b.op_budget(ops),
+            None => b,
+        };
+        let b = if policy { b.schedule_policy(MinTimePolicy) } else { b };
+        b.run(body.clone())
+    };
+    let (default, oracle) = (run(false), run(true));
+    match (&default, &oracle) {
+        (Ok(d), Ok(o)) => {
+            assert_eq!(d.schedule_hash(), o.schedule_hash(), "schedule hash");
+            assert_eq!(d.per_thread_time_ns(), o.per_thread_time_ns(), "thread clocks");
+            assert_eq!(d.coherence().per_thread(), o.coherence().per_thread(), "counters");
+        }
+        (Err(d), Err(o)) => assert_eq!(d, o),
+        _ => panic!("default {default:?} vs policy oracle {oracle:?}"),
+    }
+    default
+}
+
+fn storm_on(
+    topo: Arc<Topology>,
+    p: usize,
+    episodes: u32,
+    budget: Option<u64>,
+) -> Result<RunStats, SimError> {
+    let mut arena = Arena::new();
+    let line = topo.cacheline_bytes();
+    let base = arena.alloc(line, line);
+    assert_matches_policy_oracle(topo, p, budget, cas_counter_storm(base, base + 4, episodes))
+}
+
+#[test]
+fn lock_storm_matches_the_one_op_per_dispatch_oracle() {
+    let small = storm_on(topo(), 8, 3, None).unwrap();
+    assert!(small.coherence().total().write_stalls > 0, "no storm at P=8");
+    let mempool = Arc::new(armbar_topology::platforms::mempool_256());
+    let big = storm_on(mempool, 64, 2, None).unwrap();
+    assert!(big.coherence().total().write_stalls > 20_000, "no storm at P=64");
+}
+
+#[test]
+fn lock_storm_budget_runs_out_at_the_same_op_as_the_oracle() {
+    let mempool = Arc::new(armbar_topology::platforms::mempool_256());
+    for budget in [5_000, 20_000] {
+        let err = storm_on(Arc::clone(&mempool), 64, 2, Some(budget)).unwrap_err();
+        assert_eq!(err, SimError::OpBudgetExhausted { ops: budget + 1, budget });
+    }
+}
+
+/// Thread 7 takes `line` at t = 0 with a fetch-add that ends at `a`;
+/// threads 0–3 and 5 store to it three times each from `a / 2`, so they
+/// queue as one stall run at `a`. There thread 0 wins, thread 1 is the
+/// run's first loser, and thread 4 holds the key `(a, 4)` between losers 3
+/// and 5: running (the reply to a fence that ends at `a`) or posted (a load
+/// of `other` issued at `a`).
+fn split_run(a: f64, running: bool) -> Result<RunStats, SimError> {
+    let mut arena = Arena::new();
+    let line = arena.alloc_padded_u32(64);
+    let other = arena.alloc_padded_u32(64);
+    let body = move |ctx: &SimThread| match ctx.tid() {
+        4 => {
+            if running {
+                ctx.compute_ns(a - 1.0);
+                ctx.fence(); // ε = 1: the reply lands at exactly `a`
+                assert_eq!(ctx.now_ns(), a);
+            } else {
+                ctx.compute_ns(a);
+            }
+            ctx.load(other);
+        }
+        6 => {}
+        7 => {
+            ctx.fetch_add(line, 1);
+        }
+        tid => {
+            ctx.compute_ns(a / 2.0);
+            for i in 0..3 {
+                ctx.store(line, tid as u32 * 10 + i);
+            }
+        }
+    };
+    assert_matches_policy_oracle(topo(), 8, None, body)
+}
+
+#[test]
+fn same_time_keys_inside_a_stall_run_cut_it_identically() {
+    // A fetch-add on a cold line ends at the same time whoever issues it;
+    // thread 1's store stalls behind thread 0's until then.
+    let mut arena = Arena::new();
+    let line = arena.alloc_padded_u32(64);
+    let probe = SimBuilder::new(topo(), 2)
+        .run(move |ctx| {
+            if ctx.tid() == 0 {
+                ctx.fetch_add(line, 1);
+            } else {
+                ctx.store(line, 1);
+            }
+        })
+        .unwrap();
+    let a = probe.coherence().thread(1).write_stall_ns;
+    assert!(a > 1.0, "the fence must start after t = 0");
+    for running in [false, true] {
+        let stats = split_run(a, running).unwrap();
+        assert!(stats.coherence().thread(5).write_stalls >= 2, "thread 5 never re-stalled");
+    }
+}
