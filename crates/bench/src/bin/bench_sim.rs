@@ -1,13 +1,13 @@
 //! Machine-readable simulator performance trajectory: `BENCH_sim.json`.
 //!
 //! Measures engine throughput (operations per wall-second through the
-//! rendezvous scheduler) for a SENSE and a STOUR barrier microbench at
-//! P ∈ {16, 64} on the paper's 64-core Phytium preset and at
+//! single ready heap and the stall queue) for a SENSE and a STOUR barrier
+//! microbench at P ∈ {16, 64} on the paper's 64-core Phytium preset and at
 //! P ∈ {256, 1024} on the hierarchical MemPool presets (thousand-wide
 //! sharer sets and wake sweeps), DIS at P = 1024 and the two contenders at
 //! P ∈ {16, 64} and at P = 256 (write-stall storms on one line), plus the
-//! wall-clock of a quick-scale regeneration of every experiment suite, and
-//! writes the numbers as JSON to the repo root.
+//! wall-clock of a quick-scale regeneration of every experiment suite, in
+//! total and per suite, and writes the numbers as JSON to the repo root.
 //!
 //! ```text
 //! bench_sim [--out PATH] [--gate-drop-pct N] [--summary PATH]
@@ -95,14 +95,22 @@ fn engine_point(platform: Platform, p: usize, id: AlgorithmId) -> Point {
 }
 
 /// Wall-clock seconds of a quick-scale regeneration of every suite
-/// (`all_experiments --quick`, minus the CSV writing).
-fn quick_experiments_secs() -> f64 {
+/// (`all_experiments --quick`, minus the CSV writing): the total, then one
+/// informational `quick_secs_<slug>` point per suite.
+fn quick_experiments_secs() -> Vec<Point> {
     let scale = Scale::quick();
+    let mut suites = Vec::new();
     let t0 = Instant::now();
     for (slug, run) in SUITES {
+        let t = Instant::now();
         assert!(!run(&scale).is_empty(), "suite {slug} produced nothing");
+        suites.push(Point::new(format!("quick_secs_{slug}"), t.elapsed().as_secs_f64()));
     }
-    t0.elapsed().as_secs_f64()
+    let total = t0.elapsed().as_secs_f64();
+    eprintln!("all_experiments --quick: {total:.2} s");
+    let mut points = vec![Point::new("all_experiments_quick_secs", total)];
+    points.extend(suites);
+    points
 }
 
 fn main() {
@@ -141,9 +149,7 @@ fn main() {
         }
         points.push(engine_point(Platform::MemPool256, 256, id));
     }
-    let quick_secs = quick_experiments_secs();
-    eprintln!("all_experiments --quick: {quick_secs:.2} s");
-    points.push(Point::new("all_experiments_quick_secs", quick_secs));
+    points.extend(quick_experiments_secs());
 
     if !report::write(&out, &points, "Simulator perf gate", summary.as_deref(), gate) {
         std::process::exit(1);

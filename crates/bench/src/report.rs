@@ -13,7 +13,8 @@
 //! `benches` is always this run; `baseline` is carried forward from the
 //! committed file, with keys new to this run seeded from the fresh
 //! measurement so future deltas always have a reference. Values render
-//! integral, except wall-clock seconds (`*_secs` keys), which keep two
+//! integral, except wall-clock seconds (keys with a `secs` word, such as
+//! `all_experiments_quick_secs` or `quick_secs_fig05`), which keep two
 //! decimals.
 //!
 //! [`write`] is the entry point: it prints the delta of the fresh run
@@ -28,7 +29,7 @@ use std::io::Write as _;
 pub struct Point {
     /// JSON key (e.g. `serve_episodes_per_sec`).
     pub key: String,
-    /// Value; rendered integral unless the key ends in `_secs`.
+    /// Value; rendered integral unless the key has a `secs` word.
     pub value: f64,
 }
 
@@ -40,9 +41,9 @@ impl Point {
 }
 
 /// A value as the document renders it: two decimals for wall-clock
-/// seconds (`*_secs` keys), integral for everything else.
+/// seconds (keys with a `secs` word), integral for everything else.
 fn value_text(key: &str, value: f64) -> String {
-    let decimals = if key.ends_with("_secs") { 2 } else { 0 };
+    let decimals = if key.split('_').any(|w| w == "secs") { 2 } else { 0 };
     format!("{value:.decimals$}")
 }
 
@@ -277,6 +278,13 @@ mod tests {
     }
 
     #[test]
+    fn only_seconds_keys_keep_decimals() {
+        assert_eq!(value_text("all_experiments_quick_secs", 8.466), "8.47");
+        assert_eq!(value_text("quick_secs_kilocore", 3.014), "3.01");
+        assert_eq!(value_text("engine_ops_per_sec_sense_p16", 3257889.4), "3257889");
+    }
+
+    #[test]
     fn committed_bench_files_round_trip_byte_for_byte() {
         for committed in [
             include_str!("../../../BENCH_sim.json"),
@@ -306,10 +314,11 @@ mod tests {
 
         let out = scratch_file("quick-rise.json", committed);
         assert!(write(&out, &scaled("all_experiments_quick_secs", 1.25), "t", None, gate));
-        // The written file keeps the committed format (2-decimal seconds).
+        // The written file keeps the committed format (2-decimal seconds;
+        // the per-suite keys follow the total).
         let quick = first_number(committed, "all_experiments_quick_secs").unwrap();
         let doc = std::fs::read_to_string(&out).unwrap();
-        assert!(doc.contains(&format!("\"all_experiments_quick_secs\": {:.2}\n", quick * 1.25)));
+        assert!(doc.contains(&format!("\"all_experiments_quick_secs\": {:.2},\n", quick * 1.25)));
         std::fs::remove_file(&out).unwrap();
     }
 }

@@ -1,14 +1,16 @@
-//! Kilocore projection: every registry barrier on the hierarchical
-//! MemPool-style topologies (tiles → groups → cluster) at P ∈ {64, 256,
-//! 1024}.
+//! Kilocore projection: every registry barrier on the coherent
+//! hierarchical presets with MemPool-derived latencies (tiles → groups →
+//! cluster) at P ∈ {64, 256, 1024}.
 //!
 //! The paper measures up to 64 ARMv8 cores; this experiment asks what its
 //! algorithm ranking looks like three doublings further out, on a
-//! 1024-core single-chip machine modeled after the MemPool manycore (see
-//! PAPERS.md). The qualitative expectation from the paper's model: the
-//! centralized schemes' hot-spot term grows ~linearly in P and collapses
-//! first, while tree/tournament schemes grow with `log P` times the
-//! (now deeper) hierarchy's layer latencies.
+//! 1024-core single-chip machine with the MemPool manycore's latencies
+//! (see PAPERS.md) but a MESI-style directory: the real MemPool shares one
+//! L1 scratchpad and has no private caches to keep coherent. The
+//! qualitative expectation from the paper's model: the centralized
+//! schemes' hot-spot term grows ~linearly in P and collapses first, while
+//! tree/tournament schemes grow with `log P` times the (now deeper)
+//! hierarchy's layer latencies.
 
 use armbar_core::prelude::*;
 use armbar_sweep::{Job, SweepPool};

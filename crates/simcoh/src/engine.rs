@@ -16,7 +16,10 @@
 //! that finds its line busy is re-posted into a stall queue of per-time
 //! runs, which a write storm fills and drains at O(1) per op. The engine
 //! processes the smaller head of the two iff no running thread's key is
-//! below it; see `DESIGN.md` §13.
+//! below it. When a run's first loser re-stalls, the losers behind it on
+//! the same line are re-posted in one pass and the stretch moves to the
+//! line's next release as one block, with the same per-op accounting in
+//! the same order; see `DESIGN.md` §13.
 //!
 //! ## Cooperative scheduling
 //!
@@ -140,6 +143,29 @@ fn describe_op(op: &OpReq) -> (ReadyOpKind, Option<Addr>) {
     }
 }
 
+/// The one address a memory op touches; `None` for multi-address waits and
+/// ops that touch no memory.
+fn single_addr(op: &OpReq) -> Option<Addr> {
+    match op {
+        OpReq::Load(a, _)
+        | OpReq::Store(a, _, _)
+        | OpReq::FetchAdd(a, _)
+        | OpReq::CmpXchg(a, _, _)
+        | OpReq::Swap(a, _)
+        | OpReq::SpinUntil(a, _, _) => Some(*a),
+        OpReq::SpinUntilAllGe(..)
+        | OpReq::Mark(_)
+        | OpReq::Now
+        | OpReq::Counters
+        | OpReq::Fence => None,
+    }
+}
+
+/// Whether a stall of `op` counts as a write stall.
+fn is_write(op: &OpReq) -> bool {
+    matches!(op, OpReq::Store(..) | OpReq::FetchAdd(..) | OpReq::CmpXchg(..) | OpReq::Swap(..))
+}
+
 /// Small distinct tag per op class for the schedule fingerprint.
 fn op_tag(op: &OpReq) -> u64 {
     match op {
@@ -235,6 +261,44 @@ impl StallQueue {
         }
     }
 
+    /// The head run, if its time is `t`.
+    fn head_run(&self, t: TimeKey) -> Option<&VecDeque<usize>> {
+        self.runs.last().filter(|(rt, _)| *rt == t).map(|(_, run)| run)
+    }
+
+    /// Moves the first `n` tids of the head run into the existing, later
+    /// run at `to`, leaving it as `n` pushes one by one would: appended
+    /// when they all sort after its tids, inserted one by one otherwise.
+    fn splice_head(&mut self, n: usize, to: TimeKey) {
+        if n == 0 {
+            return;
+        }
+        let last = self.runs.len() - 1;
+        let at = self.runs.binary_search_by(|(rt, _)| to.cmp(rt)).expect("no run at `to`");
+        let (rest, head) = self.runs.split_at_mut(last);
+        let (dst, src) = (&mut rest[at].1, &mut head[0].1);
+        if dst.back().is_some_and(|&b| b > src[0]) {
+            for tid in src.drain(..n) {
+                let i = dst.binary_search(&tid).expect_err("tid stalled twice");
+                dst.insert(i, tid);
+            }
+        } else if n < src.len() {
+            dst.extend(src.drain(..n));
+        } else {
+            // The whole run moves. In a storm the destination holds only
+            // the first loser, so keep the run's deque and put the
+            // destination's tids in front of it.
+            std::mem::swap(dst, src);
+            while let Some(tid) = src.pop_back() {
+                dst.push_front(tid);
+            }
+        }
+        if src.is_empty() {
+            let (_, run) = self.runs.pop().expect("checked above");
+            self.pool.push(run);
+        }
+    }
+
     fn is_empty(&self) -> bool {
         self.runs.is_empty()
     }
@@ -305,10 +369,11 @@ impl Sched {
     }
 
     /// Pops the next processable operation: the minimal key of the heap
-    /// and the stall queue, iff no running thread sits below it. Returns
-    /// `None` when the pass must end (no ready op, or the head is gated by
-    /// a running thread that will post an earlier key).
-    fn pop_next(&mut self) -> Option<SchedKey> {
+    /// and the stall queue, iff no running thread sits below it, and
+    /// whether it came from the stall queue. Returns `None` when the pass
+    /// must end (no ready op, or the head is gated by a running thread that
+    /// will post an earlier key).
+    fn pop_next(&mut self) -> Option<(SchedKey, bool)> {
         let heap = self.ready.peek().map(|&Reverse(k)| k);
         let stall = self.stalls.peek();
         let (head, from_stall) = match (heap, stall) {
@@ -325,7 +390,17 @@ impl Sched {
         } else {
             self.ready.pop();
         }
-        Some(head)
+        Some((head, from_stall))
+    }
+
+    /// The smallest key outside the stall queue (ready heap head or first
+    /// running key): a stall key below it is what `pop_next` returns next.
+    fn outside_min(&self) -> Option<SchedKey> {
+        let heap = self.ready.peek().map(|&Reverse(k)| k);
+        match (heap, self.running.first().copied()) {
+            (Some(h), Some(r)) => Some(h.min(r)),
+            (h, r) => h.or(r),
+        }
     }
 }
 
@@ -1176,7 +1251,7 @@ impl Shared {
         while g.outcome.is_none() && g.panics.is_empty() {
             // `pop_next` yields the globally minimal ready key unless it is
             // gated by a running thread that will post an earlier one.
-            let Some(key) = g.sched.pop_next() else { break };
+            let Some((key, from_stall)) = g.sched.pop_next() else { break };
             g.ops += 1;
             if g.ops > g.op_budget {
                 g.outcome =
@@ -1188,8 +1263,48 @@ impl Shared {
             let op = g.slots[tid].pending.take().expect("ready thread has no pending op");
             g.stats.mix_schedule(op_tag(&op), tid as u64);
             self.step(g, tid, op, WeakDecision::Strong);
+            if from_stall && g.slots[tid].pending.is_some() {
+                self.repost_run(g, key.0, tid);
+            }
         }
         self.terminal_check(g);
+    }
+
+    /// Re-posts the rest of a stall run in one pass once its first loser
+    /// `first` (popped at time `t`) re-stalled (DESIGN.md §13). The run's
+    /// next entries would each be popped next, charged one op, mixed into
+    /// the hash, found busy until the same `available_at` (nothing writes
+    /// in between) and pushed behind `first` in ascending tid order. This
+    /// does the same accounting in the same order and moves the stretch as
+    /// one block. The stretch ends at the first entry that a heap or
+    /// running key sorts below (neither changes here: a re-stalled op
+    /// neither replies nor posts), that the op budget cannot pay for, or
+    /// whose op is not a single-address op on `first`'s line.
+    fn repost_run(&self, g: &mut State, t: TimeKey, first: usize) {
+        let Some(addr) = g.slots[first].pending.as_ref().and_then(single_addr) else { return };
+        let line = self.line_key(addr);
+        let until = g.time[first];
+        let bound = g.sched.outside_min();
+        let room = g.op_budget - g.ops;
+        let State { sched, slots, stats, time, .. } = g;
+        let Some(run) = sched.stalls.head_run(t) else { return };
+        let mut n = 0;
+        for &tid in run {
+            if n == room || bound.is_some_and(|b| b < (t, tid)) {
+                break;
+            }
+            let op = slots[tid].pending.as_ref().expect("stalled thread has no pending op");
+            if single_addr(op).is_none_or(|a| self.line_key(a) != line) {
+                break;
+            }
+            debug_assert!(until > time[tid], "a batched op must stall");
+            stats.mix_schedule(op_tag(op), tid as u64);
+            stats.record_stall(tid, is_write(op), until - time[tid]);
+            time[tid] = until;
+            n += 1;
+        }
+        g.ops += n;
+        g.sched.stalls.splice_head(n as usize, TimeKey(until));
     }
 
     /// Policy-mode engine pass: at every decision point, describe all ready
@@ -1704,23 +1819,13 @@ impl Shared {
         // any spinner subscribes to the line, and the invalidation-crowd
         // cost that dominates SENSE on many-cores would vanish.
         let busy_until = match &op {
-            OpReq::Load(a, _)
-            | OpReq::Store(a, _, _)
-            | OpReq::FetchAdd(a, _)
-            | OpReq::CmpXchg(a, _, _)
-            | OpReq::Swap(a, _)
-            | OpReq::SpinUntil(a, _, _) => self.available_at(g, *a),
             OpReq::SpinUntilAllGe(addrs, _) => {
                 addrs.iter().map(|&a| self.available_at(g, a)).fold(0.0, f64::max)
             }
-            _ => 0.0,
+            op => single_addr(op).map_or(0.0, |a| self.available_at(g, a)),
         };
         if busy_until > g.time[tid] {
-            let is_write = matches!(
-                op,
-                OpReq::Store(..) | OpReq::FetchAdd(..) | OpReq::CmpXchg(..) | OpReq::Swap(..)
-            );
-            g.stats.record_stall(tid, is_write, busy_until - g.time[tid]);
+            g.stats.record_stall(tid, is_write(&op), busy_until - g.time[tid]);
             g.time[tid] = busy_until;
             g.slots[tid].pending = Some(op);
             g.post_stall((TimeKey(busy_until), tid));

@@ -4,7 +4,7 @@ use armbar_topology::CoreId;
 
 /// A set of cores holding a valid copy of a line. The simulator supports up
 /// to [`CoreSet::CAPACITY`] cores (sixteen 64-bit words), which covers the
-/// paper's machines and the MemPool-style kilocore topologies.
+/// paper's machines and the 1024-core kilocore presets.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreSet {
     bits: [u64; Self::WORDS],

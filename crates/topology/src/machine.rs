@@ -109,7 +109,8 @@ pub struct Topology {
 
 impl Topology {
     /// Builds one of the preset machines: the four evaluated in the paper
-    /// plus the two MemPool-style kilocore extrapolations.
+    /// plus the two kilocore extrapolations (coherent hierarchies with
+    /// MemPool-derived latencies).
     pub fn preset(platform: Platform) -> Self {
         match platform {
             Platform::Phytium2000Plus => crate::platforms::phytium_2000plus(),

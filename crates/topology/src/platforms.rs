@@ -24,12 +24,14 @@ pub enum Platform {
     Kunpeng920,
     /// 32-core Intel Xeon Gold @ 2.1 GHz — the x86 reference of Figure 5.
     XeonGold,
-    /// MemPool-style 256-core hierarchical cluster: 64 tiles × 4 cores,
-    /// 4 groups of 16 tiles (the kilocore family's quarter-scale point).
+    /// Coherent 256-core hierarchy with MemPool-derived latencies: 64
+    /// tiles × 4 cores, 4 groups of 16 tiles (the kilocore family's
+    /// quarter-scale point). See [`mempool_256`] for what it is not.
     MemPool256,
-    /// MemPool-style 1024-core hierarchical cluster: 256 tiles × 4 cores,
-    /// 16 groups of 64 cores (PAPERS.md: "Fast Shared-Memory Barrier
-    /// Synchronization for a 1024-Cores RISC-V Many-Core Cluster").
+    /// Coherent 1024-core hierarchy with MemPool-derived latencies: 256
+    /// tiles × 4 cores, 16 groups of 64 cores (PAPERS.md: "Fast
+    /// Shared-Memory Barrier Synchronization for a 1024-Cores RISC-V
+    /// Many-Core Cluster"). See [`mempool_1024`] for what it is not.
     MemPool1024,
 }
 
@@ -44,7 +46,8 @@ impl Platform {
     pub const ARM: [Platform; 3] =
         [Platform::Phytium2000Plus, Platform::ThunderX2, Platform::Kunpeng920];
 
-    /// The MemPool-style kilocore extrapolations (ROADMAP open item 1).
+    /// The kilocore extrapolations: coherent 4/64/1024 hierarchies with
+    /// MemPool-derived latencies.
     pub const KILOCORE: [Platform; 2] = [Platform::MemPool256, Platform::MemPool1024];
 
     /// Every preset machine: the paper's four plus the kilocore pair.
@@ -170,13 +173,19 @@ pub fn xeon_gold() -> Topology {
         .build()
 }
 
-/// Shared core of the MemPool-style hierarchical presets: tiles of 4 cores
-/// (banked L1 interconnect, ~1-cycle), groups of 64 cores (local NoC
-/// stage), and the full cluster (global NoC stage). Latencies extrapolate
-/// the MemPool paper's 1/5/9-11-cycle access hierarchy at a 2 GHz clock;
-/// the coherence coefficients are calibrated the same way as the paper
-/// platforms' (low contention — the design goal of that machine is a
-/// sub-logarithmic-diameter NoC).
+/// Shared core of the kilocore presets: a *coherent* MESI-style directory
+/// hierarchy — tiles of 4 cores, groups of 64 cores, the full cluster —
+/// with MemPool-derived latencies. Latencies extrapolate the MemPool
+/// paper's 1/5/9-11-cycle access hierarchy (tile, group, cluster) at a
+/// 2 GHz clock; the coherence coefficients are calibrated the same way as
+/// the paper platforms' (low contention — the design goal of that machine
+/// is a sub-logarithmic-diameter NoC).
+///
+/// The real MemPool is not simulated: it has a banked, shared L1
+/// scratchpad and no private data caches, hence no sharers and no RFO
+/// invalidations. These presets give every core a private cached copy and
+/// the same directory protocol as the ARM machines, so they project the
+/// paper's cost model to kilocore scale rather than model that machine.
 fn mempool(name: &str, cores: usize) -> Topology {
     TopologyBuilder::new(name, cores)
         .cacheline_bytes(64)
@@ -191,12 +200,16 @@ fn mempool(name: &str, cores: usize) -> Topology {
         .build()
 }
 
-/// MemPool-style 256-core cluster: 64 tiles × 4 cores, 4 groups of 64.
+/// Coherent 256-core hierarchy with MemPool-derived latencies: 64 tiles ×
+/// 4 cores, 4 groups of 64. Not MemPool itself, which shares one L1
+/// scratchpad and has no private caches.
 pub fn mempool_256() -> Topology {
     mempool("MemPool-256", 256)
 }
 
-/// MemPool-style 1024-core cluster: 256 tiles × 4 cores, 16 groups of 64.
+/// Coherent 1024-core hierarchy with MemPool-derived latencies: 256 tiles
+/// × 4 cores, 16 groups of 64. Not MemPool itself, which shares one L1
+/// scratchpad and has no private caches.
 pub fn mempool_1024() -> Topology {
     mempool("MemPool-1024", 1024)
 }
