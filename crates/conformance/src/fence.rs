@@ -29,7 +29,7 @@
 
 use std::sync::Arc;
 
-use armbar_core::{AlgorithmId, Barrier, MemCtx};
+use armbar_core::{AlgorithmId, Barrier, MemCtx, MemLayer};
 use armbar_simcoh::Addr;
 use armbar_sweep::{Job, SweepPool};
 use armbar_topology::{Platform, Topology};
@@ -85,7 +85,7 @@ impl std::fmt::Display for FenceLevel {
     }
 }
 
-/// [`MemCtx`] wrapper demoting ordered plain accesses per [`FenceLevel`].
+/// [`MemLayer`] demoting ordered plain accesses per [`FenceLevel`].
 /// Spins, RMWs, and fences pass through untouched: demotion targets the
 /// annotations the algorithms chose, not the primitives' semantics.
 struct WeakenCtx<'a> {
@@ -93,12 +93,9 @@ struct WeakenCtx<'a> {
     level: FenceLevel,
 }
 
-impl MemCtx for WeakenCtx<'_> {
-    fn tid(&self) -> usize {
-        self.inner.tid()
-    }
-    fn nthreads(&self) -> usize {
-        self.inner.nthreads()
+impl MemLayer for WeakenCtx<'_> {
+    fn inner(&self) -> &dyn MemCtx {
+        self.inner
     }
     fn load(&self, addr: Addr) -> u32 {
         if self.level.relax_loads() {
@@ -113,41 +110,6 @@ impl MemCtx for WeakenCtx<'_> {
         } else {
             self.inner.store(addr, value)
         }
-    }
-    fn load_relaxed(&self, addr: Addr) -> u32 {
-        self.inner.load_relaxed(addr)
-    }
-    fn store_relaxed(&self, addr: Addr, value: u32) {
-        self.inner.store_relaxed(addr, value)
-    }
-    fn fence(&self) {
-        self.inner.fence()
-    }
-    fn fetch_add(&self, addr: Addr, delta: u32) -> u32 {
-        self.inner.fetch_add(addr, delta)
-    }
-    fn compare_exchange(&self, addr: Addr, current: u32, new: u32) -> u32 {
-        self.inner.compare_exchange(addr, current, new)
-    }
-    fn swap(&self, addr: Addr, new: u32) -> u32 {
-        // RMWs keep their AcqRel semantics under every weakening — LSE
-        // atomics are not relaxed by the fence-variant search.
-        self.inner.swap(addr, new)
-    }
-    fn spin_until_eq(&self, addr: Addr, value: u32) -> u32 {
-        self.inner.spin_until_eq(addr, value)
-    }
-    fn spin_until_ge(&self, addr: Addr, value: u32) -> u32 {
-        self.inner.spin_until_ge(addr, value)
-    }
-    fn spin_until_all_ge(&self, addrs: &[Addr], value: u32) {
-        self.inner.spin_until_all_ge(addrs, value)
-    }
-    fn compute_ns(&self, ns: f64) {
-        self.inner.compute_ns(ns)
-    }
-    fn mark(&self, label: u32) {
-        self.inner.mark(label)
     }
 }
 

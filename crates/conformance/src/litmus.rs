@@ -22,7 +22,7 @@
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
-use armbar_core::MemCtx;
+use armbar_core::{MemCtx, MemLayer};
 use armbar_simcoh::{Addr, Arena, SimBuilder, SimThread};
 use armbar_topology::{Platform, Topology};
 
@@ -44,6 +44,9 @@ fn weak_cfg() -> ExplorerConfig {
 fn sc_cfg() -> ExplorerConfig {
     weak_cfg().with_reorder_budget(0)
 }
+
+/// One thread's observations, tagged with its tid.
+type Observation = (usize, Vec<u32>);
 
 /// Runs `body` on every thread of `seeds` seeded trials; each thread
 /// returns its observation vector, and one trial's outcome is the
@@ -67,7 +70,7 @@ where
         let line = topo.cacheline_bytes();
         let vars: Arc<Vec<Addr>> =
             Arc::new((0..nvars).map(|_| arena.alloc_padded_u32(line)).collect());
-        let obs: Arc<Mutex<Vec<(usize, Vec<u32>)>>> = Arc::new(Mutex::new(Vec::new()));
+        let obs: Arc<Mutex<Vec<Observation>>> = Arc::new(Mutex::new(Vec::new()));
         let body = body.clone();
         let (vars, obs2) = (Arc::clone(&vars), Arc::clone(&obs));
         SimBuilder::new(Arc::clone(&topo), threads)
@@ -369,4 +372,55 @@ fn corr_same_location_reads_never_go_backward() {
         !set.contains(&vec![1]),
         "same-location relaxed reads must respect coherence order; saw {set:?}"
     );
+}
+
+/// A layer that overrides nothing: every operation must reach the wrapped
+/// context exactly as issued.
+struct Through<'a>(&'a dyn MemCtx);
+
+impl MemLayer for Through<'_> {
+    fn inner(&self) -> &dyn MemCtx {
+        self.0
+    }
+}
+
+#[test]
+fn forwarding_layer_keeps_every_weak_outcome() {
+    // Each shape's outcome set depends on one weak primitive reaching the
+    // engine as issued: store buffering on `store_relaxed`, the fenced
+    // variant on `fence`, the stale re-read on `load_relaxed`. A forwarding
+    // default that fell back to the `MemCtx` default (relaxed → ordered,
+    // fence → no-op) changes that shape's set.
+    type Shape = fn(&dyn MemCtx, &[Addr]) -> Vec<u32>;
+    let sb: Shape = |ctx, v| {
+        let (mine, theirs) = if ctx.tid() == 0 { (v[0], v[1]) } else { (v[1], v[0]) };
+        ctx.store_relaxed(mine, 1);
+        vec![ctx.load_relaxed(theirs)]
+    };
+    let sb_fenced: Shape = |ctx, v| {
+        let (mine, theirs) = if ctx.tid() == 0 { (v[0], v[1]) } else { (v[1], v[0]) };
+        ctx.store_relaxed(mine, 1);
+        ctx.fence();
+        vec![ctx.load_relaxed(theirs)]
+    };
+    let mp_stale: Shape = |ctx, v| {
+        let (data, flag) = (v[0], v[1]);
+        if ctx.tid() == 0 {
+            ctx.store(data, 1);
+            ctx.store(flag, 1);
+            return vec![];
+        }
+        ctx.load_relaxed(data);
+        for _ in 0..POLLS {
+            if ctx.load_relaxed(flag) == 1 {
+                return vec![1, ctx.load_relaxed(data)];
+            }
+        }
+        vec![0, 0]
+    };
+    for (name, shape) in [("sb", sb), ("sb-fenced", sb_fenced), ("mp-stale", mp_stale)] {
+        let bare = outcomes(200, weak_cfg(), 2, 2, shape);
+        let layered = outcomes(200, weak_cfg(), 2, 2, move |ctx, v| shape(&Through(ctx), v));
+        assert_eq!(bare, layered, "{name}: the identity layer changed the outcome set");
+    }
 }

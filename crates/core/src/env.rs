@@ -15,8 +15,20 @@
 //! decisions like "pack four arrival flags into one cache line" vs. "give
 //! each flag its own line" are made *once*, in the allocation code, and have
 //! the same layout in both backends.
+//!
+//! A *wrapper* context — one that perturbs, bounds or re-annotates some
+//! operations of another context and passes the rest through — implements
+//! [`MemLayer`] instead of [`MemCtx`]: it names the wrapped context in
+//! [`MemLayer::inner`] and overrides only the methods it changes, and the
+//! blanket `impl<T: MemLayer> MemCtx for T` makes it a context. Every
+//! method it does not override reaches the inner context as issued —
+//! relaxed accesses, `fence` and `mark` included. Use it whenever a context
+//! wraps exactly one other context; a backend that owns its memory (host
+//! atomics, the simulator) implements [`MemCtx`] directly. Call a layer
+//! through `&dyn MemCtx`: where both traits are in scope, a method call on
+//! the concrete layer type is ambiguous.
 
-use armbar_simcoh::Addr;
+use armbar_simcoh::{Addr, SimThread, WaitKind};
 
 /// Per-thread memory-operation context. Object-safe so algorithms can be
 /// boxed behind the [`Barrier`] trait.
@@ -32,22 +44,14 @@ pub trait MemCtx {
     fn store(&self, addr: Addr, value: u32);
     /// Relaxed load: no ordering with surrounding accesses. Under the weak
     /// simulator a schedule policy may serve it a stale previously-observed
-    /// value. Defaults to the acquire [`MemCtx::load`] — sound (strictly
-    /// stronger) for any backend that doesn't override it.
-    fn load_relaxed(&self, addr: Addr) -> u32 {
-        self.load(addr)
-    }
+    /// value.
+    fn load_relaxed(&self, addr: Addr) -> u32;
     /// Relaxed store: no ordering with surrounding accesses. Under the weak
-    /// simulator its commit may be deferred past later operations. Defaults
-    /// to the release [`MemCtx::store`] — sound for any backend that
-    /// doesn't override it.
-    fn store_relaxed(&self, addr: Addr, value: u32) {
-        self.store(addr, value)
-    }
+    /// simulator its commit may be deferred past later operations.
+    fn store_relaxed(&self, addr: Addr, value: u32);
     /// Full memory barrier (`dmb ish`): orders every preceding access before
-    /// every following one. Defaults to a no-op, which is sound for backends
-    /// whose `load`/`store` are already acquire/release.
-    fn fence(&self) {}
+    /// every following one.
+    fn fence(&self);
     /// Atomic wrapping fetch-add (AcqRel); returns the previous value.
     fn fetch_add(&self, addr: Addr, delta: u32) -> u32;
     /// Atomic compare-exchange (AcqRel): stores `new` iff the word equals
@@ -61,15 +65,27 @@ pub trait MemCtx {
     /// primitive for spinlocks: unlike CAS it cannot fail, and on LSE
     /// parts it is priced like a fetch-add, below a compare-exchange.
     fn swap(&self, addr: Addr, new: u32) -> u32;
+    /// Spins until the words at `addrs` satisfy `kind` (every backend
+    /// decides with [`WaitKind::holds`]); returns the satisfying value of an
+    /// `Eq`/`Ge` wait, which watches exactly one word, or the epoch of an
+    /// `AllGe` wait. The only spin a backend implements.
+    fn spin_until(&self, addrs: &[Addr], kind: WaitKind) -> u32;
     /// Spins until the word at `addr` equals `value`; returns it.
-    fn spin_until_eq(&self, addr: Addr, value: u32) -> u32;
-    /// Spins until the word at `addr` is ≥ `value` (monotonic epochs).
-    fn spin_until_ge(&self, addr: Addr, value: u32) -> u32;
-    /// Spins until *every* word in `addrs` is ≥ `value`. Implementations
-    /// poll all flags in one loop, so independent line fetches overlap
+    fn spin_until_eq(&self, addr: Addr, value: u32) -> u32 {
+        self.spin_until(&[addr], WaitKind::Eq(value))
+    }
+    /// Spins until the word at `addr` is ≥ `value` (monotonic epochs);
+    /// returns the satisfying value.
+    fn spin_until_ge(&self, addr: Addr, value: u32) -> u32 {
+        self.spin_until(&[addr], WaitKind::Ge(value))
+    }
+    /// Spins until *every* word in `addrs` is ≥ `value`. Backends poll all
+    /// flags in one loop, so independent line fetches overlap
     /// (memory-level parallelism) instead of waiting for each flag in turn
     /// — the intended way for a tournament winner to observe its group.
-    fn spin_until_all_ge(&self, addrs: &[Addr], value: u32);
+    fn spin_until_all_ge(&self, addrs: &[Addr], value: u32) {
+        self.spin_until(addrs, WaitKind::AllGe(value));
+    }
     /// Burns `ns` nanoseconds of local compute (used by the EPCC harness to
     /// model out-of-barrier work).
     fn compute_ns(&self, ns: f64);
@@ -133,9 +149,101 @@ pub trait Barrier: Send + Sync {
     }
 }
 
+/// A [`MemCtx`] wrapper written as the methods it changes: every method
+/// defaults to forwarding to [`MemLayer::inner`], and the blanket impl below
+/// turns any layer into a [`MemCtx`]. The convenience spins
+/// (`spin_until_eq`/`_ge`/`_all_ge`) are not part of the layer: they stay
+/// [`MemCtx`] defaults over the layer's own [`MemLayer::spin_until`], so a
+/// layer that overrides `spin_until` sees every spin.
+pub trait MemLayer {
+    /// The wrapped context.
+    fn inner(&self) -> &dyn MemCtx;
+    fn tid(&self) -> usize {
+        self.inner().tid()
+    }
+    fn nthreads(&self) -> usize {
+        self.inner().nthreads()
+    }
+    fn load(&self, addr: Addr) -> u32 {
+        self.inner().load(addr)
+    }
+    fn store(&self, addr: Addr, value: u32) {
+        self.inner().store(addr, value)
+    }
+    fn load_relaxed(&self, addr: Addr) -> u32 {
+        self.inner().load_relaxed(addr)
+    }
+    fn store_relaxed(&self, addr: Addr, value: u32) {
+        self.inner().store_relaxed(addr, value)
+    }
+    fn fence(&self) {
+        self.inner().fence()
+    }
+    fn fetch_add(&self, addr: Addr, delta: u32) -> u32 {
+        self.inner().fetch_add(addr, delta)
+    }
+    fn compare_exchange(&self, addr: Addr, current: u32, new: u32) -> u32 {
+        self.inner().compare_exchange(addr, current, new)
+    }
+    fn swap(&self, addr: Addr, new: u32) -> u32 {
+        self.inner().swap(addr, new)
+    }
+    fn spin_until(&self, addrs: &[Addr], kind: WaitKind) -> u32 {
+        self.inner().spin_until(addrs, kind)
+    }
+    fn compute_ns(&self, ns: f64) {
+        self.inner().compute_ns(ns)
+    }
+    fn mark(&self, label: u32) {
+        self.inner().mark(label)
+    }
+}
+
+impl<T: MemLayer> MemCtx for T {
+    fn tid(&self) -> usize {
+        MemLayer::tid(self)
+    }
+    fn nthreads(&self) -> usize {
+        MemLayer::nthreads(self)
+    }
+    fn load(&self, addr: Addr) -> u32 {
+        MemLayer::load(self, addr)
+    }
+    fn store(&self, addr: Addr, value: u32) {
+        MemLayer::store(self, addr, value)
+    }
+    fn load_relaxed(&self, addr: Addr) -> u32 {
+        MemLayer::load_relaxed(self, addr)
+    }
+    fn store_relaxed(&self, addr: Addr, value: u32) {
+        MemLayer::store_relaxed(self, addr, value)
+    }
+    fn fence(&self) {
+        MemLayer::fence(self)
+    }
+    fn fetch_add(&self, addr: Addr, delta: u32) -> u32 {
+        MemLayer::fetch_add(self, addr, delta)
+    }
+    fn compare_exchange(&self, addr: Addr, current: u32, new: u32) -> u32 {
+        MemLayer::compare_exchange(self, addr, current, new)
+    }
+    fn swap(&self, addr: Addr, new: u32) -> u32 {
+        MemLayer::swap(self, addr, new)
+    }
+    fn spin_until(&self, addrs: &[Addr], kind: WaitKind) -> u32 {
+        MemLayer::spin_until(self, addrs, kind)
+    }
+    fn compute_ns(&self, ns: f64) {
+        MemLayer::compute_ns(self, ns)
+    }
+    fn mark(&self, label: u32) {
+        MemLayer::mark(self, label)
+    }
+}
+
 /// `MemCtx` for simulated threads: operations forward to the discrete-event
 /// engine, which charges modeled coherence latencies.
-impl MemCtx for armbar_simcoh::SimThread {
+impl MemCtx for SimThread {
     fn tid(&self) -> usize {
         SimThread::tid(self)
     }
@@ -166,14 +274,8 @@ impl MemCtx for armbar_simcoh::SimThread {
     fn swap(&self, addr: Addr, new: u32) -> u32 {
         SimThread::swap(self, addr, new)
     }
-    fn spin_until_eq(&self, addr: Addr, value: u32) -> u32 {
-        SimThread::spin_until_eq(self, addr, value)
-    }
-    fn spin_until_ge(&self, addr: Addr, value: u32) -> u32 {
-        SimThread::spin_until_ge(self, addr, value)
-    }
-    fn spin_until_all_ge(&self, addrs: &[Addr], value: u32) {
-        SimThread::spin_until_all_ge(self, addrs, value)
+    fn spin_until(&self, addrs: &[Addr], kind: WaitKind) -> u32 {
+        SimThread::spin_until(self, addrs, kind)
     }
     fn compute_ns(&self, ns: f64) {
         SimThread::compute_ns(self, ns)
@@ -182,8 +284,6 @@ impl MemCtx for armbar_simcoh::SimThread {
         SimThread::mark(self, label)
     }
 }
-
-use armbar_simcoh::SimThread;
 
 #[cfg(test)]
 mod tests {
@@ -212,5 +312,47 @@ mod tests {
             })
             .unwrap();
         assert!(stats.max_time_ns() >= 10.0);
+    }
+
+    /// A layer that overrides nothing.
+    struct Through<'a>(&'a dyn MemCtx);
+
+    impl MemLayer for Through<'_> {
+        fn inner(&self) -> &dyn MemCtx {
+            self.0
+        }
+    }
+
+    #[test]
+    fn forwarding_layer_is_invisible_to_the_simulator() {
+        // Conformed episodes exercise the RMWs, the spins, the oracle's
+        // relaxed accesses and the phase marks; the fence issues one more
+        // engine op per episode. Every one must reach the engine as issued
+        // for the run to replay byte for byte.
+        let run = |layered: bool| {
+            let topo = Arc::new(Topology::preset(Platform::Kunpeng920));
+            let p = 16;
+            let mut arena = Arena::new();
+            let barrier: Arc<dyn Barrier> =
+                Arc::from(crate::AlgorithmId::Optimized.build(&mut arena, p, &topo));
+            let oracle = crate::EpisodeOracle::new(&mut arena, p, topo.cacheline_bytes());
+            SimBuilder::new(topo, p)
+                .reserve_for(&arena)
+                .run(move |sim| {
+                    let through = Through(sim);
+                    let ctx: &dyn MemCtx = if layered { &through } else { sim };
+                    for episode in 1..=3 {
+                        barrier.wait_conformed(ctx, &oracle, episode);
+                        ctx.fence();
+                    }
+                })
+                .unwrap()
+        };
+        let (bare, layered) = (run(false), run(true));
+        assert_eq!(bare.marks(), layered.marks());
+        assert_eq!(bare.coherence().per_thread(), layered.coherence().per_thread());
+        assert_eq!(bare.per_thread_time_ns(), layered.per_thread_time_ns());
+        assert_eq!(bare.schedule_hash(), layered.schedule_hash());
+        assert!(!bare.marks().is_empty());
     }
 }

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use armbar_simcoh::{Addr, Arena};
+use armbar_simcoh::{Addr, Arena, WaitKind};
 
 use crate::env::MemCtx;
 
@@ -216,18 +216,6 @@ impl HostCtx {
     pub fn policy(&self) -> &SpinPolicy {
         &self.policy
     }
-
-    fn spin<F: Fn(u32) -> bool>(&self, addr: Addr, pred: F) -> u32 {
-        let w = self.mem.word(addr);
-        let mut wait = self.policy.waiter();
-        loop {
-            let v = w.load(Ordering::Acquire);
-            if pred(v) {
-                return v;
-            }
-            wait.pause();
-        }
-    }
 }
 
 impl MemCtx for HostCtx {
@@ -268,19 +256,13 @@ impl MemCtx for HostCtx {
     fn swap(&self, addr: Addr, new: u32) -> u32 {
         self.mem.word(addr).swap(new, Ordering::AcqRel)
     }
-    fn spin_until_eq(&self, addr: Addr, value: u32) -> u32 {
-        self.spin(addr, |v| v == value)
-    }
-    fn spin_until_ge(&self, addr: Addr, value: u32) -> u32 {
-        self.spin(addr, |v| v >= value)
-    }
-    fn spin_until_all_ge(&self, addrs: &[Addr], value: u32) {
-        // One polling loop over all flags: the loads of different lines
-        // issue back-to-back, letting the misses overlap.
+    fn spin_until(&self, addrs: &[Addr], kind: WaitKind) -> u32 {
+        // One polling loop over all watched words: the loads of different
+        // lines issue back-to-back, letting the misses overlap.
         let mut wait = self.policy.waiter();
         loop {
-            if addrs.iter().all(|&a| self.mem.word(a).load(Ordering::Acquire) >= value) {
-                return;
+            if let Ok(v) = kind.probe(addrs, |a| self.load(a)) {
+                return v;
             }
             wait.pause();
         }

@@ -59,7 +59,7 @@ pub use algorithms::{
     CombiningTreeBarrier, DisseminationBarrier, FwayBarrier, FwayConfig, HybridBarrier,
     HyperBarrier, McsBarrier, SenseBarrier, TournamentBarrier,
 };
-pub use env::{Barrier, MemCtx};
+pub use env::{Barrier, MemCtx, MemLayer};
 pub use host::{HostCtx, HostMem, SpinPolicy};
 pub use oracle::EpisodeOracle;
 pub use phaser::{CentralPhaser, Phaser, TreePhaser};

@@ -29,9 +29,9 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use armbar_simcoh::{Addr, Arena};
+use armbar_simcoh::{Addr, Arena, WaitKind};
 
-use crate::env::{Barrier, MemCtx};
+use crate::env::{Barrier, MemCtx, MemLayer};
 use crate::host::SpinPolicy;
 use crate::phaser::{phaser_mark, Phaser, PH_COMPLETED};
 
@@ -100,11 +100,113 @@ impl Default for RobustConfig {
 }
 
 /// Typed unwind payload used to exit an inner `wait` that can no longer
-/// succeed. Caught by [`RobustBarrier::wait_deadline`] and converted into a
-/// [`BarrierError`]; never escapes this module.
+/// succeed. Caught by [`Hardening::bounded`] and returned to its caller, which
+/// converts it into a [`BarrierError`]; never escapes this module.
 enum WaitAbort {
     Timeout { addr: Addr, spins: u64 },
     Poisoned { by: usize },
+}
+
+impl WaitAbort {
+    /// The plain error: no poisoning, no recovery.
+    fn into_error(self, tid: usize) -> BarrierError {
+        match self {
+            WaitAbort::Timeout { addr, spins } => BarrierError::Timeout { tid, addr, spins },
+            WaitAbort::Poisoned { by } => BarrierError::Poisoned { tid, by },
+        }
+    }
+}
+
+/// The poison word, its first-poisoner ticket and the deadline config
+/// shared by [`RobustBarrier`] and [`RobustPhaser`]. Lives in the arena,
+/// so one instance serves all participants on either backend.
+struct Hardening {
+    /// Padded poison word: `0` = healthy, `tid + 1` = poisoned by `tid`.
+    poison: Addr,
+    /// First-poisoner ticket: every detector `fetch_add`s here; only the
+    /// ticket-0 winner writes the poison word, so the reported `by` is the
+    /// *first* detection (lowest virtual time on the simulator) no matter
+    /// how many waiters time out in the same dead episode.
+    claim: Addr,
+    config: RobustConfig,
+}
+
+impl Hardening {
+    /// Allocates both words alone on `line_bytes`-sized cache lines (so
+    /// fail-fast polling never false-shares with barrier state).
+    fn new(arena: &mut Arena, line_bytes: usize, config: RobustConfig) -> Self {
+        let poison = arena.alloc_padded_u32(line_bytes);
+        let claim = arena.alloc_padded_u32(line_bytes);
+        Self { poison, claim, config }
+    }
+
+    fn poisoned_by(&self, ctx: &dyn MemCtx) -> Option<usize> {
+        match ctx.load(self.poison) {
+            0 => None,
+            tid1 => Some(tid1 as usize - 1),
+        }
+    }
+
+    /// Fails fast when the team is already poisoned.
+    fn healthy(&self, ctx: &dyn MemCtx) -> Result<(), BarrierError> {
+        match self.poisoned_by(ctx) {
+            Some(by) => Err(BarrierError::Poisoned { tid: ctx.tid(), by }),
+            None => Ok(()),
+        }
+    }
+
+    /// Takes a first-poisoner ticket; the ticket-0 winner writes the poison
+    /// word and gets `true`.
+    fn claim_first(&self, ctx: &dyn MemCtx) -> bool {
+        let first = ctx.fetch_add(self.claim, 1) == 0;
+        if first {
+            ctx.store(self.poison, ctx.tid() as u32 + 1);
+        }
+        first
+    }
+
+    /// The first-poisoner protocol after a timeout: every timed-out
+    /// detector takes a ticket; ticket 0 writes the poison word and reports
+    /// the primary `Timeout`, every later detector waits for the (imminent)
+    /// poison store and reports `Poisoned` by the *winner* — so all
+    /// participants agree on a single first poisoner (the
+    /// lowest-virtual-time detection on the simulator, where ticket order
+    /// is the deterministic schedule order).
+    fn claim_timeout(&self, ctx: &dyn MemCtx, addr: Addr, spins: u64) -> BarrierError {
+        if self.claim_first(ctx) {
+            BarrierError::Timeout { tid: ctx.tid(), addr, spins }
+        } else {
+            let by = ctx.spin_until_ge(self.poison, 1) as usize - 1;
+            BarrierError::Poisoned { tid: ctx.tid(), by }
+        }
+    }
+
+    /// Runs `f` on a [`BoundedCtx`] over `ctx` that gives up after
+    /// `deadline` or once the team is poisoned, returning that abort as
+    /// `Err`. Any other panic keeps unwinding — after poisoning the team
+    /// for the peers when `poison_on_panic` is set.
+    fn bounded<T>(
+        &self,
+        ctx: &dyn MemCtx,
+        deadline: Duration,
+        poison_on_panic: bool,
+        f: impl FnOnce(&dyn MemCtx) -> T,
+    ) -> Result<T, WaitAbort> {
+        silence_wait_aborts();
+        let bounded = BoundedCtx { inner: ctx, hard: self, deadline: Instant::now() + deadline };
+        match catch_unwind(AssertUnwindSafe(|| f(&bounded))) {
+            Ok(t) => Ok(t),
+            Err(payload) => match payload.downcast::<WaitAbort>() {
+                Ok(abort) => Err(*abort),
+                Err(panic) => {
+                    if poison_on_panic {
+                        self.claim_first(ctx);
+                    }
+                    resume_unwind(panic)
+                }
+            },
+        }
+    }
 }
 
 /// A [`Barrier`] wrapper adding deadlines and std-Mutex-style poisoning.
@@ -114,14 +216,7 @@ enum WaitAbort {
 /// wraps, on either backend.
 pub struct RobustBarrier {
     inner: Box<dyn Barrier>,
-    /// Padded poison word: `0` = healthy, `tid + 1` = poisoned by `tid`.
-    poison: Addr,
-    /// First-poisoner ticket: every detector `fetch_add`s here; only the
-    /// ticket-0 winner writes the poison word, so the reported `by` is the
-    /// *first* detection (lowest virtual time on the simulator) no matter
-    /// how many waiters time out in the same dead episode.
-    claim: Addr,
-    config: RobustConfig,
+    hard: Hardening,
 }
 
 impl RobustBarrier {
@@ -134,9 +229,7 @@ impl RobustBarrier {
         inner: Box<dyn Barrier>,
         config: RobustConfig,
     ) -> Self {
-        let poison = arena.alloc_padded_u32(line_bytes);
-        let claim = arena.alloc_padded_u32(line_bytes);
-        Self { inner, poison, claim, config }
+        Self { inner, hard: Hardening::new(arena, line_bytes, config) }
     }
 
     /// The wrapped barrier's label.
@@ -146,10 +239,7 @@ impl RobustBarrier {
 
     /// Who poisoned the barrier, if anyone.
     pub fn poisoned_by(&self, ctx: &dyn MemCtx) -> Option<usize> {
-        match ctx.load(self.poison) {
-            0 => None,
-            tid1 => Some(tid1 as usize - 1),
-        }
+        self.hard.poisoned_by(ctx)
     }
 
     /// Clears the poison mark so a *new team* can reuse the allocation.
@@ -158,8 +248,8 @@ impl RobustBarrier {
     /// algorithms usually self-heal on the next episode, counter-based
     /// ones may not. Prefer rebuilding the barrier after a failure.
     pub fn clear_poison(&self, ctx: &dyn MemCtx) {
-        ctx.store(self.poison, 0);
-        ctx.store(self.claim, 0);
+        ctx.store(self.hard.poison, 0);
+        ctx.store(self.hard.claim, 0);
     }
 
     /// An episode guard for the calling participant: while it is live, a
@@ -167,13 +257,13 @@ impl RobustBarrier {
     /// (the host-backend analogue of `SimError::ThreadPanic`). Hold it
     /// across the whole parallel section, not just the `wait` calls.
     pub fn guard<'a>(&'a self, ctx: &'a dyn MemCtx) -> PoisonGuard<'a> {
-        PoisonGuard { poison: self.poison, claim: self.claim, ctx, armed: true }
+        PoisonGuard { hard: &self.hard, ctx, armed: true }
     }
 
     /// Blocks until all participants arrive, the configured deadline
     /// expires, or the barrier is poisoned.
     pub fn wait(&self, ctx: &dyn MemCtx) -> Result<(), BarrierError> {
-        self.wait_deadline(ctx, self.config.deadline)
+        self.wait_deadline(ctx, self.hard.config.deadline)
     }
 
     /// [`RobustBarrier::wait`] with an explicit deadline for this episode.
@@ -181,69 +271,24 @@ impl RobustBarrier {
     /// On timeout the barrier is poisoned (so peers stuck in the same dead
     /// episode fail fast as [`BarrierError::Poisoned`]) and the wrapped
     /// barrier's state must be considered lost — see
-    /// [`RobustBarrier::clear_poison`].
+    /// [`RobustBarrier::clear_poison`]. A genuine panic inside the wrapped
+    /// algorithm poisons too, then keeps unwinding.
     pub fn wait_deadline(&self, ctx: &dyn MemCtx, deadline: Duration) -> Result<(), BarrierError> {
-        silence_wait_aborts();
-        if let Some(by) = self.poisoned_by(ctx) {
-            return Err(BarrierError::Poisoned { tid: ctx.tid(), by });
-        }
-        let bounded = BoundedCtx {
-            inner: ctx,
-            poison: self.poison,
-            deadline: Instant::now() + deadline,
-            policy: self.config.policy.clone(),
-            max_polls: self.config.max_polls,
-        };
-        match catch_unwind(AssertUnwindSafe(|| self.inner.wait(&bounded))) {
-            Ok(()) => Ok(()),
-            Err(payload) => match payload.downcast::<WaitAbort>() {
-                Ok(abort) => Err(match *abort {
-                    WaitAbort::Timeout { addr, spins } => {
-                        // Poison so peers blocked on the same dead episode
-                        // fail fast instead of each burning a full deadline.
-                        claim_poison(ctx, self.claim, self.poison, addr, spins)
-                    }
-                    WaitAbort::Poisoned { by } => BarrierError::Poisoned { tid: ctx.tid(), by },
-                }),
-                Err(other) => {
-                    // A genuine panic inside the wrapped algorithm: poison
-                    // for the peers, then let the panic keep unwinding.
-                    if ctx.fetch_add(self.claim, 1) == 0 {
-                        ctx.store(self.poison, ctx.tid() as u32 + 1);
-                    }
-                    resume_unwind(other);
-                }
+        self.hard.healthy(ctx)?;
+        self.hard.bounded(ctx, deadline, true, |b| self.inner.wait(b)).map_err(
+            |abort| match abort {
+                // Poison so peers blocked on the same dead episode fail fast
+                // instead of each burning a full deadline.
+                WaitAbort::Timeout { addr, spins } => self.hard.claim_timeout(ctx, addr, spins),
+                abort => abort.into_error(ctx.tid()),
             },
-        }
-    }
-}
-
-/// The first-poisoner protocol shared by [`RobustBarrier`] and
-/// [`RobustPhaser`]: every timed-out detector takes a ticket; ticket 0
-/// writes the poison word and reports the primary `Timeout`, every later
-/// detector waits the (imminent) poison store and reports `Poisoned` by
-/// the *winner* — so all participants agree on a single first poisoner
-/// (the lowest-virtual-time detection on the simulator, where ticket
-/// order is the deterministic schedule order).
-fn claim_poison(
-    ctx: &dyn MemCtx,
-    claim: Addr,
-    poison: Addr,
-    addr: Addr,
-    spins: u64,
-) -> BarrierError {
-    if ctx.fetch_add(claim, 1) == 0 {
-        ctx.store(poison, ctx.tid() as u32 + 1);
-        BarrierError::Timeout { tid: ctx.tid(), addr, spins }
-    } else {
-        let by = ctx.spin_until_ge(poison, 1) as usize - 1;
-        BarrierError::Poisoned { tid: ctx.tid(), by }
+        )
     }
 }
 
 /// The [`WaitAbort`] escape is an implementation detail: it is always
-/// caught by `wait_deadline`, so the default panic hook must not spray a
-/// "Box<dyn Any>" message and backtrace on every timeout.
+/// caught by [`Hardening::bounded`], so the default panic hook must not spray
+/// a "Box<dyn Any>" message and backtrace on every timeout.
 fn silence_wait_aborts() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
@@ -259,8 +304,7 @@ fn silence_wait_aborts() {
 /// Poisons the barrier if dropped during a panic — see
 /// [`RobustBarrier::guard`].
 pub struct PoisonGuard<'a> {
-    poison: Addr,
-    claim: Addr,
+    hard: &'a Hardening,
     ctx: &'a dyn MemCtx,
     armed: bool,
 }
@@ -277,8 +321,8 @@ impl Drop for PoisonGuard<'_> {
     fn drop(&mut self) {
         // Claim-first, and never spin in a destructor: a guard that loses
         // the ticket leaves the winner's attribution in place.
-        if self.armed && std::thread::panicking() && self.ctx.fetch_add(self.claim, 1) == 0 {
-            self.ctx.store(self.poison, self.ctx.tid() as u32 + 1);
+        if self.armed && std::thread::panicking() {
+            self.hard.claim_first(self.ctx);
         }
     }
 }
@@ -300,9 +344,7 @@ impl Drop for PoisonGuard<'_> {
 /// virtual time on every run.
 pub struct RobustPhaser {
     inner: Box<dyn Phaser>,
-    poison: Addr,
-    claim: Addr,
-    config: RobustConfig,
+    hard: Hardening,
     eviction: bool,
     min_members: u32,
 }
@@ -316,9 +358,8 @@ impl RobustPhaser {
         inner: Box<dyn Phaser>,
         config: RobustConfig,
     ) -> Self {
-        let poison = arena.alloc_padded_u32(line_bytes);
-        let claim = arena.alloc_padded_u32(line_bytes);
-        Self { inner, poison, claim, config, eviction: true, min_members: 1 }
+        let hard = Hardening::new(arena, line_bytes, config);
+        Self { inner, hard, eviction: true, min_members: 1 }
     }
 
     /// Enables or disables the eviction vote; disabled means every timeout
@@ -342,10 +383,7 @@ impl RobustPhaser {
 
     /// Who poisoned the team, if recovery gave up.
     pub fn poisoned_by(&self, ctx: &dyn MemCtx) -> Option<usize> {
-        match ctx.load(self.poison) {
-            0 => None,
-            tid1 => Some(tid1 as usize - 1),
-        }
+        self.hard.poisoned_by(ctx)
     }
 
     /// The current epoch / committed member count (see [`Phaser`]).
@@ -414,45 +452,24 @@ impl RobustPhaser {
         addr: Addr,
         value: u32,
     ) -> Result<u32, BarrierError> {
-        silence_wait_aborts();
-        if let Some(by) = self.poisoned_by(ctx) {
-            return Err(BarrierError::Poisoned { tid: ctx.tid(), by });
-        }
-        let bounded = BoundedCtx {
-            inner: ctx,
-            poison: self.poison,
-            deadline: Instant::now() + self.config.deadline,
-            policy: self.config.policy.clone(),
-            max_polls: self.config.max_polls,
-        };
-        match catch_unwind(AssertUnwindSafe(|| bounded.spin_until_ge(addr, value))) {
-            Ok(v) => Ok(v),
-            Err(payload) => match payload.downcast::<WaitAbort>() {
-                Ok(abort) => Err(match *abort {
-                    WaitAbort::Timeout { addr, spins } => {
-                        BarrierError::Timeout { tid: ctx.tid(), addr, spins }
-                    }
-                    WaitAbort::Poisoned { by } => BarrierError::Poisoned { tid: ctx.tid(), by },
-                }),
-                Err(other) => resume_unwind(other),
-            },
-        }
+        self.hard.healthy(ctx)?;
+        self.hard
+            .bounded(ctx, self.hard.config.deadline, false, |b| b.spin_until_ge(addr, value))
+            .map_err(|abort| abort.into_error(ctx.tid()))
     }
 
     /// Runs `f` under a bounded context; on timeout, tries one recovery
     /// step and re-enters (phaser operations are idempotent per epoch, see
-    /// [`Phaser::arrive`]), poisoning when recovery is exhausted.
+    /// [`Phaser::arrive`]), poisoning when recovery is exhausted. A genuine
+    /// panic poisons too, then keeps unwinding.
     fn recovering<T>(
         &self,
         ctx: &dyn MemCtx,
         f: impl Fn(&dyn MemCtx) -> Result<T, BarrierError>,
     ) -> Result<T, BarrierError> {
-        silence_wait_aborts();
         let mut attempts: u32 = 0;
         loop {
-            if let Some(by) = self.poisoned_by(ctx) {
-                return Err(BarrierError::Poisoned { tid: ctx.tid(), by });
-            }
+            self.hard.healthy(ctx)?;
             // The epoch this attempt can stall on. A timeout only licenses
             // an eviction vote for *this* epoch: if the boundary commits
             // while the timeout is in flight, the stall was already
@@ -460,46 +477,21 @@ impl RobustPhaser {
             // against the fresh epoch — where no one has arrived yet —
             // would evict a healthy member.
             let stalled_epoch = self.inner.epoch(ctx);
-            let bounded = BoundedCtx {
-                inner: ctx,
-                poison: self.poison,
-                deadline: Instant::now() + self.config.deadline,
-                policy: self.config.policy.clone(),
-                max_polls: self.config.max_polls,
-            };
-            match catch_unwind(AssertUnwindSafe(|| f(&bounded))) {
+            match self.hard.bounded(ctx, self.hard.config.deadline, true, &f) {
                 Ok(r) => return r,
-                Err(payload) => match payload.downcast::<WaitAbort>() {
-                    Ok(abort) => match *abort {
-                        WaitAbort::Poisoned { by } => {
-                            return Err(BarrierError::Poisoned { tid: ctx.tid(), by })
-                        }
-                        WaitAbort::Timeout { addr, spins } => {
-                            if self.inner.epoch(ctx) != stalled_epoch {
-                                // The boundary moved under the timeout:
-                                // progress, not a stall. Re-enter the wait
-                                // without consuming a recovery attempt.
-                                continue;
-                            }
-                            attempts += 1;
-                            if !self.try_recover(ctx, attempts, stalled_epoch) {
-                                return Err(claim_poison(
-                                    ctx,
-                                    self.claim,
-                                    self.poison,
-                                    addr,
-                                    spins,
-                                ));
-                            }
-                        }
-                    },
-                    Err(other) => {
-                        if ctx.fetch_add(self.claim, 1) == 0 {
-                            ctx.store(self.poison, ctx.tid() as u32 + 1);
-                        }
-                        resume_unwind(other);
+                Err(WaitAbort::Timeout { addr, spins }) => {
+                    if self.inner.epoch(ctx) != stalled_epoch {
+                        // The boundary moved under the timeout: progress,
+                        // not a stall. Re-enter the wait without consuming
+                        // a recovery attempt.
+                        continue;
                     }
-                },
+                    attempts += 1;
+                    if !self.try_recover(ctx, attempts, stalled_epoch) {
+                        return Err(self.hard.claim_timeout(ctx, addr, spins));
+                    }
+                }
+                Err(abort) => return Err(abort.into_error(ctx.tid())),
             }
         }
     }
@@ -543,15 +535,13 @@ impl RobustPhaser {
 /// poll so poisoning is noticed even at tiny deadlines.
 const CHECK_EVERY: u64 = 64;
 
-/// A [`MemCtx`] view that re-implements the spin waits as bounded polling
-/// loops over `load`, escaping by unwinding with a [`WaitAbort`] when the
-/// deadline passes or the poison word is set. Everything else forwards.
+/// A [`MemLayer`] whose spin is a bounded polling loop over `load`,
+/// escaping by unwinding with a [`WaitAbort`] when the deadline passes or
+/// the poison word is set. Everything else forwards.
 struct BoundedCtx<'a> {
     inner: &'a dyn MemCtx,
-    poison: Addr,
+    hard: &'a Hardening,
     deadline: Instant,
-    policy: SpinPolicy,
-    max_polls: Option<u64>,
 }
 
 impl BoundedCtx<'_> {
@@ -561,13 +551,13 @@ impl BoundedCtx<'_> {
     /// poll counter, with the first on the first failed poll so poisoning
     /// is noticed even at tiny deadlines.
     fn check(&self, stuck_at: Addr, polls: u64) {
-        if self.max_polls.is_some_and(|mp| polls >= mp) {
+        if self.hard.config.max_polls.is_some_and(|mp| polls >= mp) {
             std::panic::panic_any(WaitAbort::Timeout { addr: stuck_at, spins: polls });
         }
         if !polls.is_multiple_of(CHECK_EVERY) {
             return;
         }
-        let p = self.inner.load(self.poison);
+        let p = self.inner.load(self.hard.poison);
         if p != 0 {
             std::panic::panic_any(WaitAbort::Poisoned { by: p as usize - 1 });
         }
@@ -575,85 +565,28 @@ impl BoundedCtx<'_> {
             std::panic::panic_any(WaitAbort::Timeout { addr: stuck_at, spins: polls });
         }
     }
-
-    /// Host-side pause between failed polls. Skipped under a poll-count
-    /// deadline: against the simulator's virtual clock, yields and
-    /// backoff sleeps only add host wall time.
-    fn pause(&self, wait: &mut crate::host::SpinWait) {
-        if self.max_polls.is_none() {
-            wait.pause();
-        }
-    }
-
-    fn poll(&self, addr: Addr, pred: impl Fn(u32) -> bool) -> u32 {
-        let mut wait = self.policy.waiter();
-        let mut polls: u64 = 0;
-        loop {
-            let v = self.inner.load(addr);
-            if pred(v) {
-                return v;
-            }
-            self.check(addr, polls);
-            polls += 1;
-            self.pause(&mut wait);
-        }
-    }
 }
 
-impl MemCtx for BoundedCtx<'_> {
-    fn tid(&self) -> usize {
-        self.inner.tid()
+impl MemLayer for BoundedCtx<'_> {
+    fn inner(&self) -> &dyn MemCtx {
+        self.inner
     }
-    fn nthreads(&self) -> usize {
-        self.inner.nthreads()
-    }
-    fn load(&self, addr: Addr) -> u32 {
-        self.inner.load(addr)
-    }
-    fn store(&self, addr: Addr, value: u32) {
-        self.inner.store(addr, value)
-    }
-    fn load_relaxed(&self, addr: Addr) -> u32 {
-        self.inner.load_relaxed(addr)
-    }
-    fn store_relaxed(&self, addr: Addr, value: u32) {
-        self.inner.store_relaxed(addr, value)
-    }
-    fn fence(&self) {
-        self.inner.fence()
-    }
-    fn fetch_add(&self, addr: Addr, delta: u32) -> u32 {
-        self.inner.fetch_add(addr, delta)
-    }
-    fn compare_exchange(&self, addr: Addr, current: u32, new: u32) -> u32 {
-        self.inner.compare_exchange(addr, current, new)
-    }
-    fn swap(&self, addr: Addr, new: u32) -> u32 {
-        self.inner.swap(addr, new)
-    }
-    fn spin_until_eq(&self, addr: Addr, value: u32) -> u32 {
-        self.poll(addr, |v| v == value)
-    }
-    fn spin_until_ge(&self, addr: Addr, value: u32) -> u32 {
-        self.poll(addr, |v| v >= value)
-    }
-    fn spin_until_all_ge(&self, addrs: &[Addr], value: u32) {
-        let mut wait = self.policy.waiter();
+    fn spin_until(&self, addrs: &[Addr], kind: WaitKind) -> u32 {
+        let mut wait = self.hard.config.policy.waiter();
         let mut polls: u64 = 0;
         loop {
-            match addrs.iter().find(|&&a| self.inner.load(a) < value) {
-                None => return,
-                Some(&stuck) => self.check(stuck, polls),
+            match kind.probe(addrs, |a| self.inner.load(a)) {
+                Ok(v) => return v,
+                Err(stuck) => self.check(stuck, polls),
             }
             polls += 1;
-            self.pause(&mut wait);
+            // Under a poll-count deadline the host-side pause is skipped:
+            // against the simulator's virtual clock, yields and backoff
+            // sleeps only add host wall time.
+            if self.hard.config.max_polls.is_none() {
+                wait.pause();
+            }
         }
-    }
-    fn compute_ns(&self, ns: f64) {
-        self.inner.compute_ns(ns)
-    }
-    fn mark(&self, label: u32) {
-        self.inner.mark(label)
     }
 }
 
@@ -1008,6 +941,99 @@ mod tests {
                 ),
                 "t{tid}: expected Timeout/Poisoned, got {res:?}"
             );
+        }
+    }
+
+    /// One spin case: the values a peer stores into the watched words (one
+    /// store per word, so every interleaving ends in the same result), the
+    /// condition, and the value every backend must return.
+    type SpinCase = (&'static [u32], WaitKind, u32);
+    const SPIN_CASES: [SpinCase; 5] = [
+        (&[5], WaitKind::Eq(5), 5),
+        (&[9], WaitKind::Ge(3), 9),    // overshoot: the satisfying value
+        (&[], WaitKind::AllGe(4), 4),  // nothing to watch: the epoch at once
+        (&[6], WaitKind::AllGe(4), 4), // batched even over one word
+        (&[9, 4, 5], WaitKind::AllGe(4), 4),
+    ];
+
+    /// Tid 1 stores the case's values; tid 0 spins on the words (through
+    /// a [`BoundedCtx`] when `bounded`) and returns what the spin returned.
+    fn spin_case(
+        ctx: &dyn MemCtx,
+        words: &[Addr],
+        hard: &Hardening,
+        (values, kind, _): SpinCase,
+        bounded: bool,
+    ) -> Option<u32> {
+        let watched = &words[..values.len()];
+        if ctx.tid() == 1 {
+            ctx.compute_ns(500.0);
+            for (&a, &v) in watched.iter().zip(values) {
+                ctx.store(a, v);
+            }
+            return None;
+        }
+        if !bounded {
+            return Some(ctx.spin_until(watched, kind));
+        }
+        let spin = |b: &dyn MemCtx| b.spin_until(watched, kind);
+        Some(hard.bounded(ctx, Duration::from_secs(10), false, spin).ok().expect("no timeout"))
+    }
+
+    /// Three watched words and the poison words, each on its own line.
+    fn spin_arena() -> (Arena, Vec<Addr>, Hardening) {
+        let mut arena = Arena::new();
+        let words = (0..3).map(|_| arena.alloc_padded_u32(64)).collect();
+        let hard = Hardening::new(&mut arena, 64, RobustConfig::default());
+        (arena, words, hard)
+    }
+
+    fn host_spins(bounded: bool) -> Vec<u32> {
+        let spin = |case: SpinCase| {
+            let (arena, words, hard) = spin_arena();
+            let mem = HostMem::new(&arena);
+            std::thread::scope(|s| {
+                let threads: Vec<_> = (0..2)
+                    .map(|tid| {
+                        let (mem, words, hard) = (&mem, &words, &hard);
+                        s.spawn(move || spin_case(&mem.ctx(tid, 2), words, hard, case, bounded))
+                    })
+                    .collect();
+                threads.into_iter().find_map(|t| t.join().unwrap()).unwrap()
+            })
+        };
+        SPIN_CASES.into_iter().map(spin).collect()
+    }
+
+    fn sim_spins(bounded: bool) -> Vec<u32> {
+        let spin = |case: SpinCase| {
+            let (arena, words, hard) = spin_arena();
+            let got = Arc::new(std::sync::Mutex::new(None));
+            let sink = Arc::clone(&got);
+            armbar_simcoh::SimBuilder::new(Arc::new(Topology::preset(Platform::Kunpeng920)), 2)
+                .reserve_for(&arena)
+                .run(move |sim| {
+                    if let Some(v) = spin_case(sim, &words, &hard, case, bounded) {
+                        *sink.lock().unwrap() = Some(v);
+                    }
+                })
+                .unwrap();
+            let v = *got.lock().unwrap();
+            v.expect("tid 0 spun")
+        };
+        SPIN_CASES.into_iter().map(spin).collect()
+    }
+
+    #[test]
+    fn spin_semantics_agree_across_backends() {
+        let expected: Vec<u32> = SPIN_CASES.iter().map(|c| c.2).collect();
+        for (backend, got) in [
+            ("host", host_spins(false)),
+            ("sim", sim_spins(false)),
+            ("bounded host", host_spins(true)),
+            ("bounded sim", sim_spins(true)),
+        ] {
+            assert_eq!(got, expected, "{backend}");
         }
     }
 }

@@ -43,7 +43,7 @@ pub fn measure_latency_ns(topo: &Arc<Topology>, placer: usize, reader: usize) ->
                 ctx.store(ready, 1);
             }
             if me == reader {
-                ctx.spin_until(ready, |v| v == 1);
+                ctx.spin_until_eq(ready, 1);
                 if placer == reader {
                     // Local case: the lines are already ours; re-read them.
                 }

@@ -4,7 +4,7 @@ use std::cell::Cell;
 
 use armbar_core::MemCtx;
 use armbar_simcoh::rng::SplitMix64;
-use armbar_simcoh::Addr;
+use armbar_simcoh::{Addr, WaitKind};
 
 use crate::plan::FaultPlan;
 
@@ -82,42 +82,43 @@ impl<'a> FaultyCtx<'a> {
             self.inner.compute_ns(self.next_f64() * amp);
         }
     }
+
+    /// [`FaultyCtx::before_op`] for a store, plus the lost-store check:
+    /// `false` means the store vanishes and nobody ever sees its value.
+    /// `store` and `store_relaxed` share one counter, so a lost-store plan
+    /// kills the N-th store regardless of its ordering annotation.
+    fn before_store(&self) -> bool {
+        self.before_op();
+        let nth = self.stores.get() + 1;
+        self.stores.set(nth);
+        self.plan.lost_store(self.inner.tid()) != Some(nth)
+    }
 }
 
-impl MemCtx for FaultyCtx<'_> {
-    fn tid(&self) -> usize {
-        self.inner.tid()
-    }
-    fn nthreads(&self) -> usize {
-        self.inner.nthreads()
+/// Every memory operation runs the fault machinery first; `tid`,
+/// `nthreads`, `compute_ns` and `mark` forward untouched, so a compute-only
+/// body never straggles or crashes.
+impl armbar_core::MemLayer for FaultyCtx<'_> {
+    fn inner(&self) -> &dyn MemCtx {
+        self.inner
     }
     fn load(&self, addr: Addr) -> u32 {
         self.before_op();
         self.inner.load(addr)
     }
     fn store(&self, addr: Addr, value: u32) {
-        self.before_op();
-        let nth = self.stores.get() + 1;
-        self.stores.set(nth);
-        if self.plan.lost_store(self.inner.tid()) == Some(nth) {
-            return; // the store vanishes: nobody ever sees this value
+        if self.before_store() {
+            self.inner.store(addr, value);
         }
-        self.inner.store(addr, value);
     }
     fn load_relaxed(&self, addr: Addr) -> u32 {
         self.before_op();
         self.inner.load_relaxed(addr)
     }
     fn store_relaxed(&self, addr: Addr, value: u32) {
-        self.before_op();
-        // Shares the store counter with `store`, so a lost-store plan kills
-        // the N-th store regardless of its ordering annotation.
-        let nth = self.stores.get() + 1;
-        self.stores.set(nth);
-        if self.plan.lost_store(self.inner.tid()) == Some(nth) {
-            return;
+        if self.before_store() {
+            self.inner.store_relaxed(addr, value);
         }
-        self.inner.store_relaxed(addr, value);
     }
     fn fence(&self) {
         self.before_op();
@@ -135,23 +136,9 @@ impl MemCtx for FaultyCtx<'_> {
         self.before_op();
         self.inner.swap(addr, new)
     }
-    fn spin_until_eq(&self, addr: Addr, value: u32) -> u32 {
+    fn spin_until(&self, addrs: &[Addr], kind: WaitKind) -> u32 {
         self.before_op();
-        self.inner.spin_until_eq(addr, value)
-    }
-    fn spin_until_ge(&self, addr: Addr, value: u32) -> u32 {
-        self.before_op();
-        self.inner.spin_until_ge(addr, value)
-    }
-    fn spin_until_all_ge(&self, addrs: &[Addr], value: u32) {
-        self.before_op();
-        self.inner.spin_until_all_ge(addrs, value)
-    }
-    fn compute_ns(&self, ns: f64) {
-        self.inner.compute_ns(ns)
-    }
-    fn mark(&self, label: u32) {
-        self.inner.mark(label)
+        self.inner.spin_until(addrs, kind)
     }
 }
 

@@ -343,6 +343,30 @@ pub fn outcome_json(report: &LoadReport) -> String {
     out
 }
 
+/// Human summary of the run's wall-clock aggregates (stderr material —
+/// everything here is timing-dependent and excluded from the CSV).
+pub fn summary_text(report: &LoadReport) -> String {
+    let degraded = report.outcomes.iter().filter(|o| o.status == "degraded").count();
+    format!(
+        "serve load: {} episodes across {} teams in {:.3} s => {:.0} episodes/s\n\
+         episode latency: p50 {} ns, p99 {} ns (sampled every 64th episode)\n\
+         shard episodes: {:?} (balance {:.2}x)\n\
+         wakeups: {} broadcast, {} elided (nobody parked), {} coalesced; degraded teams: {}\n",
+        report.episodes,
+        report.outcomes.len(),
+        report.wall.as_secs_f64(),
+        report.eps,
+        report.p50_ns,
+        report.p99_ns,
+        report.shard_episodes,
+        report.shard_balance(),
+        report.wake.flushes,
+        report.wake.elided,
+        report.wake.coalesced,
+        degraded,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,28 +465,4 @@ mod tests {
         assert!(s.contains("64 episodes across 8 teams"));
         assert!(s.contains("balance"));
     }
-}
-
-/// Human summary of the run's wall-clock aggregates (stderr material —
-/// everything here is timing-dependent and excluded from the CSV).
-pub fn summary_text(report: &LoadReport) -> String {
-    let degraded = report.outcomes.iter().filter(|o| o.status == "degraded").count();
-    format!(
-        "serve load: {} episodes across {} teams in {:.3} s => {:.0} episodes/s\n\
-         episode latency: p50 {} ns, p99 {} ns (sampled every 64th episode)\n\
-         shard episodes: {:?} (balance {:.2}x)\n\
-         wakeups: {} broadcast, {} elided (nobody parked), {} coalesced; degraded teams: {}\n",
-        report.episodes,
-        report.outcomes.len(),
-        report.wall.as_secs_f64(),
-        report.eps,
-        report.p50_ns,
-        report.p99_ns,
-        report.shard_episodes,
-        report.shard_balance(),
-        report.wake.flushes,
-        report.wake.elided,
-        report.wake.coalesced,
-        degraded,
-    )
 }

@@ -95,8 +95,6 @@ fn spin_replies() -> bool {
     *SPIN.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()) > 1)
 }
 
-type Pred = Box<dyn Fn(u32) -> bool + Send>;
-
 enum OpReq {
     Load(Addr, LoadOrder),
     Store(Addr, u32, StoreOrder),
@@ -104,7 +102,8 @@ enum OpReq {
     /// Compare-exchange `(addr, current, new)`: stores `new` iff the word
     /// equals `current`; replies with the previous value either way.
     CmpXchg(Addr, u32, u32),
-    SpinUntil(Addr, Pred, WaitKind),
+    /// Wait until the word satisfies an `Eq`/`Ge` condition.
+    SpinUntil(Addr, WaitKind),
     /// Wait until every listed word is ≥ the epoch. The fetches of the
     /// involved lines overlap (memory-level parallelism), unlike a chain of
     /// `SpinUntil`s.
@@ -123,13 +122,15 @@ enum OpReq {
 
 enum Reply {
     Value(u32),
+    /// A batched wait completed; hands its address list back for reuse.
+    Watch(Vec<Addr>),
     TimeNs(f64),
     Counters(Box<CoherenceCounters>),
     Abort,
 }
 
 /// Classifies a pending op for a [`SchedulePolicy`] (kind + target address;
-/// no values or predicates leak to the policy).
+/// no values or wait conditions leak to the policy).
 fn describe_op(op: &OpReq) -> (ReadyOpKind, Option<Addr>) {
     match op {
         OpReq::Load(a, _) => (ReadyOpKind::Read, Some(*a)),
@@ -137,7 +138,7 @@ fn describe_op(op: &OpReq) -> (ReadyOpKind, Option<Addr>) {
         OpReq::FetchAdd(a, _) => (ReadyOpKind::Rmw, Some(*a)),
         OpReq::CmpXchg(a, _, _) => (ReadyOpKind::Rmw, Some(*a)),
         OpReq::Swap(a, _) => (ReadyOpKind::Rmw, Some(*a)),
-        OpReq::SpinUntil(a, _, _) => (ReadyOpKind::Spin, Some(*a)),
+        OpReq::SpinUntil(a, _) => (ReadyOpKind::Spin, Some(*a)),
         OpReq::SpinUntilAllGe(addrs, _) => (ReadyOpKind::Spin, addrs.first().copied()),
         OpReq::Mark(_) | OpReq::Now | OpReq::Counters | OpReq::Fence => (ReadyOpKind::Free, None),
     }
@@ -152,7 +153,7 @@ fn single_addr(op: &OpReq) -> Option<Addr> {
         | OpReq::FetchAdd(a, _)
         | OpReq::CmpXchg(a, _, _)
         | OpReq::Swap(a, _)
-        | OpReq::SpinUntil(a, _, _) => Some(*a),
+        | OpReq::SpinUntil(a, _) => Some(*a),
         OpReq::SpinUntilAllGe(..)
         | OpReq::Mark(_)
         | OpReq::Now
@@ -567,18 +568,10 @@ struct Slot {
     finished: bool,
 }
 
-enum WaitCond {
-    /// Single-address predicate wait.
-    Pred(Pred),
-    /// All listed addresses ≥ epoch (batched, MLP-overlapped).
-    AllGe(u32),
-}
-
 struct Waiter {
     tid: usize,
     addrs: Vec<Addr>,
-    cond: WaitCond,
-    /// Reporting-only copy of the wait condition for deadlock diagnostics.
+    /// The condition; an `AllGe` waiter is a batched (MLP-overlapped) wait.
     kind: WaitKind,
 }
 
@@ -760,27 +753,31 @@ pub struct SimThread {
     /// key exactly as they would have gated on the posted compute op, so
     /// results are bit-identical; only the context switches disappear.
     deferred: std::cell::Cell<(f64, u64)>,
+    /// Buffers that travel to the engine and back, so a handoff allocates
+    /// nothing in the steady state: the wake list swapped out of the state
+    /// by each post, and the address list of a batched wait.
+    wakes: std::cell::Cell<Vec<usize>>,
+    watch: std::cell::Cell<Vec<Addr>>,
 }
 
 impl SimThread {
-    /// Must be called on the worker thread itself: registers its park handle
-    /// so reply deliveries can wake it.
-    pub(crate) fn new(shared: Arc<Shared>, tid: usize, nthreads: usize) -> Self {
-        shared.handles[tid]
-            .set(std::thread::current())
-            .expect("worker registered twice for one episode");
-        Self { shared, tid, nthreads, fiber: None, deferred: std::cell::Cell::new((0.0, 0)) }
-    }
-
-    /// Fiber-transport constructor: no park handle — the fiber runtime, not
-    /// `unpark`, resumes blocked threads.
-    pub(crate) fn new_fiber(
+    /// Must be called on the worker thread itself. `fiber` names the
+    /// runtime of the fiber transport, which resumes blocked threads; an OS
+    /// worker (`None`) registers its park handle so reply deliveries can
+    /// wake it.
+    pub(crate) fn new(
         shared: Arc<Shared>,
         tid: usize,
         nthreads: usize,
-        rt: std::ptr::NonNull<crate::fiber::FiberRt>,
+        fiber: Option<std::ptr::NonNull<crate::fiber::FiberRt>>,
     ) -> Self {
-        Self { shared, tid, nthreads, fiber: Some(rt), deferred: std::cell::Cell::new((0.0, 0)) }
+        if fiber.is_none() {
+            shared.handles[tid]
+                .set(std::thread::current())
+                .expect("worker registered twice for one episode");
+        }
+        let (deferred, wakes, watch) = Default::default();
+        Self { shared, tid, nthreads, fiber, deferred, wakes, watch }
     }
 
     /// Takes the not-yet-applied compute accumulator (for the finish path).
@@ -806,7 +803,8 @@ impl SimThread {
         // us, and we have consumed every previous reply; read it before
         // posting so the bump cannot be missed.
         let my_seq = cell.seq.load(Ordering::Acquire);
-        let wakes = {
+        let mut wakes = self.wakes.take();
+        {
             let mut g = self.shared.mx.lock();
             if g.aborted {
                 drop(g);
@@ -826,8 +824,8 @@ impl SimThread {
             g.slots[self.tid].pending = Some(op);
             g.post_ready(key);
             self.shared.run_engine(&mut g);
-            std::mem::take(&mut g.wake_list)
-        };
+            std::mem::swap(&mut wakes, &mut g.wake_list);
+        }
         // Fast path: when our own op was processable (the common case for
         // serial phases), the inline engine run above already delivered the
         // reply — no context switch, no further synchronization (both
@@ -859,6 +857,8 @@ impl SimThread {
                 }
             }
         }
+        wakes.clear();
+        self.wakes.set(wakes);
         // SAFETY: the seq bump (release) happens after the engine published
         // our reply, and the engine will not touch the cell again until our
         // next post.
@@ -935,47 +935,55 @@ impl SimThread {
         self.call_value(OpReq::Swap(addr, new))
     }
 
-    /// Spins until `pred(value_at(addr))` holds; returns the satisfying
-    /// value. While blocked, this thread holds a read copy of the line, so
-    /// every intervening write pays invalidation costs to it — exactly the
-    /// crowd effect of hardware spin-waiting.
+    /// Spins until the words at `addrs` satisfy `kind`; returns the
+    /// satisfying value of an `Eq`/`Ge` wait (which watches one word) or the
+    /// epoch of an `AllGe` wait. While blocked, this thread holds a read
+    /// copy of each watched line, so every intervening write pays
+    /// invalidation costs to it — exactly the crowd effect of hardware
+    /// spin-waiting. The engine re-evaluates the condition only when a
+    /// write changes a watched word, which is exact because a [`WaitKind`]
+    /// is a pure function of the words.
     ///
-    /// `pred` must be a pure function of the value: the engine re-evaluates
-    /// it only when a write changes the word at `addr`, so a predicate that
-    /// reads anything else (a clock, a counter it bumps) would see fewer
-    /// calls than a hardware loop makes and could stay blocked.
-    ///
-    /// The predicate is opaque to deadlock diagnostics; prefer
-    /// [`SimThread::spin_until_eq`] / [`SimThread::spin_until_ge`] when the
-    /// condition has one of those shapes, so a hang reports its target.
-    pub fn spin_until(&self, addr: Addr, pred: impl Fn(u32) -> bool + Send + 'static) -> u32 {
-        self.call_value(OpReq::SpinUntil(addr, Box::new(pred), WaitKind::Pred))
-    }
-
-    /// Spins until the word at `addr` equals `value`. Identical costs to
-    /// [`SimThread::spin_until`], but a deadlock report names the target.
-    pub fn spin_until_eq(&self, addr: Addr, value: u32) -> u32 {
-        self.call_value(OpReq::SpinUntil(addr, Box::new(move |v| v == value), WaitKind::Eq(value)))
-    }
-
-    /// Spins until the word at `addr` is ≥ `value` (monotonic epochs), with
-    /// the target recorded for deadlock diagnostics.
-    pub fn spin_until_ge(&self, addr: Addr, value: u32) -> u32 {
-        self.call_value(OpReq::SpinUntil(addr, Box::new(move |v| v >= value), WaitKind::Ge(value)))
-    }
-
-    /// Spins until every word in `addrs` is ≥ `value`. A polling loop over
-    /// independent flags keeps several line fetches in flight at once
-    /// (memory-level parallelism), so on satisfaction the thread pays the
-    /// *slowest* outstanding fetch plus a small pipelining charge per extra
-    /// line — not the sum of all fetches. This is how a tournament winner
-    /// with one-flag-per-line children observes all arrivals in roughly one
-    /// transfer time.
-    pub fn spin_until_all_ge(&self, addrs: &[Addr], value: u32) {
-        if addrs.is_empty() {
-            return;
+    /// The variant picks the cost path: `Eq`/`Ge` is a single-word wait,
+    /// `AllGe` a batched one even over one word. A batched poll keeps
+    /// several line fetches in flight at once (memory-level parallelism),
+    /// so on satisfaction the thread pays the *slowest* outstanding fetch
+    /// plus a small pipelining charge per extra line — not the sum of all
+    /// fetches. This is how a tournament winner with one-flag-per-line
+    /// children observes all arrivals in roughly one transfer time.
+    pub fn spin_until(&self, addrs: &[Addr], kind: WaitKind) -> u32 {
+        match kind {
+            WaitKind::AllGe(epoch) if addrs.is_empty() => epoch,
+            WaitKind::AllGe(epoch) => {
+                let mut list = self.watch.take();
+                list.clear();
+                list.extend_from_slice(addrs);
+                match self.call(OpReq::SpinUntilAllGe(list, epoch)) {
+                    Reply::Watch(list) => self.watch.set(list),
+                    _ => unreachable!("engine sent a non-list reply to a batched wait"),
+                }
+                epoch
+            }
+            WaitKind::Eq(_) | WaitKind::Ge(_) => {
+                self.call_value(OpReq::SpinUntil(kind.word(addrs), kind))
+            }
         }
-        self.call_value(OpReq::SpinUntilAllGe(addrs.to_vec(), value));
+    }
+
+    /// Spins until the word at `addr` equals `value`; returns it.
+    pub fn spin_until_eq(&self, addr: Addr, value: u32) -> u32 {
+        self.spin_until(&[addr], WaitKind::Eq(value))
+    }
+
+    /// Spins until the word at `addr` is ≥ `value` (monotonic epochs);
+    /// returns the satisfying value.
+    pub fn spin_until_ge(&self, addr: Addr, value: u32) -> u32 {
+        self.spin_until(&[addr], WaitKind::Ge(value))
+    }
+
+    /// Spins until every word in `addrs` is ≥ `value` (a batched wait).
+    pub fn spin_until_all_ge(&self, addrs: &[Addr], value: u32) {
+        self.spin_until(addrs, WaitKind::AllGe(value));
     }
 
     /// Advances this thread's clock by `ns` of pure local computation.
@@ -1447,15 +1455,7 @@ impl Shared {
             .in_order()
             .into_iter()
             .map(|w| {
-                let addr = match w.kind {
-                    WaitKind::AllGe(epoch) => w
-                        .addrs
-                        .iter()
-                        .copied()
-                        .find(|&a| self.value(g, a) < epoch)
-                        .unwrap_or(w.addrs[0]),
-                    _ => w.addrs[0],
-                };
+                let addr = w.kind.probe(&w.addrs, |a| self.value(g, a)).err().unwrap_or(w.addrs[0]);
                 let committed = self.value(g, addr);
                 // The waiter's own view: its buffered store (youngest) wins,
                 // then its stale cache, then the committed value. Reported
@@ -1788,13 +1788,12 @@ impl Shared {
             // still-blocked waiter keeps its pre-spin view for diagnostics.
             // The self-hiding rule applies at entry: a thread must not block
             // waiting for a value sitting in its own store buffer.
-            OpReq::SpinUntil(a, _, _) => {
+            OpReq::SpinUntil(a, _) => {
                 self.weak_commit_watched(g, tid, std::slice::from_ref(a));
                 Some(op)
             }
             OpReq::SpinUntilAllGe(addrs, _) => {
-                let watched = addrs.clone();
-                self.weak_commit_watched(g, tid, &watched);
+                self.weak_commit_watched(g, tid, addrs);
                 Some(op)
             }
             OpReq::Mark(_) | OpReq::Now | OpReq::Counters => Some(op),
@@ -1873,34 +1872,25 @@ impl Shared {
                 self.commit_write(g, tid, addr, new, Some(RmwOp::Swap));
                 self.reply(g, tid, Reply::Value(old));
             }
-            OpReq::SpinUntil(addr, pred, kind) => {
+            OpReq::SpinUntil(addr, kind) => {
                 let v = self.value(g, addr);
                 self.do_read(g, tid, addr);
-                if pred(v) {
+                if kind.holds(v) {
                     self.weak_spin_success(g, tid, addr, v);
                     self.reply(g, tid, Reply::Value(v));
                 } else {
-                    g.waiters.register(Waiter {
-                        tid,
-                        addrs: vec![addr],
-                        cond: WaitCond::Pred(pred),
-                        kind,
-                    });
+                    g.waiters.register(Waiter { tid, addrs: vec![addr], kind });
                 }
             }
             OpReq::SpinUntilAllGe(addrs, epoch) => {
                 self.do_batched_probe(g, tid, &addrs);
-                if self.all_ge(g, &addrs, epoch) {
+                let kind = WaitKind::AllGe(epoch);
+                if kind.probe(&addrs, |a| self.value(g, a)).is_ok() {
                     let seen = self.value(g, addrs[0]);
                     self.weak_spin_success(g, tid, addrs[0], seen);
-                    self.reply(g, tid, Reply::Value(epoch));
+                    self.reply(g, tid, Reply::Watch(addrs));
                 } else {
-                    g.waiters.register(Waiter {
-                        tid,
-                        addrs,
-                        cond: WaitCond::AllGe(epoch),
-                        kind: WaitKind::AllGe(epoch),
-                    });
+                    g.waiters.register(Waiter { tid, addrs, kind });
                 }
             }
             OpReq::Mark(label) => {
@@ -1952,10 +1942,6 @@ impl Shared {
             g.time[tid] = start + queue + (src + contention) * jf;
             g.stats.record_read(tid, key, false, contended);
         }
-    }
-
-    fn all_ge(&self, g: &State, addrs: &[Addr], epoch: u32) -> bool {
-        addrs.iter().all(|&a| self.value(g, a) >= epoch)
     }
 
     /// Initial probe of a batched wait: fetch every line the thread does
@@ -2105,25 +2091,21 @@ impl Shared {
             // A stale entry (multi-word waiter already woken via another of
             // its words) no longer matches its slot's seq; drop it.
             let Some(w) = g.waiters.take_slot(slot, seq) else { continue };
-            let satisfied = match &w.cond {
-                WaitCond::Pred(pred) => pred(self.value(g, w.addrs[0])),
-                WaitCond::AllGe(epoch) => self.all_ge(g, &w.addrs, *epoch),
-            };
-            if !satisfied {
+            let Ok(reply_value) = w.kind.probe(&w.addrs, |a| self.value(g, a)) else {
                 g.waiters.restore(slot, seq, w);
                 bucket[kept] = (seq, slot);
                 kept += 1;
                 continue;
-            }
+            };
             let lat = self.topo.latency_row(w.tid)[writer];
             // A batched waiter re-fetched every other flag line as its
             // writers dirtied it; those (pipelined) refetches are paid
             // now, as the overlap fraction of each line's pull from its
             // current owner. Without this, a flat 64-way group would
             // observe 63 arrivals for the price of one.
-            let mlp_extra: f64 = match &w.cond {
-                WaitCond::Pred(_) => 0.0,
-                WaitCond::AllGe(_) => w
+            let mlp_extra: f64 = match w.kind {
+                WaitKind::Eq(_) | WaitKind::Ge(_) => 0.0,
+                WaitKind::AllGe(_) => w
                     .addrs
                     .iter()
                     .filter(|&&a| self.line_key(a) != key)
@@ -2137,11 +2119,15 @@ impl Shared {
             let jf = self.jitter(g);
             g.time[w.tid] = end + (lat + mlp_extra + read_c * woken as f64) * jf;
             woken += 1;
-            let reply_value = self.value(g, w.addrs[0]);
-            self.weak_spin_success(g, w.tid, w.addrs[0], reply_value);
+            let seen = self.value(g, w.addrs[0]);
+            self.weak_spin_success(g, w.tid, w.addrs[0], seen);
             g.stats.record_spin_wakeup(w.tid);
-            self.reply(g, w.tid, Reply::Value(reply_value));
             g.waiters.release(slot, &w);
+            let reply = match w.kind {
+                WaitKind::AllGe(_) => Reply::Watch(w.addrs),
+                WaitKind::Eq(_) | WaitKind::Ge(_) => Reply::Value(reply_value),
+            };
+            self.reply(g, w.tid, reply);
         }
         bucket.truncate(kept);
         g.waiters.put_bucket(word, bucket);
@@ -2205,7 +2191,7 @@ mod tests {
                     ctx.compute_ns(100.0);
                     ctx.store(a, 1);
                 } else {
-                    ctx.spin_until(a, |v| v == 1);
+                    ctx.spin_until_eq(a, 1);
                     // After waking, the next read is a local hit.
                     let t0 = ctx.now_ns();
                     ctx.load(a);
@@ -2230,7 +2216,7 @@ mod tests {
                 0 => ctx.store(a, 1),
                 4 => {
                     // Core 4 is in the other cluster: wake pays L1 = 40.
-                    ctx.spin_until(a, |v| v == 1);
+                    ctx.spin_until_eq(a, 1);
                 }
                 _ => {}
             })
@@ -2443,7 +2429,7 @@ mod tests {
                     ctx.store(w1, 1); // release the spinner
                 }
                 1 => {
-                    ctx.spin_until(w1, |v| v == 1);
+                    ctx.spin_until_eq(w1, 1);
                 }
                 _ => {}
             })
@@ -2458,7 +2444,7 @@ mod tests {
         let err = SimBuilder::new(topo(), 2)
             .run(move |ctx| {
                 // Nobody ever writes 1: both threads block forever.
-                ctx.spin_until(a, |v| v == 1);
+                ctx.spin_until_eq(a, 1);
             })
             .unwrap_err();
         match err {
@@ -2477,7 +2463,7 @@ mod tests {
         let err = SimBuilder::new(topo(), 2)
             .run(move |ctx| {
                 if ctx.tid() == 1 {
-                    ctx.spin_until(a, |v| v == 1);
+                    ctx.spin_until_eq(a, 1);
                 }
             })
             .unwrap_err();
@@ -2663,7 +2649,7 @@ mod tests {
                 if ctx.tid() == 0 {
                     ctx.store(a, 1);
                 } else {
-                    ctx.spin_until(a, |v| v == 1);
+                    ctx.spin_until_eq(a, 1);
                 }
                 ctx.mark(2);
             })
@@ -2695,7 +2681,7 @@ mod tests {
                 if prev == 63 {
                     ctx.store(g, 1);
                 } else {
-                    ctx.spin_until(g, |v| v == 1);
+                    ctx.spin_until_eq(g, 1);
                 }
             })
             .unwrap();
@@ -2717,7 +2703,7 @@ mod tests {
                 if prev == 3 {
                     ctx.store(g64, 1);
                 } else {
-                    ctx.spin_until(g64, |v| v == 1);
+                    ctx.spin_until_eq(g64, 1);
                 }
             })
             .unwrap();
@@ -2772,7 +2758,7 @@ mod tests {
                     ctx.compute_ns(50.0);
                     ctx.store(g, 1);
                 } else {
-                    ctx.spin_until(g, |v| v == 1);
+                    ctx.spin_until_eq(g, 1);
                 }
             })
             .unwrap();

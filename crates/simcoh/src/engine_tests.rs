@@ -137,7 +137,7 @@ fn noc_queue_serializes_concurrent_remote_traffic() {
                     }
                     ctx.store(lines + 64 * 7, 2); // "ready" signal on line 7
                 } else {
-                    ctx.spin_until(lines + 64 * 7, |v| v >= 1);
+                    ctx.spin_until_ge(lines + 64 * 7, 1);
                     ctx.load(lines + 64 * me as u32);
                 }
             })
@@ -179,7 +179,7 @@ fn busy_line_requeue_interleaves_spinner_registration() {
     let stats = SimBuilder::new(topo(), 6)
         .run(move |ctx| {
             if ctx.tid() == 0 {
-                ctx.spin_until(counter, |v| v >= 5);
+                ctx.spin_until_ge(counter, 5);
             } else {
                 ctx.fetch_add(counter, 1);
             }
@@ -202,8 +202,8 @@ fn rmw_surcharge_makes_atomics_costlier_than_stores() {
                 ctx.store(a, 1);
                 ctx.store(b, 1);
             } else {
-                ctx.spin_until(a, |v| v == 1);
-                ctx.spin_until(b, |v| v == 1);
+                ctx.spin_until_eq(a, 1);
+                ctx.spin_until_eq(b, 1);
                 let t0 = ctx.now_ns();
                 ctx.store(a, 2); // plain store to a remote-owned line
                 let store_cost = ctx.now_ns() - t0;
@@ -266,7 +266,7 @@ fn invalidation_counts_reflect_sharer_crowds() {
                 ctx.compute_ns(500.0); // let all four spinners subscribe
                 ctx.store(flag, 1);
             } else {
-                ctx.spin_until(flag, |v| v == 1);
+                ctx.spin_until_eq(flag, 1);
             }
         })
         .unwrap();

@@ -1,9 +1,13 @@
-//! Simulation failure modes.
+//! Simulation failure modes, and the spin-wait condition they report.
 
-/// What a blocked simulated thread was waiting *for* — recorded when the
-/// thread parks so that a deadlock report can say not just where a thread
-/// was stuck but what condition could never be met (a lost-wakeup report
-/// reads "t3 on addr 0x40 waiting for == 1" instead of a bare address).
+use crate::arena::Addr;
+
+/// A spin-wait condition: what a thread blocked in `spin_until` waits
+/// *for*. It is a plain value, so every backend evaluates it the same way
+/// ([`WaitKind::holds`]), and a deadlock report can say not just where a
+/// thread was stuck but what condition could never be met (a lost-wakeup
+/// report reads "t3 on addr 0x40 waiting for == 1" instead of a bare
+/// address). `Eq` and `Ge` watch exactly one word; `AllGe` watches a list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitKind {
     /// `spin_until_eq`: waiting for the word to equal the value.
@@ -13,8 +17,46 @@ pub enum WaitKind {
     /// `spin_until_all_ge`: waiting for *every* watched word to reach the
     /// epoch; the reported address is one that had not yet.
     AllGe(u32),
-    /// An opaque `spin_until` predicate (no target value recoverable).
-    Pred,
+}
+
+impl WaitKind {
+    /// Whether a watched word holding `v` satisfies the wait.
+    pub fn holds(self, v: u32) -> bool {
+        match self {
+            WaitKind::Eq(t) => v == t,
+            WaitKind::Ge(t) | WaitKind::AllGe(t) => v >= t,
+        }
+    }
+
+    /// One poll of the wait over `addrs`, reading each word with `load`.
+    /// `Ok` carries the wait's result — the satisfying value of an `Eq`/`Ge`
+    /// word, the epoch of an `AllGe` list — and `Err` the first watched word
+    /// that does not hold yet. An `AllGe` poll stops at that word.
+    pub fn probe(self, addrs: &[Addr], mut load: impl FnMut(Addr) -> u32) -> Result<u32, Addr> {
+        match self {
+            WaitKind::AllGe(epoch) => match addrs.iter().find(|&&a| !self.holds(load(a))) {
+                Some(&a) => Err(a),
+                None => Ok(epoch),
+            },
+            WaitKind::Eq(_) | WaitKind::Ge(_) => {
+                let a = self.word(addrs);
+                let v = load(a);
+                if self.holds(v) {
+                    Ok(v)
+                } else {
+                    Err(a)
+                }
+            }
+        }
+    }
+
+    /// The one word an `Eq`/`Ge` wait watches.
+    pub(crate) fn word(self, addrs: &[Addr]) -> Addr {
+        match addrs {
+            [a] => *a,
+            _ => panic!("a `{self}` wait watches one word, not {}", addrs.len()),
+        }
+    }
 }
 
 impl std::fmt::Display for WaitKind {
@@ -23,7 +65,6 @@ impl std::fmt::Display for WaitKind {
             WaitKind::Eq(v) => write!(f, "== {v}"),
             WaitKind::Ge(v) => write!(f, ">= {v}"),
             WaitKind::AllGe(v) => write!(f, "all >= {v}"),
-            WaitKind::Pred => write!(f, "<predicate>"),
         }
     }
 }
@@ -172,7 +213,30 @@ mod tests {
         assert_eq!(WaitKind::Eq(2).to_string(), "== 2");
         assert_eq!(WaitKind::Ge(3).to_string(), ">= 3");
         assert_eq!(WaitKind::AllGe(4).to_string(), "all >= 4");
-        assert_eq!(WaitKind::Pred.to_string(), "<predicate>");
+    }
+
+    #[test]
+    fn holds_at_the_ends_of_the_word() {
+        // Plain (non-modular) comparison: an epoch at u32::MAX is not
+        // reached by a word that wrapped to 0.
+        for kind in [WaitKind::Ge(0), WaitKind::AllGe(0)] {
+            assert!(kind.holds(0) && kind.holds(u32::MAX), "{kind}");
+        }
+        for kind in [WaitKind::Ge(u32::MAX), WaitKind::AllGe(u32::MAX)] {
+            assert!(kind.holds(u32::MAX) && !kind.holds(0), "{kind}");
+        }
+        assert!(WaitKind::Eq(0).holds(0) && !WaitKind::Eq(0).holds(u32::MAX));
+        assert!(WaitKind::Eq(u32::MAX).holds(u32::MAX) && !WaitKind::Eq(u32::MAX).holds(0));
+    }
+
+    #[test]
+    fn probe_returns_the_value_or_the_first_unmet_word() {
+        let mem = |a: Addr| [4, 5, 9][a as usize / 4];
+        assert_eq!(WaitKind::Ge(3).probe(&[8], mem), Ok(9));
+        assert_eq!(WaitKind::Eq(4).probe(&[4], mem), Err(4));
+        assert_eq!(WaitKind::AllGe(5).probe(&[0, 4, 8], mem), Err(0));
+        assert_eq!(WaitKind::AllGe(4).probe(&[0, 4, 8], mem), Ok(4));
+        assert_eq!(WaitKind::AllGe(7).probe(&[], mem), Ok(7));
     }
 
     #[test]

@@ -335,7 +335,7 @@ mod imp {
             let inner = rt.inner.borrow();
             (Arc::clone(&inner.shared), Arc::clone(&inner.body), inner.fibers.len())
         };
-        let ctx = SimThread::new_fiber(Arc::clone(&shared), tid, nthreads, NonNull::from(rt));
+        let ctx = SimThread::new(Arc::clone(&shared), tid, nthreads, Some(NonNull::from(rt)));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx)));
         let panic_msg = match result {
             Ok(()) => None,

@@ -61,7 +61,7 @@
 //!         if ctx.tid() == 0 {
 //!             ctx.store(flag, 1); // costs a local write
 //!         } else {
-//!             ctx.spin_until(flag, |v| v == 1); // blocks, then pays L_0
+//!             ctx.spin_until_eq(flag, 1); // blocks, then pays L_0
 //!         }
 //!     })
 //!     .unwrap();

@@ -72,7 +72,7 @@ struct Ctrl {
 ///             if ctx.tid() == 0 {
 ///                 ctx.store(flag, 1);
 ///             } else {
-///                 ctx.spin_until(flag, |v| v == 1);
+///                 ctx.spin_until_eq(flag, 1);
 ///             }
 ///         })
 ///         .unwrap();
@@ -207,7 +207,7 @@ fn worker_loop(index: usize, ctrl: &Ctrl) {
             }
         };
         let Episode { shared, body, participants } = job;
-        let ctx = SimThread::new(Arc::clone(&shared), index, participants);
+        let ctx = SimThread::new(Arc::clone(&shared), index, participants, None);
         let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
         let panic_msg = match result {
             Ok(()) => None,
@@ -309,7 +309,7 @@ mod tests {
             if prev == p - 1 {
                 ctx.store(flag, 1);
             } else {
-                ctx.spin_until(flag, |v| v == 1);
+                ctx.spin_until_eq(flag, 1);
             }
         }
     }
@@ -399,7 +399,7 @@ mod tests {
                 if ctx.tid() == 0 {
                     ctx.store(flag, 1);
                 } else {
-                    ctx.spin_until(flag, |v| v == 1);
+                    ctx.spin_until_eq(flag, 1);
                 }
             })
             .unwrap();

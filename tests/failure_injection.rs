@@ -56,7 +56,7 @@ fn lost_wakeup_is_reported_as_deadlock() {
 
 #[test]
 fn wrong_epoch_direction_deadlocks_not_hangs() {
-    // Waiting for a value that can only move away from the predicate.
+    // Waiting for a value the only writer never stores.
     let topo = Arc::new(Topology::preset(Platform::Kunpeng920));
     let mut arena = Arena::new();
     let flag = arena.alloc_padded_u32(128);
@@ -65,7 +65,7 @@ fn wrong_epoch_direction_deadlocks_not_hangs() {
             if ctx.tid() == 0 {
                 ctx.store(flag, 5);
             } else {
-                ctx.spin_until(flag, |v| v == 4 && v == 5); // unsatisfiable
+                ctx.spin_until_eq(flag, 4); // the writer stores 5: unsatisfiable
             }
         })
         .unwrap_err();
@@ -107,7 +107,7 @@ fn runaway_loop_hits_the_op_budget() {
                     ctx.fetch_add(flag, 2); // never produces an odd value
                 }
             } else {
-                ctx.spin_until(flag, |v| v % 2 == 1);
+                ctx.spin_until_eq(flag, 1); // never an odd value
             }
         })
         .unwrap_err();
