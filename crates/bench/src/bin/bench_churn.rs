@@ -12,6 +12,8 @@
 //! bench_churn [--out PATH] [--summary PATH]
 //! ```
 //!
+//! An unknown flag or a missing value prints the usage line and exits 2.
+//!
 //! Unlike `bench_sim`, this file is *informational* — CI publishes it in
 //! the non-blocking bench summary and never gates on it: churn throughput
 //! tracks boundary-commit cost, which the blocking `engine_ops_per_sec_*`
@@ -21,8 +23,8 @@
 
 use std::sync::Arc;
 
-use armbar_bench::best_pass;
 use armbar_bench::report::{self, Point};
+use armbar_bench::{best_pass, Args};
 use armbar_core::registry::AlgorithmId;
 use armbar_experiments::figs::churn::churn_run_ns;
 use armbar_topology::{Platform, Topology};
@@ -52,11 +54,7 @@ fn churn_point(id: AlgorithmId, p: usize, period: Option<u32>) -> Point {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value =
-        |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned());
-    let out = flag_value("--out").unwrap_or_else(|| "BENCH_churn.json".to_string());
-    let summary = flag_value("--summary");
+    let args = Args::from_env("bench_churn [--out PATH] [--summary PATH]");
 
     let mut points = Vec::new();
     for id in AlgorithmId::PHASERS {
@@ -65,5 +63,11 @@ fn main() {
         }
     }
     // Informational only — there is no gate flag on purpose.
-    report::write(&out, &points, "Phaser churn bench (non-blocking)", summary.as_deref(), None);
+    report::write(
+        args.value("--out").unwrap_or("BENCH_churn.json"),
+        &points,
+        "Phaser churn bench (non-blocking)",
+        args.value("--summary"),
+        None,
+    );
 }

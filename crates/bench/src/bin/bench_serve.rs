@@ -1,15 +1,19 @@
 //! Machine-readable serve throughput: `BENCH_serve.json`.
 //!
-//! Drives the seeded Zipf multi-tenant load (10k teams of 4 by default,
-//! heavy-tailed episode skew, 1% scripted connection drops) through a
-//! fresh [`armbar_serve::Registry`] and records aggregate episodes/sec,
-//! sampled episode-latency percentiles, and the per-shard episode balance.
+//! Drives the seeded Zipf multi-tenant load (10k teams of 4 and 3M
+//! episodes, or 2k teams and 400k episodes with `--quick`; Zipf s = 0.8
+//! episode skew, 1% scripted connection drops, 8 shards) through a fresh
+//! [`armbar_serve::Registry`] and records aggregate episodes/sec, sampled
+//! episode-latency percentiles, and the per-shard episode balance.
 //!
 //! ```text
-//! bench_serve [--quick] [--teams N] [--members N] [--episodes N]
-//!             [--shards N] [--seed N] [--zipf S] [--drop-frac F]
-//!             [--out PATH] [--summary PATH]
+//! bench_serve [--quick] [--out PATH] [--summary PATH]
 //! ```
+//!
+//! The load shape is fixed: the committed keys mean this workload, so a
+//! delta against them only means something for the same shape. Explore
+//! other shapes with `armbar serve`. An unknown flag or a missing value
+//! prints the usage line and exits 2.
 //!
 //! Same reporting conventions as `bench_sim`/`bench_churn`: one untimed
 //! warm-up run, then the best of several timed attempts, a delta versus
@@ -19,8 +23,8 @@
 //! untimed). The per-shard balance is reported as `max/min × 100` so it
 //! fits the integral-value JSON convention.
 
-use armbar_bench::best_pass;
 use armbar_bench::report::{self, Point};
+use armbar_bench::{best_pass, Args};
 use armbar_serve::{run_load, summary_text, LoadConfig};
 
 /// Timed attempts; best throughput wins (outcomes are identical across
@@ -28,28 +32,19 @@ use armbar_serve::{run_load, summary_text, LoadConfig};
 const ATTEMPTS: u32 = 3;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value =
-        |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned());
-    let parse = |flag: &str, default: f64| -> f64 {
-        flag_value(flag)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("bad {flag} value: {v:?}")))
-            .unwrap_or(default)
-    };
-    let quick = args.iter().any(|a| a == "--quick");
-    let (d_teams, d_episodes) = if quick { (2_000.0, 400_000.0) } else { (10_000.0, 3_000_000.0) };
+    let args = Args::from_env("bench_serve [--quick] [--out PATH] [--summary PATH]");
+    let (teams, episodes) =
+        if args.has("--quick") { (2_000, 400_000) } else { (10_000, 3_000_000) };
     let cfg = LoadConfig {
-        teams: parse("--teams", d_teams) as usize,
-        members: parse("--members", 4.0) as usize,
-        episodes: parse("--episodes", d_episodes) as u64,
-        shards: parse("--shards", 8.0) as usize,
-        zipf: parse("--zipf", 0.8),
-        drop_frac: parse("--drop-frac", 0.01),
-        seed: parse("--seed", 0xBA5E as f64) as u64,
+        teams,
+        members: 4,
+        episodes,
+        shards: 8,
+        zipf: 0.8,
+        drop_frac: 0.01,
+        seed: 0xBA5E,
         ..LoadConfig::default()
     };
-    let out = flag_value("--out").unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let summary = flag_value("--summary");
 
     let one_run = |_| {
         let report = run_load(&cfg);
@@ -70,5 +65,11 @@ fn main() {
         Point::new("serve_shard_balance_x100", report.shard_balance() * 100.0),
         Point::new("serve_teams", report.outcomes.len() as f64),
     ];
-    report::write(&out, &points, "Serve load bench (non-gating)", summary.as_deref(), None);
+    report::write(
+        args.value("--out").unwrap_or("BENCH_serve.json"),
+        &points,
+        "Serve load bench (non-gating)",
+        args.value("--summary"),
+        None,
+    );
 }

@@ -13,6 +13,8 @@
 //! bench_sim [--out PATH] [--gate-drop-pct N] [--summary PATH]
 //! ```
 //!
+//! An unknown flag or a missing value prints the usage line and exits 2.
+//!
 //! `--gate-drop-pct N` turns the run into a perf gate: after writing the
 //! JSON, the process exits nonzero if any `engine_ops_per_sec_*` key
 //! dropped more than N% against the committed file (wall-clock keys are
@@ -31,8 +33,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use armbar_bench::best_pass;
 use armbar_bench::report::{self, Gate, Point};
+use armbar_bench::{best_pass, Args};
 use armbar_core::env::Barrier;
 use armbar_core::registry::AlgorithmId;
 use armbar_experiments::{Scale, SUITES};
@@ -114,18 +116,14 @@ fn quick_experiments_secs() -> Vec<Point> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value =
-        |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned());
-    let out = flag_value("--out").unwrap_or_else(|| "BENCH_sim.json".to_string());
-    let gate = flag_value("--gate-drop-pct").map(|s| Gate {
+    let args = Args::from_env("bench_sim [--out PATH] [--gate-drop-pct N] [--summary PATH]");
+    let out = args.value("--out").unwrap_or("BENCH_sim.json");
+    let gate = args.value("--gate-drop-pct").map(|s| Gate {
         prefix: "engine_ops_per_sec_",
-        max_drop_pct: s.parse().unwrap_or_else(|_| {
-            eprintln!("error: bad --gate-drop-pct value {s:?}");
-            std::process::exit(2);
-        }),
+        max_drop_pct: s
+            .parse()
+            .unwrap_or_else(|_| args.fail(&format!("bad --gate-drop-pct {s:?}"))),
     });
-    let summary = flag_value("--summary");
 
     let mut points = Vec::new();
     for id in [AlgorithmId::Sense, AlgorithmId::Stour] {
@@ -151,7 +149,7 @@ fn main() {
     }
     points.extend(quick_experiments_secs());
 
-    if !report::write(&out, &points, "Simulator perf gate", summary.as_deref(), gate) {
+    if !report::write(out, &points, "Simulator perf gate", args.value("--summary"), gate) {
         std::process::exit(1);
     }
 }

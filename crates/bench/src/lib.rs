@@ -1,56 +1,83 @@
-//! # armbar-bench — Criterion benchmark harnesses
+//! # armbar-bench — the BENCH file writers
 //!
-//! Four benchmark suites:
+//! Four binaries write the committed BENCH files through the one
+//! [`report`] writer, each timing its workload with [`best_pass`] and
+//! reading its command line with [`Args`]:
 //!
-//! * `algorithms` — simulated per-episode overhead of every algorithm at
-//!   the paper's anchor points (Figures 5–7): the benchmark measures the
-//!   wall-clock of a deterministic simulation whose *virtual* time is the
-//!   paper's metric; each run also prints the virtual overhead so the
-//!   criterion report doubles as a figure regeneration.
-//! * `optimizations` — the Figure 11/12/13 configuration space (padding ×
-//!   fan-in × wake-up).
-//! * `host_backend` — real-thread barrier episodes on the host (small
-//!   thread counts; this is the library-as-a-product benchmark).
-//! * `simulator` — engine throughput (ops/second) so regressions in the
-//!   DES core are caught independently of the modeled numbers.
-//!
-//! Alongside the Criterion suites, three binaries write the committed
-//! BENCH files through the one [`report`] writer: `bench_sim`
-//! (`BENCH_sim.json`, the blocking engine-throughput gate), `bench_churn`
-//! (`BENCH_churn.json`) and `bench_serve` (`BENCH_serve.json`). All three
-//! time their workload with [`best_pass`].
-//!
-//! Helpers shared by the suites live here.
+//! * `bench_sim` — `BENCH_sim.json`: simulator engine throughput (the
+//!   blocking `engine_ops_per_sec_*` gate) and the quick-suite wall time;
+//! * `bench_churn` — `BENCH_churn.json`: phaser episode throughput under
+//!   membership churn;
+//! * `bench_serve` — `BENCH_serve.json`: the multi-tenant serve load;
+//! * `bench_host` — `BENCH_host.json`: barrier overhead on real host
+//!   atomics, by the EPCC method.
 
 pub mod report;
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use armbar_core::prelude::*;
-use armbar_epcc::{sim_overhead_of, OverheadConfig};
-use armbar_simcoh::Arena;
-use armbar_topology::{Platform, Topology};
-
-/// Builds a barrier + topology pair ready for simulation runs.
-pub fn build(platform: Platform, p: usize, id: AlgorithmId) -> (Arc<Topology>, Arc<dyn Barrier>) {
-    let topo = Arc::new(Topology::preset(platform));
-    let mut arena = Arena::new();
-    let barrier: Arc<dyn Barrier> = Arc::from(id.build(&mut arena, p, &topo));
-    (topo, barrier)
+/// A BENCH writer's command line, parsed strictly against its usage line:
+/// `[--flag]` declares a switch and `[--flag VALUE]` a flag taking one
+/// value. An unknown flag or a missing value prints the usage line and
+/// exits 2, as `all_experiments` does, so a typo never runs a different
+/// (or an ungated) bench and exits 0.
+#[derive(Debug)]
+pub struct Args {
+    usage: &'static str,
+    given: Vec<(String, Option<String>)>,
 }
 
-/// One simulated overhead measurement with bench-friendly defaults
-/// (fewer episodes than the experiment pipelines — criterion already
-/// repeats).
-pub fn sim_once(topo: &Arc<Topology>, p: usize, barrier: Arc<dyn Barrier>) -> f64 {
-    sim_overhead_of(
-        topo,
-        p,
-        barrier,
-        OverheadConfig { warmup: 2, episodes: 10, delay_ns: 100.0, seed: 7 },
-    )
-    .expect("simulation failed")
+impl Args {
+    /// Parses the process arguments against `usage`
+    /// (e.g. `"bench_host [--out PATH] [--summary PATH]"`).
+    pub fn from_env(usage: &'static str) -> Args {
+        Self::parse(usage, std::env::args().skip(1)).unwrap_or_else(|e| usage_exit(usage, &e))
+    }
+
+    fn parse(usage: &'static str, args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        // Each `[...]` group of the usage line: the flag, then whether a
+        // value placeholder follows it.
+        let declared: Vec<(&str, bool)> = usage
+            .split('[')
+            .skip(1)
+            .filter_map(|group| {
+                let mut words = group.split(']').next()?.split_whitespace();
+                Some((words.next()?, words.next().is_some()))
+            })
+            .collect();
+        let mut args = args.into_iter();
+        let mut given = Vec::new();
+        while let Some(flag) = args.next() {
+            let value = match declared.iter().find(|(name, _)| *name == flag) {
+                None => return Err(format!("unknown flag {flag:?}")),
+                Some((_, false)) => None,
+                Some((_, true)) => Some(args.next().ok_or(format!("{flag} needs a value"))?),
+            };
+            given.push((flag, value));
+        }
+        Ok(Args { usage, given })
+    }
+
+    /// Whether switch `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|(name, _)| name == flag)
+    }
+
+    /// The value of `flag` (the last one, if repeated).
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.given.iter().rev().find(|(name, _)| name == flag).and_then(|(_, v)| v.as_deref())
+    }
+
+    /// Reports a bad flag value: prints `error` and the usage line, exits 2.
+    pub fn fail(&self, error: &str) -> ! {
+        usage_exit(self.usage, error)
+    }
+}
+
+fn usage_exit(usage: &str, error: &str) -> ! {
+    eprintln!("error: {error}");
+    eprintln!("usage: {usage}");
+    std::process::exit(2);
 }
 
 /// The measurement loop every BENCH writer shares. `rep(r)` runs seeded
@@ -87,12 +114,21 @@ pub fn best_pass<T>(
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse(
+            "bench_serve [--quick] [--out PATH] [--summary PATH]",
+            args.iter().map(|a| a.to_string()),
+        )
+    }
+
     #[test]
-    fn helpers_run_every_algorithm() {
-        for id in [AlgorithmId::Sense, AlgorithmId::Optimized] {
-            let (topo, b) = build(Platform::ThunderX2, 16, id);
-            assert!(sim_once(&topo, 16, b) > 0.0);
-        }
+    fn args_refuse_unknown_flags_and_missing_values() {
+        assert_eq!(parse(&["--ouut", "x.json"]).unwrap_err(), "unknown flag \"--ouut\"");
+        assert_eq!(parse(&["--quick", "--out"]).unwrap_err(), "--out needs a value");
+        let args = parse(&["--quick", "--out", "x.json"]).unwrap();
+        assert!(args.has("--quick"));
+        assert_eq!(args.value("--out"), Some("x.json"));
+        assert_eq!(args.value("--summary"), None);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The one BENCH JSON writer behind `BENCH_sim.json`, `BENCH_churn.json`
-//! and `BENCH_serve.json`.
+//! The one BENCH JSON writer behind `BENCH_sim.json`, `BENCH_churn.json`,
+//! `BENCH_serve.json` and `BENCH_host.json`.
 //!
 //! Document shape:
 //!
@@ -290,6 +290,7 @@ mod tests {
             include_str!("../../../BENCH_sim.json"),
             include_str!("../../../BENCH_churn.json"),
             include_str!("../../../BENCH_serve.json"),
+            include_str!("../../../BENCH_host.json"),
         ] {
             let points = benches(committed);
             assert!(!points.is_empty());

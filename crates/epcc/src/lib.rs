@@ -27,8 +27,8 @@ pub mod summary;
 
 pub use episodes::{trace_episodes, EpisodeTrace};
 pub use overhead::{
-    host_overhead_ns, repeat_sim, repeat_sim_of, repeat_sim_of_on, repeat_sim_on, sim_overhead_ns,
-    sim_overhead_of, OverheadConfig, SEED_STRIDE,
+    host_overhead_ns, host_overhead_of, repeat_sim, repeat_sim_of, repeat_sim_of_on, repeat_sim_on,
+    sim_overhead_ns, sim_overhead_of, OverheadConfig, SEED_STRIDE,
 };
 pub use phases::{phase_breakdown, PhaseBreakdown};
 pub use pingpong::{latency_table, measure_latency_ns, LatencyRow};

@@ -17,12 +17,12 @@
 //! runs on its sweep worker's ambient `armbar_simcoh::SimTeam`, which
 //! spawns the P simulated-thread workers once and reuses them across
 //! episodes (no call-site changes here — `SimBuilder::run` routes through
-//! the team; `ARMBAR_SIM_TEAM=0` restores spawn-per-episode).
+//! the team).
 
 use std::sync::Arc;
 
 use armbar_core::env::{Barrier, MemCtx};
-use armbar_core::host::HostMem;
+use armbar_core::host::{HostCtx, HostMem};
 use armbar_core::registry::AlgorithmId;
 use armbar_simcoh::{Arena, SimBuilder, SimError};
 use armbar_sweep::{Job, SweepPool};
@@ -181,43 +181,54 @@ pub fn repeat_sim_of_on(
 }
 
 /// Host-backend overhead of `algorithm` with `p` real threads, in ns per
-/// episode. Subject to real scheduler noise; intended for laptop-scale
-/// sanity checks and the examples, not for reproducing the paper's
-/// figures (that is the simulator's job).
+/// episode. Subject to real scheduler noise; `bench_host` records it in
+/// `BENCH_host.json`, informationally, at small thread counts. Reproducing
+/// the paper's figures is the simulator's job.
+///
+/// Builds the barrier on the Phytium 2000+ preset (its cache-line size and
+/// cluster tree shape the layout) and measures it with
+/// [`host_overhead_of`].
+pub fn host_overhead_ns(p: usize, algorithm: AlgorithmId, cfg: OverheadConfig) -> f64 {
+    let topo = Topology::preset(armbar_topology::Platform::Phytium2000Plus);
+    let mut arena = Arena::new();
+    let barrier = algorithm.build(&mut arena, p, &topo);
+    host_overhead_of(p, &HostMem::new(&arena), |ctx| barrier.wait(ctx), cfg)
+}
+
+/// Host-backend overhead of `wait` with `p` real threads over `mem`, in ns
+/// per episode, averaged over the threads. `wait` is one episode of the
+/// construct under test (a plain or a wrapped barrier built in `mem`'s
+/// arena).
 ///
 /// Follows the same EPCC protocol as [`sim_overhead_of`]: each measured
-/// episode is `work(delay_ns); barrier()`, and the cost of the work term
+/// episode is `work(delay_ns); wait()`, and the cost of the work term
 /// is removed by timing the work-only reference loop and subtracting it —
 /// so host and simulator numbers answer the same question. Host-backend
 /// measurements are wall-clock-sensitive and must never share the machine
 /// with a busy sweep pool; callers embedding this in a sweep use
 /// `armbar_sweep::Job::serial`.
-pub fn host_overhead_ns(p: usize, algorithm: AlgorithmId, cfg: OverheadConfig) -> f64 {
-    let topo = Topology::preset(armbar_topology::Platform::Phytium2000Plus);
-    let mut arena = Arena::new();
-    let barrier: Arc<dyn Barrier> = Arc::from(algorithm.build(&mut arena, p, &topo));
-    let mem = HostMem::new(&arena);
-
+pub fn host_overhead_of(
+    p: usize,
+    mem: &Arc<HostMem>,
+    wait: impl Fn(&HostCtx) + Sync,
+    cfg: OverheadConfig,
+) -> f64 {
     let start_gate = std::sync::Barrier::new(p);
-    let mut overhead_ns = vec![0.0f64; p];
-
-    std::thread::scope(|s| {
+    let per_thread: Vec<f64> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..p)
             .map(|tid| {
-                let mem = Arc::clone(&mem);
-                let barrier = Arc::clone(&barrier);
-                let gate = &start_gate;
+                let (wait, gate) = (&wait, &start_gate);
                 s.spawn(move || {
                     let ctx = mem.ctx(tid, p);
                     gate.wait();
                     for _ in 0..cfg.warmup {
                         ctx.compute_ns(cfg.delay_ns);
-                        barrier.wait(&ctx);
+                        wait(&ctx);
                     }
                     let t0 = std::time::Instant::now();
                     for _ in 0..cfg.episodes {
                         ctx.compute_ns(cfg.delay_ns);
-                        barrier.wait(&ctx);
+                        wait(&ctx);
                     }
                     let combined = t0.elapsed();
                     // EPCC reference loop: the same work without the
@@ -231,17 +242,15 @@ pub fn host_overhead_ns(p: usize, algorithm: AlgorithmId, cfg: OverheadConfig) -
                 })
             })
             .collect();
-        for (tid, h) in handles.into_iter().enumerate() {
-            overhead_ns[tid] = h.join().expect("worker panicked");
-        }
+        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
     });
-
-    overhead_ns.iter().copied().sum::<f64>() / p as f64
+    per_thread.iter().sum::<f64>() / p as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use armbar_core::robust::{RobustBarrier, RobustConfig};
     use armbar_topology::Platform;
 
     fn topo(p: Platform) -> Arc<Topology> {
@@ -317,19 +326,42 @@ mod tests {
         // (no oversubscription): the compute delay must actually execute
         // (lower-bounds the wall time) and the reference subtraction must
         // cancel it (the reported overhead is the barrier cost alone, far
-        // below one delay).
+        // below one delay). The robust case runs the same OPT barrier
+        // through `RobustBarrier::wait`, as `bench_host` does.
         let delay_ns = 500_000.0; // 0.5 ms dwarfs a 1-thread barrier
         let cfg = OverheadConfig { warmup: 2, episodes: 10, delay_ns, ..Default::default() };
-        let t0 = std::time::Instant::now();
-        let o = host_overhead_ns(1, AlgorithmId::Optimized, cfg);
-        let elapsed = t0.elapsed();
-        // warmup + measured + reference loops each run the delay.
-        let work_floor = std::time::Duration::from_nanos(
-            ((cfg.warmup + 2 * cfg.episodes) as f64 * delay_ns) as u64,
-        );
-        assert!(elapsed >= work_floor, "work term skipped: {elapsed:?} < {work_floor:?}");
-        assert!(o >= 0.0);
-        assert!(o < delay_ns, "work term leaked into the overhead: {o}");
+        let robust_opt = |cfg| {
+            let topo = Topology::preset(Platform::Phytium2000Plus);
+            let mut arena = Arena::new();
+            let inner = AlgorithmId::Optimized.build(&mut arena, 1, &topo);
+            let robust = RobustBarrier::new(
+                &mut arena,
+                topo.cacheline_bytes(),
+                inner,
+                RobustConfig::default(),
+            );
+            let wait = |ctx: &HostCtx| robust.wait(ctx).expect("healthy episode");
+            host_overhead_of(1, &HostMem::new(&arena), wait, cfg)
+        };
+        let cases: [(&str, &dyn Fn(OverheadConfig) -> f64); 2] = [
+            ("OPT", &|cfg| host_overhead_ns(1, AlgorithmId::Optimized, cfg)),
+            ("robust OPT", &robust_opt),
+        ];
+        for (name, measure) in cases {
+            let t0 = std::time::Instant::now();
+            let o = measure(cfg);
+            let elapsed = t0.elapsed();
+            // warmup + measured + reference loops each run the delay.
+            let work_floor = std::time::Duration::from_nanos(
+                ((cfg.warmup + 2 * cfg.episodes) as f64 * delay_ns) as u64,
+            );
+            assert!(
+                elapsed >= work_floor,
+                "{name}: work term skipped: {elapsed:?} < {work_floor:?}"
+            );
+            assert!(o >= 0.0);
+            assert!(o < delay_ns, "{name}: work term leaked into the overhead: {o}");
+        }
     }
 
     #[test]

@@ -1128,8 +1128,7 @@ impl SimBuilder {
     /// run statistics, or an error on deadlock / live-lock / panic.
     ///
     /// Episodes execute on a per-host-thread ambient [`crate::SimTeam`]
-    /// whose workers are reused across calls; set `ARMBAR_SIM_TEAM=0` to
-    /// spawn fresh workers per run instead (results are identical).
+    /// whose workers are reused across calls.
     pub fn run(
         self,
         body: impl Fn(&SimThread) + Send + Sync + 'static,

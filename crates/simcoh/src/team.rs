@@ -16,9 +16,7 @@
 //!
 //! [`SimBuilder::run`] routes through a per-host-thread *ambient* team
 //! automatically, so `epcc`, the experiments runner, the fault harness and
-//! the tracing CLI all reuse workers without any call-site changes. Set
-//! `ARMBAR_SIM_TEAM=0` to disable reuse (fresh workers per run; results are
-//! byte-identical either way).
+//! the tracing CLI all reuse workers without any call-site changes.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -235,15 +233,6 @@ thread_local! {
     static AMBIENT_TEAM: RefCell<Option<SimTeam>> = const { RefCell::new(None) };
 }
 
-/// `ARMBAR_SIM_TEAM=0` (or `off`) disables ambient worker reuse. Read once:
-/// flipping it mid-process would silently mix execution modes.
-fn team_reuse_disabled() -> bool {
-    static DISABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DISABLED.get_or_init(|| {
-        std::env::var("ARMBAR_SIM_TEAM").is_ok_and(|v| v == "0" || v.eq_ignore_ascii_case("off"))
-    })
-}
-
 /// Entry point for [`SimBuilder::run`]: reuses (or creates) the calling
 /// thread's ambient team. The team is taken out of the slot for the duration
 /// of the run, so a simulated body that itself launches simulations (from
@@ -257,10 +246,6 @@ pub(crate) fn run_with_ambient_team(
     // explicit `SimTeam::run` calls always use OS threads.
     if crate::fiber::fibers_enabled() {
         return crate::fiber::run_on_fibers(builder, body);
-    }
-    if team_reuse_disabled() {
-        let mut team = SimTeam::new(builder.nthreads);
-        return team.run_arc(builder, body);
     }
     let mut team = AMBIENT_TEAM
         .with(|cell| {
