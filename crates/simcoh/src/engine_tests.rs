@@ -324,7 +324,7 @@ fn policy_mode_matches_default_with_min_time_policy() {
 struct ReversePolicy;
 
 impl SchedulePolicy for ReversePolicy {
-    fn pick(&mut self, ready: &[ReadyOp], _min: Option<(f64, usize)>) -> ScheduleDecision {
+    fn pick(&mut self, ready: &[ReadyOp]) -> ScheduleDecision {
         ScheduleDecision::Run(ready.len() - 1)
     }
 }
@@ -349,7 +349,7 @@ struct DelayOncePolicy {
 }
 
 impl SchedulePolicy for DelayOncePolicy {
-    fn pick(&mut self, ready: &[ReadyOp], min: Option<(f64, usize)>) -> ScheduleDecision {
+    fn pick(&mut self, ready: &[ReadyOp]) -> ScheduleDecision {
         if self.delays_left > 0 {
             if let Some(i) =
                 ready.iter().position(|r| matches!(r.kind, crate::schedule::ReadyOpKind::Write))
@@ -358,7 +358,7 @@ impl SchedulePolicy for DelayOncePolicy {
                 return ScheduleDecision::Delay { index: i, ns: 250.0 };
             }
         }
-        MinTimePolicy.pick(ready, min)
+        MinTimePolicy.pick(ready)
     }
 }
 
@@ -387,9 +387,8 @@ fn injected_delays_change_the_schedule_but_not_the_outcome() {
 struct MisbehavingPolicy;
 
 impl SchedulePolicy for MisbehavingPolicy {
-    fn pick(&mut self, ready: &[ReadyOp], _min: Option<(f64, usize)>) -> ScheduleDecision {
-        // Out-of-range index and, via Wait-with-nobody-running at episode
-        // start, an unservable stall request.
+    fn pick(&mut self, ready: &[ReadyOp]) -> ScheduleDecision {
+        // An out-of-range index, or a NaN delay.
         if ready.len().is_multiple_of(2) {
             ScheduleDecision::Run(usize::MAX)
         } else {

@@ -133,31 +133,25 @@ pub enum ScheduleDecision {
         /// Non-negative, finite delay in virtual ns.
         ns: f64,
     },
-    /// Process nothing: wait for a currently running thread to post its
-    /// next operation. Ignored (treated as "run the oldest") when no thread
-    /// is running, since waiting then would hang the engine.
-    Wait,
 }
 
 /// Chooses which ready operation the engine processes next.
 ///
 /// Installed per run via `SimBuilder::schedule_policy`. The engine protects
 /// itself against misbehaving policies: out-of-range indices and
-/// non-finite/negative delays fall back to the oldest ready op, and `Wait`
-/// with an empty running set is overridden — a policy can therefore bias
-/// the search but never wedge or crash the engine.
+/// non-finite/negative delays fall back to the oldest ready op — a policy
+/// can therefore bias the search but never wedge or crash the engine.
 pub trait SchedulePolicy: Send {
     /// Picks the next action given every ready operation, sorted by
-    /// `(time_ns, tid)`. `ready` is non-empty.
+    /// `(time_ns, tid)` (times compared with `total_cmp`). `ready` is
+    /// non-empty.
     ///
     /// The engine consults policies only at *settlement points* — no thread
     /// is executing user code, so the ready set is complete and canonical
-    /// (host scheduling cannot perturb it). `min_running` is therefore
-    /// `None` under the current engine; it carries the earliest running
-    /// thread's `(time_ns, tid)` key should a future engine relax the
-    /// settlement discipline, and policies should [`ScheduleDecision::Wait`]
-    /// when they want to defer to it.
-    fn pick(&mut self, ready: &[ReadyOp], min_running: Option<(f64, usize)>) -> ScheduleDecision;
+    /// (host scheduling cannot perturb it). The slice is the engine's own
+    /// ready list, which it keeps in this order as operations are posted,
+    /// so offering it costs nothing per decision.
+    fn pick(&mut self, ready: &[ReadyOp]) -> ScheduleDecision;
 
     /// Decides whether one relaxed operation takes its weak behavior.
     ///
@@ -171,38 +165,35 @@ pub trait SchedulePolicy: Send {
     }
 }
 
+/// The scheduler's order on ready ops: `(time, tid)`, times compared with
+/// `total_cmp` — the default heap's order exactly.
+pub(crate) fn ready_order(a: &ReadyOp, b: &ReadyOp) -> std::cmp::Ordering {
+    a.time_ns.total_cmp(&b.time_ns).then(a.tid.cmp(&b.tid))
+}
+
 /// Index of the oldest ready op — minimum `(time, tid)` key, matching the
 /// default heap order exactly.
 pub fn oldest_index(ready: &[ReadyOp]) -> usize {
     let mut best = 0;
     for (i, r) in ready.iter().enumerate().skip(1) {
-        let b = &ready[best];
-        if r.time_ns.total_cmp(&b.time_ns).then(r.tid.cmp(&b.tid)).is_lt() {
+        if ready_order(r, &ready[best]).is_lt() {
             best = i;
         }
     }
     best
 }
 
-/// Reference policy reproducing the engine's default order: run the oldest
-/// ready op exactly when the default scheduler would (its key not after the
-/// earliest running thread's key), otherwise wait. Exists to prove the
-/// policy-mode engine path is semantically identical to the default path —
-/// see the `policy_mode_matches_default` tests.
+/// Reference policy reproducing the engine's default order: always run the
+/// oldest ready op. Since the engine decides only when no thread runs, that
+/// is exactly the op the default scheduler would process next. Exists to
+/// prove the policy-mode engine path is semantically identical to the
+/// default path — see the `policy_mode_matches_default` tests.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinTimePolicy;
 
 impl SchedulePolicy for MinTimePolicy {
-    fn pick(&mut self, ready: &[ReadyOp], min_running: Option<(f64, usize)>) -> ScheduleDecision {
-        let i = oldest_index(ready);
-        match min_running {
-            Some((t, tid))
-                if ready[i].time_ns.total_cmp(&t).then(ready[i].tid.cmp(&tid)).is_gt() =>
-            {
-                ScheduleDecision::Wait
-            }
-            _ => ScheduleDecision::Run(i),
-        }
+    fn pick(&mut self, ready: &[ReadyOp]) -> ScheduleDecision {
+        ScheduleDecision::Run(oldest_index(ready))
     }
 }
 
@@ -222,14 +213,9 @@ mod tests {
     }
 
     #[test]
-    fn min_time_policy_defers_to_earlier_running_threads() {
+    fn min_time_policy_runs_the_oldest() {
         let mut p = MinTimePolicy;
-        let ready = [op(3, 10.0)];
-        assert_eq!(p.pick(&ready, None), ScheduleDecision::Run(0));
-        assert_eq!(p.pick(&ready, Some((20.0, 0))), ScheduleDecision::Run(0));
-        assert_eq!(p.pick(&ready, Some((5.0, 0))), ScheduleDecision::Wait);
-        // Equal time: the running thread's lower tid wins, like the heap.
-        assert_eq!(p.pick(&ready, Some((10.0, 1))), ScheduleDecision::Wait);
-        assert_eq!(p.pick(&ready, Some((10.0, 7))), ScheduleDecision::Run(0));
+        assert_eq!(p.pick(&[op(3, 10.0)]), ScheduleDecision::Run(0));
+        assert_eq!(p.pick(&[op(3, 10.0), op(1, 10.0), op(0, 12.0)]), ScheduleDecision::Run(1));
     }
 }
