@@ -4,8 +4,9 @@
 //! [`report`] writer, each timing its workload with [`best_pass`] and
 //! reading its command line with [`Args`]:
 //!
-//! * `bench_sim` — `BENCH_sim.json`: simulator engine throughput (the
-//!   blocking `engine_ops_per_sec_*` gate) and the quick-suite wall time;
+//! * `bench_sim` — `BENCH_sim.json`: simulator engine throughput on the
+//!   default heap path and on the schedule-policy path (the blocking
+//!   `engine_ops_per_sec_*` gate) and the quick-suite wall time;
 //! * `bench_churn` — `BENCH_churn.json`: phaser episode throughput under
 //!   membership churn;
 //! * `bench_serve` — `BENCH_serve.json`: the multi-tenant serve load;
