@@ -1,7 +1,7 @@
 //! Golden-file regression for the `armbar` CLI's structured output: the
 //! `trace` and `chaos` CSV formats, the `conform` tables (fixed, phaser,
-//! and weak JSON) and the fence report's shrunk reproducers are pinned
-//! byte-for-byte.
+//! and weak JSON), the fence report's shrunk reproducers and the `serve`
+//! tenant table are pinned byte-for-byte.
 //!
 //! Unlike `tests/golden_master.rs` (which pins the *model's numbers*
 //! through the library API), these tests pin the *CLI contract*: flag
@@ -166,4 +166,23 @@ fn fence_report_matches_committed_fixture_byte_for_byte() {
     let fresh = std::fs::read_to_string(&report).expect("the fence report was not written");
     let _ = std::fs::remove_file(&report);
     check_golden("golden_fences_sense_dis.md", &fresh);
+}
+
+/// The serve tenant table: every team's episodes, arrivals, proxy
+/// arrivals, drops, evictions and final status under a seeded plan with
+/// scripted connection drops.
+#[test]
+fn serve_csv_matches_committed_fixture_byte_for_byte() {
+    let fresh = armbar(&[
+        "serve",
+        "--teams",
+        "300",
+        "--episodes",
+        "30000",
+        "--drop-frac",
+        "0.1",
+        "--seed",
+        "0xD15C0",
+    ]);
+    check_golden("golden_serve_d15c0.csv", &fresh);
 }
