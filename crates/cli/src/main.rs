@@ -30,6 +30,10 @@ fn main() -> ExitCode {
         eprintln!("{}", cmds::USAGE);
         return ExitCode::FAILURE;
     };
+    if let Some(Err(e)) = cmds::check_args(cmd, rest) {
+        eprintln!("error: {e}\n{}", cmds::USAGE);
+        return ExitCode::from(2);
+    }
     let result = match cmd.as_str() {
         "platforms" => cmds::platforms(),
         "latency" => cmds::latency(rest),

@@ -58,6 +58,8 @@ mod litmus;
 pub mod phaser;
 pub mod report;
 mod search;
+#[cfg(test)]
+mod serve_script;
 
 pub use checker::{
     conform_matrix, conform_matrix_on, ConformCell, ConformConfig, Violation, ViolationKind,

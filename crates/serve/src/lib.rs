@@ -5,17 +5,20 @@
 //! inside one process, this crate synchronizes *connections*: members of a
 //! team attach through [`Team::connect`], arrive with [`Conn::arrive`],
 //! and block in [`Conn::wait`] until the whole team has arrived — with the
-//! `RobustBarrier`/`RobustPhaser` failure semantics (timeout eviction,
-//! poisoning, dynamic membership) carried over to the connection world.
+//! `RobustPhaser` failure semantics (timeout eviction, poisoning, dynamic
+//! membership) carried over to the connection world.
 //!
-//! The performance story, in the paper's terms:
+//! The membership protocol is not this crate's: every [`Team`] is an
+//! `armbar_core` PH-CTR phaser (`CentralPhaser`) in a packed host arena of
+//! its own, the implementation the conformance checker searches. What
+//! this crate adds, in the paper's terms:
 //!
 //! * **sharded registry** ([`Registry`]) — team ownership is split over
 //!   independent shards by a stable FNV-1a name hash; tenant churn and
 //!   lookups never take a global lock;
-//! * **batched arrivals** ([`Team`]) — one epoch-stamped arrival word per
-//!   team (the phaser `(epoch << 12) | count` encoding), so N arrivals are
-//!   N fetch-adds on one line, and the boundary costs one commit;
+//! * **batched arrivals** ([`Team`]) — N member arrivals are N fetch-adds
+//!   on the phaser's one arrival counter, and the filling one commits the
+//!   boundary inline;
 //! * **batched, backpressure-aware wakeups** ([`registry::ShardWake`]) —
 //!   releases flush through the owning shard, eliding the broadcast when
 //!   nobody is parked and coalescing co-shard releases into one notify.

@@ -19,12 +19,13 @@
 //!
 //! Episode drive is split-phase, the shape a batching server actually
 //! sees: the worker fires all of a team's arrivals back-to-back (N
-//! fetch-adds on the team's batch word), the filling arrival commits and
+//! fetch-adds on the team's arrival counter), the filling arrival commits and
 //! flushes, and the trailing waits are satisfied reads. Cross-team
 //! blocking still happens whenever drops and evictions reshape a team.
 
 use std::time::{Duration, Instant};
 
+use armbar_core::phaser::EPOCH_LIMIT;
 use armbar_faults::{ChurnPlan, Scenario};
 use armbar_simcoh::rng::SplitMix64;
 
@@ -156,9 +157,9 @@ pub fn plan(cfg: &LoadConfig) -> Vec<TeamPlan> {
         let idx = cumulative.partition_point(|&c| c <= r).min(cfg.teams - 1);
         episodes[idx] += 1;
     }
-    // The batch word carries a 20-bit epoch; a run must stay far below it.
+    // A team's phaser commits at most `EPOCH_LIMIT` epochs.
     let top = episodes.iter().copied().max().unwrap_or(0);
-    assert!(top < (1 << 20) - 2, "hottest team would exhaust its epoch space ({top} episodes)");
+    assert!(top < EPOCH_LIMIT, "hottest team would exhaust its epoch space ({top} episodes)");
     episodes
         .into_iter()
         .enumerate()
