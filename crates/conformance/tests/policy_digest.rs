@@ -22,8 +22,10 @@ use armbar_simcoh::stats::{OpKind, RunStats};
 use armbar_simcoh::{Arena, SimBuilder, SimError};
 use armbar_topology::{Platform, Topology};
 
-/// The digest of [`trials`] under [`ExplorerPolicy`].
-const PINNED: u64 = 0xC996_2B18_C20A_4EB4;
+/// The digest of [`trials`] under [`ExplorerPolicy`]. It moved once, on
+/// purpose: PH-TREE's `arrive` now loads the membership word before the
+/// eviction report, as PH-CTR's does (it was 0xC996_2B18_C20A_4EB4).
+const PINNED: u64 = 0x71F5_A9AD_E317_8B0F;
 /// The digest of [`central_trials`] under [`ExplorerPolicy`]. It moved
 /// once, on purpose: PH-CTR's `arrive` now loads the membership word
 /// before the eviction report (it was 0xFEFD_7296_7D10_1F15 before).

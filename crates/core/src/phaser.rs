@@ -613,6 +613,13 @@ impl CentralPhaser {
     pub fn completed<C: MemCtx + ?Sized>(&self, ctx: &C) -> u32 {
         ctx.load(self.slots.release())
     }
+
+    /// `slot`'s arrival ledger: the last epoch counted for it, by itself
+    /// or by a proxy (0 before its first). A slot that is a member from
+    /// epoch 1 and never rejoins has exactly this many counted arrivals.
+    pub fn last_arrived<C: MemCtx + ?Sized>(&self, ctx: &C, slot: usize) -> u32 {
+        ctx.load(self.slots.last_arrived_of(slot))
+    }
 }
 
 impl Phaser for CentralPhaser {
@@ -761,9 +768,10 @@ impl Phaser for TreePhaser {
     }
 
     fn arrive(&self, ctx: &dyn MemCtx) -> Result<u32, BarrierError> {
-        self.slots.take_eviction(ctx)?;
         let slot = ctx.tid();
+        // Word first, report second, as in `CentralPhaser::arrive_claim`.
         let (epoch, count) = self.slots.decode(ctx);
+        self.slots.take_eviction(ctx)?;
         if ctx.load(self.slots.last_arrived_of(slot)) >= epoch {
             return Ok(epoch); // re-entry: this epoch's arrival is counted
         }
@@ -1237,45 +1245,75 @@ mod tests {
         assert!(commit_at(EPOCH_LIMIT).is_err(), "publishing past the field must panic");
     }
 
+    /// Runs `pause` once, right after the first load through it: the
+    /// window between the first two loads of a victim's `arrive`.
+    struct PauseAfterFirstLoad<'a> {
+        inner: &'a dyn MemCtx,
+        pause: std::cell::Cell<Option<Box<dyn FnOnce() + 'a>>>,
+    }
+
+    impl<'a> PauseAfterFirstLoad<'a> {
+        fn new(inner: &'a dyn MemCtx, pause: impl FnOnce() + 'a) -> Self {
+            Self { inner, pause: Some(Box::new(pause) as _).into() }
+        }
+    }
+
+    impl crate::env::MemLayer for PauseAfterFirstLoad<'_> {
+        fn inner(&self) -> &dyn MemCtx {
+            self.inner
+        }
+        fn load(&self, addr: Addr) -> u32 {
+            let value = self.inner.load(addr);
+            if let Some(pause) = self.pause.take() {
+                pause();
+            }
+            value
+        }
+    }
+
     #[test]
     fn an_eviction_inside_arrive_keeps_the_victim_out_of_the_next_epoch() {
         // The victim pauses after the first load of its `arrive` while the
         // survivor evicts it, proxies it and fills epoch 1. The victim must
         // then report its eviction, not count itself into epoch 2, whose
         // only member is the survivor.
-        struct PauseAfterFirstLoad<'a> {
-            inner: &'a dyn MemCtx,
-            pause: std::cell::Cell<Option<Box<dyn FnOnce() + 'a>>>,
-        }
-        impl crate::env::MemLayer for PauseAfterFirstLoad<'_> {
-            fn inner(&self) -> &dyn MemCtx {
-                self.inner
-            }
-            fn load(&self, addr: Addr) -> u32 {
-                let value = self.inner.load(addr);
-                if let Some(pause) = self.pause.take() {
-                    pause();
-                }
-                value
-            }
-        }
         let mut arena = Arena::new();
         let ph = CentralPhaser::packed(&mut arena, 2);
         let mem = crate::host::HostMem::new(&arena);
         let (survivor, victim) = (mem.ctx(0, 2), mem.ctx(1, 2));
-        let evict_and_fill = || {
+        let paused = PauseAfterFirstLoad::new(&victim, || {
             assert_eq!(ph.evict_claim(&survivor, 1, 1), Some(Claim::Counted));
             assert_eq!(ph.arrive_claim(&survivor).unwrap(), (1, Claim::Committed));
-        };
-        let paused = PauseAfterFirstLoad {
-            inner: &victim,
-            pause: Some(Box::new(evict_and_fill) as _).into(),
-        };
+        });
         let got = ph.arrive_claim(&paused as &dyn MemCtx);
         assert!(matches!(got, Err(BarrierError::Evicted { tid: 1, episode: 1 })), "got {got:?}");
         assert_eq!(
             (ph.epoch(&survivor), ph.members(&survivor), ph.completed(&survivor)),
             (2, 1, 1)
         );
+    }
+
+    #[test]
+    fn an_eviction_inside_a_tree_arrive_keeps_the_victim_out_of_the_next_epoch() {
+        // PH-TREE's form of the test above: the victim is the leaf rank 1,
+        // so the survivor (rank 0) can evict it, proxy its propagation and
+        // commit epoch 1 while the victim is paused inside `arrive`.
+        let t = topo();
+        let mut arena = Arena::new();
+        let ph = TreePhaser::new(&mut arena, 2, 2, &t);
+        let mem = crate::host::HostMem::new(&arena);
+        let (survivor, victim) = (mem.ctx(0, 2), mem.ctx(1, 2));
+        let paused = PauseAfterFirstLoad::new(&victim, || {
+            assert!(ph.evict(&survivor, 1, 1));
+            assert_eq!(ph.arrive(&survivor).unwrap(), 1);
+        });
+        let got = ph.arrive(&paused);
+        assert!(matches!(got, Err(BarrierError::Evicted { tid: 1, episode: 1 })), "got {got:?}");
+        assert_eq!(
+            (ph.epoch(&survivor), ph.members(&survivor), survivor.load(ph.slots.release())),
+            (2, 1, 1)
+        );
+        // Nothing propagated into epoch 2's tree: the root's counter is clear.
+        assert_eq!(survivor.load(ph.counter_addr(0)), 0);
     }
 }

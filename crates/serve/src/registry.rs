@@ -31,9 +31,22 @@
 //! acquires it, and with it the release. Coalescing works the same way
 //! through the swaps on `pending` (DESIGN.md §16). Timed park slices bound
 //! any window the argument misses.
+//!
+//! ## Counting the flushes
+//!
+//! Only the slow paths count: a broadcast bumps `flushes` and a skipped
+//! one `coalesced`. An elided flush — the fast path, once per commit while
+//! nobody is parked — pays nothing beyond its `parked` read:
+//! [`Registry::wake_stats`] derives `elided` as the shard's commits minus
+//! the other two. A shard's commits are its teams' committed boundaries
+//! plus those of the teams `sweep_retired` reclaimed, folded in under the
+//! shard lock. A poison broadcast wakes waiters but commits nothing, so
+//! it counts in neither.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
+use std::sync::atomic::{
+    AtomicU32, AtomicU64, Ordering::Acquire, Ordering::Release, Ordering::SeqCst,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -53,12 +66,14 @@ pub fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// Aggregated wakeup-path counters across all shards.
+/// Aggregated wakeup-path counters across all shards. Every boundary
+/// commit is exactly one of the three.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WakeStats {
-    /// Condvar broadcasts actually issued.
+    /// Condvar broadcasts issued for commits (poison broadcasts excluded).
     pub flushes: u64,
-    /// Flushes skipped because no waiter was parked on the shard.
+    /// Flushes skipped because no waiter was parked on the shard (derived:
+    /// commits minus `flushes` minus `coalesced`).
     pub elided: u64,
     /// Flushes merged into another commit's in-flight broadcast.
     pub coalesced: u64,
@@ -74,8 +89,10 @@ pub struct ShardWake {
     /// Flush ticket: set while a broadcast is pending; a second committer
     /// seeing it set may skip its own (coalescing).
     pending: AtomicU32,
+    /// Commit broadcasts and coalesced commits. Release bumps, Acquire
+    /// reads: each bump follows its commit, so commits read after a count
+    /// cover it (see [`Registry::wake_stats`]).
     flushes: AtomicU64,
-    elided: AtomicU64,
     coalesced: AtomicU64,
 }
 
@@ -88,7 +105,6 @@ impl ShardWake {
             parked: AtomicU32::new(0),
             pending: AtomicU32::new(0),
             flushes: AtomicU64::new(0),
-            elided: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
         }
     }
@@ -97,21 +113,23 @@ impl ShardWake {
     /// since the last flush, and no broadcast happens at all when nobody
     /// is parked. Call *after* storing the release the waiters poll.
     pub(crate) fn flush(&self) {
-        // A read-only RMW, not a load: see the module docs.
+        // A read-only RMW, not a load: see the module docs. An elided flush
+        // counts nothing; `Registry::wake_stats` derives it.
         if self.parked.fetch_add(0, SeqCst) == 0 {
-            self.elided.fetch_add(1, Relaxed);
             return;
         }
         if self.pending.swap(1, SeqCst) != 0 {
             // An in-flight flusher clears the ticket *before* broadcasting,
             // so its broadcast is ordered after our release store.
-            self.coalesced.fetch_add(1, Relaxed);
+            self.coalesced.fetch_add(1, Release);
             return;
         }
         self.flush_now();
+        self.flushes.fetch_add(1, Release);
     }
 
-    /// Unconditional broadcast (poison path, and the tail of `flush`).
+    /// Unconditional, uncounted broadcast (the poison path, and the tail
+    /// of `flush`, which counts it).
     pub(crate) fn flush_now(&self) {
         let g = self.mx.lock();
         // A swap, not a store: it acquires the release of every commit that
@@ -119,7 +137,6 @@ impl ShardWake {
         self.pending.swap(0, SeqCst);
         drop(g);
         self.cv.notify_all();
-        self.flushes.fetch_add(1, Relaxed);
     }
 
     /// One timed park: sleeps up to `slice` unless `pred` already holds
@@ -134,19 +151,25 @@ impl ShardWake {
         drop(g);
         self.parked.fetch_sub(1, SeqCst);
     }
+}
 
-    fn stats(&self) -> WakeStats {
-        WakeStats {
-            flushes: self.flushes.load(Relaxed),
-            elided: self.elided.load(Relaxed),
-            coalesced: self.coalesced.load(Relaxed),
-        }
-    }
+/// A shard's teams, and the boundaries committed by those it reclaimed.
+#[derive(Default)]
+struct Teams {
+    live: HashMap<String, Arc<Team>>,
+    swept_commits: u64,
 }
 
 struct Shard {
-    teams: Mutex<HashMap<String, Arc<Team>>>,
+    teams: Mutex<Teams>,
     wake: Arc<ShardWake>,
+}
+
+/// The boundaries `team` has committed, read off its membership word: the
+/// boundary stores the word before the release and before its flush, and
+/// a retired team's word never changes again.
+fn commits(team: &Team) -> u64 {
+    u64::from(team.epoch() - 1)
 }
 
 /// The name-sharded team registry: the server's front door.
@@ -161,7 +184,7 @@ impl Registry {
         assert!(shards >= 1, "need at least one shard");
         let shards = (0..shards)
             .map(|_| Shard {
-                teams: Mutex::new(HashMap::new()),
+                teams: Mutex::new(Teams::default()),
                 wake: Arc::new(ShardWake::new(cfg.clone())),
             })
             .collect();
@@ -184,7 +207,7 @@ impl Registry {
     /// a configuration clash and errors.
     pub fn register(&self, name: &str, members: usize) -> Result<Arc<Team>, String> {
         let shard = self.shard_of(name);
-        let mut teams = self.shards[shard].teams.lock();
+        let teams = &mut self.shards[shard].teams.lock().live;
         match teams.get(name) {
             Some(t) if t.capacity() == members => Ok(Arc::clone(t)),
             Some(t) => Err(format!(
@@ -203,25 +226,31 @@ impl Registry {
     /// Looks up a registered team.
     pub fn get(&self, name: &str) -> Option<Arc<Team>> {
         let shard = self.shard_of(name);
-        self.shards[shard].teams.lock().get(name).cloned()
+        self.shards[shard].teams.lock().live.get(name).cloned()
     }
 
     /// Removes retired teams (membership drained to zero); returns how
-    /// many were reclaimed.
+    /// many were reclaimed. Their commits stay in the shard's count.
     pub fn sweep_retired(&self) -> usize {
         let mut swept = 0;
         for shard in self.shards.iter() {
-            let mut teams = shard.teams.lock();
-            let before = teams.len();
-            teams.retain(|_, t| !t.retired());
-            swept += before - teams.len();
+            let teams = &mut *shard.teams.lock();
+            let before = teams.live.len();
+            teams.live.retain(|_, t| {
+                let retired = t.retired();
+                if retired {
+                    teams.swept_commits += commits(t);
+                }
+                !retired
+            });
+            swept += before - teams.live.len();
         }
         swept
     }
 
     /// Registered teams per shard (the balance the hash is meant to buy).
     pub fn teams_per_shard(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.teams.lock().len()).collect()
+        self.shards.iter().map(|s| s.teams.lock().live.len()).collect()
     }
 
     /// Every registered team, sorted by name (a stable iteration order
@@ -230,20 +259,28 @@ impl Registry {
         let mut all: Vec<Arc<Team>> = self
             .shards
             .iter()
-            .flat_map(|s| s.teams.lock().values().cloned().collect::<Vec<_>>())
+            .flat_map(|s| s.teams.lock().live.values().cloned().collect::<Vec<_>>())
             .collect();
         all.sort_by(|a, b| a.name().cmp(b.name()));
         all
     }
 
-    /// Wakeup-path counters summed over all shards.
+    /// Wakeup-path counters summed over all shards. `elided` is each
+    /// shard's commits minus its counted flushes: the counts are read
+    /// first, and every flush they count follows its commit's membership
+    /// store, so the commits read after cover them and the difference
+    /// cannot underflow mid-run.
     pub fn wake_stats(&self) -> WakeStats {
         let mut total = WakeStats::default();
         for s in self.shards.iter() {
-            let w = s.wake.stats();
-            total.flushes += w.flushes;
-            total.elided += w.elided;
-            total.coalesced += w.coalesced;
+            let teams = s.teams.lock();
+            let flushes = s.wake.flushes.load(Acquire);
+            let coalesced = s.wake.coalesced.load(Acquire);
+            let commits =
+                teams.swept_commits + teams.live.values().map(|t| commits(t)).sum::<u64>();
+            total.flushes += flushes;
+            total.elided += commits - flushes - coalesced;
+            total.coalesced += coalesced;
         }
         total
     }
@@ -252,6 +289,8 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::team::Conn;
+    use armbar_core::robust::BarrierError;
 
     #[test]
     fn fnv1a_matches_reference_vectors() {
@@ -313,12 +352,14 @@ mod tests {
 
     #[test]
     fn flush_with_nobody_parked_is_elided() {
-        let wake = ShardWake::new(TeamConfig::default());
-        wake.flush();
-        wake.flush();
-        let stats = wake.stats();
-        assert_eq!(stats.elided, 2);
-        assert_eq!(stats.flushes, 0);
+        let reg = Registry::new(1, TeamConfig::default());
+        let team = reg.register("solo", 1).unwrap();
+        let conn = team.connect().unwrap();
+        for _ in 0..2 {
+            conn.arrive_and_wait().unwrap();
+        }
+        let stats = reg.wake_stats();
+        assert_eq!((stats.flushes, stats.elided, stats.coalesced), (0, 2, 0));
     }
 
     #[test]
@@ -336,8 +377,52 @@ mod tests {
         wake.flush();
         h.join().unwrap();
         // Either the flush broadcast or a timed slice woke it; both fine —
-        // the counters just have to account for every flush call.
-        let stats = wake.stats();
-        assert_eq!(stats.flushes + stats.elided + stats.coalesced, 1);
+        // one flusher broadcasts at most once and never coalesces.
+        assert!(wake.flushes.load(SeqCst) <= 1);
+        assert_eq!(wake.coalesced.load(SeqCst), 0);
+    }
+
+    #[test]
+    fn every_commit_is_a_flush_an_elision_or_a_coalesced_flush() {
+        // One shard, so every team shares the wakeup path.
+        let cfg = TeamConfig { deadline: Duration::from_millis(50), ..TeamConfig::default() };
+        let reg = Registry::new(1, cfg);
+        let wake = Arc::clone(&reg.shards[0].wake);
+        let episode = |conns: &[&Conn]| {
+            let e = conns[0].team().epoch();
+            conns.iter().for_each(|c| assert_eq!(c.arrive().unwrap(), e));
+            conns.iter().for_each(|c| c.wait(e).unwrap());
+        };
+
+        // Swept: two episodes, the first with a waiter held parked so its
+        // commit broadcasts, then both members close (the drain commit)
+        // and the sweep reclaims the team. 3 commits, 1 broadcast.
+        let swept = reg.register("swept", 2).unwrap();
+        let (a, b) = (swept.connect().unwrap(), swept.connect().unwrap());
+        wake.parked.fetch_add(1, SeqCst);
+        episode(&[&a, &b]);
+        wake.parked.fetch_sub(1, SeqCst);
+        episode(&[&a, &b]);
+        a.close();
+        b.close();
+        assert_eq!(reg.sweep_retired(), 1);
+
+        // Poisoned: the sole member waits on an epoch it never arrived
+        // for; its poison broadcast commits nothing. Dropping it then
+        // drains the team. 1 commit.
+        let poisoned = reg.register("poisoned", 1).unwrap();
+        let p = poisoned.connect().unwrap();
+        assert!(matches!(p.wait(1), Err(BarrierError::Timeout { .. })));
+        drop(p);
+        assert_eq!((poisoned.status(), poisoned.retired()), ("poisoned", true));
+
+        // Live: three episodes. 3 commits.
+        let live = reg.register("live", 2).unwrap();
+        let (c, d) = (live.connect().unwrap(), live.connect().unwrap());
+        (0..3).for_each(|_| episode(&[&c, &d]));
+
+        let stats = reg.wake_stats();
+        assert_eq!(stats.flushes + stats.elided + stats.coalesced, 3 + 1 + 3, "{stats:?}");
+        assert_eq!((stats.flushes, stats.elided, stats.coalesced), (1, 6, 0));
     }
 }

@@ -11,8 +11,19 @@
 //! the team when nobody is evictable; the arrival that commits a boundary
 //! makes one flush through the owning shard. DESIGN.md §16 argues proxy
 //! safety and the wakeup handshake at acquire/release.
+//!
+//! A member's own arrival pays only for the phaser's claim and counter
+//! RMWs: the team counts neither own arrivals nor episodes. Both are
+//! read off the phaser's words by [`Team::metrics`]. A serve slot is
+//! a member from epoch 1 and never rejoins, and each epoch of its
+//! membership is claimed exactly once (by itself or by a proxy), so its
+//! arrival ledger is its claim count; the release word counts the
+//! boundaries.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{
+    AtomicBool, AtomicU32, AtomicU64,
+    Ordering::{Acquire, Relaxed, Release},
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -42,11 +53,12 @@ impl Default for TeamConfig {
     }
 }
 
-/// Per-tenant counters (the serve-side analogue of the PR 1 tracing
-/// counters): all Relaxed — exact totals, no ordering role.
+/// Per-tenant counters for what the phaser's words do not record, all
+/// off the member's own arrival path. Relaxed — exact totals, no ordering
+/// role — except `proxy_arrivals`, which [`Team::metrics`] subtracts from
+/// the ledgers (see there).
 #[derive(Default)]
 struct Counters {
-    arrivals: AtomicU64,
     proxy_arrivals: AtomicU64,
     drops: AtomicU64,
     evictions: AtomicU64,
@@ -56,7 +68,8 @@ struct Counters {
 /// A snapshot of one team's per-tenant metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TeamMetrics {
-    /// Own (non-proxy) arrivals counted into the epoch.
+    /// Own (non-proxy) arrivals counted into the epoch: the slots' arrival
+    /// ledgers summed, minus `proxy_arrivals`.
     pub arrivals: u64,
     /// Arrivals counted on behalf of dropped/evicted slots.
     pub proxy_arrivals: u64,
@@ -170,9 +183,16 @@ impl Team {
         let ctx = self.ctx(0);
         let commits = self.phaser.completed(&ctx);
         let drained = self.phaser.members(&ctx) == 0;
+        // Proxies first: the Acquire load synchronizes with every Release
+        // bump it reads, so the ledger claims behind them are visible to
+        // the loads below. Ledgers only grow, so the claims summed cover
+        // the proxies counted and the difference cannot underflow mid-run.
+        let proxy_arrivals = self.counters.proxy_arrivals.load(Acquire);
+        let claims: u64 =
+            (0..self.capacity()).map(|s| u64::from(self.phaser.last_arrived(&ctx, s))).sum();
         TeamMetrics {
-            arrivals: self.counters.arrivals.load(Relaxed),
-            proxy_arrivals: self.counters.proxy_arrivals.load(Relaxed),
+            arrivals: claims - proxy_arrivals,
+            proxy_arrivals,
             episodes: u64::from(commits - u32::from(drained)),
             drops: self.counters.drops.load(Relaxed),
             evictions: self.counters.evictions.load(Relaxed),
@@ -201,15 +221,20 @@ impl Team {
         }
     }
 
-    /// Books one claim made on the phaser; a committing claim flushes the
-    /// shard's parked waiters.
-    fn settle(&self, claim: Claim, counter: &AtomicU64) {
-        if claim != Claim::Lost {
-            counter.fetch_add(1, Relaxed);
-        }
+    /// A committing claim flushes the shard's parked waiters.
+    fn settle(&self, claim: Claim) {
         if claim == Claim::Committed {
             self.wake.flush();
         }
+    }
+
+    /// Books a proxy's claim, then settles it. Release: `metrics` must see
+    /// the ledger claim behind every proxy it counts.
+    fn settle_proxy(&self, claim: Claim) {
+        if claim != Claim::Lost {
+            self.counters.proxy_arrivals.fetch_add(1, Release);
+        }
+        self.settle(claim);
     }
 
     /// One member arrival. Returns the epoch arrived for (pass it to
@@ -221,7 +246,7 @@ impl Team {
         // A lost claim means an eviction proxy counted this epoch first;
         // the eviction itself surfaces on the next arrival.
         let (epoch, claim) = self.phaser.arrive_claim(&self.ctx(slot))?;
-        self.settle(claim, &self.counters.arrivals);
+        self.settle(claim);
         Ok(epoch)
     }
 
@@ -283,7 +308,7 @@ impl Team {
         if let Some(claim) = self.phaser.evict_claim(ctx, victim, epoch) {
             self.counters.evictions.fetch_add(1, Relaxed);
             self.degraded.store(true, Relaxed);
-            self.settle(claim, &self.counters.proxy_arrivals);
+            self.settle_proxy(claim);
         }
         true
     }
@@ -301,7 +326,7 @@ impl Team {
             self.counters.drops.fetch_add(1, Relaxed);
             self.degraded.store(true, Relaxed);
         }
-        self.settle(claim, &self.counters.proxy_arrivals);
+        self.settle_proxy(claim);
     }
 
     /// First-poisoner ticket (the `RobustBarrier::claim_poison` shape).
@@ -563,5 +588,49 @@ mod tests {
         let m = team.metrics();
         assert_eq!((m.episodes, m.arrivals, m.proxy_arrivals, m.drops), (2, 5, 0, 1));
         assert_eq!((team.members(), team.status()), (2, "degraded"));
+    }
+
+    #[test]
+    fn derived_arrival_counts_match_a_hand_count() {
+        // Five slots; each leaves a different way. Own arrivals per slot:
+        // a 6, b 4, c 3, d 3, e 1 = 17. Proxies: e's drop (epoch 2), c's
+        // eviction (4), b's close (5) and a's closing drain (7) = 4.
+        let (_reg, team) = team(5, impatient());
+        let [a, b, c, d, e] = std::array::from_fn(|_| team.connect().unwrap());
+        let episode = |conns: &[&Conn], ep: u32| {
+            for conn in conns {
+                assert_eq!(conn.arrive().unwrap(), ep);
+            }
+            for conn in conns {
+                conn.wait(ep).unwrap();
+            }
+        };
+        let counts = |team: &Team| {
+            let m = team.metrics();
+            (m.arrivals, m.proxy_arrivals)
+        };
+        episode(&[&a, &b, &c, &d, &e], 1);
+        drop(e); // abrupt drop before arriving: proxied
+        episode(&[&a, &b, &c, &d], 2);
+        assert_eq!(counts(&team), (9, 1));
+        assert_eq!(d.arrive().unwrap(), 3);
+        drop(d); // drop after arriving: that arrival is its last
+        episode(&[&a, &b, &c], 3);
+        assert_eq!(counts(&team), (13, 1));
+        // c stays silent: a's deadline lap evicts it (a proxy).
+        assert_eq!((a.arrive().unwrap(), b.arrive().unwrap()), (4, 4));
+        a.wait(4).unwrap();
+        b.wait(4).unwrap();
+        assert_eq!((team.metrics().evictions, team.members()), (1, 2));
+        assert_eq!(a.arrive().unwrap(), 5);
+        b.close(); // mid-epoch close: its final arrival proxies epoch 5
+        a.wait(5).unwrap();
+        episode(&[&a], 6);
+        a.close(); // the drain commit, epoch 7
+        drop(c); // already evicted: counts nothing
+        assert!(team.retired());
+        let m = team.metrics();
+        assert_eq!((m.arrivals, m.proxy_arrivals), (17, 4));
+        assert_eq!((m.episodes, m.drops, m.evictions), (6, 2, 1));
     }
 }
