@@ -1,16 +1,17 @@
 //! Machine-readable simulator performance trajectory: `BENCH_sim.json`.
 //!
 //! Measures engine throughput (operations per wall-second through the
-//! single ready heap and the stall queue) for a SENSE and a STOUR barrier
+//! scheduler's indexed heap of running and ready threads and its stall
+//! queue) for a SENSE and a STOUR barrier
 //! microbench at P ∈ {16, 64} on the paper's 64-core Phytium preset and at
 //! P ∈ {256, 1024} on the hierarchical MemPool presets (thousand-wide
 //! sharer sets and wake sweeps), DIS at P = 1024 and the two contenders at
 //! P ∈ {16, 64} and at P = 256 (write-stall storms on one line), SENSE at
 //! P = 8 on Kunpeng920 under the conformance checker's `ExplorerPolicy`
 //! (the policy path, sequentially consistent and with weak-memory
-//! reordering), plus the wall-clock of a quick-scale regeneration of every
-//! experiment suite, in total and per suite, and writes the numbers as JSON
-//! to the repo root.
+//! reordering), SENSE at P = 16 on the OS-thread transport, plus the
+//! wall-clock of a quick-scale regeneration of every experiment suite, in
+//! total and per suite, and writes the numbers as JSON to the repo root.
 //!
 //! ```text
 //! bench_sim [--out PATH] [--gate-drop-pct N] [--summary PATH]
@@ -22,6 +23,11 @@
 //! JSON, the process exits nonzero if any `engine_ops_per_sec_*` key
 //! dropped more than N% against the committed file (wall-clock keys are
 //! reported but never gated — they measure the runner, not the engine).
+//! `engine_ops_per_sec_sense_p16_os` is informational too: every blocked
+//! handoff of an explicit `SimTeam` parks and unparks an OS worker, so the
+//! key measures the host's futex path and scheduler more than the engine.
+//! It sits beside `engine_ops_per_sec_sense_p16` (the same runs on the
+//! fiber transport) to put the transport split in the committed file.
 //! `--summary PATH` appends a markdown delta table (GitHub step-summary
 //! format) to the given file.
 //!
@@ -31,7 +37,7 @@
 //! new to this run are seeded with the fresh value — so the file always
 //! records the pre-overhaul reference next to the current numbers. CI runs
 //! this as a *blocking* perf gate: the `bench-sim` job fails on a >20% drop
-//! of any `engine_ops_per_sec_*` key against the committed file.
+//! of any gated `engine_ops_per_sec_*` key against the committed file.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,7 +48,7 @@ use armbar_conformance::{ExplorerConfig, ExplorerPolicy};
 use armbar_core::env::Barrier;
 use armbar_core::registry::AlgorithmId;
 use armbar_experiments::{Scale, SUITES};
-use armbar_simcoh::{Arena, OpKind, SimBuilder};
+use armbar_simcoh::{Arena, OpKind, SimBuilder, SimTeam, SimThread};
 use armbar_topology::{Platform, Topology};
 
 /// Measurement effort for one engine point. The paper-scale points (P ≤ 64)
@@ -77,7 +83,7 @@ impl Effort {
 /// the default heap path.
 fn engine_point(platform: Platform, p: usize, id: AlgorithmId) -> Point {
     let key = format!("engine_ops_per_sec_{}_p{p}", id.label().to_ascii_lowercase());
-    engine_rate(key, platform, p, id, None)
+    engine_rate(key, platform, p, id, None, None)
 }
 
 /// SENSE at P = 8 on Kunpeng920 with every run steered by a seeded
@@ -85,17 +91,30 @@ fn engine_point(platform: Platform, p: usize, id: AlgorithmId) -> Point {
 /// decision to the policy.
 fn policy_point(suffix: &str, explorer: ExplorerConfig) -> Point {
     let key = format!("engine_ops_per_sec_policy_sense_p8{suffix}");
-    engine_rate(key, Platform::Kunpeng920, 8, AlgorithmId::Sense, Some(explorer))
+    engine_rate(key, Platform::Kunpeng920, 8, AlgorithmId::Sense, Some(explorer), None)
+}
+
+/// Informational: measures the host's park/unpark path (module doc).
+const OS_TRANSPORT_KEY: &str = "engine_ops_per_sec_sense_p16_os";
+
+/// The SENSE P = 16 point run on an explicit [`SimTeam`], whose workers are
+/// OS threads: the OS-thread transport's side of the transport split.
+fn os_transport_point() -> Point {
+    let mut team = SimTeam::new(16);
+    let key = OS_TRANSPORT_KEY.to_string();
+    engine_rate(key, Platform::Phytium2000Plus, 16, AlgorithmId::Sense, None, Some(&mut team))
 }
 
 /// Engine operations per wall-clock second of one barrier microbench,
-/// under `explorer` when given, reported as `key`.
+/// under `explorer` when given and on `team` when given (else on the
+/// ambient transport, fibers by default), reported as `key`.
 fn engine_rate(
     key: String,
     platform: Platform,
     p: usize,
     id: AlgorithmId,
     explorer: Option<ExplorerConfig>,
+    mut team: Option<&mut SimTeam>,
 ) -> Point {
     let topo = Arc::new(Topology::preset(platform));
     let effort = Effort::for_threads(p);
@@ -108,14 +127,17 @@ fn engine_rate(
         if let Some(cfg) = explorer {
             sim = sim.schedule_policy(ExplorerPolicy::new(seed, cfg));
         }
-        let stats = sim
-            .run(move |ctx| {
-                for _ in 0..episodes {
-                    ctx.compute_ns(100.0);
-                    barrier.wait(ctx);
-                }
-            })
-            .expect("benchmark barrier must complete");
+        let body = move |ctx: &SimThread| {
+            for _ in 0..episodes {
+                ctx.compute_ns(100.0);
+                barrier.wait(ctx);
+            }
+        };
+        let stats = match team.as_deref_mut() {
+            Some(team) => team.run(sim, body),
+            None => sim.run(body),
+        }
+        .expect("benchmark barrier must complete");
         stats.total_mem_ops() + stats.ops(OpKind::Compute)
     };
     let (ops_per_sec, _) = best_pass(effort.attempts, effort.reps, one_rep, |ops, secs| {
@@ -149,6 +171,7 @@ fn main() {
     let out = args.value("--out").unwrap_or("BENCH_sim.json");
     let gate = args.value("--gate-drop-pct").map(|s| Gate {
         prefix: "engine_ops_per_sec_",
+        informational: &[OS_TRANSPORT_KEY],
         max_drop_pct: s
             .parse()
             .unwrap_or_else(|_| args.fail(&format!("bad --gate-drop-pct {s:?}"))),
@@ -182,6 +205,7 @@ fn main() {
     let weak = ExplorerConfig { reorder_prob: 0.8, ..sc }.with_reorder_budget(64);
     points.push(policy_point("", sc));
     points.push(policy_point("_weak", weak));
+    points.push(os_transport_point());
     points.extend(quick_experiments_secs());
 
     if !report::write(out, &points, "Simulator perf gate", args.value("--summary"), gate) {

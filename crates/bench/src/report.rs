@@ -49,11 +49,14 @@ fn value_text(key: &str, value: f64) -> String {
 
 /// A blocking perf gate: the run fails if any key starting with `prefix`
 /// dropped more than `max_drop_pct` percent against the committed file.
-/// Keys outside the prefix are reported but never gated.
+/// Keys outside the prefix, and the `informational` ones inside it, are
+/// reported but never gated.
 #[derive(Debug, Clone, Copy)]
 pub struct Gate {
     /// Key prefix of the gated (higher-is-better) metrics.
     pub prefix: &'static str,
+    /// Keys under `prefix` that are reported but not gated.
+    pub informational: &'static [&'static str],
     /// Largest tolerated drop, in percent.
     pub max_drop_pct: f64,
 }
@@ -62,7 +65,11 @@ impl Gate {
     /// The rows of `rows` that break the gate.
     fn failures<'a>(&self, rows: &'a [Delta]) -> Vec<&'a Delta> {
         rows.iter()
-            .filter(|d| d.key.starts_with(self.prefix) && -d.change_pct() > self.max_drop_pct)
+            .filter(|d| {
+                d.key.starts_with(self.prefix)
+                    && !self.informational.contains(&d.key.as_str())
+                    && -d.change_pct() > self.max_drop_pct
+            })
             .collect()
     }
 }
@@ -301,7 +308,11 @@ mod tests {
     #[test]
     fn gate_fails_engine_drops_and_ignores_informational_keys() {
         let committed = include_str!("../../../BENCH_sim.json");
-        let gate = Some(Gate { prefix: "engine_ops_per_sec_", max_drop_pct: 20.0 });
+        let gate = Some(Gate {
+            prefix: "engine_ops_per_sec_",
+            informational: &["engine_ops_per_sec_sense_p16"],
+            max_drop_pct: 20.0,
+        });
         let scaled = |key: &str, factor: f64| -> Vec<Point> {
             benches(committed)
                 .into_iter()
@@ -311,6 +322,10 @@ mod tests {
 
         let out = scratch_file("engine-drop.json", committed);
         assert!(!write(&out, &scaled("engine_ops_per_sec_sense_p64", 0.75), "t", None, gate));
+        std::fs::remove_file(&out).unwrap();
+
+        let out = scratch_file("informational-drop.json", committed);
+        assert!(write(&out, &scaled("engine_ops_per_sec_sense_p16", 0.5), "t", None, gate));
         std::fs::remove_file(&out).unwrap();
 
         let out = scratch_file("quick-rise.json", committed);

@@ -12,14 +12,16 @@
 //!
 //! ## One heap and the stall queue
 //!
-//! Posted operations wait in one ready heap keyed `(time, tid)`; an op
-//! that finds its line busy is re-posted into a stall queue of per-time
-//! runs, which a write storm fills and drains at O(1) per op. The engine
-//! processes the smaller head of the two iff no running thread's key is
-//! below it. When a run's first loser re-stalls, the losers behind it on
-//! the same line are re-posted in one pass and the stretch moves to the
-//! line's next release as one block, with the same per-op accounting in
-//! the same order; see `DESIGN.md` §13.
+//! Running and ready threads share one indexed heap keyed `(time, tid)`
+//! (the `sched` module): a thread enters it when it resumes user code and
+//! stays in it while it posts and while its op is processed, each step an
+//! in-place rekey. An op that finds its line busy leaves the heap for a
+//! stall queue of per-time runs, which a write storm fills and drains at
+//! O(1) per op. The engine processes the heap's root iff it is ready, or
+//! the stall queue's head iff it sorts below the root. When a run's first
+//! loser re-stalls, the losers behind it on the same line are re-posted in
+//! one pass and the stretch moves to the line's next release as one block,
+//! with the same per-op accounting in the same order; see `DESIGN.md` §13.
 //!
 //! ## Cooperative scheduling
 //!
@@ -28,26 +30,26 @@
 //! under that lock until no further operation is processable. The scheduling
 //! rule exploits a lookahead invariant: a thread that is executing user code
 //! ("running") will post its next operation at exactly its current
-//! engine-known virtual time, so the operation at the head of the ready
-//! queue can be processed as soon as its `(time, tid)` key is smaller than
-//! every running thread's key — *without* waiting for global settlement.
-//! The processing order is provably identical to a lock-step "wait for all,
-//! pick the minimum" scheduler, but a serial phase (one thread strictly
-//! ahead of the rest) executes with zero context switches: the worker posts,
-//! services its own operation, and continues.
+//! engine-known virtual time, so the minimal ready op can be processed as
+//! soon as its `(time, tid)` key is smaller than every running thread's key
+//! — *without* waiting for global settlement. Keys are unique per thread,
+//! so in the one heap that is "the root is ready". The processing order is
+//! provably identical to a lock-step "wait for all, pick the minimum"
+//! scheduler, but a serial phase (one thread strictly ahead of the rest)
+//! executes with zero context switches: the worker posts, services its own
+//! operation, and continues.
 //!
 //! Replies travel through per-thread lock-free cells (a sequence counter
-//! plus a slot); a blocked simulated thread resumes via a ~100 ns fiber
-//! switch on the fiber transport or `thread::unpark` on the OS transport —
-//! receipt never touches the lock, and pending wakeups are deferred until
-//! the engine lock is released so a woken worker never piles onto a held
-//! mutex. State
-//! tables are dense `Vec`s indexed by arena-derived word/line slots rather
-//! than hash maps — see `DESIGN.md` §11 for the performance numbers.
+//! plus a slot); a blocked simulated thread resumes via one fiber switch
+//! (straight from the fiber that blocks to the next runnable one) on the
+//! fiber transport or `thread::unpark` on the OS transport — receipt never
+//! touches the lock, and pending wakeups are deferred until the engine lock
+//! is released so a woken worker never piles onto a held mutex. State
+//! tables, the per-line traffic counters included, are dense `Vec`s
+//! indexed by arena-derived word/line slots rather than hash maps — see
+//! `DESIGN.md` §11 for the performance numbers.
 
 use std::cell::UnsafeCell;
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -59,6 +61,7 @@ use crate::arena::{Addr, Arena};
 use crate::error::{DeadlockWaiter, SimError, WaitKind};
 use crate::line::{CoreSet, Line};
 use crate::rng::SplitMix64;
+use crate::sched::{Sched, SchedKey, TimeKey};
 use crate::schedule::{
     oldest_index, ready_order, LoadOrder, ReadyOp, ReadyOpKind, ScheduleDecision, SchedulePolicy,
     StoreOrder, WeakDecision, WeakOp, WeakOpKind,
@@ -185,219 +188,6 @@ fn op_tag(op: &OpReq) -> u64 {
         // Appended in PR 10: fingerprints of swap-free programs are
         // unchanged.
         OpReq::Swap(..) => 11,
-    }
-}
-
-/// Total order on virtual times for the scheduler's ready/running keys.
-/// `total_cmp` matches the tie-breaking of the original `min_by` scan.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TimeKey(f64);
-
-impl Eq for TimeKey {}
-
-impl PartialOrd for TimeKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TimeKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// Scheduler key: `(virtual time, tid)`. Unique per thread (a thread is in
-/// exactly one of the ready queue or the running set), so comparisons are
-/// never ambiguous.
-type SchedKey = (TimeKey, usize);
-
-/// Ops re-posted after stalling on a busy line, grouped into runs that
-/// share one re-post time (the line's `available_at`). A write storm on
-/// one line re-posts every queued op at the same time, in ascending tid
-/// order, so most pushes append to an existing run and most pops take the
-/// front of the earliest one — O(1) each, where a heap pays a sift both
-/// ways.
-#[derive(Default)]
-struct StallQueue {
-    /// Runs ordered by time, *latest first*: the head run is the last one.
-    /// Each run's tids are ascending.
-    runs: Vec<(TimeKey, VecDeque<usize>)>,
-    /// Emptied run deques kept for reuse, so a one-off stall allocates
-    /// nothing.
-    pool: Vec<VecDeque<usize>>,
-}
-
-impl StallQueue {
-    fn push(&mut self, (t, tid): SchedKey) {
-        // Descending order: a run later than `t` sorts before it.
-        match self.runs.binary_search_by(|(rt, _)| t.cmp(rt)) {
-            Ok(i) => {
-                let run = &mut self.runs[i].1;
-                if run.back().is_none_or(|&b| b < tid) {
-                    run.push_back(tid);
-                } else {
-                    let at = run.binary_search(&tid).expect_err("tid stalled twice");
-                    run.insert(at, tid);
-                }
-            }
-            Err(i) => {
-                let mut run = self.pool.pop().unwrap_or_default();
-                run.push_back(tid);
-                self.runs.insert(i, (t, run));
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<SchedKey> {
-        self.runs.last().map(|(t, run)| (*t, run[0]))
-    }
-
-    fn pop(&mut self) {
-        let (_, run) = self.runs.last_mut().expect("pop from an empty stall queue");
-        run.pop_front();
-        if run.is_empty() {
-            let (_, run) = self.runs.pop().expect("checked above");
-            self.pool.push(run);
-        }
-    }
-
-    /// The head run, if its time is `t`.
-    fn head_run(&self, t: TimeKey) -> Option<&VecDeque<usize>> {
-        self.runs.last().filter(|(rt, _)| *rt == t).map(|(_, run)| run)
-    }
-
-    /// Moves the first `n` tids of the head run into the existing, later
-    /// run at `to`, leaving it as `n` pushes one by one would: appended
-    /// when they all sort after its tids, inserted one by one otherwise.
-    fn splice_head(&mut self, n: usize, to: TimeKey) {
-        if n == 0 {
-            return;
-        }
-        let last = self.runs.len() - 1;
-        let at = self.runs.binary_search_by(|(rt, _)| to.cmp(rt)).expect("no run at `to`");
-        let (rest, head) = self.runs.split_at_mut(last);
-        let (dst, src) = (&mut rest[at].1, &mut head[0].1);
-        if dst.back().is_some_and(|&b| b > src[0]) {
-            for tid in src.drain(..n) {
-                let i = dst.binary_search(&tid).expect_err("tid stalled twice");
-                dst.insert(i, tid);
-            }
-        } else if n < src.len() {
-            dst.extend(src.drain(..n));
-        } else {
-            // The whole run moves. In a storm the destination holds only
-            // the first loser, so keep the run's deque and put the
-            // destination's tids in front of it.
-            std::mem::swap(dst, src);
-            while let Some(tid) = src.pop_back() {
-                dst.push_front(tid);
-            }
-        }
-        if src.is_empty() {
-            let (_, run) = self.runs.pop().expect("checked above");
-            self.pool.push(run);
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
-
-    fn clear(&mut self) {
-        for (_, mut run) in self.runs.drain(..) {
-            run.clear();
-            self.pool.push(run);
-        }
-    }
-}
-
-/// The default-mode scheduler (DESIGN.md §13): one ready heap for posted
-/// operations, the [`StallQueue`] for busy-line re-posts, and the set of
-/// threads executing user code. `pop_next` implements the rule "process
-/// the minimal ready key iff it is ≤ every running key" over the union of
-/// the heap and the stall queue.
-struct Sched {
-    /// Posted-but-unprocessed operations (first posts).
-    ready: BinaryHeap<Reverse<SchedKey>>,
-    /// Posted-but-unprocessed operations re-posted after a line stall.
-    stalls: StallQueue,
-    /// Threads executing user code, at their engine-known time.
-    running: BTreeSet<SchedKey>,
-}
-
-impl Sched {
-    fn new(nthreads: usize) -> Self {
-        Self {
-            ready: BinaryHeap::with_capacity(nthreads),
-            stalls: StallQueue::default(),
-            running: (0..nthreads).map(|t| (TimeKey(0.0), t)).collect(),
-        }
-    }
-
-    fn push_ready(&mut self, key: SchedKey) {
-        self.ready.push(Reverse(key));
-    }
-
-    fn push_stall(&mut self, key: SchedKey) {
-        self.stalls.push(key);
-    }
-
-    fn insert_running(&mut self, key: SchedKey) {
-        self.running.insert(key);
-    }
-
-    fn remove_running(&mut self, key: &SchedKey) -> bool {
-        self.running.remove(key)
-    }
-
-    fn running_is_empty(&self) -> bool {
-        self.running.is_empty()
-    }
-
-    fn ready_is_empty(&self) -> bool {
-        self.ready.is_empty() && self.stalls.is_empty()
-    }
-
-    fn clear(&mut self) {
-        self.ready.clear();
-        self.stalls.clear();
-        self.running.clear();
-    }
-
-    /// Pops the next processable operation: the minimal key of the heap
-    /// and the stall queue, iff no running thread sits below it, and
-    /// whether it came from the stall queue. Returns `None` when the pass
-    /// must end (no ready op, or the head is gated by a running thread that
-    /// will post an earlier key).
-    fn pop_next(&mut self) -> Option<(SchedKey, bool)> {
-        let heap = self.ready.peek().map(|&Reverse(k)| k);
-        let stall = self.stalls.peek();
-        let (head, from_stall) = match (heap, stall) {
-            (Some(h), Some(s)) if s < h => (s, true),
-            (Some(h), _) => (h, false),
-            (None, Some(s)) => (s, true),
-            (None, None) => return None,
-        };
-        if self.running.first().is_some_and(|&r| r < head) {
-            return None;
-        }
-        if from_stall {
-            self.stalls.pop();
-        } else {
-            self.ready.pop();
-        }
-        Some((head, from_stall))
-    }
-
-    /// The smallest key outside the stall queue (ready heap head or first
-    /// running key): a stall key below it is what `pop_next` returns next.
-    fn outside_min(&self) -> Option<SchedKey> {
-        let heap = self.ready.peek().map(|&Reverse(k)| k);
-        match (heap, self.running.first().copied()) {
-            (Some(h), Some(r)) => Some(h.min(r)),
-            (h, r) => h.or(r),
-        }
     }
 }
 
@@ -740,14 +530,17 @@ impl State {
         }
     }
 
-    /// Posts an operation key into whichever ready structure this run's
-    /// scheduling mode uses.
+    /// Posts the running thread `tid`'s pending operation at its current
+    /// time into whichever ready structure this run's scheduling mode uses.
     #[inline]
-    fn post_ready(&mut self, key: SchedKey) {
+    fn post(&mut self, tid: usize) {
+        let time = self.time[tid];
         if self.policy_mode {
-            self.offer(key);
+            let was_running = self.stop_running(tid);
+            debug_assert!(was_running, "posting thread must be in the running set");
+            self.offer((TimeKey(time), tid));
         } else {
-            self.sched.push_ready(key);
+            self.sched.post(tid, time);
         }
     }
 
@@ -757,7 +550,7 @@ impl State {
         if self.policy_mode {
             self.offer(key);
         } else {
-            self.sched.push_stall(key);
+            self.sched.stall(key);
         }
     }
 
@@ -787,12 +580,11 @@ impl State {
             self.running[tid] = true;
             self.nrunning += 1;
         } else {
-            self.sched.insert_running((TimeKey(self.time[tid]), tid));
+            self.sched.resume(tid, self.time[tid]);
         }
     }
 
-    /// Takes `tid` out of the running set at its current time; `false` if
-    /// it was not in it.
+    /// Takes `tid` out of the running set; `false` if it was not in it.
     #[inline]
     fn stop_running(&mut self, tid: usize) -> bool {
         if self.policy_mode {
@@ -800,8 +592,16 @@ impl State {
             self.nrunning -= usize::from(was);
             was
         } else {
-            self.sched.remove_running(&(TimeKey(self.time[tid]), tid))
+            self.sched.leave(tid)
         }
+    }
+
+    /// Parks the thread of a processed spin-wait that is not yet satisfied.
+    fn block(&mut self, w: Waiter) {
+        if !self.policy_mode {
+            self.sched.leave(w.tid);
+        }
+        self.waiters.register(w);
     }
 
     /// Whether no thread is executing user code.
@@ -918,17 +718,14 @@ impl SimThread {
                 std::panic::panic_any(AbortSignal);
             }
             debug_assert!(g.slots[self.tid].pending.is_none(), "op already pending");
-            let was_running = g.stop_running(self.tid);
-            debug_assert!(was_running, "posting thread must be in the running set");
             let (def_ns, def_count) = self.deferred.replace((0.0, 0));
             if def_count > 0 {
                 g.time[self.tid] += def_ns;
                 g.ops += def_count;
                 g.stats.count_ops(OpKind::Compute, def_count);
             }
-            let key = (TimeKey(g.time[self.tid]), self.tid);
             g.slots[self.tid].pending = Some(op);
-            g.post_ready(key);
+            g.post(self.tid);
             self.shared.run_engine(&mut g);
             std::mem::swap(&mut wakes, &mut g.wake_list);
         }
@@ -1970,7 +1767,7 @@ impl Shared {
                     self.weak_spin_success(g, tid, addr, v);
                     self.reply(g, tid, Reply::Value(v));
                 } else {
-                    g.waiters.register(Waiter { tid, watch: Watch::One(addr), kind });
+                    g.block(Waiter { tid, watch: Watch::One(addr), kind });
                 }
             }
             OpReq::SpinUntilAllGe(addrs, epoch) => {
@@ -1981,7 +1778,7 @@ impl Shared {
                     self.weak_spin_success(g, tid, addrs[0], seen);
                     self.reply(g, tid, Reply::Watch(addrs));
                 } else {
-                    g.waiters.register(Waiter { tid, watch: Watch::Batch(addrs), kind });
+                    g.block(Waiter { tid, watch: Watch::Batch(addrs), kind });
                 }
             }
             OpReq::Mark(label) => {

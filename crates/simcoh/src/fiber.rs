@@ -9,6 +9,12 @@
 //! magnitude cheaper, and on a single-core host it also removes all
 //! scheduler pressure.
 //!
+//! A fiber that blocks switches straight to the next runnable fiber, in
+//! the run queue's order, and falls back to the driver's context only when
+//! nothing is runnable (then the episode is over, or the transport is
+//! wedged). Resuming a blocked thread therefore costs one context switch,
+//! not a round trip through the driver.
+//!
 //! Determinism is untouched: the engine under its mutex processes exactly
 //! the same operations in exactly the same order as under the OS transport
 //! — only the mechanism that resumes a blocked thread changes. The
@@ -52,10 +58,12 @@ mod imp {
     use std::collections::VecDeque;
     use std::ptr::NonNull;
 
+    use parking_lot::Mutex;
+
     /// Fiber stack size. Simulation bodies are shallow (a barrier algorithm
     /// plus the engine handoff), but proptest/debug builds are greedy;
-    /// 256 KiB leaves a wide margin. Allocated without zeroing, so untouched
-    /// pages never become resident.
+    /// 256 KiB leaves a wide margin. Mapped on demand, so untouched pages
+    /// never become resident.
     const STACK_SIZE: usize = 256 * 1024;
 
     /// Written at the low end of every stack; checked when the stack is
@@ -115,59 +123,107 @@ mod imp {
         )
     }
 
-    /// A pooled fiber stack (raw allocation; never zeroed).
+    // The C library's anonymous-mapping call (std already links it).
+    unsafe extern "C" {
+        fn mmap(
+            addr: *mut std::ffi::c_void,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            offset: i64,
+        ) -> *mut std::ffi::c_void;
+    }
+    const PROT_READ_WRITE: i32 = 0x1 | 0x2;
+    const MAP_PRIVATE: i32 = 0x2;
+    #[cfg(target_os = "linux")]
+    const MAP_ANONYMOUS: i32 = 0x20;
+    #[cfg(not(target_os = "linux"))]
+    const MAP_ANONYMOUS: i32 = 0x1000;
+
+    /// One fiber stack: a `STACK_SIZE` slice of a mapping the pool owns.
     struct Stack {
         base: NonNull<u8>,
     }
 
+    // SAFETY: a stack is plain memory that is never unmapped; the pool
+    // hands each one to a single episode at a time.
+    unsafe impl Send for Stack {}
+
     impl Stack {
-        fn layout() -> std::alloc::Layout {
-            std::alloc::Layout::from_size_align(STACK_SIZE, 16).expect("static layout")
-        }
-
-        fn new() -> Self {
-            // SAFETY: non-zero-sized, 16-aligned layout.
-            let p = unsafe { std::alloc::alloc(Self::layout()) };
-            let base =
-                NonNull::new(p).unwrap_or_else(|| std::alloc::handle_alloc_error(Self::layout()));
-            // SAFETY: in-bounds write at the low end of the fresh block.
-            unsafe { base.as_ptr().cast::<usize>().write(CANARY) };
-            Self { base }
-        }
-
-        /// One-past-the-end of the stack (stacks grow down); 16-aligned.
+        /// One-past-the-end of the stack (stacks grow down); page-aligned.
         fn top(&self) -> *mut usize {
-            // SAFETY: one-past-the-end pointer of the allocation.
+            // SAFETY: one-past-the-end pointer of the stack's slice.
             unsafe { self.base.as_ptr().add(STACK_SIZE).cast() }
         }
 
         fn check_canary(&self) {
-            // SAFETY: reads the word written in `new`.
+            // SAFETY: reads the word written in `map_stacks`.
             let w = unsafe { self.base.as_ptr().cast::<usize>().read() };
             assert_eq!(w, CANARY, "fiber stack overflow detected");
         }
     }
 
-    impl Drop for Stack {
-        fn drop(&mut self) {
-            // SAFETY: allocated in `new` with the same layout.
-            unsafe { std::alloc::dealloc(self.base.as_ptr(), Self::layout()) };
+    /// Maps `n` fresh stacks in one anonymous mapping and writes their
+    /// canaries. The mapping is never unmapped: its stacks live in the
+    /// pool for the rest of the process.
+    fn map_stacks(n: usize) -> impl Iterator<Item = Stack> {
+        // SAFETY: a fresh private anonymous mapping; no existing memory is
+        // named or replaced.
+        let p = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                n * STACK_SIZE,
+                PROT_READ_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        assert!(
+            p as isize != -1,
+            "mapping {n} fiber stacks failed: {}",
+            std::io::Error::last_os_error()
+        );
+        let base = NonNull::new(p.cast::<u8>()).expect("mmap returned null");
+        (0..n).map(move |i| {
+            // SAFETY: stack `i < n` lies inside the mapping.
+            let base = unsafe { base.add(i * STACK_SIZE) };
+            // SAFETY: in-bounds, page-aligned write at the stack's low end.
+            unsafe { base.as_ptr().cast::<usize>().write(CANARY) };
+            Stack { base }
+        })
+    }
+
+    /// Stacks not in use, shared by every host thread and kept for the
+    /// life of the process — the fiber analogue of [`crate::SimTeam`]'s
+    /// worker reuse. The stacks are mapped from the OS, an episode's
+    /// shortfall at a time, not taken from the heap: 256 KiB heap blocks
+    /// lie among the allocator's small blocks, and where those landed
+    /// decided how much of a freed pool stayed resident, so the peak
+    /// resident set of the same simulations varied by 3 MiB between runs.
+    /// Kept mapped, a stack's touched pages stay resident, so an episode
+    /// on a new host thread takes no page faults for its stacks.
+    static STACK_POOL: Mutex<Vec<Stack>> = Mutex::new(Vec::new());
+
+    /// Takes `n` stacks from the pool, mapping any shortfall.
+    fn pool_take(n: usize) -> Vec<Stack> {
+        let mut free = STACK_POOL.lock();
+        let short = n.saturating_sub(free.len());
+        if short > 0 {
+            free.extend(map_stacks(short));
         }
+        let keep = free.len() - n;
+        free.split_off(keep)
     }
 
-    thread_local! {
-        /// Stacks reused across episodes on this host thread — the fiber
-        /// analogue of [`crate::SimTeam`]'s worker reuse.
-        static STACK_POOL: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
-    }
-
-    fn pool_take() -> Stack {
-        STACK_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_else(Stack::new)
-    }
-
-    fn pool_put(stack: Stack) {
-        stack.check_canary();
-        STACK_POOL.with(|p| p.borrow_mut().push(stack));
+    /// Returns an episode's stacks to the pool.
+    fn pool_put(stacks: impl Iterator<Item = Stack>) {
+        let mut free = STACK_POOL.lock();
+        for stack in stacks {
+            stack.check_canary();
+            free.push(stack);
+        }
     }
 
     /// What a booting fiber needs: its runtime and identity. Boxed and kept
@@ -208,7 +264,7 @@ mod imp {
 
     struct RtInner {
         /// The driver's saved context while a fiber runs.
-        sched_ctx: Context,
+        driver_ctx: Context,
         /// One fiber per simulated thread, indexed by tid. Never grows
         /// after `run_on_fibers` seeds it (context pointers must not move).
         fibers: Vec<Fiber>,
@@ -233,34 +289,30 @@ mod imp {
     }
 
     impl FiberRt {
-        /// Runs fibers until all have finished. The scheduler is strict
-        /// about liveness: the engine only quiesces with no runnable fiber
-        /// when it has delivered an outcome (completion or abort), so an
-        /// empty queue with unfinished fibers is a transport bug, not a
+        /// Runs fibers until all have finished. Fibers hand off to each
+        /// other directly ([`FiberRt::suspend`]); control comes back here
+        /// only when the run queue is empty. The scheduler is strict about
+        /// liveness: the engine only quiesces with no runnable fiber when
+        /// it has delivered an outcome (completion or abort), so an empty
+        /// queue with unfinished fibers is a transport bug, not a
         /// simulation deadlock — those are detected (and aborted) by the
         /// engine itself.
         fn drive(&self) {
             loop {
-                let next = {
+                let (save, restore) = {
                     let mut inner = self.inner.borrow_mut();
                     if inner.finished == inner.fibers.len() {
                         break;
                     }
-                    match inner.runnable.pop_front() {
-                        Some(t) => {
-                            inner.current = Some(t);
-                            t
-                        }
-                        None => panic!(
+                    let Some(next) = inner.runnable.pop_front() else {
+                        panic!(
                             "fiber scheduler wedged: {}/{} fibers finished with none runnable",
                             inner.finished,
                             inner.fibers.len()
-                        ),
-                    }
-                };
-                let (save, restore) = {
-                    let mut inner = self.inner.borrow_mut();
-                    let save: *mut usize = &mut inner.sched_ctx.rsp;
+                        )
+                    };
+                    inner.current = Some(next);
+                    let save: *mut usize = &mut inner.driver_ctx.rsp;
                     let restore: *const usize = &inner.fibers[next].ctx.rsp;
                     (save, restore)
                 };
@@ -270,14 +322,22 @@ mod imp {
             }
         }
 
-        /// Yields the current fiber back to the scheduler; returns when a
-        /// wake re-enqueues it and the scheduler switches back in.
+        /// Suspends the current fiber and switches straight to the next
+        /// runnable one, or back to the driver when none is; returns when
+        /// a wake re-enqueues this fiber and something switches back in.
+        /// One context switch per resume, in the same order the driver
+        /// would have picked.
         pub(crate) fn suspend(&self) {
             let (save, restore) = {
                 let mut inner = self.inner.borrow_mut();
                 let t = inner.current.take().expect("suspend outside a fiber");
+                let next = inner.runnable.pop_front();
+                inner.current = next;
                 let save: *mut usize = &mut inner.fibers[t].ctx.rsp;
-                let restore: *const usize = &inner.sched_ctx.rsp;
+                let restore: *const usize = match next {
+                    Some(n) => &inner.fibers[n].ctx.rsp,
+                    None => &inner.driver_ctx.rsp,
+                };
                 (save, restore)
             };
             // SAFETY: as in `drive` — stable pointers, no live borrow.
@@ -366,7 +426,7 @@ mod imp {
         let shared = Arc::new(builder.into_shared());
         let rt = Box::new(FiberRt {
             inner: RefCell::new(RtInner {
-                sched_ctx: Context { rsp: 0 },
+                driver_ctx: Context { rsp: 0 },
                 fibers: Vec::with_capacity(nthreads),
                 runnable: VecDeque::with_capacity(nthreads),
                 current: None,
@@ -378,8 +438,7 @@ mod imp {
         let rt_ptr: *const FiberRt = &*rt;
         {
             let mut inner = rt.inner.borrow_mut();
-            for tid in 0..nthreads {
-                let stack = pool_take();
+            for (tid, stack) in pool_take(nthreads).into_iter().enumerate() {
                 let mut boot = Box::new(BootArgs { rt: rt_ptr, tid });
                 let arg: *mut BootArgs = &mut *boot;
                 let ctx = prepare_stack(&stack, arg);
@@ -392,9 +451,7 @@ mod imp {
         }
         rt.drive();
         let result = shared.collect();
-        for f in rt.inner.borrow_mut().fibers.drain(..) {
-            pool_put(f.stack);
-        }
+        pool_put(rt.inner.borrow_mut().fibers.drain(..).map(|f| f.stack));
         result
     }
 }

@@ -43,9 +43,10 @@
 //! episode-reusable teams. Results are byte-identical across transports.
 //!
 //! The host cost of a modeled operation does not grow with P: stalled ops
-//! wait in a per-time stall queue beside the one ready heap, spin-waiters
-//! are indexed by the word they watch, and sharer-set reductions run over
-//! per-layer core masks (see `DESIGN.md` §11 and §13).
+//! wait in a per-time stall queue beside one indexed heap of the running
+//! and ready threads, spin-waiters are indexed by the word they watch, and
+//! sharer-set reductions run over per-layer core masks (see `DESIGN.md`
+//! §11 and §13).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -76,6 +77,7 @@ pub mod error;
 pub(crate) mod fiber;
 pub mod line;
 pub mod rng;
+mod sched;
 pub mod schedule;
 pub mod stats;
 pub mod team;
@@ -87,5 +89,7 @@ pub use schedule::{
     LoadOrder, MinTimePolicy, ReadyOp, ReadyOpKind, ScheduleDecision, SchedulePolicy, StoreOrder,
     WeakDecision, WeakOp, WeakOpKind,
 };
-pub use stats::{CoherenceCounters, CoherenceStats, LineTraffic, Mark, OpKind, RunStats};
+pub use stats::{
+    CoherenceCounters, CoherenceStats, LineTraffic, LineTrafficTable, Mark, OpKind, RunStats,
+};
 pub use team::SimTeam;

@@ -68,6 +68,76 @@ pub struct LineTraffic {
     pub contended_reads: u64,
 }
 
+impl LineTraffic {
+    /// Whether the line saw a write or a remote read: every record the
+    /// engine makes counts one of the two.
+    fn seen(&self) -> bool {
+        self.writes > 0 || self.remote_reads > 0
+    }
+}
+
+/// Per-line traffic of a run, dense by line index like the engine's
+/// directory, so accounting an op costs an index, not a hash. A line counts
+/// as an entry once it saw a write or a remote read; [`len`](Self::len),
+/// [`iter`](Self::iter) and indexing see only those.
+#[derive(Debug, Clone, Default)]
+pub struct LineTrafficTable {
+    lines: Vec<LineTraffic>,
+    /// Lines with any traffic.
+    touched: usize,
+}
+
+impl LineTrafficTable {
+    /// The record of `line`, created on first use. Every caller then counts
+    /// a write or a remote read, so a fresh record is an entry from here on.
+    fn entry(&mut self, line: u32) -> &mut LineTraffic {
+        let i = line as usize;
+        if i >= self.lines.len() {
+            self.lines.resize(i + 1, LineTraffic::default());
+        }
+        let t = &mut self.lines[i];
+        if !t.seen() {
+            self.touched += 1;
+        }
+        t
+    }
+
+    /// Number of lines with any traffic.
+    pub fn len(&self) -> usize {
+        self.touched
+    }
+
+    /// Whether no line saw any traffic.
+    pub fn is_empty(&self) -> bool {
+        self.touched == 0
+    }
+
+    /// The traffic of `line`, if it saw any.
+    pub fn get(&self, line: u32) -> Option<&LineTraffic> {
+        self.lines.get(line as usize).filter(|t| t.seen())
+    }
+
+    /// `(line, traffic)` of every line with traffic, in line order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &LineTraffic)> {
+        self.lines.iter().enumerate().filter(|(_, t)| t.seen()).map(|(i, t)| (i as u32, t))
+    }
+
+    /// The traffic of every line with traffic, in line order.
+    pub fn values(&self) -> impl Iterator<Item = &LineTraffic> {
+        self.iter().map(|(_, t)| t)
+    }
+}
+
+impl std::ops::Index<&u32> for LineTrafficTable {
+    type Output = LineTraffic;
+
+    /// # Panics
+    /// Panics when `line` saw no traffic.
+    fn index(&self, line: &u32) -> &LineTraffic {
+        self.get(*line).unwrap_or_else(|| panic!("line {line} saw no traffic"))
+    }
+}
+
 /// Per-thread coherence-operation counters, the observable form of the
 /// paper's Section III cost model: every simulated memory operation lands in
 /// exactly one read/write bucket, and the stall/fan-out fields expose the
@@ -187,7 +257,7 @@ pub struct RunStats {
     per_thread_time_ns: Vec<f64>,
     op_counts: [u64; 6],
     marks: Vec<Mark>,
-    line_traffic: std::collections::HashMap<u32, LineTraffic>,
+    line_traffic: LineTrafficTable,
     coherence: CoherenceStats,
     schedule_hash: u64,
 }
@@ -198,7 +268,7 @@ impl RunStats {
             per_thread_time_ns: vec![0.0; nthreads],
             op_counts: [0; 6],
             marks: Vec::new(),
-            line_traffic: std::collections::HashMap::new(),
+            line_traffic: LineTrafficTable::default(),
             coherence: CoherenceStats::new(nthreads),
             schedule_hash: 0,
         }
@@ -245,7 +315,7 @@ impl RunStats {
                 c.reader_contention_events += 1;
             }
             self.op_counts[OpKind::RemoteRead.idx()] += 1;
-            let t = self.line_traffic.entry(line).or_default();
+            let t = self.line_traffic.entry(line);
             t.remote_reads += 1;
             if contended {
                 t.contended_reads += 1;
@@ -265,7 +335,7 @@ impl RunStats {
             self.op_counts[OpKind::LocalWrite.idx()] += 1;
         }
         c.rfo_invalidations += invalidated as u64;
-        let t = self.line_traffic.entry(line).or_default();
+        let t = self.line_traffic.entry(line);
         t.writes += 1;
         t.invalidations += invalidated as u64;
         t.peak_sharers = t.peak_sharers.max(invalidated as u32);
@@ -317,7 +387,7 @@ impl RunStats {
 
     /// Per-line write/invalidation traffic, keyed by line index
     /// (`addr / line_bytes`).
-    pub fn line_traffic(&self) -> &std::collections::HashMap<u32, LineTraffic> {
+    pub fn line_traffic(&self) -> &LineTrafficTable {
         &self.line_traffic
     }
 
@@ -329,7 +399,7 @@ impl RunStats {
     /// The `n` most-written lines, descending — the hot spots.
     pub fn hottest_lines(&self, n: usize) -> Vec<(u32, LineTraffic)> {
         let mut v: Vec<(u32, LineTraffic)> =
-            self.line_traffic.iter().map(|(&k, &t)| (k, t)).collect();
+            self.line_traffic.iter().map(|(k, &t)| (k, t)).collect();
         v.sort_by(|a, b| b.1.writes.cmp(&a.1.writes).then(a.0.cmp(&b.0)));
         v.truncate(n);
         v
@@ -437,6 +507,25 @@ mod tests {
         assert_eq!(t.invalidations, 3);
         assert_eq!(t.remote_reads, 1);
         assert_eq!(t.contended_reads, 1);
+    }
+
+    #[test]
+    fn line_traffic_lists_only_lines_with_writes_or_remote_reads() {
+        let mut s = RunStats::new(1);
+        s.record_read(0, 3, true, false);
+        assert!(s.line_traffic().is_empty());
+        s.record_write(0, 9, false, 0);
+        s.record_read(0, 5, false, false);
+        s.record_write(0, 9, true, 2);
+        let traffic = s.line_traffic();
+        assert_eq!(traffic.len(), 2);
+        assert_eq!(traffic.get(3), None);
+        assert_eq!(traffic.get(100), None);
+        let lines: Vec<u32> = traffic.iter().map(|(k, _)| k).collect();
+        assert_eq!(lines, [5, 9]);
+        assert_eq!((traffic[&9].writes, traffic[&9].peak_sharers), (2, 2));
+        assert_eq!(s.hottest_lines(1)[0].0, 9);
+        assert_eq!(s.hotspot_concentration(), 1.0);
     }
 
     #[test]
