@@ -9,9 +9,10 @@
 //! P ∈ {16, 64} and at P = 256 (write-stall storms on one line), SENSE at
 //! P = 8 on Kunpeng920 under the conformance checker's `ExplorerPolicy`
 //! (the policy path, sequentially consistent and with weak-memory
-//! reordering), SENSE at P = 16 on the OS-thread transport, plus the
+//! reordering), SENSE at P = 16 on the OS-thread transport, the
 //! wall-clock of a quick-scale regeneration of every experiment suite, in
-//! total and per suite, and writes the numbers as JSON to the repo root.
+//! total and per suite, and the median time to build the MemPool-1024
+//! preset, and writes the numbers as JSON to the repo root.
 //!
 //! ```text
 //! bench_sim [--out PATH] [--gate-drop-pct N] [--summary PATH]
@@ -28,6 +29,10 @@
 //! key measures the host's futex path and scheduler more than the engine.
 //! It sits beside `engine_ops_per_sec_sense_p16` (the same runs on the
 //! fiber transport) to put the transport split in the committed file.
+//! `topology_preset_ms_mempool1024` sits outside the gated prefix: it is
+//! set-up cost, paid once per machine model before any simulation starts,
+//! so no engine throughput depends on it. It tracks what building the
+//! largest preset's pair→layer map and layer masks costs.
 //! `--summary PATH` appends a markdown delta table (GitHub step-summary
 //! format) to the given file.
 //!
@@ -166,6 +171,26 @@ fn quick_experiments_secs() -> Vec<Point> {
     points
 }
 
+/// Median wall-clock milliseconds of building [`Platform::MemPool1024`]
+/// (informational, see the module doc). The drop of each built machine
+/// falls outside its timing.
+fn preset_build_ms() -> Point {
+    const BUILDS: usize = 9;
+    let mut ms: Vec<f64> = (0..BUILDS)
+        .map(|_| {
+            let t = Instant::now();
+            let topo = std::hint::black_box(Topology::preset(Platform::MemPool1024));
+            let elapsed = t.elapsed().as_secs_f64() * 1e3;
+            drop(topo);
+            elapsed
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = ms[BUILDS / 2];
+    eprintln!("MemPool-1024 preset build: {median:.2} ms");
+    Point::new("topology_preset_ms_mempool1024", median)
+}
+
 fn main() {
     let args = Args::from_env("bench_sim [--out PATH] [--gate-drop-pct N] [--summary PATH]");
     let out = args.value("--out").unwrap_or("BENCH_sim.json");
@@ -207,6 +232,7 @@ fn main() {
     points.push(policy_point("_weak", weak));
     points.push(os_transport_point());
     points.extend(quick_experiments_secs());
+    points.push(preset_build_ms());
 
     if !report::write(out, &points, "Simulator perf gate", args.value("--summary"), gate) {
         std::process::exit(1);

@@ -13,9 +13,9 @@
 //! `benches` is always this run; `baseline` is carried forward from the
 //! committed file, with keys new to this run seeded from the fresh
 //! measurement so future deltas always have a reference. Values render
-//! integral, except wall-clock seconds (keys with a `secs` word, such as
-//! `all_experiments_quick_secs` or `quick_secs_fig05`), which keep two
-//! decimals.
+//! integral, except wall-clock times (keys with a `secs` or `ms` word, such
+//! as `all_experiments_quick_secs`, `quick_secs_fig05` or
+//! `topology_preset_ms_mempool1024`), which keep two decimals.
 //!
 //! [`write`] is the entry point: it prints the delta of the fresh run
 //! against the committed file, optionally appends the delta table to a
@@ -29,7 +29,7 @@ use std::io::Write as _;
 pub struct Point {
     /// JSON key (e.g. `serve_episodes_per_sec`).
     pub key: String,
-    /// Value; rendered integral unless the key has a `secs` word.
+    /// Value; rendered integral unless the key has a `secs` or `ms` word.
     pub value: f64,
 }
 
@@ -40,10 +40,10 @@ impl Point {
     }
 }
 
-/// A value as the document renders it: two decimals for wall-clock
-/// seconds (keys with a `secs` word), integral for everything else.
+/// A value as the document renders it: two decimals for wall-clock times
+/// (keys with a `secs` or `ms` word), integral for everything else.
 fn value_text(key: &str, value: f64) -> String {
-    let decimals = if key.split('_').any(|w| w == "secs") { 2 } else { 0 };
+    let decimals = if key.split('_').any(|w| w == "secs" || w == "ms") { 2 } else { 0 };
     format!("{value:.decimals$}")
 }
 
@@ -288,6 +288,7 @@ mod tests {
     fn only_seconds_keys_keep_decimals() {
         assert_eq!(value_text("all_experiments_quick_secs", 8.466), "8.47");
         assert_eq!(value_text("quick_secs_kilocore", 3.014), "3.01");
+        assert_eq!(value_text("topology_preset_ms_mempool1024", 7.916), "7.92");
         assert_eq!(value_text("engine_ops_per_sec_sense_p16", 3257889.4), "3257889");
     }
 

@@ -1448,9 +1448,10 @@ impl Shared {
 
     /// The non-local layers joining `t` to members of `set`, as a bitmask
     /// over `L_i` indices (`t` itself joins over the local layer and never
-    /// counts; a topology has at most 64 layers). A latency or RFO matrix entry depends only on the layer, so
-    /// a maximum or minimum over the set is one over these layers — a few
-    /// word ANDs per layer instead of a walk over up to P members.
+    /// counts; a topology has at most 64 layers). A pair's latency and RFO
+    /// cost depend only on its layer, so a maximum or minimum over the set
+    /// is one over these layers — a few word ANDs per layer instead of a
+    /// walk over up to P members.
     fn layers_of(&self, t: CoreId, set: &CoreSet) -> u64 {
         let mut present = 0u64;
         for i in 0..self.topo.layers().len() {
@@ -1475,7 +1476,7 @@ impl Shared {
     fn write_transfer(&self, t: CoreId, line: &Line) -> (f64, bool) {
         match line.owner {
             Some(o) if o == t => (self.topo.epsilon_ns(), false),
-            Some(o) => (self.topo.latency_row(t)[o], true),
+            Some(o) => (self.topo.latency_ns(t, o), true),
             None if line.sharers.is_empty() => (self.topo.epsilon_ns(), false),
             None => (self.nearest_latency(t, &line.sharers), true),
         }
@@ -1505,7 +1506,7 @@ impl Shared {
     /// nearby.
     fn farthest_holder_latency(&self, t: CoreId, line: &Line, present: u64) -> f64 {
         let owner = match line.owner {
-            Some(o) if o != t => self.topo.latency_row(t)[o],
+            Some(o) if o != t => self.topo.latency_ns(t, o),
             _ => 0.0,
         };
         layer_ids(present).map(|l| self.topo.layer_latency_ns(l)).fold(owner, f64::max)
@@ -1814,7 +1815,7 @@ impl Shared {
         } else {
             let start = now.max(line.available_at);
             let src = if let Some(o) = line.owner {
-                self.topo.latency_row(tid)[o]
+                self.topo.latency_ns(tid, o)
             } else if !line.sharers.is_empty() {
                 self.nearest_latency(tid, &line.sharers)
             } else {
@@ -1851,7 +1852,7 @@ impl Shared {
                 continue;
             }
             let src = if let Some(o) = snapshot.owner {
-                self.topo.latency_row(tid)[o]
+                self.topo.latency_ns(tid, o)
             } else if !snapshot.sharers.is_empty() {
                 self.nearest_latency(tid, &snapshot.sharers)
             } else {
@@ -1985,7 +1986,7 @@ impl Shared {
                 kept += 1;
                 continue;
             };
-            let lat = self.topo.latency_row(w.tid)[writer];
+            let lat = self.topo.latency_ns(w.tid, writer);
             // A batched waiter re-fetched every other flag line as its
             // writers dirtied it; those (pipelined) refetches are paid
             // now, as the overlap fraction of each line's pull from its
@@ -1999,7 +2000,7 @@ impl Shared {
                     .map(|&a| {
                         self.line_at(g, self.line_key(a))
                             .owner
-                            .map_or(0.0, |o| 0.3 * self.topo.latency_row(w.tid)[o])
+                            .map_or(0.0, |o| 0.3 * self.topo.latency_ns(w.tid, o))
                     })
                     .sum(),
             };

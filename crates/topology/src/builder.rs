@@ -110,22 +110,17 @@ impl TopologyBuilder {
             assert!(w[0] < w[1], "hierarchy sizes must be strictly increasing");
             assert_eq!(w[1] % w[0], 0, "hierarchy sizes must nest evenly");
         }
+        // Each row starts as the outermost layer; then each nested
+        // cluster's block of it is filled from the outside in, so an inner
+        // block overwrites the cluster around it.
         let n = self.num_cores;
-        let mut m = vec![LayerId::LOCAL; n * n];
-        for a in 0..n {
-            for b in 0..n {
-                if a == b {
-                    continue;
-                }
-                let mut layer = sizes.len() as u8; // outermost by default
-                for (i, &s) in sizes.iter().enumerate() {
-                    if a / s == b / s {
-                        layer = i as u8;
-                        break;
-                    }
-                }
-                m[a * n + b] = LayerId(layer);
+        let mut m = vec![LayerId(sizes.len() as u8); n * n];
+        for (a, row) in m.chunks_exact_mut(n).enumerate() {
+            for (i, &s) in sizes.iter().enumerate().rev() {
+                let start = a / s * s;
+                row[start..start + s.min(n - start)].fill(LayerId(i as u8));
             }
+            row[a] = LayerId::LOCAL;
         }
         self.pair_layer = Some(m);
         if self.n_c.is_none() {
@@ -182,6 +177,9 @@ impl TopologyBuilder {
         assert!(!self.layers.is_empty(), "register at least one layer");
         let pair_layer =
             self.pair_layer.expect("provide a pair→layer map via hierarchy() or pair_layer_fn()");
+        let latency_by_layer = std::iter::once(self.epsilon_ns)
+            .chain(self.layers.iter().map(|l| l.latency_ns))
+            .collect();
         let mut topo = Topology {
             name: self.name,
             num_cores: self.num_cores,
@@ -189,15 +187,14 @@ impl TopologyBuilder {
             epsilon_ns: self.epsilon_ns,
             layers: self.layers,
             pair_layer,
-            latency_matrix: Vec::new(),
-            rfo_matrix: Vec::new(),
+            latency_by_layer,
             layer_masks: Vec::new(),
             n_c: self.n_c.unwrap_or(self.num_cores),
             coherence: self.coherence,
             rmw_costs: self.rmw_costs,
         };
         topo.validate();
-        topo.compute_matrices();
+        topo.compute_layer_masks();
         topo
     }
 }

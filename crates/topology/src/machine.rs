@@ -84,16 +84,16 @@ pub struct Topology {
     pub(crate) epsilon_ns: f64,
     /// Latency layers `L_0..L_k`.
     pub(crate) layers: Vec<Layer>,
-    /// Dense `num_cores × num_cores` matrix of layer ids; diagonal is LOCAL.
+    /// Dense `num_cores × num_cores` map of layer ids, one byte per core
+    /// pair; the diagonal is LOCAL. The only per-pair table: a pair's
+    /// latency and RFO cost depend on nothing but its layer, so both are
+    /// read through this map.
     pub(crate) pair_layer: Vec<LayerId>,
-    /// Dense `num_cores × num_cores` cache of [`Topology::latency_ns`]:
-    /// `latency_matrix[a·n + b] = layer_latency_ns(layer(a, b))`. Built once
-    /// at construction so the simulator's per-operation hot path is a single
-    /// indexed load instead of layer lookup + branch.
-    pub(crate) latency_matrix: Vec<f64>,
-    /// Dense `num_cores × num_cores` cache of [`Topology::rfo_ns`]:
-    /// `rfo_matrix[w·n + h] = α_i · L_i` for the layer joining `w` and `h`.
-    pub(crate) rfo_matrix: Vec<f64>,
+    /// Transfer latency per layer byte: entry `0` is `ε` and entry `i + 1`
+    /// is `L_i` ([`LayerId::LOCAL`] is `u8::MAX`, which `+ 1` wraps to 0).
+    /// [`Topology::latency_ns`] prices a pair with one `pair_layer` load and
+    /// one load from this table.
+    pub(crate) latency_by_layer: Vec<f64>,
     /// Per-(core, layer) bitsets over cores, [`Topology::mask_words`] words
     /// each: bit `b` of the mask for `(a, L_i)` is set iff `layer(a, b) ==
     /// L_i`. Lets the simulator reduce a sharer set to the layers present
@@ -186,24 +186,20 @@ impl Topology {
     }
 
     /// Cache-to-cache transfer latency between cores `a` and `b` in ns
-    /// (`ε` when `a == b`). Served from the precomputed latency matrix.
+    /// (`ε` when `a == b`): the latency of the layer joining them, looked
+    /// up through the pair→layer map.
     ///
     /// # Panics
     /// Panics if either core id is out of range.
     #[inline]
     pub fn latency_ns(&self, a: CoreId, b: CoreId) -> f64 {
-        assert!(a < self.num_cores && b < self.num_cores, "core id out of range");
-        self.latency_matrix[a * self.num_cores + b]
+        self.layer_latency_ns(self.layer(a, b))
     }
 
-    /// Latency of a given layer in ns.
+    /// Latency of a given layer in ns (`ε` for [`LayerId::LOCAL`]).
     #[inline]
     pub fn layer_latency_ns(&self, layer: LayerId) -> f64 {
-        if layer.is_local() {
-            self.epsilon_ns
-        } else {
-            self.layers[layer.index()].latency_ns
-        }
+        self.latency_by_layer[layer.0.wrapping_add(1) as usize]
     }
 
     /// RFO weight `α_i` of a layer (`0` for the local layer: invalidating
@@ -218,28 +214,15 @@ impl Topology {
     }
 
     /// Cost in ns of sending an RFO invalidation from `writer` to a sharer
-    /// at `holder`: `α_i · L_i` (Section III-B). Served from the precomputed
-    /// RFO matrix.
+    /// at `holder`: `α_i · L_i` for the layer `L_i` joining them
+    /// (Section III-B), computed from the pair→layer map.
     ///
     /// # Panics
     /// Panics if either core id is out of range.
     #[inline]
     pub fn rfo_ns(&self, writer: CoreId, holder: CoreId) -> f64 {
-        assert!(writer < self.num_cores && holder < self.num_cores, "core id out of range");
-        self.rfo_matrix[writer * self.num_cores + holder]
-    }
-
-    /// Row `a` of the latency matrix: `latency_ns(a, b)` for every `b`.
-    /// The simulator iterates these rows in its per-sharer loops.
-    #[inline]
-    pub fn latency_row(&self, a: CoreId) -> &[f64] {
-        &self.latency_matrix[a * self.num_cores..(a + 1) * self.num_cores]
-    }
-
-    /// Row `w` of the RFO matrix: `rfo_ns(w, h)` for every `h`.
-    #[inline]
-    pub fn rfo_row(&self, w: CoreId) -> &[f64] {
-        &self.rfo_matrix[w * self.num_cores..(w + 1) * self.num_cores]
+        let l = self.layer(writer, holder);
+        self.alpha(l) * self.layer_latency_ns(l)
     }
 
     /// Logical cluster index of a core (cores `[k·N_c, (k+1)·N_c)` form
@@ -310,58 +293,43 @@ impl Topology {
         sum / n as f64
     }
 
-    /// Fills the dense latency/RFO caches and the per-(core, layer) masks
-    /// from the layer table. Called once by the builder, after validation;
-    /// the cached values are exactly the per-call layer math they replace
-    /// (same expressions, same `f64` results), so lookups are bit-identical
-    /// to the formulas.
-    pub(crate) fn compute_matrices(&mut self) {
+    /// Fills the per-(core, layer) masks from the pair→layer map. Called
+    /// once by the builder, after validation.
+    pub(crate) fn compute_layer_masks(&mut self) {
         let n = self.num_cores;
         let (nl, w) = (self.layers.len(), self.mask_words());
-        let mut latency = vec![0.0; n * n];
-        let mut rfo = vec![0.0; n * n];
         let mut masks = vec![0u64; n * nl * w];
-        for a in 0..n {
-            for b in 0..n {
-                let l = self.pair_layer[a * n + b];
-                latency[a * n + b] = self.layer_latency_ns(l);
-                rfo[a * n + b] = self.alpha(l) * self.layer_latency_ns(l);
+        for (a, row) in self.pair_layer.chunks_exact(n).enumerate() {
+            for (b, l) in row.iter().enumerate() {
                 if !l.is_local() {
                     masks[(a * nl + l.index()) * w + b / 64] |= 1u64 << (b % 64);
                 }
             }
         }
-        self.latency_matrix = latency;
-        self.rfo_matrix = rfo;
         self.layer_masks = masks;
     }
 
     /// Verifies internal consistency; called by the builder and presets.
-    /// Checks the matrix is symmetric, the diagonal is LOCAL, every
-    /// referenced layer exists, and there are at most 64 layers.
+    /// Checks the map is symmetric, the diagonal is LOCAL, every
+    /// referenced layer exists, and there are at most 64 layers. Each
+    /// unordered pair is checked once.
     pub(crate) fn validate(&self) {
-        assert_eq!(self.pair_layer.len(), self.num_cores * self.num_cores);
-        assert!(self.n_c >= 1 && self.n_c <= self.num_cores);
+        let n = self.num_cores;
+        assert_eq!(self.pair_layer.len(), n * n);
+        assert!(self.n_c >= 1 && self.n_c <= n);
         // The simulator folds sharer sets into a 64-bit set of layers.
         assert!(self.layers.len() <= 64, "at most 64 latency layers, got {}", self.layers.len());
-        for a in 0..self.num_cores {
-            for b in 0..self.num_cores {
-                let l = self.pair_layer[a * self.num_cores + b];
-                if a == b {
-                    assert!(l.is_local(), "diagonal of pair_layer must be LOCAL");
-                } else {
-                    assert!(!l.is_local(), "off-diagonal must not be LOCAL");
-                    assert!(
-                        l.index() < self.layers.len(),
-                        "layer {l} out of range (machine has {} layers)",
-                        self.layers.len()
-                    );
-                    assert_eq!(
-                        self.pair_layer[a * self.num_cores + b],
-                        self.pair_layer[b * self.num_cores + a],
-                        "pair_layer must be symmetric"
-                    );
-                }
+        for a in 0..n {
+            assert!(self.pair_layer[a * n + a].is_local(), "diagonal of pair_layer must be LOCAL");
+            for b in a + 1..n {
+                let l = self.pair_layer[a * n + b];
+                assert!(!l.is_local(), "off-diagonal must not be LOCAL");
+                assert!(
+                    l.index() < self.layers.len(),
+                    "layer {l} out of range (machine has {} layers)",
+                    self.layers.len()
+                );
+                assert_eq!(l, self.pair_layer[b * n + a], "pair_layer must be symmetric");
             }
         }
     }
@@ -416,10 +384,10 @@ mod tests {
     }
 
     #[test]
-    fn cached_matrices_equal_layer_math_exactly() {
-        // The simulator's hot path reads the dense caches and the layer
-        // masks; they must be bit-identical to the formulas and the pair
-        // map they replace, on every preset.
+    fn pair_costs_equal_layer_math_exactly() {
+        // The simulator prices a pair through the pair→layer map and folds
+        // sharer sets over the layer masks; both must agree bit for bit
+        // with the per-layer formulas, on every preset.
         for p in Platform::EVERY {
             let t = Topology::preset(p);
             let nl = t.layers().len();
@@ -429,10 +397,15 @@ mod tests {
                 assert!(masks.iter().all(|m| m.len() == t.mask_words()), "{p:?} {a}");
                 for b in 0..t.num_cores() {
                     let l = t.layer(a, b);
-                    assert_eq!(t.latency_ns(a, b), t.layer_latency_ns(l), "{p:?} {a} {b}");
-                    assert_eq!(t.rfo_ns(a, b), t.alpha(l) * t.layer_latency_ns(l), "{p:?} {a} {b}");
-                    assert_eq!(t.latency_row(a)[b], t.latency_ns(a, b));
-                    assert_eq!(t.rfo_row(a)[b], t.rfo_ns(a, b));
+                    let lat = if l.is_local() {
+                        t.epsilon_ns()
+                    } else {
+                        t.layers()[l.index()].latency_ns
+                    };
+                    assert_eq!(t.latency_ns(a, b).to_bits(), lat.to_bits(), "{p:?} {a} {b}");
+                    assert_eq!(t.layer_latency_ns(l).to_bits(), lat.to_bits(), "{p:?} {a} {b}");
+                    let rfo = t.alpha(l) * lat;
+                    assert_eq!(t.rfo_ns(a, b).to_bits(), rfo.to_bits(), "{p:?} {a} {b}");
                     for (i, m) in masks.iter().enumerate() {
                         let member = m[b / 64] >> (b % 64) & 1 == 1;
                         assert_eq!(member, l == LayerId(i as u8), "{p:?} {a} {b} L{i}");

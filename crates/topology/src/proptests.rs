@@ -82,3 +82,45 @@ proptest! {
         prop_assert!(t.mean_remote_latency_ns(lo) <= t.mean_remote_latency_ns(hi) + 1e-9);
     }
 }
+
+/// The layer `hierarchy(sizes)` assigns to the pair `(a, b)`, pair by pair:
+/// the innermost level whose cluster holds both cores, else the outermost
+/// layer.
+fn per_pair_layer(sizes: &[usize], a: usize, b: usize) -> LayerId {
+    if a == b {
+        return LayerId::LOCAL;
+    }
+    let level = sizes.iter().position(|&s| a / s == b / s).unwrap_or(sizes.len());
+    LayerId(level as u8)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// `hierarchy()` fills nested blocks of each row; its map equals the
+    /// per-pair rule on every pair, also when the core count is not a
+    /// multiple of the outer cluster sizes (a ragged last cluster) or is
+    /// smaller than them.
+    #[test]
+    fn hierarchy_matches_per_pair_rule(
+        cores in 1usize..=300,
+        levels in 0usize..=3,
+        base in 1usize..=8,
+        fanouts in (2usize..=5, 2usize..=5),
+    ) {
+        let mut sizes = vec![base, base * fanouts.0, base * fanouts.0 * fanouts.1];
+        sizes.truncate(levels);
+        let t = (0..=levels)
+            .fold(TopologyBuilder::new("prop", cores), |b, i| {
+                b.layer(&format!("L{i}"), 1.0 + i as f64, 0.5)
+            })
+            .hierarchy(&sizes)
+            .build();
+        for a in 0..cores {
+            for c in 0..cores {
+                let (got, want) = (t.layer(a, c), per_pair_layer(&sizes, a, c));
+                prop_assert!(got == want, "sizes {sizes:?}, pair ({a}, {c}): {got} != {want}");
+            }
+        }
+    }
+}
