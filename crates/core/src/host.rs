@@ -181,6 +181,20 @@ impl HostMem {
         unsafe { Arc::from_raw(Arc::into_raw(words) as *const HostMem) }
     }
 
+    /// Views words the caller already owns as a `HostMem`, for a host
+    /// that keeps a phaser's words inline in a larger allocation of its
+    /// own (a serve team). Word `i` answers [`Addr`] `4 * i`. The cast is
+    /// sound because `HostMem` is `repr(transparent)` over
+    /// `[AtomicU32]`: the view is the same slice, with the same length
+    /// and the borrow's lifetime, and adds no invariant of its own.
+    #[inline]
+    pub fn from_words(words: &[AtomicU32]) -> &HostMem {
+        // SAFETY: `HostMem` is `repr(transparent)` over `[AtomicU32]`, so
+        // the two slice DSTs share layout and length metadata; the cast
+        // keeps both, and the returned borrow inherits the input's lifetime.
+        unsafe { &*(words as *const [AtomicU32] as *const HostMem) }
+    }
+
     /// A per-thread operation context using the process-wide
     /// [`SpinPolicy::from_env`]. `nthreads` is the number of barrier
     /// participants; `tid` must be unique per participant.
@@ -325,6 +339,18 @@ mod tests {
         ctx.store(b, 22);
         assert_eq!(ctx.load(a), 11);
         assert_eq!(ctx.load(b), 22);
+    }
+
+    #[test]
+    fn from_words_views_the_callers_words() {
+        let words: [AtomicU32; 4] = std::array::from_fn(|i| AtomicU32::new(i as u32));
+        let mem = HostMem::from_words(&words);
+        let ctx = mem.view(0, 1);
+        assert_eq!(ctx.load(12), 3);
+        ctx.store(4, 40);
+        assert_eq!(words[1].load(Ordering::Relaxed), 40);
+        assert!(std::ptr::eq(mem.words.as_ptr(), words.as_ptr()));
+        assert_eq!(mem.words.len(), 4);
     }
 
     #[test]

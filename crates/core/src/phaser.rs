@@ -609,6 +609,11 @@ impl CentralPhaser {
         Some(self.count(ctx, victim, epoch, count))
     }
 
+    /// The slots this phaser was built for.
+    pub fn capacity(&self) -> usize {
+        self.slots.cap as usize
+    }
+
     /// The last committed epoch: epoch `e` has released iff this is `>= e`.
     pub fn completed<C: MemCtx + ?Sized>(&self, ctx: &C) -> u32 {
         ctx.load(self.slots.release())

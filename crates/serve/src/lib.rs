@@ -9,8 +9,9 @@
 //! membership) carried over to the connection world.
 //!
 //! The membership protocol is not this crate's: every [`Team`] is an
-//! `armbar_core` PH-CTR phaser (`CentralPhaser`) in a packed host arena of
-//! its own, the implementation the conformance checker searches. What
+//! `armbar_core` PH-CTR phaser (`CentralPhaser`) whose packed words sit
+//! inline in the team's one allocation, the implementation the
+//! conformance checker searches. What
 //! this crate adds, in the paper's terms:
 //!
 //! * **sharded registry** ([`Registry`]) — team ownership is split over

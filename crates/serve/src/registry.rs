@@ -83,6 +83,8 @@ pub struct WakeStats {
 /// patience knobs its teams wait by.
 pub struct ShardWake {
     pub(crate) cfg: TeamConfig,
+    /// Index of the shard this is the wakeup path of.
+    pub(crate) shard: usize,
     mx: Mutex<()>,
     cv: Condvar,
     parked: AtomicU32,
@@ -97,9 +99,10 @@ pub struct ShardWake {
 }
 
 impl ShardWake {
-    fn new(cfg: TeamConfig) -> Self {
+    fn new(cfg: TeamConfig, shard: usize) -> Self {
         Self {
             cfg,
+            shard,
             mx: Mutex::new(()),
             cv: Condvar::new(),
             parked: AtomicU32::new(0),
@@ -156,7 +159,7 @@ impl ShardWake {
 /// A shard's teams, and the boundaries committed by those it reclaimed.
 #[derive(Default)]
 struct Teams {
-    live: HashMap<String, Arc<Team>>,
+    live: HashMap<Box<str>, Arc<Team>>,
     swept_commits: u64,
 }
 
@@ -183,9 +186,9 @@ impl Registry {
     pub fn new(shards: usize, cfg: TeamConfig) -> Self {
         assert!(shards >= 1, "need at least one shard");
         let shards = (0..shards)
-            .map(|_| Shard {
+            .map(|shard| Shard {
                 teams: Mutex::new(Teams::default()),
-                wake: Arc::new(ShardWake::new(cfg.clone())),
+                wake: Arc::new(ShardWake::new(cfg.clone(), shard)),
             })
             .collect();
         Self { shards }
@@ -216,8 +219,8 @@ impl Registry {
             )),
             None => {
                 let wake = Arc::clone(&self.shards[shard].wake);
-                let team = Arc::new(Team::new(name, members, shard, wake));
-                teams.insert(name.to_string(), Arc::clone(&team));
+                let team = Team::new(name.into(), members, wake);
+                teams.insert(name.into(), Arc::clone(&team));
                 Ok(team)
             }
         }
@@ -364,7 +367,7 @@ mod tests {
 
     #[test]
     fn park_wakes_on_flush() {
-        let wake = Arc::new(ShardWake::new(TeamConfig::default()));
+        let wake = Arc::new(ShardWake::new(TeamConfig::default(), 0));
         let released = Arc::new(AtomicU32::new(0));
         let (w, r) = (Arc::clone(&wake), Arc::clone(&released));
         let h = std::thread::spawn(move || {

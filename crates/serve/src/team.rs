@@ -1,16 +1,23 @@
 //! Multi-tenant barrier teams: a PH-CTR phaser per team, served to
 //! connections.
 //!
-//! A [`Team`] *is* a [`CentralPhaser`], packed in a [`HostMem`] of its
-//! own; each [`Conn`] call drives it through a [`HostCtx`] view whose
-//! thread id is the connection's slot, so the claim / evict / proxy /
-//! commit code is the phaser's — the code `armbar conform --phasers`
-//! searches. A connection drop is a deregister whose final arrival
-//! proxies the open epoch (abrupt drops mark the team `degraded`); past
-//! the deadline a waiter evicts one unarrived member per lap, and poisons
-//! the team when nobody is evictable; the arrival that commits a boundary
-//! makes one flush through the owning shard. DESIGN.md §16 argues proxy
-//! safety and the wakeup handshake at acquire/release.
+//! A [`Team`] *is* a [`CentralPhaser`]: its words, packed, sit inline at
+//! the end of the team's own allocation, and each [`Conn`] call drives
+//! them through a [`HostCtx`] view whose thread id is the connection's
+//! slot, so the claim / evict / proxy / commit code is the phaser's — the
+//! code `armbar conform --phasers` searches. A connection drop is a
+//! deregister whose final arrival proxies the open epoch (abrupt drops
+//! mark the team `degraded`); past the deadline a waiter evicts one
+//! unarrived member per lap, and poisons the team when nobody is
+//! evictable; the arrival that commits a boundary makes one flush through
+//! the owning shard. DESIGN.md §16 argues proxy safety and the wakeup
+//! handshake at acquire/release.
+//!
+//! A team is one cache-line-aligned allocation: one line of header, then
+//! the phaser's words from the next line boundary on (a team of 4 fills
+//! two more lines). A cold tenant's episode therefore waits on one
+//! pointer, the `Conn`'s, before every line it touches can be fetched at
+//! once.
 //!
 //! A member's own arrival pays only for the phaser's claim and counter
 //! RMWs: the team counts neither own arrivals nor episodes. Both are
@@ -21,7 +28,7 @@
 //! boundaries.
 
 use std::sync::atomic::{
-    AtomicBool, AtomicU32, AtomicU64,
+    AtomicU16, AtomicU32, AtomicU64,
     Ordering::{Acquire, Relaxed, Release},
 };
 use std::sync::Arc;
@@ -53,16 +60,17 @@ impl Default for TeamConfig {
     }
 }
 
-/// Per-tenant counters for what the phaser's words do not record, all
-/// off the member's own arrival path. Relaxed — exact totals, no ordering
-/// role — except `proxy_arrivals`, which [`Team::metrics`] subtracts from
-/// the ledgers (see there).
+/// Per-tenant counts of what the phaser's words do not record, all off
+/// the member's own arrival path. Each counts at most one event per slot
+/// (a slot leaves once: dropped, closed or evicted), and a phaser holds at
+/// most 4095 slots, so 16 bits are exact. Relaxed — exact totals, no
+/// ordering role — except `proxy_arrivals`, which [`Team::metrics`]
+/// subtracts from the ledgers (see there).
 #[derive(Default)]
 struct Counters {
-    proxy_arrivals: AtomicU64,
-    drops: AtomicU64,
-    evictions: AtomicU64,
-    parked_waits: AtomicU64,
+    proxy_arrivals: AtomicU16,
+    drops: AtomicU16,
+    evictions: AtomicU16,
 }
 
 /// A snapshot of one team's per-tenant metrics.
@@ -88,50 +96,105 @@ pub struct TeamMetrics {
 /// [`Registry::register`](crate::registry::Registry::register); members
 /// attach with [`Team::connect`] and synchronize through their [`Conn`].
 ///
-/// `repr(C)` keeps what every episode reads at the front, so a cold team
-/// costs as few cache lines as possible.
-#[repr(C)]
-pub struct Team {
-    /// The team's words: the packed phaser and nothing else.
-    mem: Arc<HostMem>,
+/// One allocation holds the whole team. `repr(C, align(64))` puts the
+/// header on one cache line and `words`, the packed phaser's words, at
+/// the fixed offset of the next line boundary, so an episode's header
+/// and word loads all issue from the one `Arc` pointer. `W` is a word
+/// array only while the registry builds the team; every `Arc<Team>` is
+/// unsized to the slice.
+#[repr(C, align(64))]
+pub struct Team<W: ?Sized = [AtomicU32]> {
     phaser: CentralPhaser,
-    /// 0 = healthy, else poisoner slot + 1.
-    poison: AtomicU32,
-    capacity: u32,
-    /// Next slot handed out by [`Team::connect`] (a ticket: Relaxed).
+    /// Next slot handed out by [`Team::connect`]: a ticket that stops at
+    /// the capacity (Relaxed).
     next_conn: AtomicU32,
+    /// 0 = healthy, else poisoner slot + 1.
+    poison: AtomicU16,
+    counters: Counters,
     /// The shard's wakeup path and patience knobs.
     wake: Arc<ShardWake>,
-    counters: Counters,
-    /// Set by the first drop or eviction: the team completed an epoch
-    /// short-handed. A status flag, so Relaxed.
-    degraded: AtomicBool,
-    shard: usize,
-    name: String,
+    parked_waits: AtomicU64,
+    name: Box<str>,
+    words: W,
 }
 
+/// The alignment of a [`Team`], a cache line.
+const LINE_BYTES: usize = 64;
+const LINE_WORDS: usize = LINE_BYTES / 4;
+
+// The header fills one line exactly: the words start at the next.
+const _: () = assert!(std::mem::offset_of!(Team<[AtomicU32; 16]>, words) == LINE_BYTES);
+
+/// Builds a team whose word block holds `N` words.
+type Build = fn(CentralPhaser, Box<str>, Arc<ShardWake>) -> Arc<Team>;
+
+/// The word-block lengths a team comes in, each with its constructor: a
+/// team takes the first that holds its phaser's words. The largest
+/// packed phaser, 4095 slots, has 6 · 4095 + 3 words and fits the last.
+const BLOCKS: [(usize, Build); 12] = [
+    (16, Team::build::<16>),
+    (32, Team::build::<32>),
+    (64, Team::build::<64>),
+    (128, Team::build::<128>),
+    (256, Team::build::<256>),
+    (512, Team::build::<512>),
+    (1024, Team::build::<1024>),
+    (2048, Team::build::<2048>),
+    (4096, Team::build::<4096>),
+    (8192, Team::build::<8192>),
+    (16384, Team::build::<16384>),
+    (32768, Team::build::<32768>),
+];
+
 impl Team {
-    pub(crate) fn new(name: &str, members: usize, shard: usize, wake: Arc<ShardWake>) -> Self {
+    pub(crate) fn new(name: Box<str>, members: usize, wake: Arc<ShardWake>) -> Arc<Self> {
         let mut arena = Arena::new();
         let phaser = CentralPhaser::packed(&mut arena, members);
-        Self {
-            mem: HostMem::new(&arena),
-            capacity: members as u32,
+        let words = arena.len().div_ceil(4);
+        let (_, build) = BLOCKS
+            .into_iter()
+            .find(|&(n, _)| n >= words)
+            .expect("a packed phaser of at most 4095 slots fits the largest block");
+        build(phaser, name, wake)
+    }
+
+    /// A team with an `N`-word block, unsized on return.
+    fn build<const N: usize>(
+        phaser: CentralPhaser,
+        name: Box<str>,
+        wake: Arc<ShardWake>,
+    ) -> Arc<Team> {
+        Arc::new(Team {
             phaser,
-            wake,
-            counters: Counters::default(),
-            poison: AtomicU32::new(0),
-            degraded: AtomicBool::new(false),
             next_conn: AtomicU32::new(0),
-            shard,
-            name: name.to_string(),
+            poison: AtomicU16::new(0),
+            counters: Counters::default(),
+            wake,
+            parked_waits: AtomicU64::new(0),
+            name,
+            words: [const { AtomicU32::new(0) }; N],
+        })
+    }
+
+    /// Loads the first two lines of words, all of a team of up to 4
+    /// members. Their addresses need only the team pointer, so on a cold
+    /// team these misses overlap the header's instead of waiting for the
+    /// phaser's fields to address them.
+    fn touch_words(&self) {
+        for word in self.words.iter().step_by(LINE_WORDS).take(2) {
+            std::hint::black_box(word.load(Relaxed));
         }
+    }
+
+    /// The team's words as the host memory its phaser was laid out in.
+    fn mem(&self) -> &HostMem {
+        HostMem::from_words(&self.words)
     }
 
     /// `slot`'s context over the team's words (slot 0 also serves reads
     /// that belong to no member: status, metrics).
     fn ctx(&self, slot: usize) -> HostCtx<&HostMem> {
-        self.mem.view(slot, self.capacity())
+        self.mem().view(slot, self.capacity())
     }
 
     /// The team's registered name.
@@ -141,12 +204,12 @@ impl Team {
 
     /// Index of the registry shard that owns this team.
     pub fn shard(&self) -> usize {
-        self.shard
+        self.wake.shard
     }
 
     /// The member count the team was registered with.
     pub fn capacity(&self) -> usize {
-        self.capacity as usize
+        self.phaser.capacity()
     }
 
     /// The epoch currently accepting arrivals.
@@ -159,11 +222,13 @@ impl Team {
         self.phaser.members(&self.ctx(0)) as usize
     }
 
-    /// `"poisoned"`, `"degraded"` or `"ok"` — worst state wins.
+    /// `"poisoned"`, `"degraded"` or `"ok"` — worst state wins. A team is
+    /// degraded once a drop or an eviction made it complete an epoch
+    /// short-handed.
     pub fn status(&self) -> &'static str {
         if self.poisoned_by().is_some() {
             "poisoned"
-        } else if self.degraded.load(Relaxed) {
+        } else if self.counters.drops.load(Relaxed) + self.counters.evictions.load(Relaxed) > 0 {
             "degraded"
         } else {
             "ok"
@@ -187,37 +252,35 @@ impl Team {
         // bump it reads, so the ledger claims behind them are visible to
         // the loads below. Ledgers only grow, so the claims summed cover
         // the proxies counted and the difference cannot underflow mid-run.
-        let proxy_arrivals = self.counters.proxy_arrivals.load(Acquire);
+        let proxy_arrivals = u64::from(self.counters.proxy_arrivals.load(Acquire));
         let claims: u64 =
             (0..self.capacity()).map(|s| u64::from(self.phaser.last_arrived(&ctx, s))).sum();
         TeamMetrics {
             arrivals: claims - proxy_arrivals,
             proxy_arrivals,
             episodes: u64::from(commits - u32::from(drained)),
-            drops: self.counters.drops.load(Relaxed),
-            evictions: self.counters.evictions.load(Relaxed),
-            parked_waits: self.counters.parked_waits.load(Relaxed),
+            drops: u64::from(self.counters.drops.load(Relaxed)),
+            evictions: u64::from(self.counters.evictions.load(Relaxed)),
+            parked_waits: self.parked_waits.load(Relaxed),
         }
     }
 
     /// Attaches the next free member slot; `None` once all `capacity`
     /// connections have been handed out (slots are never reused — a
     /// dropped member's slot stays dead and the team reforms smaller).
+    /// The ticket stops at the capacity, so no number of refused calls
+    /// can wrap it back onto a live slot.
     pub fn connect(self: &Arc<Self>) -> Option<Conn> {
-        let slot = self.next_conn.fetch_add(1, Relaxed);
-        (slot < self.capacity).then(|| Conn {
-            team: Arc::clone(self),
-            slot,
-            attached: true,
-            arrived: AtomicU32::new(0),
-            evicted_at: AtomicU32::new(0),
-        })
+        let cap = self.capacity() as u32;
+        let slot =
+            self.next_conn.fetch_update(Relaxed, Relaxed, |t| (t < cap).then_some(t + 1)).ok()?;
+        Some(Conn { team: Arc::clone(self), slot, state: AtomicU32::new(0) })
     }
 
     fn poisoned_by(&self) -> Option<usize> {
         match self.poison.load(Relaxed) {
             0 => None,
-            by => Some(by as usize - 1),
+            by => Some(usize::from(by) - 1),
         }
     }
 
@@ -240,6 +303,7 @@ impl Team {
     /// One member arrival. Returns the epoch arrived for (pass it to
     /// [`Team::wait`]).
     fn arrive(&self, slot: usize) -> Result<u32, BarrierError> {
+        self.touch_words();
         if let Some(by) = self.poisoned_by() {
             return Err(BarrierError::Poisoned { tid: slot, by });
         }
@@ -265,7 +329,7 @@ impl Team {
             }
             std::hint::spin_loop();
         }
-        self.counters.parked_waits.fetch_add(1, Relaxed);
+        self.parked_waits.fetch_add(1, Relaxed);
         let mut polls = u64::from(self.wake.cfg.spin);
         let mut next_recovery = Instant::now() + self.wake.cfg.deadline;
         loop {
@@ -307,7 +371,6 @@ impl Team {
         };
         if let Some(claim) = self.phaser.evict_claim(ctx, victim, epoch) {
             self.counters.evictions.fetch_add(1, Relaxed);
-            self.degraded.store(true, Relaxed);
             self.settle_proxy(claim);
         }
         true
@@ -324,7 +387,6 @@ impl Team {
         let Ok((_, claim)) = self.phaser.deregister_claim(ctx, arrived) else { return };
         if abrupt {
             self.counters.drops.fetch_add(1, Relaxed);
-            self.degraded.store(true, Relaxed);
         }
         self.settle_proxy(claim);
     }
@@ -334,11 +396,44 @@ impl Team {
     /// broadcast that follows takes the shard lock, which orders the
     /// poison before every parked waiter's predicate.
     fn claim_poison(&self, by: usize) -> bool {
-        let won = self.poison.compare_exchange(0, by as u32 + 1, Relaxed, Relaxed).is_ok();
+        let won = self.poison.compare_exchange(0, by as u16 + 1, Relaxed, Relaxed).is_ok();
         if won {
             self.wake.flush_now(); // wake everyone parked on the shard
         }
         won
+    }
+}
+
+/// Bit 31 of a connection's state word: the slot is out of the team.
+const OUT: u32 = 1 << 31;
+
+/// A connection's own state, packed into one word (bit 31 = [`OUT`], the
+/// low bits an epoch; epochs fit 20 bits).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ConnState {
+    /// Attached, with the epoch of an arrival not yet waited out, or 0: a
+    /// connection that drops mid-episode leaves through that arrival.
+    Arrived(u32),
+    /// Out: evicted at this epoch, once an arrival reported it (the
+    /// phaser reports an eviction once, the connection keeps failing),
+    /// or 0 once detached.
+    Out(u32),
+}
+
+impl ConnState {
+    fn pack(self) -> u32 {
+        match self {
+            ConnState::Arrived(epoch) => epoch,
+            ConnState::Out(epoch) => OUT | epoch,
+        }
+    }
+
+    fn unpack(word: u32) -> Self {
+        if word & OUT == 0 {
+            ConnState::Arrived(word)
+        } else {
+            ConnState::Out(word & !OUT)
+        }
     }
 }
 
@@ -348,13 +443,9 @@ impl Team {
 pub struct Conn {
     team: Arc<Team>,
     slot: u32,
-    attached: bool,
-    /// The epoch of an arrival not yet waited out, or 0: a connection
-    /// that drops mid-episode leaves through that arrival.
-    arrived: AtomicU32,
-    /// The epoch this slot was evicted at, once an arrival reported it:
-    /// the phaser reports an eviction once, the connection keeps failing.
-    evicted_at: AtomicU32,
+    /// A packed [`ConnState`]. Only this connection touches it; atomic so
+    /// that a `&Conn` can update it.
+    state: AtomicU32,
 }
 
 impl Conn {
@@ -368,16 +459,23 @@ impl Conn {
         &self.team
     }
 
+    fn state(&self) -> ConnState {
+        ConnState::unpack(self.state.load(Relaxed))
+    }
+
+    fn set_state(&self, state: ConnState) {
+        self.state.store(state.pack(), Relaxed);
+    }
+
     /// Arrives at the open epoch; returns the epoch to [`Conn::wait`] on.
     pub fn arrive(&self) -> Result<u32, BarrierError> {
-        let at = self.evicted_at.load(Relaxed);
-        if at != 0 {
-            return Err(BarrierError::Evicted { tid: self.slot(), episode: at });
+        if let ConnState::Out(episode) = self.state() {
+            return Err(BarrierError::Evicted { tid: self.slot(), episode });
         }
         let r = self.team.arrive(self.slot());
         match r {
-            Ok(e) => self.arrived.store(e, Relaxed),
-            Err(BarrierError::Evicted { episode, .. }) => self.evicted_at.store(episode, Relaxed),
+            Ok(e) => self.set_state(ConnState::Arrived(e)),
+            Err(BarrierError::Evicted { episode, .. }) => self.set_state(ConnState::Out(episode)),
             Err(_) => {}
         }
         r
@@ -386,8 +484,10 @@ impl Conn {
     /// Blocks until `epoch` releases (see [`Team::wait`] semantics).
     pub fn wait(&self, epoch: u32) -> Result<(), BarrierError> {
         self.team.wait(self.slot(), epoch)?;
-        if epoch >= self.arrived.load(Relaxed) {
-            self.arrived.store(0, Relaxed);
+        if let ConnState::Arrived(arrived) = self.state() {
+            if epoch >= arrived {
+                self.set_state(ConnState::Arrived(0));
+            }
         }
         Ok(())
     }
@@ -405,9 +505,13 @@ impl Conn {
         self.detach(false);
     }
 
+    /// Leaves once: the state goes out, so the drop after a `close` does
+    /// nothing, and a connection whose eviction was reported never
+    /// deregisters (its eviction proxied it).
     fn detach(&mut self, abrupt: bool) {
-        if std::mem::take(&mut self.attached) && self.evicted_at.load(Relaxed) == 0 {
-            self.team.disconnect(self.slot(), self.arrived.load(Relaxed), abrupt);
+        let was = std::mem::replace(self.state.get_mut(), ConnState::Out(0).pack());
+        if let ConnState::Arrived(arrived) = ConnState::unpack(was) {
+            self.team.disconnect(self.slot(), arrived, abrupt);
         }
     }
 }
@@ -422,6 +526,7 @@ impl Drop for Conn {
 mod tests {
     use super::*;
     use crate::registry::Registry;
+    use armbar_core::phaser::EPOCH_LIMIT;
 
     fn team(members: usize, cfg: TeamConfig) -> (Registry, Arc<Team>) {
         let reg = Registry::new(1, cfg);
@@ -588,6 +693,87 @@ mod tests {
         let m = team.metrics();
         assert_eq!((m.episodes, m.arrivals, m.proxy_arrivals, m.drops), (2, 5, 0, 1));
         assert_eq!((team.members(), team.status()), (2, "degraded"));
+    }
+
+    #[test]
+    fn a_refused_ticket_never_wraps_onto_a_live_slot() {
+        let (_reg, team) = team(2, patient());
+        let (a, b) = (team.connect().unwrap(), team.connect().unwrap());
+        // As after 2^32 - 2 refused connects: an unbounded ticket wraps to
+        // slot 0 on the third call below.
+        team.next_conn.store(u32::MAX - 1, Relaxed);
+        for _ in 0..3 {
+            assert!(team.connect().is_none(), "a full team hands out no slot");
+        }
+        for ep in 1..=2 {
+            assert_eq!((a.arrive().unwrap(), b.arrive().unwrap()), (ep, ep));
+            a.wait(ep).unwrap();
+            b.wait(ep).unwrap();
+        }
+        assert_eq!(team.metrics().episodes, 2);
+    }
+
+    #[test]
+    fn a_team_of_four_is_one_allocation_with_its_words_from_a_line_boundary() {
+        let (_reg, team) = team(4, patient());
+        let mem = team.mem();
+        let view = std::ptr::from_ref(mem).cast::<u8>() as usize;
+        assert_eq!(view % 64, 0, "the words start a cache line");
+        let start = Arc::as_ptr(&team).cast::<u8>() as usize;
+        let end = start + std::mem::size_of_val(&*team);
+        assert!(start < view && view + std::mem::size_of_val(mem) <= end, "inside the team");
+        // The packed phaser's 27 words all end within the two lines.
+        let mut arena = Arena::new();
+        let _ = CentralPhaser::packed(&mut arena, 4);
+        assert_eq!(arena.len(), 27 * 4);
+        assert!(std::mem::size_of_val(mem) >= arena.len() && arena.len() <= 128);
+        assert!(std::mem::size_of::<Option<Conn>>() <= 24);
+    }
+
+    #[test]
+    fn every_member_count_gets_a_block_that_holds_its_words() {
+        for members in [1, 2, 3, 5, 100, 4095] {
+            let (_reg, team) = team(members, patient());
+            let mut arena = Arena::new();
+            let _ = CentralPhaser::packed(&mut arena, members);
+            assert!(std::mem::size_of_val(team.mem()) >= arena.len(), "{members} members");
+            let conns: Vec<Conn> = (0..members).map(|_| team.connect().unwrap()).collect();
+            for c in &conns {
+                assert_eq!(c.arrive().unwrap(), 1);
+            }
+            conns.iter().for_each(|c| c.wait(1).unwrap());
+            assert_eq!(team.metrics().arrivals, members as u64);
+        }
+    }
+
+    #[test]
+    fn conn_state_packs_arrivals_and_evictions_apart() {
+        for epoch in [1, 1 << 19, EPOCH_LIMIT] {
+            for state in [ConnState::Arrived(epoch), ConnState::Out(epoch)] {
+                assert_eq!(ConnState::unpack(state.pack()), state);
+            }
+            assert_ne!(ConnState::Arrived(epoch).pack(), ConnState::Out(epoch).pack());
+        }
+    }
+
+    #[test]
+    fn an_evicted_conn_keeps_failing_and_closes_without_a_proxy() {
+        let (_reg, team) = team(2, impatient());
+        let a = team.connect().unwrap();
+        let late = team.connect().unwrap();
+        let ep = a.arrive().unwrap();
+        a.wait(ep).unwrap(); // evicts `late`, proxying its epoch 1
+        for _ in 0..3 {
+            match late.arrive() {
+                Err(BarrierError::Evicted { tid: 1, episode }) => assert_eq!(episode, ep),
+                other => panic!("expected Evicted, got {other:?}"),
+            }
+        }
+        let before = team.metrics();
+        late.close();
+        let after = team.metrics();
+        assert_eq!((after.proxy_arrivals, after.drops), (before.proxy_arrivals, 0));
+        assert_eq!(a.arrive_and_wait().unwrap(), 2, "the survivor carries on alone");
     }
 
     #[test]
