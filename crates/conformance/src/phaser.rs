@@ -403,7 +403,7 @@ pub fn render_phaser_json(cells: &[ConformCell], cfg: &PhaserConformConfig) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use armbar_core::phaser::{phaser_mark, Phaser};
+    use armbar_core::phaser::{phaser_mark, Claim, Phaser};
     use armbar_core::{CentralPhaser, MemCtx};
 
     fn quick_cfg() -> PhaserConformConfig {
@@ -547,7 +547,7 @@ mod tests {
         fn find_victim(&self, ctx: &dyn MemCtx, epoch: u32) -> Option<usize> {
             self.inner.find_victim(ctx, epoch)
         }
-        fn evict(&self, ctx: &dyn MemCtx, victim: usize, epoch: u32) -> bool {
+        fn evict(&self, ctx: &dyn MemCtx, victim: usize, epoch: u32) -> Option<Claim> {
             self.inner.evict(ctx, victim, epoch)
         }
         fn epoch(&self, ctx: &dyn MemCtx) -> u32 {

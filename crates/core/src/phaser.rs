@@ -194,11 +194,12 @@ pub trait Phaser: Send + Sync {
     /// first-claim-wins ticket, the winner stamps `evicted_at`, requests
     /// the `Evicted` transition, and **proxy-arrives** on the victim's
     /// behalf (running the boundary itself if that was the last arrival).
-    /// Returns `false` if another thread already claimed this victim or
-    /// `epoch` already committed (the caller should simply re-enter its
-    /// wait). Winning the ticket while `epoch` is still current proves the
-    /// epoch cannot have committed (the unarrived, unclaimed victim's
-    /// count is missing), so the proxy arrival lands in the right epoch.
+    /// Returns what the proxy arrival did; `None` if another thread already
+    /// claimed this victim or `epoch` already committed (the caller should
+    /// simply re-enter its wait). Winning the ticket while `epoch` is still
+    /// current proves the epoch cannot have committed (the unarrived,
+    /// unclaimed victim's count is missing), so the proxy arrival lands in
+    /// the right epoch.
     ///
     /// The victim is not required to be dead: a merely-slow member may be
     /// running its own `arrive` for the same epoch concurrently. The
@@ -215,7 +216,7 @@ pub trait Phaser: Send + Sync {
     /// wrongful-eviction recovery requires bounded waits (see
     /// `RobustPhaser`), which abort the spin and surface the eviction
     /// report on re-entry.
-    fn evict(&self, ctx: &dyn MemCtx, victim: usize, epoch: u32) -> bool;
+    fn evict(&self, ctx: &dyn MemCtx, victim: usize, epoch: u32) -> Option<Claim>;
 
     /// The current epoch (the one arrivals are counted against).
     fn epoch(&self, ctx: &dyn MemCtx) -> u32;
@@ -407,18 +408,39 @@ impl Slots {
         acked
     }
 
-    /// First-claim-wins eviction ticket plus the report/transition stores.
-    /// Returns `false` for claim losers. The ticket never resets, so a slot
-    /// that rejoined after an eviction cannot be evicted a second time —
-    /// its next stall falls back to poisoning (documented limitation).
-    fn claim_eviction<C: MemCtx + ?Sized>(&self, ctx: &C, victim: usize, epoch: u32) -> bool {
+    /// `epoch`'s member count while it is current: a vote pinned to a
+    /// committed epoch must not scan the next, where nobody has arrived.
+    fn current_count<C: MemCtx + ?Sized>(&self, ctx: &C, epoch: u32) -> Option<u32> {
+        let (cur, count) = self.decode(ctx);
+        (cur == epoch).then_some(count)
+    }
+
+    /// The eviction prologue: while `epoch` is current, the first-claim-
+    /// wins ticket plus the report/transition stores; the winner gets the
+    /// member count. The ticket never resets, so a slot that rejoined
+    /// after an eviction cannot be evicted a second time — its next stall
+    /// falls back to poisoning (documented limitation).
+    fn claim_eviction<C: MemCtx + ?Sized>(
+        &self,
+        ctx: &C,
+        victim: usize,
+        epoch: u32,
+    ) -> Option<u32> {
+        let count = self.current_count(ctx, epoch)?;
         if ctx.fetch_add(self.evict_claim_of(victim), 1) != 0 {
-            return false;
+            return None;
         }
         ctx.store(self.evicted_at_of(victim), epoch);
         ctx.store(self.state_of(victim), EVICT_REQ);
         ctx.mark(phaser_mark(PH_EVICTED, victim, epoch));
-        true
+        Some(count)
+    }
+
+    /// The leave prologue: the eviction report, else the leave request.
+    fn request_leave<C: MemCtx + ?Sized>(&self, ctx: &C) -> Result<(), BarrierError> {
+        self.take_eviction(ctx)?;
+        ctx.store(self.state_of(ctx.tid()), LEAVE_REQ);
+        Ok(())
     }
 
     /// Atomically claims `slot`'s arrival for `epoch`: a CAS walks
@@ -557,8 +579,7 @@ impl CentralPhaser {
         arrived: u32,
     ) -> Result<(u32, Claim), BarrierError> {
         let slot = ctx.tid();
-        self.slots.take_eviction(ctx)?;
-        ctx.store(self.slots.state_of(slot), LEAVE_REQ);
+        self.slots.request_leave(ctx)?;
         let (last, claim) = match arrived {
             0 => self.arrive_claim(ctx)?,
             e => self.leave_after(ctx, slot, e),
@@ -588,27 +609,6 @@ impl CentralPhaser {
         (next, self.count(ctx, slot, next, count))
     }
 
-    /// [`Phaser::evict`], reporting what the proxy arrival did: `None`
-    /// when the ticket was lost or `epoch` is no longer current.
-    pub fn evict_claim<C: MemCtx + ?Sized>(
-        &self,
-        ctx: &C,
-        victim: usize,
-        epoch: u32,
-    ) -> Option<Claim> {
-        let (cur, count) = self.slots.decode(ctx);
-        if cur != epoch || !self.slots.claim_eviction(ctx, victim, epoch) {
-            return None;
-        }
-        // Proxy arrival (shyper's `add_barrier_count`): the survivor
-        // arrives on the victim's behalf — but only if it wins the CAS
-        // claim. A slow-but-alive victim may be counting its own arrival
-        // concurrently, and with both counted the total would overshoot
-        // and the *next* epoch could release early. The eviction stands
-        // either way: the victim is out from the boundary on.
-        Some(self.count(ctx, victim, epoch, count))
-    }
-
     /// The slots this phaser was built for.
     pub fn capacity(&self) -> usize {
         self.slots.cap as usize
@@ -617,6 +617,11 @@ impl CentralPhaser {
     /// The last committed epoch: epoch `e` has released iff this is `>= e`.
     pub fn completed<C: MemCtx + ?Sized>(&self, ctx: &C) -> u32 {
         ctx.load(self.slots.release())
+    }
+
+    /// The address of the release word, which every waiter polls.
+    pub fn release_word(&self) -> Addr {
+        self.slots.release()
     }
 
     /// `slot`'s arrival ledger: the last epoch counted for it, by itself
@@ -649,9 +654,7 @@ impl Phaser for CentralPhaser {
     }
 
     fn find_victim(&self, ctx: &dyn MemCtx, epoch: u32) -> Option<usize> {
-        if self.slots.decode(ctx).0 != epoch {
-            return None; // the stalled epoch already committed
-        }
+        self.slots.current_count(ctx, epoch)?;
         (0..self.slots.cap as usize).find(|&slot| {
             self.slots.is_member(ctx, slot)
                 && self.slots.unarrived(ctx, slot, epoch)
@@ -659,8 +662,15 @@ impl Phaser for CentralPhaser {
         })
     }
 
-    fn evict(&self, ctx: &dyn MemCtx, victim: usize, epoch: u32) -> bool {
-        self.evict_claim(ctx, victim, epoch).is_some()
+    fn evict(&self, ctx: &dyn MemCtx, victim: usize, epoch: u32) -> Option<Claim> {
+        let count = self.slots.claim_eviction(ctx, victim, epoch)?;
+        // Proxy arrival (shyper's `add_barrier_count`): the survivor
+        // arrives on the victim's behalf — but only if it wins the CAS
+        // claim. A slow-but-alive victim may be counting its own arrival
+        // concurrently, and with both counted the total would overshoot
+        // and the *next* epoch could release early. The eviction stands
+        // either way: the victim is out from the boundary on.
+        Some(self.count(ctx, victim, epoch, count))
     }
 
     fn epoch(&self, ctx: &dyn MemCtx) -> u32 {
@@ -747,19 +757,21 @@ impl TreePhaser {
     }
 
     /// Consumes a complete child set and propagates the arrival upward
-    /// from `rank` (running the boundary at rank 0). Shared by the normal
-    /// arrival path and the eviction proxy. The counter reset is safe
-    /// before the parent bump: every counter in the tree is reset before
-    /// the root can commit, so next-epoch bumps always land on zero.
-    fn propagate(&self, ctx: &dyn MemCtx, rank: usize, epoch: u32, count: u32) {
+    /// from `rank` (running the boundary at rank 0, which reports
+    /// `Committed`). Shared by the normal arrival path and the eviction
+    /// proxy. The counter reset is safe before the parent bump: every
+    /// counter in the tree is reset before the root can commit, so
+    /// next-epoch bumps always land on zero.
+    fn propagate(&self, ctx: &dyn MemCtx, rank: usize, epoch: u32, count: u32) -> Claim {
         if Self::nchildren(rank, count) > 0 {
             ctx.store(self.counter_addr(rank), 0);
         }
         if rank == 0 {
             self.commit_boundary(ctx, epoch);
-        } else {
-            ctx.fetch_add(self.counter_addr((rank - 1) / FANIN), 1);
+            return Claim::Committed;
         }
+        ctx.fetch_add(self.counter_addr((rank - 1) / FANIN), 1);
+        Claim::Counted
     }
 }
 
@@ -804,18 +816,14 @@ impl Phaser for TreePhaser {
     }
 
     fn deregister(&self, ctx: &dyn MemCtx) -> Result<u32, BarrierError> {
-        self.slots.take_eviction(ctx)?;
-        ctx.store(self.slots.state_of(ctx.tid()), LEAVE_REQ);
+        self.slots.request_leave(ctx)?;
         let e = self.arrive(ctx)?;
         ctx.mark(phaser_mark(PH_LEFT, ctx.tid(), e));
         Ok(e)
     }
 
     fn find_victim(&self, ctx: &dyn MemCtx, epoch: u32) -> Option<usize> {
-        let (cur, count) = self.slots.decode(ctx);
-        if cur != epoch {
-            return None; // the stalled epoch already committed
-        }
+        let count = self.slots.current_count(ctx, epoch)?;
         // Deepest stalled member whose own subtree is complete, so the
         // proxy arrival can propagate without waiting in the victim's
         // stead. Ranks grow with depth, so scanning for the max rank
@@ -841,20 +849,17 @@ impl Phaser for TreePhaser {
         best.map(|(_, slot)| slot)
     }
 
-    fn evict(&self, ctx: &dyn MemCtx, victim: usize, epoch: u32) -> bool {
-        let (cur, count) = self.slots.decode(ctx);
-        if cur != epoch || !self.slots.claim_eviction(ctx, victim, epoch) {
-            return false;
-        }
+    fn evict(&self, ctx: &dyn MemCtx, victim: usize, epoch: u32) -> Option<Claim> {
+        let count = self.slots.claim_eviction(ctx, victim, epoch)?;
         // Proxy arrival gated on the CAS claim: a slow-but-alive victim
         // may be completing the same epoch itself, and exactly one of the
         // two may consume the subtree counter and bump the parent — a
         // double propagation would overshoot an upstream counter and let
         // the next epoch release early. The eviction stands either way.
-        if self.slots.claim_arrival(ctx, victim, epoch) {
-            self.propagate(ctx, self.rank(ctx, victim), epoch, count);
+        if !self.slots.claim_arrival(ctx, victim, epoch) {
+            return Some(Claim::Lost);
         }
-        true
+        Some(self.propagate(ctx, self.rank(ctx, victim), epoch, count))
     }
 
     fn epoch(&self, ctx: &dyn MemCtx) -> u32 {
@@ -934,7 +939,7 @@ mod tests {
                             // Epoch 1 committed; a vote still pinned to it
                             // must be inert.
                             assert_eq!(ph.find_victim(ctx, 1), None, "{which}");
-                            assert!(!ph.evict(ctx, 1, 1), "{which}");
+                            assert_eq!(ph.evict(ctx, 1, 1), None, "{which}");
                             // The fresh epoch has no arrivals yet — that
                             // is not evidence of a stall either way; the
                             // scan may name a peer only for the *current*
@@ -1126,7 +1131,7 @@ mod tests {
                             );
                         } else {
                             ctx.spin_until_ge(aux, 1);
-                            assert!(ph.evict(ctx, 1, 1), "{which}");
+                            assert_eq!(ph.evict(ctx, 1, 1), Some(Claim::Lost), "{which}");
                             // Had the proxy double-counted, epoch 1 would
                             // have committed on the evict alone and this
                             // arrival would land in epoch 2 (the tree
@@ -1207,7 +1212,7 @@ mod tests {
                                         _ => ctx.compute_ns(50.0),
                                     }
                                 }
-                                assert!(ph.evict(ctx, 2, 2), "{which}");
+                                assert!(ph.evict(ctx, 2, 2).is_some(), "{which}");
                                 ph.wait_epoch(ctx, 2);
                                 assert_eq!(ph.members(ctx), 3, "{which}: reformed P-1");
                                 ph.arrive_and_wait(ctx).unwrap();
@@ -1287,7 +1292,7 @@ mod tests {
         let mem = crate::host::HostMem::new(&arena);
         let (survivor, victim) = (mem.ctx(0, 2), mem.ctx(1, 2));
         let paused = PauseAfterFirstLoad::new(&victim, || {
-            assert_eq!(ph.evict_claim(&survivor, 1, 1), Some(Claim::Counted));
+            assert_eq!(ph.evict(&survivor, 1, 1), Some(Claim::Counted));
             assert_eq!(ph.arrive_claim(&survivor).unwrap(), (1, Claim::Committed));
         });
         let got = ph.arrive_claim(&paused as &dyn MemCtx);
@@ -1309,7 +1314,7 @@ mod tests {
         let mem = crate::host::HostMem::new(&arena);
         let (survivor, victim) = (mem.ctx(0, 2), mem.ctx(1, 2));
         let paused = PauseAfterFirstLoad::new(&victim, || {
-            assert!(ph.evict(&survivor, 1, 1));
+            assert_eq!(ph.evict(&survivor, 1, 1), Some(Claim::Counted));
             assert_eq!(ph.arrive(&survivor).unwrap(), 1);
         });
         let got = ph.arrive(&paused);

@@ -33,7 +33,7 @@ use armbar_simcoh::{Addr, Arena, WaitKind};
 
 use crate::env::{Barrier, MemCtx, MemLayer};
 use crate::host::SpinPolicy;
-use crate::phaser::{phaser_mark, Phaser, PH_COMPLETED};
+use crate::phaser::{phaser_mark, Claim, Phaser, PH_COMPLETED};
 
 /// How a hardened episode failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -329,14 +329,14 @@ impl Drop for PoisonGuard<'_> {
 
 /// A [`Phaser`] wrapper that turns stalls into **recovery** instead of
 /// terminal poisoning: when a bounded wait times out, the detecting
-/// survivor runs a seeded eviction vote — [`Phaser::find_victim`] names
-/// the stalled member whose absence explains the stall, a first-claim-wins
-/// ticket elects one evictor, the winner **proxy-arrives** for the victim
-/// (shyper's `add_barrier_count` idiom), the episode completes *degraded*,
-/// and the next epoch reforms with P−1 members. The victim's slot receives
-/// [`BarrierError::Evicted`] exactly once. Poisoning remains the fallback
-/// when eviction is disabled, the team is down to its last member, the
-/// stall is never attributable to a member, or recovery attempts run out.
+/// survivor takes one [`recover`] step — an eviction vote where
+/// [`Phaser::find_victim`] names the stalled member whose absence explains
+/// the stall, a first-claim-wins ticket elects one evictor, the winner
+/// **proxy-arrives** for the victim (shyper's `add_barrier_count` idiom),
+/// the episode completes *degraded*, and the next epoch reforms with P−1
+/// members. The victim's slot receives [`BarrierError::Evicted`] exactly
+/// once. Poisoning remains the fallback when eviction is disabled, the
+/// team is down to its last member, or recovery attempts run out.
 ///
 /// Timeouts are wall-clock on the host and poll-count
 /// ([`RobustConfig::max_polls`]) on the simulator, where detection order
@@ -347,10 +347,6 @@ pub struct RobustPhaser {
     hard: Hardening,
     eviction: bool,
 }
-
-/// The member count a [`RobustPhaser`] never evicts below: an eviction
-/// vote in a team this small poisons instead.
-const MIN_MEMBERS: u32 = 1;
 
 impl RobustPhaser {
     /// Wraps `inner`; same arena discipline as [`RobustBarrier::new`].
@@ -411,8 +407,8 @@ impl RobustPhaser {
     /// One hardened episode: bounded arrive, then bounded release wait,
     /// each with the eviction-vote recovery loop.
     pub fn arrive_and_wait(&self, ctx: &dyn MemCtx) -> Result<u32, BarrierError> {
-        let epoch = self.recovering(ctx, |b| self.inner.arrive(b))?;
-        self.recovering(ctx, |b| {
+        let epoch = self.recovering(ctx, None, |b| self.inner.arrive(b))?;
+        self.recovering(ctx, Some(epoch), |b| {
             self.inner.wait_epoch(b, epoch);
             Ok(epoch)
         })?;
@@ -422,13 +418,13 @@ impl RobustPhaser {
 
     /// Hardened leave: the final arrival is bounded like any episode.
     pub fn deregister(&self, ctx: &dyn MemCtx) -> Result<u32, BarrierError> {
-        self.recovering(ctx, |b| self.inner.deregister(b))
+        self.recovering(ctx, None, |b| self.inner.deregister(b))
     }
 
     /// Bounded wait for `epoch` to commit (a leaver waiting out its final
     /// epoch before re-registering, see [`Phaser::deregister`]).
     pub fn wait_epoch(&self, ctx: &dyn MemCtx, epoch: u32) -> Result<(), BarrierError> {
-        self.recovering(ctx, |b| {
+        self.recovering(ctx, Some(epoch), |b| {
             self.inner.wait_epoch(b, epoch);
             Ok(())
         })
@@ -454,73 +450,85 @@ impl RobustPhaser {
             .map_err(|abort| abort.into_error(ctx.tid()))
     }
 
-    /// Runs `f` under a bounded context; on timeout, tries one recovery
-    /// step and re-enters (phaser operations are idempotent per epoch, see
-    /// [`Phaser::arrive`]), poisoning when recovery is exhausted. A genuine
-    /// panic poisons too, then keeps unwinding.
+    /// Runs `f` under a bounded context; on timeout, takes one [`recover`]
+    /// step for `stalled` (for an arrival, `None`: the epoch at the start
+    /// of each lap) and re-enters (phaser operations are idempotent per
+    /// epoch, see [`Phaser::arrive`]), poisoning when recovery gives up. A
+    /// genuine panic poisons too, then keeps unwinding.
     fn recovering<T>(
         &self,
         ctx: &dyn MemCtx,
+        stalled: Option<u32>,
         f: impl Fn(&dyn MemCtx) -> Result<T, BarrierError>,
     ) -> Result<T, BarrierError> {
         let mut attempts: u32 = 0;
         loop {
             self.hard.healthy(ctx)?;
-            // The epoch this attempt can stall on. A timeout only licenses
-            // an eviction vote for *this* epoch: if the boundary commits
-            // while the timeout is in flight, the stall was already
-            // resolved (by the champion or another recoverer) and voting
-            // against the fresh epoch — where no one has arrived yet —
-            // would evict a healthy member.
-            let stalled_epoch = self.inner.epoch(ctx);
-            match self.hard.bounded(ctx, self.hard.config.deadline, true, &f) {
+            let mut seen = self.inner.epoch(ctx);
+            let stalled = stalled.unwrap_or(seen);
+            let (addr, spins) = match self.hard.bounded(ctx, self.hard.config.deadline, true, &f) {
                 Ok(r) => return r,
-                Err(WaitAbort::Timeout { addr, spins }) => {
-                    if self.inner.epoch(ctx) != stalled_epoch {
-                        // The boundary moved under the timeout: progress,
-                        // not a stall. Re-enter the wait without consuming
-                        // a recovery attempt.
-                        continue;
-                    }
-                    attempts += 1;
-                    if !self.try_recover(ctx, attempts, stalled_epoch) {
-                        return Err(self.hard.claim_timeout(ctx, addr, spins));
-                    }
-                }
+                Err(WaitAbort::Timeout { addr, spins }) => (addr, spins),
                 Err(abort) => return Err(abort.into_error(ctx.tid())),
+            };
+            let step = recover(&*self.inner, ctx, &mut attempts, stalled, &mut seen, self.eviction);
+            if step == Recovery::Poison {
+                return Err(self.hard.claim_timeout(ctx, addr, spins));
             }
         }
     }
+}
 
-    /// One recovery step after a timeout on `stalled_epoch`. `true` means
-    /// "state may have changed, re-enter the bounded wait"; `false` falls
-    /// back to poison. The epoch pins the vote: victim search and the
-    /// eviction claim both no-op if the boundary commits concurrently.
-    fn try_recover(&self, ctx: &dyn MemCtx, attempts: u32, stalled_epoch: u32) -> bool {
-        if !self.eviction {
-            return false;
+/// What a waiter does after its deadline lapsed, as [`recover`] decides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Recovery {
+    /// Wait another lap.
+    Rewait,
+    /// This waiter evicted a member; the claim is what its proxy did.
+    Evicted(Claim),
+    /// Recovery cannot help: poison the team.
+    Poison,
+}
+
+/// One recovery step after a waiter's deadline lapsed, shared by
+/// [`RobustPhaser`] and serve's teams. `stalled` is the epoch the waiter
+/// needs (the current one for an arrival, `e` for a wait on `e`); `seen`
+/// is the membership epoch at the start of the lap, and the step leaves
+/// the one it reads there for the next lap.
+///
+/// An epoch that moved during the lap or passed `stalled` is progress:
+/// the champion stores the next membership word before the release, so a
+/// lapse in between falls in the notification phase and re-waits without
+/// spending an attempt. Otherwise the step spends one and votes on
+/// `stalled` ([`Phaser::find_victim`], then [`Phaser::evict`]). It poisons
+/// when `eviction` is off, when evicting would drain the team, or past
+/// the members plus 2 attempts (each productive vote evicts a member).
+pub fn recover(
+    phaser: &dyn Phaser,
+    ctx: &dyn MemCtx,
+    attempts: &mut u32,
+    stalled: u32,
+    seen: &mut u32,
+    eviction: bool,
+) -> Recovery {
+    let now = phaser.epoch(ctx);
+    if std::mem::replace(seen, now) != now || now > stalled {
+        return Recovery::Rewait;
+    }
+    *attempts += 1;
+    let members = if eviction { phaser.members(ctx) } else { return Recovery::Poison };
+    if *attempts > members + 2 {
+        return Recovery::Poison;
+    }
+    match phaser.find_victim(ctx, stalled) {
+        Some(_) if members <= 1 => Recovery::Poison, // evicting would drain the team
+        // A lost ticket re-waits: the winner's proxy unsticks this waiter.
+        Some(victim) => {
+            phaser.evict(ctx, victim, stalled).map_or(Recovery::Rewait, Recovery::Evicted)
         }
-        let members = self.inner.members(ctx);
-        // Cap the vote rounds: every productive round evicts a member, so
-        // anything past the member count (plus slack for rounds where the
-        // stall was not yet attributable) is a stall eviction cannot fix.
-        if attempts > members + 2 {
-            return false;
-        }
-        match self.inner.find_victim(ctx, stalled_epoch) {
-            Some(victim) => {
-                if members <= MIN_MEMBERS {
-                    return false; // evicting would drain the team
-                }
-                // Claim losers fall through to re-wait: the winner's proxy
-                // arrival is what unsticks them.
-                self.inner.evict(ctx, victim, stalled_epoch);
-                true
-            }
-            // Not attributable (e.g. the stalled member's own subtree is
-            // still filling in): re-wait and look again.
-            None => true,
-        }
+        // Not attributable (e.g. the stalled member's own subtree is
+        // still filling in): re-wait and look again.
+        None => Recovery::Rewait,
     }
 }
 
@@ -897,6 +905,58 @@ mod tests {
             assert_eq!(evicted.len(), 1, "{which}: exactly one Evicted report: {all:?}");
             assert_eq!(*evicted[0], Err(BarrierError::Evicted { tid: 3, episode: 3 }), "{which}");
         }
+    }
+
+    /// Spends `stall_ns` of simulated time before the store to `release`:
+    /// a champion that stalls after it stored the next membership word,
+    /// before it stored the release.
+    struct StallBeforeRelease<'a> {
+        inner: &'a dyn MemCtx,
+        release: Addr,
+        stall_ns: f64,
+    }
+
+    impl MemLayer for StallBeforeRelease<'_> {
+        fn inner(&self) -> &dyn MemCtx {
+            self.inner
+        }
+        fn store(&self, addr: Addr, value: u32) {
+            if addr == self.release {
+                self.inner.compute_ns(self.stall_ns);
+            }
+            self.inner.store(addr, value)
+        }
+    }
+
+    /// The survivors' 5000-poll deadlines lapse while each champion
+    /// stalls 100 µs of simulated time inside its commit. The
+    /// epoch they need is committing, so that is no stall: voting on the
+    /// next epoch, where nobody has arrived yet, would evict healthy
+    /// members.
+    #[test]
+    fn a_lapse_while_the_champion_commits_evicts_nobody() {
+        use crate::phaser::CentralPhaser;
+        use armbar_simcoh::SimBuilder;
+        let topo = Arc::new(Topology::preset(Platform::Kunpeng920));
+        let p = 3;
+        let mut arena = Arena::new();
+        let phaser = CentralPhaser::full(&mut arena, p, &topo);
+        let release = phaser.release_word();
+        let config = RobustConfig { max_polls: Some(5_000), ..RobustConfig::default() };
+        let robust = Arc::new(RobustPhaser::new(&mut arena, 64, Box::new(phaser), config));
+        SimBuilder::new(Arc::clone(&topo), p)
+            .run({
+                let robust = Arc::clone(&robust);
+                move |ctx| {
+                    let stalling = StallBeforeRelease { inner: ctx, release, stall_ns: 100_000.0 };
+                    for e in 1..=2 {
+                        assert_eq!(robust.arrive_and_wait(&stalling), Ok(e), "t{}", ctx.tid());
+                    }
+                    assert_eq!(robust.members(ctx), p as u32);
+                    assert_eq!(robust.poisoned_by(ctx), None);
+                }
+            })
+            .unwrap();
     }
 
     /// Eviction disabled → the legacy terminal-poisoning behavior.

@@ -7,11 +7,11 @@
 //! slot, so the claim / evict / proxy / commit code is the phaser's — the
 //! code `armbar conform --phasers` searches. A connection drop is a
 //! deregister whose final arrival proxies the open epoch (abrupt drops
-//! mark the team `degraded`); past the deadline a waiter evicts one
-//! unarrived member per lap, and poisons the team when nobody is
-//! evictable; the arrival that commits a boundary makes one flush through
-//! the owning shard. DESIGN.md §16 argues proxy safety and the wakeup
-//! handshake at acquire/release.
+//! mark the team `degraded`); a waiter whose deadline lapses takes
+//! `RobustPhaser`'s recovery step, [`recover`], which evicts at most one
+//! member per lap; the arrival that commits a boundary makes one flush
+//! through the owning shard. DESIGN.md §16 argues proxy safety and the
+//! wakeup handshake at acquire/release.
 //!
 //! A team is one cache-line-aligned allocation: one line of header, then
 //! the phaser's words from the next line boundary on (a team of 4 fills
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use armbar_core::host::{HostCtx, HostMem};
 use armbar_core::phaser::{CentralPhaser, Claim, Phaser};
-use armbar_core::robust::BarrierError;
+use armbar_core::robust::{recover, BarrierError, Recovery};
 use armbar_core::MemCtx;
 use armbar_simcoh::Arena;
 
@@ -315,11 +315,12 @@ impl Team {
     }
 
     /// Blocks until `epoch` releases: a short spin on the release word,
-    /// then timed parks on the owning shard's condvar. Past the team
-    /// deadline each lap evicts one unarrived slot (proxy-arriving for
-    /// it); when no slot is evictable and the epoch is still stuck, the
-    /// waiter poisons the team — first claimant reports `Timeout`,
-    /// everyone else `Poisoned`.
+    /// then timed parks on the owning shard's condvar. Each time the team
+    /// deadline lapses the waiter takes one [`recover`] step for `epoch`:
+    /// it re-waits while the boundary is committing, otherwise evicts one
+    /// unarrived slot (proxy-arriving for it) or, when recovery gives up,
+    /// poisons the team — first claimant reports `Timeout` on the release
+    /// word, everyone else `Poisoned`. Its own slot is never a victim.
     fn wait(&self, slot: usize, epoch: u32) -> Result<(), BarrierError> {
         let ctx = &self.ctx(slot);
         let released = || self.phaser.completed(ctx) >= epoch;
@@ -331,6 +332,8 @@ impl Team {
         }
         self.parked_waits.fetch_add(1, Relaxed);
         let mut polls = u64::from(self.wake.cfg.spin);
+        // The waited epoch seeds the lap's start: no load off the wait path.
+        let (mut attempts, mut seen) = (0, epoch);
         let mut next_recovery = Instant::now() + self.wake.cfg.deadline;
         loop {
             if released() {
@@ -340,40 +343,23 @@ impl Team {
                 return Err(BarrierError::Poisoned { tid: ctx.tid(), by });
             }
             if Instant::now() >= next_recovery {
-                if !self.try_evict(ctx, epoch) && !released() {
-                    if self.claim_poison(ctx.tid()) {
-                        return Err(BarrierError::Timeout {
-                            tid: ctx.tid(),
-                            addr: 0,
-                            spins: polls,
-                        });
+                match recover(&self.phaser, ctx, &mut attempts, epoch, &mut seen, true) {
+                    Recovery::Rewait => {}
+                    Recovery::Evicted(claim) => {
+                        self.counters.evictions.fetch_add(1, Relaxed);
+                        self.settle_proxy(claim);
                     }
-                    continue; // someone else poisoned first; report theirs
+                    Recovery::Poison if self.claim_poison(slot) => {
+                        let addr = self.phaser.release_word();
+                        return Err(BarrierError::Timeout { tid: slot, addr, spins: polls });
+                    }
+                    Recovery::Poison => continue, // someone else poisoned first; report theirs
                 }
-                // Eviction (or a completed boundary) made progress; grant
-                // the proxy a fresh deadline before escalating further.
                 next_recovery = Instant::now() + self.wake.cfg.deadline;
             }
             polls += 1;
             self.wake.park(self.wake.cfg.park_slice, || released() || self.poisoned_by().is_some());
         }
-    }
-
-    /// Deadline recovery: evict one slot that has not arrived for the
-    /// stuck `epoch`. Returns `true` when something moved (this waiter or
-    /// a rival evicted a slot, or the boundary committed). The waiter's
-    /// own slot is never a candidate — a member cannot evict itself; when
-    /// its own arrival is the missing one, escalation falls through to
-    /// poisoning.
-    fn try_evict(&self, ctx: &HostCtx<&HostMem>, epoch: u32) -> bool {
-        let Some(victim) = self.phaser.find_victim(ctx, epoch) else {
-            return false;
-        };
-        if let Some(claim) = self.phaser.evict_claim(ctx, victim, epoch) {
-            self.counters.evictions.fetch_add(1, Relaxed);
-            self.settle_proxy(claim);
-        }
-        true
     }
 
     /// Detaches the connection's slot: its final arrival proxies the open
@@ -391,10 +377,10 @@ impl Team {
         self.settle_proxy(claim);
     }
 
-    /// First-poisoner ticket (the `RobustBarrier::claim_poison` shape).
-    /// Relaxed is enough: the word publishes only itself, and the
-    /// broadcast that follows takes the shard lock, which orders the
-    /// poison before every parked waiter's predicate.
+    /// First-poisoner ticket, as a `RobustBarrier`'s first timed-out
+    /// waiter takes. Relaxed is enough: the word publishes only itself,
+    /// and the broadcast that follows takes the shard lock, which orders
+    /// the poison before every parked waiter's predicate.
     fn claim_poison(&self, by: usize) -> bool {
         let won = self.poison.compare_exchange(0, by as u16 + 1, Relaxed, Relaxed).is_ok();
         if won {
@@ -527,6 +513,8 @@ mod tests {
     use super::*;
     use crate::registry::Registry;
     use armbar_core::phaser::EPOCH_LIMIT;
+    use armbar_core::MemLayer;
+    use armbar_simcoh::Addr;
 
     fn team(members: usize, cfg: TeamConfig) -> (Registry, Arc<Team>) {
         let reg = Registry::new(1, cfg);
@@ -637,9 +625,62 @@ mod tests {
         let (_reg, team) = team(1, impatient());
         let a = team.connect().unwrap();
         let err = a.wait(1).unwrap_err();
-        assert!(matches!(err, BarrierError::Timeout { tid: 0, .. }), "got {err:?}");
+        assert!(
+            matches!(err, BarrierError::Timeout { tid: 0, addr, .. } if addr == team.phaser.release_word()),
+            "got {err:?}"
+        );
         assert_eq!(team.status(), "poisoned");
         assert!(matches!(a.arrive(), Err(BarrierError::Poisoned { by: 0, .. })));
+    }
+
+    /// Before the store to `release`, waits until a waiter has parked and
+    /// then sleeps `pause`: a champion preempted after it stored the next
+    /// membership word, before it stored the release.
+    struct PauseBeforeRelease<'a> {
+        inner: HostCtx<&'a HostMem>,
+        release: Addr,
+        parked: &'a AtomicU64,
+        pause: Duration,
+    }
+
+    impl MemLayer for PauseBeforeRelease<'_> {
+        fn inner(&self) -> &dyn MemCtx {
+            &self.inner
+        }
+        fn store(&self, addr: Addr, value: u32) {
+            if addr == self.release {
+                while self.parked.load(Relaxed) == 0 {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(self.pause);
+            }
+            self.inner.store(addr, value)
+        }
+    }
+
+    #[test]
+    fn a_deadline_that_lapses_while_the_champion_commits_is_not_a_stall() {
+        // Slot 1 parks on epoch 1 with a 40 ms deadline while the
+        // champion sits 300 ms between its membership store and its
+        // release store. The epoch the waiter needs is committing, so
+        // nobody may be evicted or poisoned.
+        let (_reg, team) = team(2, impatient());
+        let (_champion, waiter) = (team.connect().unwrap(), team.connect().unwrap());
+        assert_eq!(waiter.arrive().unwrap(), 1);
+        std::thread::scope(|s| {
+            let waited = s.spawn(|| waiter.wait(1));
+            let paused = PauseBeforeRelease {
+                inner: team.ctx(0),
+                release: team.phaser.release_word(),
+                parked: &team.parked_waits,
+                pause: Duration::from_millis(300),
+            };
+            let (epoch, claim) = team.phaser.arrive_claim(&paused).unwrap();
+            assert_eq!((epoch, claim), (1, Claim::Committed));
+            team.settle(claim);
+            assert_eq!(waited.join().unwrap(), Ok(()));
+        });
+        assert_eq!((team.status(), team.metrics().evictions, team.members()), ("ok", 0, 2));
     }
 
     #[test]
