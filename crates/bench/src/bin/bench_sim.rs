@@ -14,6 +14,14 @@
 //! total and per suite, and the median time to build the MemPool-1024
 //! preset, and writes the numbers as JSON to the repo root.
 //!
+//! Each contender point also writes an exact work key,
+//! `work_stall_records_<algo>_p<P>`: the write plus read stalls its timed
+//! repetitions record (every attempt runs the same seeds, so every attempt
+//! counts the same). A stall is one busy-line re-post, the unit of work of
+//! the stall-queue path; the count is a pure function of seed and program,
+//! so it reads the same on every host and transport, and an engine change
+//! that claims to do the same work faster must leave it equal.
+//!
 //! ```text
 //! bench_sim [--out PATH] [--gate-drop-pct N] [--summary PATH]
 //! ```
@@ -22,8 +30,9 @@
 //!
 //! `--gate-drop-pct N` turns the run into a perf gate: after writing the
 //! JSON, the process exits nonzero if any `engine_ops_per_sec_*` key
-//! dropped more than N% against the committed file (wall-clock keys are
-//! reported but never gated — they measure the runner, not the engine).
+//! dropped more than N% against the committed file or any `work_*` key
+//! changed at all (wall-clock keys are reported but never gated — they
+//! measure the runner, not the engine).
 //! `engine_ops_per_sec_sense_p16_os` is informational too: every blocked
 //! handoff of an explicit `SimTeam` parks and unparks an OS worker, so the
 //! key measures the host's futex path and scheduler more than the engine.
@@ -42,7 +51,8 @@
 //! new to this run are seeded with the fresh value — so the file always
 //! records the pre-overhaul reference next to the current numbers. CI runs
 //! this as a *blocking* perf gate: the `bench-sim` job fails on a >20% drop
-//! of any gated `engine_ops_per_sec_*` key against the committed file.
+//! of any gated `engine_ops_per_sec_*` key, or on any change of a `work_*`
+//! key, against the committed file.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -85,8 +95,8 @@ impl Effort {
 }
 
 /// Engine operations per wall-clock second of one barrier microbench on
-/// the default heap path.
-fn engine_point(platform: Platform, p: usize, id: AlgorithmId) -> Point {
+/// the default heap path, and the stall records of its timed repetitions.
+fn engine_point(platform: Platform, p: usize, id: AlgorithmId) -> (Point, u64) {
     let key = format!("engine_ops_per_sec_{}_p{p}", id.label().to_ascii_lowercase());
     engine_rate(key, platform, p, id, None, None)
 }
@@ -96,7 +106,7 @@ fn engine_point(platform: Platform, p: usize, id: AlgorithmId) -> Point {
 /// decision to the policy.
 fn policy_point(suffix: &str, explorer: ExplorerConfig) -> Point {
     let key = format!("engine_ops_per_sec_policy_sense_p8{suffix}");
-    engine_rate(key, Platform::Kunpeng920, 8, AlgorithmId::Sense, Some(explorer), None)
+    engine_rate(key, Platform::Kunpeng920, 8, AlgorithmId::Sense, Some(explorer), None).0
 }
 
 /// Informational: measures the host's park/unpark path (module doc).
@@ -107,12 +117,13 @@ const OS_TRANSPORT_KEY: &str = "engine_ops_per_sec_sense_p16_os";
 fn os_transport_point() -> Point {
     let mut team = SimTeam::new(16);
     let key = OS_TRANSPORT_KEY.to_string();
-    engine_rate(key, Platform::Phytium2000Plus, 16, AlgorithmId::Sense, None, Some(&mut team))
+    engine_rate(key, Platform::Phytium2000Plus, 16, AlgorithmId::Sense, None, Some(&mut team)).0
 }
 
 /// Engine operations per wall-clock second of one barrier microbench,
 /// under `explorer` when given and on `team` when given (else on the
-/// ambient transport, fibers by default), reported as `key`.
+/// ambient transport, fibers by default), reported as `key`, and the
+/// write plus read stalls its timed repetitions record.
 fn engine_rate(
     key: String,
     platform: Platform,
@@ -120,11 +131,11 @@ fn engine_rate(
     id: AlgorithmId,
     explorer: Option<ExplorerConfig>,
     mut team: Option<&mut SimTeam>,
-) -> Point {
+) -> (Point, u64) {
     let topo = Arc::new(Topology::preset(platform));
     let effort = Effort::for_threads(p);
     let episodes = effort.episodes;
-    let one_rep = |rep: u64| -> u64 {
+    let one_rep = |rep: u64| -> (u64, u64) {
         let mut arena = Arena::new();
         let barrier: Arc<dyn Barrier> = Arc::from(id.build(&mut arena, p, &topo));
         let seed = 0x5EED ^ rep;
@@ -143,13 +154,14 @@ fn engine_rate(
             None => sim.run(body),
         }
         .expect("benchmark barrier must complete");
-        stats.total_mem_ops() + stats.ops(OpKind::Compute)
+        let c = stats.coherence().total();
+        (stats.total_mem_ops() + stats.ops(OpKind::Compute), c.write_stalls + c.read_stalls)
     };
-    let (ops_per_sec, _) = best_pass(effort.attempts, effort.reps, one_rep, |ops, secs| {
-        ops.iter().sum::<u64>() as f64 / secs
+    let (ops_per_sec, reps) = best_pass(effort.attempts, effort.reps, one_rep, |reps, secs| {
+        reps.iter().map(|&(ops, _)| ops).sum::<u64>() as f64 / secs
     });
     eprintln!("{key:>42}: {ops_per_sec:>12.0} ops/s");
-    Point::new(key, ops_per_sec)
+    (Point::new(key, ops_per_sec), reps.iter().map(|&(_, stalls)| stalls).sum())
 }
 
 /// Wall-clock seconds of a quick-scale regeneration of every suite
@@ -205,25 +217,34 @@ fn main() {
     let mut points = Vec::new();
     for id in [AlgorithmId::Sense, AlgorithmId::Stour] {
         for p in [16usize, 64] {
-            points.push(engine_point(Platform::Phytium2000Plus, p, id));
+            points.push(engine_point(Platform::Phytium2000Plus, p, id).0);
         }
         // Kilocore points: the hierarchical MemPool presets at their full
         // core counts, where every write meets a thousand-wide sharer set.
         for (platform, p) in [(Platform::MemPool256, 256usize), (Platform::MemPool1024, 1024)] {
-            points.push(engine_point(platform, p, id));
+            points.push(engine_point(platform, p, id).0);
         }
     }
-    points.push(engine_point(Platform::MemPool1024, 1024, AlgorithmId::Dissemination));
+    points.push(engine_point(Platform::MemPool1024, 1024, AlgorithmId::Dissemination).0);
     // Contender points: the lock-guarded counters are the engine's worst
     // case for RMW traffic (CAS storms and spin wake-ups on one line: at
     // P = 256 every processed op is re-posted a hundred times behind the
-    // line's queue), the stall-queue path.
+    // line's queue), the stall-queue path. Their stall records follow the
+    // rates as exact work keys.
+    let mut work = Vec::new();
     for id in [AlgorithmId::ShyCtr, AlgorithmId::ShyProxy] {
-        for p in [16usize, 64] {
-            points.push(engine_point(Platform::Phytium2000Plus, p, id));
+        for (platform, p) in [
+            (Platform::Phytium2000Plus, 16usize),
+            (Platform::Phytium2000Plus, 64),
+            (Platform::MemPool256, 256),
+        ] {
+            let (rate, stalls) = engine_point(platform, p, id);
+            points.push(rate);
+            let algo = id.label().to_ascii_lowercase();
+            work.push(Point::new(format!("work_stall_records_{algo}_p{p}"), stalls as f64));
         }
-        points.push(engine_point(Platform::MemPool256, 256, id));
     }
+    points.extend(work);
     // Policy points: the explorer's perturbation budget, then the same
     // with the weak-memory reordering search the `conform --weak` leg runs.
     let sc = ExplorerConfig::default();

@@ -20,7 +20,7 @@
 //! [`write`] is the entry point: it prints the delta of the fresh run
 //! against the committed file, optionally appends the delta table to a
 //! markdown summary (GitHub step-summary format), writes the document,
-//! and applies an optional drop [`Gate`].
+//! and applies an optional [`Gate`].
 
 use std::io::Write as _;
 
@@ -47,10 +47,16 @@ fn value_text(key: &str, value: f64) -> String {
     format!("{value:.decimals$}")
 }
 
+/// Prefix of exact work counts (`work_stall_records_shy-ctr_p256`): values
+/// that are pure functions of seed and program, so they read the same on
+/// every host, and a [`Gate`] fails on any change of one.
+pub const WORK_PREFIX: &str = "work_";
+
 /// A blocking perf gate: the run fails if any key starting with `prefix`
-/// dropped more than `max_drop_pct` percent against the committed file.
-/// Keys outside the prefix, and the `informational` ones inside it, are
-/// reported but never gated.
+/// dropped more than `max_drop_pct` percent against the committed file, or
+/// if any [`WORK_PREFIX`] key changed at all (a count cannot move on
+/// noise; one that moved is re-committed with its reason). Other keys, and
+/// the `informational` ones under `prefix`, are reported but never gated.
 #[derive(Debug, Clone, Copy)]
 pub struct Gate {
     /// Key prefix of the gated (higher-is-better) metrics.
@@ -66,6 +72,9 @@ impl Gate {
     fn failures<'a>(&self, rows: &'a [Delta]) -> Vec<&'a Delta> {
         rows.iter()
             .filter(|d| {
+                if d.key.starts_with(WORK_PREFIX) {
+                    return d.new != d.old;
+                }
                 d.key.starts_with(self.prefix)
                     && !self.informational.contains(&d.key.as_str())
                     && -d.change_pct() > self.max_drop_pct
@@ -207,7 +216,11 @@ pub fn write(
 
     let failures = gate.map(|g| g.failures(&rows)).unwrap_or_default();
     for d in &failures {
-        eprintln!("PERF GATE FAIL {}: {:.1}% below committed", d.key, -d.change_pct());
+        if d.key.starts_with(WORK_PREFIX) {
+            eprintln!("PERF GATE FAIL {}: exact count {} != committed {}", d.key, d.new, d.old);
+        } else {
+            eprintln!("PERF GATE FAIL {}: {:.1}% below committed", d.key, -d.change_pct());
+        }
     }
     failures.is_empty()
 }
@@ -290,6 +303,27 @@ mod tests {
         assert_eq!(value_text("quick_secs_kilocore", 3.014), "3.01");
         assert_eq!(value_text("topology_preset_ms_mempool1024", 7.916), "7.92");
         assert_eq!(value_text("engine_ops_per_sec_sense_p16", 3257889.4), "3257889");
+    }
+
+    #[test]
+    fn work_keys_fail_the_gate_on_any_change() {
+        let key = "work_stall_records_shy-ctr_p256";
+        let mut points = pts();
+        points.push(Point::new(key, 4_520_761.0));
+        let committed = render_doc(&points, None);
+        let gate =
+            Some(Gate { prefix: "engine_ops_per_sec_", informational: &[], max_drop_pct: 20.0 });
+        let with = |value: f64| -> Vec<Point> {
+            points
+                .iter()
+                .map(|p| if p.key == key { Point::new(key, value) } else { p.clone() })
+                .collect()
+        };
+        for (value, passes) in [(4_520_761.0, true), (4_520_762.0, false), (4_520_760.0, false)] {
+            let out = scratch_file("work-key.json", &committed);
+            assert_eq!(write(&out, &with(value), "t", None, gate), passes, "{key} = {value}");
+            std::fs::remove_file(&out).unwrap();
+        }
     }
 
     #[test]

@@ -152,18 +152,15 @@ impl SchedulePolicy for ExplorerPolicy {
                 return ScheduleDecision::Run(self.pick_index(ready.len()));
             }
             // Free tie-break permutation: uniform among the ops sharing
-            // the minimum virtual time.
-            let i0 = oldest_index(ready);
-            let t0 = ready[i0].time_ns;
-            let tied = |r: &ReadyOp| r.time_ns == t0;
-            let ties = ready.iter().filter(|r| tied(r)).count();
-            if ties > 1 {
-                let k = self.pick_index(ties);
-                return ScheduleDecision::Run(nth_index(ready, tied, k));
-            }
-            return ScheduleDecision::Run(i0);
+            // the minimum virtual time. The engine offers `ready` sorted by
+            // `(time, tid)`, so the oldest op is the first and its ties are
+            // a prefix.
+            let t0 = ready[0].time_ns;
+            let ties = ready.iter().take_while(|r| r.time_ns == t0).count();
+            return ScheduleDecision::Run(if ties > 1 { self.pick_index(ties) } else { 0 });
         }
-        // Budget spent (or nothing to permute): default order.
+        // Budget spent (or nothing to permute): default order, which the
+        // scan finds on any slice, as `MinTimePolicy` does.
         ScheduleDecision::Run(oldest_index(ready))
     }
 

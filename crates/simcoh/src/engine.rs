@@ -21,7 +21,11 @@
 //! the stall queue's head iff it sorts below the root. When a run's first
 //! loser re-stalls, the losers behind it on the same line are re-posted in
 //! one pass and the stretch moves to the line's next release as one block,
-//! with the same per-op accounting in the same order; see `DESIGN.md` §13.
+//! with the same per-op accounting in the same order. The pass reads each
+//! op from the stall record `step` wrote when it queued the op, and adds to
+//! dense per-thread stall counters that are copied into the coherence
+//! counters whenever those are read, so a re-posted stall costs little
+//! more than its fold into the schedule hash; see `DESIGN.md` §13.
 //!
 //! ## Cooperative scheduling
 //!
@@ -66,7 +70,7 @@ use crate::schedule::{
     oldest_index, ready_order, LoadOrder, ReadyOp, ReadyOpKind, ScheduleDecision, SchedulePolicy,
     StoreOrder, WeakDecision, WeakOp, WeakOpKind,
 };
-use crate::stats::{CoherenceCounters, Mark, OpKind, RunStats};
+use crate::stats::{fold_schedule, CoherenceCounters, Mark, OpKind, RunStats, StallCounters};
 
 /// Typed panic payload used to tear down worker threads when the simulation
 /// aborts (deadlock, budget exhaustion). Recognized and swallowed by the
@@ -171,7 +175,7 @@ fn is_write(op: &OpReq) -> bool {
 }
 
 /// Small distinct tag per op class for the schedule fingerprint.
-fn op_tag(op: &OpReq) -> u64 {
+fn op_tag(op: &OpReq) -> u8 {
     match op {
         OpReq::Load(..) => 1,
         OpReq::Store(..) => 2,
@@ -354,6 +358,27 @@ struct Slot {
     finished: bool,
 }
 
+/// What the stall-run re-post needs of a thread's stalled op, recorded
+/// when `step` files it in the stall queue. A stalled op cannot change, so
+/// the record stays valid while the op waits there.
+#[derive(Debug, Clone, Copy)]
+struct StalledOp {
+    /// The op's line key, or [`StalledOp::NO_LINE`] for a multi-address
+    /// wait (ops that touch no memory never stall).
+    line: u32,
+    /// `op_tag` of the op.
+    tag: u8,
+    /// Whether the stall counts as a write stall.
+    write: bool,
+}
+
+impl StalledOp {
+    /// Above every line key: a line key is an address shifted right by at
+    /// least two bits.
+    const NO_LINE: u32 = u32::MAX;
+    const EMPTY: Self = Self { line: Self::NO_LINE, tag: 0, write: false };
+}
+
 struct Waiter {
     tid: usize,
     watch: Watch,
@@ -405,6 +430,13 @@ struct State {
     /// Blocked spin-waiters, indexed by watched word and line.
     waiters: WaiterTable,
     time: Vec<f64>,
+    /// Each thread's last stalled op, read by `repost_run` in place of the
+    /// op itself.
+    stalled: Vec<StalledOp>,
+    /// Each thread's busy-line stall counters; [`RunStats::set_stalls`]
+    /// copies them into the coherence counters when anything reads those
+    /// (`collect`, `OpReq::Counters`).
+    stall_counts: Vec<StallCounters>,
     /// Dense per-line directory, indexed `addr >> line_shift`.
     lines: Vec<Line>,
     /// Dense word values, indexed `addr >> 2`.
@@ -513,6 +545,8 @@ impl State {
             policy_mode,
             waiters: WaiterTable::new(line_shift),
             time: vec![0.0; nthreads],
+            stalled: vec![StalledOp::EMPTY; nthreads],
+            stall_counts: vec![StallCounters::default(); nthreads],
             lines: vec![Line::default(); reserve_bytes.div_ceil(1usize << line_shift)],
             values: vec![0; reserve_bytes.div_ceil(4)],
             stats: RunStats::new(nthreads),
@@ -1141,6 +1175,7 @@ impl Shared {
             Err(e) => Err(e),
             Ok(()) => {
                 let mut stats = std::mem::replace(&mut g.stats, RunStats::new(0));
+                stats.set_stalls(&g.stall_counts);
                 for tid in 0..n {
                     stats.set_thread_time(tid, g.time[tid]);
                 }
@@ -1170,7 +1205,7 @@ impl Shared {
             }
             let tid = key.1;
             let op = g.slots[tid].pending.take().expect("ready thread has no pending op");
-            g.stats.mix_schedule(op_tag(&op), tid as u64);
+            g.stats.mix_schedule(u64::from(op_tag(&op)), tid as u64);
             self.step(g, tid, op, WeakDecision::Strong);
             if from_stall && g.slots[tid].pending.is_some() {
                 self.repost_run(g, key.0, tid);
@@ -1188,30 +1223,44 @@ impl Shared {
     /// one block. The stretch ends at the first entry that a heap or
     /// running key sorts below (neither changes here: a re-stalled op
     /// neither replies nor posts), that the op budget cannot pay for, or
-    /// whose op is not a single-address op on `first`'s line.
+    /// whose op is not a single-address op on `first`'s line. The ops are
+    /// read from their stall records, never decoded again.
     fn repost_run(&self, g: &mut State, t: TimeKey, first: usize) {
-        let Some(addr) = g.slots[first].pending.as_ref().and_then(single_addr) else { return };
-        let line = self.line_key(addr);
-        let until = g.time[first];
+        let line = g.stalled[first].line;
+        if line == StalledOp::NO_LINE {
+            return;
+        }
+        // The run's keys are `(t, tid)`, so the bound is a tid limit. The
+        // stall head was popped below the root and nothing has moved the
+        // root since, so the root never sorts below `t`.
         let bound = g.sched.outside_min();
+        debug_assert!(bound.is_none_or(|b| b > (t, first)), "stall head popped above the root");
+        let limit = match bound {
+            Some((bt, btid)) if bt == t => btid,
+            _ => usize::MAX,
+        };
+        let until = g.time[first];
         let room = g.op_budget - g.ops;
-        let State { sched, slots, stats, time, .. } = g;
+        let State { sched, stalled, stall_counts, stats, time, .. } = g;
         let Some(run) = sched.stalls.head_run(t) else { return };
+        // The loop's floor is the hash's dependent chain, so the running
+        // hash stays in a local, and the tables are slices whose pointers
+        // stay in registers.
+        let (stalled, stall_counts, time) = (&stalled[..], &mut stall_counts[..], &mut time[..]);
+        let mut hash = stats.schedule_hash();
         let mut n = 0;
         for &tid in run {
-            if n == room || bound.is_some_and(|b| b < (t, tid)) {
-                break;
-            }
-            let op = slots[tid].pending.as_ref().expect("stalled thread has no pending op");
-            if single_addr(op).is_none_or(|a| self.line_key(a) != line) {
+            let op = stalled[tid];
+            if n == room || tid > limit || op.line != line {
                 break;
             }
             debug_assert!(until > time[tid], "a batched op must stall");
-            stats.mix_schedule(op_tag(op), tid as u64);
-            stats.record_stall(tid, is_write(op), until - time[tid]);
+            hash = fold_schedule(hash, u64::from(op.tag), tid as u64);
+            stall_counts[tid].record(op.write, until - time[tid]);
             time[tid] = until;
             n += 1;
         }
+        stats.set_schedule_hash(hash);
         g.ops += n;
         g.sched.stalls.splice_head(n as usize, TimeKey(until));
     }
@@ -1266,7 +1315,7 @@ impl Shared {
                 }
                 let tid = g.ready_list.remove(pick).tid;
                 let op = g.slots[tid].pending.take().expect("ready thread has no pending op");
-                g.stats.mix_schedule(op_tag(&op), tid as u64);
+                g.stats.mix_schedule(u64::from(op_tag(&op)), tid as u64);
                 let weak = match self.weak_offer(g, tid, &op) {
                     Some(wop) => policy.weak(&wop),
                     None => WeakDecision::Strong,
@@ -1706,14 +1755,18 @@ impl Shared {
         // all arrivals of a centralized barrier would be serviced before
         // any spinner subscribes to the line, and the invalidation-crowd
         // cost that dominates SENSE on many-cores would vanish.
+        let addr = single_addr(&op);
         let busy_until = match &op {
             OpReq::SpinUntilAllGe(addrs, _) => {
                 addrs.iter().map(|&a| self.available_at(g, a)).fold(0.0, f64::max)
             }
-            op => single_addr(op).map_or(0.0, |a| self.available_at(g, a)),
+            _ => addr.map_or(0.0, |a| self.available_at(g, a)),
         };
         if busy_until > g.time[tid] {
-            g.stats.record_stall(tid, is_write(&op), busy_until - g.time[tid]);
+            let write = is_write(&op);
+            g.stall_counts[tid].record(write, busy_until - g.time[tid]);
+            let line = addr.map_or(StalledOp::NO_LINE, |a| self.line_key(a));
+            g.stalled[tid] = StalledOp { line, tag: op_tag(&op), write };
             g.time[tid] = busy_until;
             g.slots[tid].pending = Some(op);
             g.post_stall((TimeKey(busy_until), tid));
@@ -1791,6 +1844,7 @@ impl Shared {
                 self.reply(g, tid, Reply::TimeNs(t));
             }
             OpReq::Counters => {
+                g.stats.set_stalls(&g.stall_counts);
                 let total = g.stats.coherence().total();
                 self.reply(g, tid, Reply::Counters(Box::new(total)));
             }

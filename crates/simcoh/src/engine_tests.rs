@@ -698,3 +698,151 @@ fn same_time_keys_inside_a_stall_run_cut_it_identically() {
         assert!(stats.coherence().thread(5).write_stalls >= 2, "thread 5 never re-stalled");
     }
 }
+
+/// The stall run at `a` of [`split_run`]'s shape, with thread 4's op on
+/// another line that a fetch-add of thread 6 keeps busy until the same
+/// `a`: a store to that line, or a batched wait on it (no single line).
+/// Thread 4's entry sits between losers 3 and 5 of line `a`'s run.
+fn run_with_a_foreign_entry(a: f64, batched: bool) -> Result<RunStats, SimError> {
+    let mut arena = Arena::new();
+    let line = arena.alloc_padded_u32(64);
+    let other = arena.alloc_padded_u32(64);
+    let body = move |ctx: &SimThread| match ctx.tid() {
+        6 => {
+            ctx.fetch_add(other, 1);
+        }
+        7 => {
+            ctx.fetch_add(line, 1);
+        }
+        4 => {
+            ctx.compute_ns(a / 2.0);
+            if batched {
+                ctx.spin_until_all_ge(&[other], 1);
+            } else {
+                ctx.store(other, 9);
+            }
+        }
+        tid => {
+            ctx.compute_ns(a / 2.0);
+            for i in 0..3 {
+                ctx.store(line, tid as u32 * 10 + i);
+            }
+        }
+    };
+    assert_matches_policy_oracle(topo(), 8, None, body)
+}
+
+/// The time a fetch-add on a cold line ends, whoever issues it.
+fn cold_fetch_add_ns() -> f64 {
+    let mut arena = Arena::new();
+    let line = arena.alloc_padded_u32(64);
+    let probe = SimBuilder::new(topo(), 2)
+        .run(move |ctx| {
+            if ctx.tid() == 0 {
+                ctx.fetch_add(line, 1);
+            } else {
+                ctx.store(line, 1);
+            }
+        })
+        .unwrap();
+    probe.coherence().thread(1).write_stall_ns
+}
+
+#[test]
+fn an_entry_on_another_line_or_a_batched_wait_ends_the_stretch() {
+    let a = cold_fetch_add_ns();
+    for batched in [false, true] {
+        let stats = run_with_a_foreign_entry(a, batched).unwrap();
+        // Thread 4 stalled once, until `a`, then ran: its line was free.
+        let c = stats.coherence().thread(4);
+        let (stalls, ns) = if batched {
+            (c.read_stalls, c.read_stall_ns)
+        } else {
+            (c.write_stalls, c.write_stall_ns)
+        };
+        assert_eq!((stalls, ns), (1, a / 2.0), "batched {batched}");
+        // The losers on either side of it re-stalled on `line`.
+        for tid in [3, 5] {
+            assert!(
+                stats.coherence().thread(tid).write_stalls >= 2,
+                "thread {tid} never re-stalled"
+            );
+        }
+    }
+}
+
+#[test]
+fn read_and_write_stalls_on_one_line_match_the_oracle_bit_for_bit() {
+    let mempool = Arc::new(armbar_topology::platforms::mempool_256());
+    let mut arena = Arena::new();
+    let word = arena.alloc_padded_u32(mempool.cacheline_bytes());
+    let p = 64;
+    let rounds = 3;
+    // Even threads add, odd threads re-read the word and then spin on it,
+    // so one line's stall runs mix RMWs, loads and spin entries.
+    let body = move |ctx: &SimThread| {
+        for _ in 0..rounds {
+            if ctx.tid().is_multiple_of(2) {
+                ctx.fetch_add(word, 1);
+            } else {
+                ctx.load(word);
+            }
+        }
+        ctx.spin_until_ge(word, rounds * p as u32 / 2);
+    };
+    let stats = assert_matches_policy_oracle(Arc::clone(&mempool), p, None, body).unwrap();
+    let oracle =
+        SimBuilder::new(mempool, p).seed(7).schedule_policy(MinTimePolicy).run(body).unwrap();
+    let bits = |c: &crate::stats::CoherenceCounters| {
+        (c.write_stalls, c.write_stall_ns.to_bits(), c.read_stalls, c.read_stall_ns.to_bits())
+    };
+    for (tid, (d, o)) in
+        stats.coherence().per_thread().iter().zip(oracle.coherence().per_thread()).enumerate()
+    {
+        assert_eq!(bits(d), bits(o), "thread {tid}");
+    }
+    let total = stats.coherence().total();
+    assert!(total.write_stalls > 0 && total.read_stalls > 0, "{total:?}");
+    let restalled_reader = stats.coherence().per_thread().iter().skip(1).step_by(2);
+    assert!(restalled_reader.clone().any(|c| c.read_stalls >= 2), "no reader re-stalled");
+}
+
+#[test]
+fn a_counter_snapshot_taken_mid_storm_matches_the_oracle() {
+    let mempool = Arc::new(armbar_topology::platforms::mempool_256());
+    let mut arena = Arena::new();
+    let line = mempool.cacheline_bytes();
+    let lock = arena.alloc(line, line);
+    let storm = cas_counter_storm(lock, lock + 4, 2);
+    // Every thread snapshots the counters after each lock attempt; both
+    // runs append to one log, the default engine's first.
+    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let seen = Arc::clone(&log);
+    let body = move |ctx: &SimThread| {
+        storm(ctx);
+        let c = ctx.coherence_counters();
+        seen.lock().unwrap().push((ctx.tid(), c));
+        while ctx.compare_exchange(lock, 0, 1) != 0 {
+            let c = ctx.coherence_counters();
+            seen.lock().unwrap().push((ctx.tid(), c));
+            ctx.spin_until_eq(lock, 0);
+        }
+        ctx.store(lock, 0);
+    };
+    let p = 64;
+    let stats = assert_matches_policy_oracle(mempool, p, None, body).unwrap();
+    let log = std::mem::take(&mut *log.lock().unwrap());
+    let (default, oracle) = log.split_at(log.len() / 2);
+    // Each thread's snapshots in its program order.
+    let by_thread = |half: &[(usize, crate::stats::CoherenceCounters)]| {
+        let mut v = half.to_vec();
+        v.sort_by_key(|&(tid, _)| tid);
+        v
+    };
+    assert_eq!(by_thread(default), by_thread(oracle));
+    let total = stats.coherence().total();
+    assert!(default.len() > p, "no thread waited for the lock");
+    // Taken mid-storm: stalls already counted, and not all of them.
+    assert!(default.iter().any(|(_, c)| c.write_stalls > 0 && c.write_stalls < total.write_stalls));
+    assert!(default.iter().all(|(_, c)| c.write_stall_ns <= total.write_stall_ns));
+}

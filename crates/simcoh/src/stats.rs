@@ -216,6 +216,34 @@ impl CoherenceCounters {
     }
 }
 
+/// One thread's busy-line stall counters as the engine accumulates them:
+/// 32 dense bytes per thread, apart from the wider [`CoherenceCounters`],
+/// so a write storm that re-posts thousands of stalls touches only these.
+/// [`RunStats::set_stalls`] copies them into the coherence counters
+/// whenever something reads those.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StallCounters {
+    write_stalls: u64,
+    write_stall_ns: f64,
+    read_stalls: u64,
+    read_stall_ns: f64,
+}
+
+impl StallCounters {
+    /// Accounts `ns` of virtual time spent waiting for a busy line
+    /// (`write` selects write- vs read-side serialization).
+    #[inline]
+    pub(crate) fn record(&mut self, write: bool, ns: f64) {
+        if write {
+            self.write_stalls += 1;
+            self.write_stall_ns += ns;
+        } else {
+            self.read_stalls += 1;
+            self.read_stall_ns += ns;
+        }
+    }
+}
+
 /// Snapshot of the per-thread coherence counters of a run.
 #[derive(Debug, Clone, Default)]
 pub struct CoherenceStats {
@@ -251,6 +279,19 @@ impl CoherenceStats {
     }
 }
 
+/// Folds one scheduling event into an order fingerprint (see
+/// [`RunStats::mix_schedule`]).
+#[inline]
+pub(crate) fn fold_schedule(hash: u64, tag: u64, payload: u64) -> u64 {
+    let mut z = hash
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(tag)
+        .wrapping_add(payload.rotate_left(17));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Statistics of one completed simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
@@ -280,14 +321,13 @@ impl RunStats {
     /// share a hash only if the engine made the same decisions in the same
     /// order.
     pub(crate) fn mix_schedule(&mut self, tag: u64, payload: u64) {
-        let mut z = self
-            .schedule_hash
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(tag)
-            .wrapping_add(payload.rotate_left(17));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.schedule_hash = z ^ (z >> 31);
+        self.schedule_hash = fold_schedule(self.schedule_hash, tag, payload);
+    }
+
+    /// Replaces the order fingerprint: a caller that folds a batch of
+    /// events with [`fold_schedule`] in a local stores the result here.
+    pub(crate) fn set_schedule_hash(&mut self, hash: u64) {
+        self.schedule_hash = hash;
     }
 
     pub(crate) fn set_thread_time(&mut self, tid: usize, t: f64) {
@@ -341,8 +381,22 @@ impl RunStats {
         t.peak_sharers = t.peak_sharers.max(invalidated as u32);
     }
 
+    /// Sets each thread's stall fields to the engine's [`StallCounters`]
+    /// (an assignment: the engine writes those fields nowhere else, so the
+    /// values keep the bits of the same adds made in place).
+    pub(crate) fn set_stalls(&mut self, stalls: &[StallCounters]) {
+        for (c, s) in self.coherence.per_thread.iter_mut().zip(stalls) {
+            c.write_stalls = s.write_stalls;
+            c.write_stall_ns = s.write_stall_ns;
+            c.read_stalls = s.read_stalls;
+            c.read_stall_ns = s.read_stall_ns;
+        }
+    }
+
     /// Accounts `ns` of virtual time `tid` spent waiting for a busy line
-    /// (`write` selects write- vs read-side serialization).
+    /// (`write` selects write- vs read-side serialization) in place. The
+    /// engine accumulates stalls in [`StallCounters`] instead.
+    #[cfg(test)]
     pub(crate) fn record_stall(&mut self, tid: usize, write: bool, ns: f64) {
         let c = self.coherence.thread_mut(tid);
         if write {
