@@ -17,7 +17,7 @@
 //! as `all_experiments_quick_secs`, `quick_secs_fig05` or
 //! `topology_preset_ms_mempool1024`), which keep two decimals.
 //!
-//! [`write`] is the entry point: it prints the delta of the fresh run
+//! [`write()`] is the entry point: it prints the delta of the fresh run
 //! against the committed file, optionally appends the delta table to a
 //! markdown summary (GitHub step-summary format), writes the document,
 //! and applies an optional [`Gate`].

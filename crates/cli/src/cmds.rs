@@ -4,11 +4,11 @@ use std::sync::Arc;
 
 use armbar_conformance::{
     conform_matrix_on, phaser_conform_matrix_on, ConformCell, ConformConfig, ExplorerConfig,
-    PhaserConformConfig,
+    PhaserConformConfig, TableConfig,
 };
 use armbar_core::prelude::*;
 use armbar_epcc::{
-    latency_table, phase_breakdown, sim_overhead_ns, trace_episodes, EpisodeTrace, OverheadConfig,
+    latency_table, phase_breakdown, sim_overhead, trace_episodes, EpisodeTrace, OverheadConfig,
 };
 use armbar_faults::{chaos_matrix_on, render_csv, render_json, Backend, ChaosConfig, Scenario};
 use armbar_model::{optimal_fanin_int, recommend_wakeup, WakeupChoice};
@@ -345,7 +345,7 @@ pub fn sweep(rest: &[String]) -> Result<(), String> {
         .iter()
         .flat_map(|&p| {
             algos.iter().map(move |&id| {
-                Job::parallel(move || sim_overhead_ns(topo_ref, p, id, OverheadConfig::default()))
+                Job::parallel(move || sim_overhead(topo_ref, p, &id, OverheadConfig::default()))
             })
         })
         .collect();
@@ -390,9 +390,9 @@ pub fn recommend(rest: &[String]) -> Result<(), String> {
     println!("  recommended wake-up:   {}", wake.label());
 
     // Validate against the machine default and the GCC baseline.
-    let opt = sim_overhead_ns(&topo, p, AlgorithmId::Optimized, OverheadConfig::default())
+    let opt = sim_overhead(&topo, p, &AlgorithmId::Optimized, OverheadConfig::default())
         .map_err(|e| e.to_string())?;
-    let gcc = sim_overhead_ns(&topo, p, AlgorithmId::Sense, OverheadConfig::default())
+    let gcc = sim_overhead(&topo, p, &AlgorithmId::Sense, OverheadConfig::default())
         .map_err(|e| e.to_string())?;
     println!("  optimized barrier:     {:.2} us/episode", opt / 1000.0);
     println!("  GCC-style barrier:     {:.2} us/episode ({:.1}x)", gcc / 1000.0, gcc / opt);
@@ -689,21 +689,13 @@ pub fn conform(rest: &[String]) -> Result<(), String> {
     let fence_seeds = count_flag(rest, "--fence-seeds", "--fence-seeds", 1)?;
 
     let mut cells = conform_matrix_on(&pool, &config);
-    let mut text = if json {
-        armbar_conformance::render_json(&cells, &config)
-    } else {
-        armbar_conformance::render_csv(&cells, &config)
-    };
+    let mut text = render_conform(json, &cells, &config);
     // Under --weak the phasers ride along: dynamic membership is where
     // a reordered arrival or eviction store does the most damage.
     if flags.weak {
         let pconfig = flags.phaser_config();
         let pcells = phaser_conform_matrix_on(&pool, &pconfig);
-        text.push_str(&if json {
-            armbar_conformance::render_phaser_json(&pcells, &pconfig)
-        } else {
-            armbar_conformance::render_phaser_csv(&pcells, &pconfig)
-        });
+        text.push_str(&render_conform(json, &pcells, &pconfig));
         cells.extend(pcells);
     }
     emit(rest, &text, &format!("{} conformance cells", cells.len()))?;
@@ -732,6 +724,15 @@ pub fn conform(rest: &[String]) -> Result<(), String> {
         }));
     }
     report_violations(violated, "safety")
+}
+
+/// A conformance table as JSON or CSV.
+fn render_conform<C: TableConfig>(json: bool, cells: &[ConformCell], cfg: &C) -> String {
+    if json {
+        armbar_conformance::render_json(cells, cfg)
+    } else {
+        armbar_conformance::render_csv(cells, cfg)
+    }
 }
 
 /// `armbar conform --phasers [--algos ...] [--scenarios ...]` plus the
@@ -779,11 +780,7 @@ fn conform_phasers(
     }
 
     let cells = phaser_conform_matrix_on(pool, &config);
-    let text = if json {
-        armbar_conformance::render_phaser_json(&cells, &config)
-    } else {
-        armbar_conformance::render_phaser_csv(&cells, &config)
-    };
+    let text = render_conform(json, &cells, &config);
     emit(rest, &text, &format!("{} phaser conformance cells", cells.len()))?;
     report_violations(
         cells.iter().filter(|c| !c.violations.is_empty()).map(violation_line).collect(),

@@ -267,15 +267,9 @@ fn run_cell(platform: Platform, algorithm: AlgorithmId, cfg: &ConformConfig) -> 
     ConformCell::new(platform, algorithm, None, threads, outcome)
 }
 
-/// Runs the conformance matrix on the ambient [`SweepPool`]
-/// (`--jobs`/`ARMBAR_JOBS` workers). One cell per (platform, algorithm),
-/// in listed order.
-pub fn conform_matrix(cfg: &ConformConfig) -> Vec<ConformCell> {
-    conform_matrix_on(&SweepPool::ambient(), cfg)
-}
-
-/// [`conform_matrix`] on an explicit pool. Cells are pure functions of the
-/// config, fan out as parallel jobs, and collect in submission order — the
+/// Runs the conformance matrix on `pool`: one cell per (platform,
+/// algorithm), in listed order. Cells are pure functions of the config,
+/// fan out as parallel jobs, and collect in submission order — the
 /// rendered table is byte-identical at any worker count.
 pub fn conform_matrix_on(pool: &SweepPool, cfg: &ConformConfig) -> Vec<ConformCell> {
     silence_oracle_panics();

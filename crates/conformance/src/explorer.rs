@@ -37,7 +37,7 @@ use armbar_simcoh::rng::SplitMix64;
 #[cfg(test)]
 use armbar_simcoh::schedule::WeakOpKind;
 use armbar_simcoh::schedule::{
-    oldest_index, ReadyOp, ReadyOpKind, ScheduleDecision, SchedulePolicy, WeakDecision, WeakOp,
+    ReadyOp, ReadyOpKind, ScheduleDecision, SchedulePolicy, WeakDecision, WeakOp,
 };
 
 /// Tuning knobs for [`ExplorerPolicy`].
@@ -159,9 +159,9 @@ impl SchedulePolicy for ExplorerPolicy {
             let ties = ready.iter().take_while(|r| r.time_ns == t0).count();
             return ScheduleDecision::Run(if ties > 1 { self.pick_index(ties) } else { 0 });
         }
-        // Budget spent (or nothing to permute): default order, which the
-        // scan finds on any slice, as `MinTimePolicy` does.
-        ScheduleDecision::Run(oldest_index(ready))
+        // Budget spent (or nothing to permute): default order. `ready` is
+        // sorted by `(time, tid)`, so the oldest op is the first.
+        ScheduleDecision::Run(0)
     }
 
     fn weak(&mut self, _op: &WeakOp) -> WeakDecision {
@@ -185,6 +185,7 @@ impl SchedulePolicy for ExplorerPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use armbar_simcoh::schedule::oldest_index;
 
     fn op(tid: usize, t: f64, kind: ReadyOpKind) -> ReadyOp {
         ReadyOp { tid, time_ns: t, kind, addr: Some(64 * tid as u32) }
@@ -193,13 +194,16 @@ mod tests {
     #[test]
     fn zero_budget_reproduces_default_order() {
         let mut p = ExplorerPolicy::new(7, ExplorerConfig::default().with_budget(0));
+        // Sorted by `(time, tid)`, as the engine offers it, with a tie at
+        // the front that a spent budget must not permute.
         let ready = [
-            op(2, 5.0, ReadyOpKind::Write),
-            op(0, 5.0, ReadyOpKind::Rmw),
-            op(1, 1.0, ReadyOpKind::Read),
+            op(0, 1.0, ReadyOpKind::Read),
+            op(2, 1.0, ReadyOpKind::Write),
+            op(1, 5.0, ReadyOpKind::Rmw),
         ];
+        assert_eq!(oldest_index(&ready), 0);
         for _ in 0..32 {
-            assert_eq!(p.pick(&ready), ScheduleDecision::Run(2), "index of min (time, tid)");
+            assert_eq!(p.pick(&ready), ScheduleDecision::Run(0), "index of min (time, tid)");
         }
     }
 

@@ -247,14 +247,9 @@ fn run_fence_cell(platform: Platform, algorithm: AlgorithmId, cfg: &FenceConfig)
     FenceCell { platform, algorithm, threads, results }
 }
 
-/// Runs the fence-minimization matrix on the ambient [`SweepPool`].
-pub fn fence_matrix(cfg: &FenceConfig) -> Vec<FenceCell> {
-    fence_matrix_on(&SweepPool::ambient(), cfg)
-}
-
-/// [`fence_matrix`] on an explicit pool. Cells are pure functions of the
-/// config, fan out as parallel jobs, and collect in submission order —
-/// the rendered report is byte-identical at any worker count.
+/// Runs the fence-minimization matrix on `pool`. Cells are pure functions
+/// of the config, fan out as parallel jobs, and collect in submission
+/// order — the rendered report is byte-identical at any worker count.
 pub fn fence_matrix_on(pool: &SweepPool, cfg: &FenceConfig) -> Vec<FenceCell> {
     assert!(cfg.explorer.reorder_budget > 0, "a fence probe needs the weak search on");
     assert!(cfg.episodes >= 2, "cross-episode reorderings need at least two episodes");

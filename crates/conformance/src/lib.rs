@@ -39,15 +39,16 @@
 //! checkers report [`ConformCell`]s.
 //!
 //! ```
-//! use armbar_conformance::{conform_matrix, ConformConfig};
+//! use armbar_conformance::{conform_matrix_on, ConformConfig};
 //! use armbar_core::AlgorithmId;
+//! use armbar_sweep::SweepPool;
 //!
 //! let cfg = ConformConfig {
 //!     algorithms: vec![AlgorithmId::Sense],
 //!     seeds: 25,
 //!     ..ConformConfig::default()
 //! };
-//! let cells = conform_matrix(&cfg);
+//! let cells = conform_matrix_on(&SweepPool::ambient(), &cfg);
 //! assert!(cells.iter().all(|c| c.violations.is_empty()));
 //! ```
 
@@ -61,17 +62,11 @@ mod search;
 #[cfg(test)]
 mod serve_script;
 
-pub use checker::{
-    conform_matrix, conform_matrix_on, ConformCell, ConformConfig, Violation, ViolationKind,
-};
+pub use checker::{conform_matrix_on, ConformCell, ConformConfig, Violation, ViolationKind};
 pub use explorer::{ExplorerConfig, ExplorerPolicy};
 pub use fence::{
-    fence_matrix, fence_matrix_on, render_fence_markdown, FenceCell, FenceConfig, FenceLevel,
-    LevelResult,
+    fence_matrix_on, render_fence_markdown, FenceCell, FenceConfig, FenceLevel, LevelResult,
 };
-pub use phaser::{
-    check_membership_ledger, phaser_conform_matrix, phaser_conform_matrix_on, render_phaser_csv,
-    render_phaser_json, PhaserConformConfig,
-};
-pub use report::{render_csv, render_json};
+pub use phaser::{check_membership_ledger, phaser_conform_matrix_on, PhaserConformConfig};
+pub use report::{render_csv, render_json, TableConfig};
 pub use search::trial_seed;

@@ -6,7 +6,7 @@
 //! [`Phaser`](armbar_core::phaser::Phaser)s: each trial runs a seeded
 //! [`ChurnPlan`] script (a late join, an orderly leave, a crash eviction,
 //! or a leave/rejoin flap) under the same perturbing
-//! [`ExplorerPolicy`](crate::ExplorerPolicy) the fixed checker uses, then
+//! [`crate::ExplorerPolicy`] the fixed checker uses, then
 //! reconstructs the per-epoch member set from the phaser event marks and
 //! checks two oracles:
 //!
@@ -298,12 +298,7 @@ fn run_phaser_cell(
     ConformCell::new(platform, algorithm, Some(scenario), threads, outcome)
 }
 
-/// Runs the phaser conformance matrix on the ambient [`SweepPool`].
-pub fn phaser_conform_matrix(cfg: &PhaserConformConfig) -> Vec<ConformCell> {
-    phaser_conform_matrix_on(&SweepPool::ambient(), cfg)
-}
-
-/// [`phaser_conform_matrix`] on an explicit pool. Cells are pure functions
+/// Runs the phaser conformance matrix on `pool`. Cells are pure functions
 /// of the config, fan out as parallel jobs, and collect in submission
 /// order — the rendered table is byte-identical at any worker count.
 pub fn phaser_conform_matrix_on(pool: &SweepPool, cfg: &PhaserConformConfig) -> Vec<ConformCell> {
@@ -320,89 +315,10 @@ pub fn phaser_conform_matrix_on(pool: &SweepPool, cfg: &PhaserConformConfig) -> 
     pool.run(jobs)
 }
 
-/// Renders phaser cells as CSV with a `#`-prefixed provenance header. No
-/// wall-clock values, so equal configurations are byte-identical.
-pub fn render_phaser_csv(cells: &[ConformCell], cfg: &PhaserConformConfig) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# conform-phasers: base seed {:#x}, seeds/cell {}, episodes {}, threads {}, \
-         budget {}, rbudget {} (p={}), max polls {}\n",
-        cfg.base_seed,
-        cfg.seeds,
-        cfg.episodes,
-        cfg.threads,
-        cfg.explorer.budget,
-        cfg.explorer.reorder_budget,
-        cfg.explorer.reorder_prob,
-        cfg.max_polls,
-    ));
-    out.push_str(
-        "platform,threads,algorithm,scenario,trials,distinct_schedules,violations,status,detail\n",
-    );
-    for c in cells {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{}\n",
-            c.platform.label(),
-            c.threads,
-            c.algorithm.label(),
-            c.scenario.map_or("", Scenario::label),
-            c.trials,
-            c.distinct_schedules,
-            c.violations.len(),
-            c.status(),
-            c.detail().replace(',', ";")
-        ));
-    }
-    out
-}
-
-/// Renders phaser cells as a JSON document (same fields as the CSV, plus
-/// the full shrunk reproducer per violation).
-pub fn render_phaser_json(cells: &[ConformCell], cfg: &PhaserConformConfig) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"base_seed\": {},\n", cfg.base_seed));
-    out.push_str(&format!("  \"seeds_per_cell\": {},\n", cfg.seeds));
-    out.push_str(&format!("  \"episodes\": {},\n", cfg.episodes));
-    out.push_str(&format!("  \"threads\": {},\n", cfg.threads));
-    out.push_str(&format!("  \"max_polls\": {},\n", cfg.max_polls));
-    out.push_str(&format!("  \"reorder_budget\": {},\n", cfg.explorer.reorder_budget));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"platform\": \"{}\", \"threads\": {}, \"algorithm\": \"{}\", \
-             \"scenario\": \"{}\", \"trials\": {}, \"distinct_schedules\": {}, \
-             \"status\": \"{}\", \"violations\": [",
-            c.platform.label(),
-            c.threads,
-            c.algorithm.label(),
-            c.scenario.map_or("", Scenario::label),
-            c.trials,
-            c.distinct_schedules,
-            c.status(),
-        ));
-        for (j, v) in c.violations.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"kind\": \"{}\", \"seed\": {}, \"budget\": {}, \"reorder_budget\": {}, \
-                 \"episodes\": {}, \"detail\": \"{}\"}}{}",
-                v.kind,
-                v.seed,
-                v.budget,
-                v.reorder_budget,
-                v.episodes,
-                v.detail.replace('"', "'"),
-                if j + 1 < c.violations.len() { ", " } else { "" }
-            ));
-        }
-        out.push_str(&format!("]}}{}\n", if i + 1 < cells.len() { "," } else { "" }));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::render_csv;
     use armbar_core::phaser::{phaser_mark, Claim, Phaser};
     use armbar_core::{CentralPhaser, MemCtx};
 
@@ -453,7 +369,7 @@ mod tests {
         let cfg = quick_cfg();
         let serial = phaser_conform_matrix_on(&SweepPool::new(1), &cfg);
         let parallel = phaser_conform_matrix_on(&SweepPool::new(4), &cfg);
-        assert_eq!(render_phaser_csv(&serial, &cfg), render_phaser_csv(&parallel, &cfg));
+        assert_eq!(render_csv(&serial, &cfg), render_csv(&parallel, &cfg));
     }
 
     fn mk(kind: u32, slot: usize, epoch: u32, t: f64) -> Mark {

@@ -1,31 +1,102 @@
 //! Rendering of conformance results: CSV (with a `#`-prefixed provenance
-//! header) and JSON. No wall-clock values appear anywhere, so equal
+//! header) and JSON, one renderer pair for the fixed-membership and the
+//! phaser matrices alike. No wall-clock values appear anywhere, so equal
 //! configurations yield byte-identical output at any worker count.
 
-use crate::checker::{ConformCell, ConformConfig};
+use armbar_faults::Scenario;
 
-/// Renders cells as CSV. The provenance header records everything needed
-/// to replay the table.
-pub fn render_csv(cells: &[ConformCell], cfg: &ConformConfig) -> String {
-    let mut out = String::new();
+use crate::checker::{ConformCell, ConformConfig};
+use crate::phaser::PhaserConformConfig;
+
+/// What a rendered table says about the configuration it was checked
+/// under. The fixed-membership and phaser matrices differ only here: in
+/// the provenance line, in one JSON header field, and in the phaser's
+/// `scenario` column.
+pub trait TableConfig {
+    /// Whether cells are keyed by a churn scenario as well.
+    const SCENARIO: bool;
+    /// The CSV's `#`-prefixed provenance line: everything needed to
+    /// replay the table.
+    fn provenance(&self) -> String;
+    /// The JSON document's header fields, in order.
+    fn json_header(&self) -> [(&'static str, u64); 6];
+}
+
+impl TableConfig for ConformConfig {
+    const SCENARIO: bool = false;
+    fn provenance(&self) -> String {
+        let e = &self.explorer;
+        format!(
+            "# conform: base seed {:#x}, seeds/cell {}, episodes {}, threads {}, \
+             budget {}, rbudget {} (p={}), preempt {}, delay {} (max {} ns)\n",
+            self.base_seed,
+            self.seeds,
+            self.episodes,
+            self.threads,
+            e.budget,
+            e.reorder_budget,
+            e.reorder_prob,
+            e.preempt_prob,
+            e.delay_prob,
+            e.max_delay_ns,
+        )
+    }
+    fn json_header(&self) -> [(&'static str, u64); 6] {
+        [
+            ("base_seed", self.base_seed),
+            ("seeds_per_cell", self.seeds.into()),
+            ("episodes", self.episodes.into()),
+            ("threads", self.threads as u64),
+            ("budget", self.explorer.budget.into()),
+            ("reorder_budget", self.explorer.reorder_budget.into()),
+        ]
+    }
+}
+
+impl TableConfig for PhaserConformConfig {
+    const SCENARIO: bool = true;
+    fn provenance(&self) -> String {
+        let e = &self.explorer;
+        format!(
+            "# conform-phasers: base seed {:#x}, seeds/cell {}, episodes {}, threads {}, \
+             budget {}, rbudget {} (p={}), max polls {}\n",
+            self.base_seed,
+            self.seeds,
+            self.episodes,
+            self.threads,
+            e.budget,
+            e.reorder_budget,
+            e.reorder_prob,
+            self.max_polls,
+        )
+    }
+    fn json_header(&self) -> [(&'static str, u64); 6] {
+        [
+            ("base_seed", self.base_seed),
+            ("seeds_per_cell", self.seeds.into()),
+            ("episodes", self.episodes.into()),
+            ("threads", self.threads as u64),
+            ("max_polls", self.max_polls),
+            ("reorder_budget", self.explorer.reorder_budget.into()),
+        ]
+    }
+}
+
+/// Renders cells as CSV under `cfg`'s provenance header.
+pub fn render_csv<C: TableConfig>(cells: &[ConformCell], cfg: &C) -> String {
+    let mut out = cfg.provenance();
+    let scenario = if C::SCENARIO { "scenario," } else { "" };
     out.push_str(&format!(
-        "# conform: base seed {:#x}, seeds/cell {}, episodes {}, threads {}, \
-         budget {}, rbudget {} (p={}), preempt {}, delay {} (max {} ns)\n",
-        cfg.base_seed,
-        cfg.seeds,
-        cfg.episodes,
-        cfg.threads,
-        cfg.explorer.budget,
-        cfg.explorer.reorder_budget,
-        cfg.explorer.reorder_prob,
-        cfg.explorer.preempt_prob,
-        cfg.explorer.delay_prob,
-        cfg.explorer.max_delay_ns,
+        "platform,threads,algorithm,{scenario}trials,distinct_schedules,violations,status,detail\n"
     ));
-    out.push_str("platform,threads,algorithm,trials,distinct_schedules,violations,status,detail\n");
     for c in cells {
+        let scenario = if C::SCENARIO {
+            format!("{},", c.scenario.map_or("", Scenario::label))
+        } else {
+            String::new()
+        };
         out.push_str(&format!(
-            "{},{},{},{},{},{},{},{}\n",
+            "{},{},{},{scenario}{},{},{},{},{}\n",
             c.platform.label(),
             c.threads,
             c.algorithm.label(),
@@ -41,20 +112,21 @@ pub fn render_csv(cells: &[ConformCell], cfg: &ConformConfig) -> String {
 
 /// Renders cells as a JSON document (same fields as the CSV, plus the full
 /// shrunk reproducer per violation).
-pub fn render_json(cells: &[ConformCell], cfg: &ConformConfig) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"base_seed\": {},\n", cfg.base_seed));
-    out.push_str(&format!("  \"seeds_per_cell\": {},\n", cfg.seeds));
-    out.push_str(&format!("  \"episodes\": {},\n", cfg.episodes));
-    out.push_str(&format!("  \"threads\": {},\n", cfg.threads));
-    out.push_str(&format!("  \"budget\": {},\n", cfg.explorer.budget));
-    out.push_str(&format!("  \"reorder_budget\": {},\n", cfg.explorer.reorder_budget));
+pub fn render_json<C: TableConfig>(cells: &[ConformCell], cfg: &C) -> String {
+    let mut out = String::from("{\n");
+    for (key, value) in cfg.json_header() {
+        out.push_str(&format!("  \"{key}\": {value},\n"));
+    }
     out.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
+        let scenario = if C::SCENARIO {
+            format!("\"scenario\": \"{}\", ", c.scenario.map_or("", Scenario::label))
+        } else {
+            String::new()
+        };
         out.push_str(&format!(
             "    {{\"platform\": \"{}\", \"threads\": {}, \"algorithm\": \"{}\", \
-             \"trials\": {}, \"distinct_schedules\": {}, \"status\": \"{}\", \
+             {scenario}\"trials\": {}, \"distinct_schedules\": {}, \"status\": \"{}\", \
              \"violations\": [",
             c.platform.label(),
             c.threads,

@@ -36,7 +36,7 @@ use crate::trees::FaninPlan;
 use crate::wakeup::{EpochSlots, Wakeup, WakeupKind};
 
 /// Fan-in schedule selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Fanin {
     /// The original balanced schedule with the given maximum fan-in
     /// (8 in the original publication).
@@ -46,7 +46,7 @@ pub enum Fanin {
 }
 
 /// Full configuration of an f-way tournament barrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FwayConfig {
     /// Fan-in schedule.
     pub fanin: Fanin,

@@ -11,8 +11,8 @@
 //! | [`fway`] | STOUR / DTOUR | Grunwald & Vajracharya static/dynamic f-way tournament — and, fully configured, the paper's optimized barrier |
 //! | [`hyper`] | (LLVM) | hypercube-embedded tree, branch factor 4; = LLVM libomp default |
 //! | [`hybrid`] | (extension) | per-cluster counters + tournament over representatives |
-//! | [`nway_dissemination`] | (cited, ref [4]) | Hoefler n-way dissemination |
-//! | [`ring`] | (cited, ref [7]) | Aravind two-pass ring/token barrier |
+//! | [`nway_dissemination`] | (cited, ref \[4\]) | Hoefler n-way dissemination |
+//! | [`ring`] | (cited, ref \[7\]) | Aravind two-pass ring/token barrier |
 //! | [`shyper`] | (contender) | rust_shyper/rtshyper spinlock-guarded counter, `round_up` reuse-safe exit + proxy arrival |
 
 pub mod combining;

@@ -1,4 +1,4 @@
-//! n-way dissemination barrier (Hoefler et al., reference [4] of the
+//! n-way dissemination barrier (Hoefler et al., reference \[4\] of the
 //! paper).
 //!
 //! Generalizes the dissemination barrier's pairwise rounds to `n`

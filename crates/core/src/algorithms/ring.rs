@@ -1,4 +1,4 @@
-//! Ring barrier (Aravind, reference [7] of the paper).
+//! Ring barrier (Aravind, reference \[7\] of the paper).
 //!
 //! Threads are arranged on a logical ring; a token (an epoch value) makes
 //! two passes. In the **collect** pass, thread `i` waits for its

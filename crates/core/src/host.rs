@@ -7,13 +7,11 @@
 //! flag publication is Release, flag observation is Acquire, counters are
 //! AcqRel read-modify-writes.
 //!
-//! Spin loops follow a three-stage [`SpinPolicy`]: busy spinning with
+//! Spin loops follow a three-stage [`SpinWait`]: busy spinning with
 //! [`std::hint::spin_loop`], then periodic `yield_now`, then capped
 //! exponential-backoff sleeping — so barriers stay live *and* stop burning
 //! whole cores when threads are heavily oversubscribed (e.g. 64 simulated
-//! participants on a laptop core). The thresholds are configurable per
-//! context ([`HostMem::ctx_with_policy`]) or process-wide via environment
-//! variables (`ARMBAR_SPIN_YIELD`, `ARMBAR_BACKOFF_CAP_US`).
+//! participants on a laptop core). The stage thresholds are constants.
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -24,135 +22,50 @@ use armbar_simcoh::{Addr, Arena, WaitKind};
 
 use crate::env::MemCtx;
 
-/// Staged waiting strategy for host spin loops: `spins_per_yield` busy
-/// iterations between yields, `yields_before_backoff` yields before the
-/// loop starts sleeping, then exponential backoff from `initial_backoff`
-/// doubling up to `max_backoff`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpinPolicy {
-    /// Busy-spin iterations between `yield_now` calls. Low enough that an
-    /// oversubscribed host makes progress, high enough that dedicated
-    /// cores rarely leave userspace.
-    pub spins_per_yield: u32,
-    /// Yields before the waiter escalates to sleeping.
-    pub yields_before_backoff: u32,
-    /// First sleep once backoff begins.
-    pub initial_backoff: Duration,
-    /// Ceiling of the exponential backoff — bounds worst-case wakeup
-    /// latency once a waiter has gone to sleep.
-    pub max_backoff: Duration,
-}
+/// Busy-spin iterations between `yield_now` calls: low enough that an
+/// oversubscribed host makes progress, high enough that dedicated cores
+/// rarely leave userspace.
+pub const SPINS_PER_YIELD: u64 = 128;
+/// Yields before a waiter escalates to sleeping.
+pub const YIELDS_BEFORE_BACKOFF: u32 = 64;
+/// First sleep once backoff begins.
+pub const INITIAL_BACKOFF: Duration = Duration::from_micros(20);
+/// Ceiling of the exponential backoff: bounds worst-case wakeup latency
+/// once a waiter has gone to sleep.
+pub const MAX_BACKOFF: Duration = Duration::from_millis(1);
 
-impl Default for SpinPolicy {
-    fn default() -> Self {
-        Self {
-            spins_per_yield: 128,
-            yields_before_backoff: 64,
-            initial_backoff: Duration::from_micros(20),
-            max_backoff: Duration::from_millis(1),
-        }
-    }
-}
-
-impl SpinPolicy {
-    /// The process-wide policy: the default, overridden by the environment
-    /// variables `ARMBAR_SPIN_YIELD` (spins between yields) and
-    /// `ARMBAR_BACKOFF_CAP_US` (backoff ceiling, microseconds; `0` disables
-    /// sleeping entirely). Read once and cached.
-    pub fn from_env() -> Self {
-        Self::cached().clone()
-    }
-
-    /// The process-wide policy, read once.
-    fn cached() -> &'static Self {
-        static CACHED: std::sync::OnceLock<SpinPolicy> = std::sync::OnceLock::new();
-        CACHED.get_or_init(|| {
-            Self::from_vars(
-                std::env::var("ARMBAR_SPIN_YIELD").ok().as_deref(),
-                std::env::var("ARMBAR_BACKOFF_CAP_US").ok().as_deref(),
-            )
-        })
-    }
-
-    /// Applies the environment-variable overrides to the default policy,
-    /// reporting rejected values on stderr (once per process): a spin
-    /// override silently replaced by the default would make a liveness
-    /// tuning knob appear to work while doing nothing.
-    fn from_vars(spin_yield: Option<&str>, cap_us: Option<&str>) -> Self {
-        let (p, warnings) = Self::from_vars_checked(spin_yield, cap_us);
-        if !warnings.is_empty() {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                for w in &warnings {
-                    eprintln!("armbar: {w}");
-                }
-            });
-        }
-        p
-    }
-
-    /// The override logic itself: returns the resulting policy plus one
-    /// warning per rejected value. A valid `spin_yield` must be a positive
-    /// integer; a `cap_us` of zero is valid and turns backoff off (pure
-    /// spin + yield).
-    fn from_vars_checked(spin_yield: Option<&str>, cap_us: Option<&str>) -> (Self, Vec<String>) {
-        let mut p = Self::default();
-        let mut warnings = Vec::new();
-        match spin_yield.map(|s| (s, s.trim().parse::<u32>())) {
-            Some((_, Ok(n))) if n > 0 => p.spins_per_yield = n,
-            Some((raw, _)) => warnings.push(format!(
-                "ignoring ARMBAR_SPIN_YIELD={raw:?} (expected a positive integer); \
-                 using the default of {}",
-                p.spins_per_yield
-            )),
-            None => {}
-        }
-        match cap_us.map(|s| (s, s.trim().parse::<u64>())) {
-            Some((_, Ok(0))) => p.yields_before_backoff = u32::MAX,
-            Some((_, Ok(us))) => {
-                p.max_backoff = Duration::from_micros(us);
-                p.initial_backoff = p.initial_backoff.min(p.max_backoff);
-            }
-            Some((raw, Err(_))) => warnings.push(format!(
-                "ignoring ARMBAR_BACKOFF_CAP_US={raw:?} (expected microseconds, 0 disables \
-                 backoff); using the default of {} us",
-                p.max_backoff.as_micros()
-            )),
-            None => {}
-        }
-        (p, warnings)
-    }
-
-    /// A fresh staged waiter following this policy.
-    pub fn waiter(&self) -> SpinWait<'_> {
-        SpinWait { policy: self, spins: 0, yields: 0, backoff: self.initial_backoff }
-    }
-}
-
-/// Cursor through one spin episode: call [`SpinWait::pause`] after every
-/// failed poll and it escalates spin → yield → capped exponential sleep.
-pub struct SpinWait<'a> {
-    policy: &'a SpinPolicy,
+/// Cursor through one host spin episode: call [`SpinWait::pause`] after
+/// every failed poll and it escalates spin → yield → capped exponential
+/// sleep — [`SPINS_PER_YIELD`] busy polls between yields,
+/// [`YIELDS_BEFORE_BACKOFF`] yields, then sleeps doubling from
+/// [`INITIAL_BACKOFF`] up to [`MAX_BACKOFF`].
+pub struct SpinWait {
     spins: u64,
     yields: u32,
     backoff: Duration,
 }
 
-impl SpinWait<'_> {
+impl Default for SpinWait {
+    fn default() -> Self {
+        Self { spins: 0, yields: 0, backoff: INITIAL_BACKOFF }
+    }
+}
+
+impl SpinWait {
     /// One wait step at the current escalation level.
     pub fn pause(&mut self) {
         self.spins += 1;
-        if !self.spins.is_multiple_of(self.policy.spins_per_yield as u64) {
+        if !self.spins.is_multiple_of(SPINS_PER_YIELD) {
             std::hint::spin_loop();
             return;
         }
-        if self.yields < self.policy.yields_before_backoff {
+        if self.yields < YIELDS_BEFORE_BACKOFF {
             self.yields += 1;
             std::thread::yield_now();
             return;
         }
         std::thread::sleep(self.backoff);
-        self.backoff = (self.backoff * 2).min(self.policy.max_backoff);
+        self.backoff = (self.backoff * 2).min(MAX_BACKOFF);
     }
 
     /// Failed polls so far.
@@ -195,39 +108,23 @@ impl HostMem {
         unsafe { &*(words as *const [AtomicU32] as *const HostMem) }
     }
 
-    /// A per-thread operation context using the process-wide
-    /// [`SpinPolicy::from_env`]. `nthreads` is the number of barrier
-    /// participants; `tid` must be unique per participant.
+    /// A per-thread operation context. `nthreads` is the number of
+    /// barrier participants; `tid` must be unique per participant.
     ///
     /// # Panics
     /// Panics if `tid >= nthreads`.
     pub fn ctx(self: &Arc<Self>, tid: usize, nthreads: usize) -> HostCtx {
-        HostCtx::new(Arc::clone(self), tid, nthreads, None)
-    }
-
-    /// Like [`HostMem::ctx`], but with an explicit spin policy — the
-    /// builder knob for callers that know their subscription level.
-    ///
-    /// # Panics
-    /// Panics if `tid >= nthreads`.
-    pub fn ctx_with_policy(
-        self: &Arc<Self>,
-        tid: usize,
-        nthreads: usize,
-        policy: SpinPolicy,
-    ) -> HostCtx {
-        HostCtx::new(Arc::clone(self), tid, nthreads, Some(Box::new(policy)))
+        HostCtx::new(Arc::clone(self), tid, nthreads)
     }
 
     /// A context borrowing this memory: no reference counting, for a
-    /// caller that makes one per operation. Spins follow
-    /// [`SpinPolicy::from_env`].
+    /// caller that makes one per operation.
     ///
     /// # Panics
     /// Panics if `tid >= nthreads`.
     #[inline]
     pub fn view(&self, tid: usize, nthreads: usize) -> HostCtx<&HostMem> {
-        HostCtx::new(self, tid, nthreads, None)
+        HostCtx::new(self, tid, nthreads)
     }
 
     #[inline]
@@ -238,29 +135,19 @@ impl HostMem {
 }
 
 /// Per-thread handle over a [`HostMem`]: shared ownership of the memory
-/// by default, a borrow for [`HostMem::view`]. 32 bytes either way; the
+/// by default, a borrow for [`HostMem::view`]. 24 bytes either way; the
 /// impl is generic, so its methods inline into every calling crate.
 pub struct HostCtx<M: Deref<Target = HostMem> = Arc<HostMem>> {
     mem: M,
     tid: u32,
     nthreads: u32,
-    /// `None` is the process-wide [`SpinPolicy::from_env`].
-    policy: Option<Box<SpinPolicy>>,
 }
 
 impl<M: Deref<Target = HostMem>> HostCtx<M> {
-    fn new(mem: M, tid: usize, nthreads: usize, policy: Option<Box<SpinPolicy>>) -> Self {
+    fn new(mem: M, tid: usize, nthreads: usize) -> Self {
         assert!(tid < nthreads, "tid {tid} out of range for {nthreads} threads");
         let narrow = |n: usize| u32::try_from(n).expect("thread counts fit in 32 bits");
-        Self { mem, tid: narrow(tid), nthreads: narrow(nthreads), policy }
-    }
-
-    /// This context's staged-waiting configuration.
-    pub fn policy(&self) -> &SpinPolicy {
-        match &self.policy {
-            Some(policy) => policy,
-            None => SpinPolicy::cached(),
-        }
+        Self { mem, tid: narrow(tid), nthreads: narrow(nthreads) }
     }
 }
 
@@ -305,7 +192,7 @@ impl<M: Deref<Target = HostMem>> MemCtx for HostCtx<M> {
     fn spin_until(&self, addrs: &[Addr], kind: WaitKind) -> u32 {
         // One polling loop over all watched words: the loads of different
         // lines issue back-to-back, letting the misses overlap.
-        let mut wait = self.policy().waiter();
+        let mut wait = SpinWait::default();
         loop {
             if let Ok(v) = kind.probe(addrs, |a| self.load(a)) {
                 return v;
@@ -426,95 +313,43 @@ mod tests {
     }
 
     #[test]
-    fn env_overrides_parse_and_clamp() {
-        let p = SpinPolicy::from_vars(Some("512"), Some("5000"));
-        assert_eq!(p.spins_per_yield, 512);
-        assert_eq!(p.max_backoff, Duration::from_millis(5));
-        assert!(p.initial_backoff <= p.max_backoff);
-
-        // Garbage and zero spin values fall back to the default.
-        let d = SpinPolicy::default();
-        assert_eq!(SpinPolicy::from_vars(Some("bogus"), None), d);
-        assert_eq!(SpinPolicy::from_vars(Some("0"), None).spins_per_yield, d.spins_per_yield);
-
-        // Cap of zero disables sleeping.
-        assert_eq!(SpinPolicy::from_vars(None, Some("0")).yields_before_backoff, u32::MAX);
-
-        // A cap below the initial sleep drags the initial sleep down.
-        let tight = SpinPolicy::from_vars(None, Some("1"));
-        assert_eq!(tight.initial_backoff, Duration::from_micros(1));
-    }
-
-    #[test]
-    fn malformed_env_overrides_warn_instead_of_silently_defaulting() {
-        // Valid values: no warnings.
-        let (_, w) = SpinPolicy::from_vars_checked(Some("512"), Some("0"));
-        assert!(w.is_empty(), "{w:?}");
-        let (_, w) = SpinPolicy::from_vars_checked(None, None);
-        assert!(w.is_empty(), "{w:?}");
-
-        // Unparseable values are rejected loudly, naming the variable.
-        let (p, w) = SpinPolicy::from_vars_checked(Some("fast"), Some("1e6"));
-        assert_eq!(p, SpinPolicy::default());
-        assert_eq!(w.len(), 2);
-        assert!(w[0].contains("ARMBAR_SPIN_YIELD=\"fast\""), "{}", w[0]);
-        assert!(w[1].contains("ARMBAR_BACKOFF_CAP_US=\"1e6\""), "{}", w[1]);
-
-        // Zero spins-per-yield would mean "yield every iteration, never
-        // spin" — out of the knob's domain, so it warns too.
-        let (p, w) = SpinPolicy::from_vars_checked(Some("0"), None);
-        assert_eq!(p.spins_per_yield, SpinPolicy::default().spins_per_yield);
-        assert_eq!(w.len(), 1);
-
-        // One bad value does not take the other down with it.
-        let (p, w) = SpinPolicy::from_vars_checked(Some("-7"), Some("250"));
-        assert_eq!(p.max_backoff, Duration::from_micros(250));
-        assert_eq!(w.len(), 1);
-    }
-
-    #[test]
     fn spin_wait_escalates_to_sleeping() {
-        // One spin per yield and zero yields: every pause sleeps, so a
-        // handful of pauses must take measurable wall time and the backoff
-        // must stay capped.
-        let p = SpinPolicy {
-            spins_per_yield: 1,
-            yields_before_backoff: 0,
-            initial_backoff: Duration::from_micros(100),
-            max_backoff: Duration::from_micros(400),
-        };
-        let mut w = p.waiter();
-        let t0 = std::time::Instant::now();
-        for _ in 0..4 {
+        // Spins, then yields, then sleeps whose length doubles up to the
+        // cap: the sleeping stage must take measurable wall time.
+        let mut w = SpinWait::default();
+        for _ in 0..SPINS_PER_YIELD * u64::from(YIELDS_BEFORE_BACKOFF) {
             w.pause();
         }
-        // 100 + 200 + 400 + 400 us of sleeping, minus scheduler slop.
-        assert!(t0.elapsed() >= Duration::from_micros(900), "{:?}", t0.elapsed());
-        assert_eq!(w.spins(), 4);
-        assert_eq!(w.backoff, p.max_backoff);
+        assert_eq!(w.yields, YIELDS_BEFORE_BACKOFF);
+        assert_eq!(w.backoff, INITIAL_BACKOFF, "no sleep before the yields run out");
+        let t0 = std::time::Instant::now();
+        for _ in 0..SPINS_PER_YIELD * 4 {
+            w.pause();
+        }
+        // 20 + 40 + 80 + 160 us of sleeping, minus scheduler slop.
+        assert!(t0.elapsed() >= INITIAL_BACKOFF * 15, "{:?}", t0.elapsed());
+        assert_eq!(w.backoff, INITIAL_BACKOFF * 16);
+        for _ in 0..SPINS_PER_YIELD * 2 {
+            w.pause();
+        }
+        assert_eq!(w.backoff, MAX_BACKOFF, "backoff stays capped");
+        assert_eq!(w.spins(), SPINS_PER_YIELD * (u64::from(YIELDS_BEFORE_BACKOFF) + 6));
     }
 
     #[test]
     fn oversubscribed_spin_completes() {
         // More waiter threads than the host is likely to have cores, all
-        // released by one late store: the staged policy must not starve the
+        // released by one late store: the staged wait must not starve the
         // releasing thread.
         let mut arena = Arena::new();
         let flag = arena.alloc_u32();
         let mem = HostMem::new(&arena);
         let waiters = 16;
-        let policy = SpinPolicy {
-            spins_per_yield: 8,
-            yields_before_backoff: 4,
-            initial_backoff: Duration::from_micros(50),
-            max_backoff: Duration::from_micros(200),
-        };
         std::thread::scope(|s| {
             for t in 1..=waiters {
                 let mem = Arc::clone(&mem);
-                let policy = policy.clone();
                 s.spawn(move || {
-                    let ctx = mem.ctx_with_policy(t, waiters + 1, policy);
+                    let ctx = mem.ctx(t, waiters + 1);
                     assert_eq!(ctx.spin_until_eq(flag, 7), 7);
                 });
             }
@@ -526,13 +361,12 @@ mod tests {
 
     #[test]
     fn contexts_are_compact_and_views_share_the_words() {
-        assert_eq!(std::mem::size_of::<HostCtx>(), 32);
-        assert_eq!(std::mem::size_of::<HostCtx<&HostMem>>(), 32);
+        assert_eq!(std::mem::size_of::<HostCtx>(), 24);
+        assert_eq!(std::mem::size_of::<HostCtx<&HostMem>>(), 24);
         let mut arena = Arena::new();
         let a = arena.alloc_u32();
         let mem = HostMem::new(&arena);
         mem.view(1, 2).store(a, 7);
         assert_eq!(mem.ctx(0, 2).load(a), 7);
-        assert_eq!(mem.view(1, 2).policy(), &SpinPolicy::from_env());
     }
 }

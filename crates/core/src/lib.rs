@@ -60,10 +60,10 @@ pub use algorithms::{
     HyperBarrier, McsBarrier, SenseBarrier, TournamentBarrier,
 };
 pub use env::{Barrier, MemCtx, MemLayer};
-pub use host::{HostCtx, HostMem, SpinPolicy};
+pub use host::{HostCtx, HostMem};
 pub use oracle::EpisodeOracle;
 pub use phaser::{CentralPhaser, Phaser, TreePhaser};
-pub use registry::AlgorithmId;
+pub use registry::{AlgorithmId, BarrierSpec};
 pub use robust::{BarrierError, PoisonGuard, RobustBarrier, RobustConfig, RobustPhaser};
 pub use wakeup::{Wakeup, WakeupKind};
 
@@ -71,10 +71,10 @@ pub use wakeup::{Wakeup, WakeupKind};
 pub mod prelude {
     pub use crate::algorithms::fway::{Fanin, FwayBarrier, FwayConfig};
     pub use crate::env::{Barrier, MemCtx};
-    pub use crate::host::{HostCtx, HostMem, SpinPolicy};
+    pub use crate::host::{HostCtx, HostMem};
     pub use crate::oracle::EpisodeOracle;
     pub use crate::phaser::{CentralPhaser, Phaser, TreePhaser};
-    pub use crate::registry::AlgorithmId;
+    pub use crate::registry::{AlgorithmId, BarrierSpec};
     pub use crate::robust::{BarrierError, RobustBarrier, RobustConfig, RobustPhaser};
     pub use crate::wakeup::WakeupKind;
 }

@@ -5,8 +5,8 @@ use armbar_simcoh::Arena;
 use armbar_topology::Topology;
 
 use crate::algorithms::{
-    CombiningTreeBarrier, DisseminationBarrier, FwayBarrier, HybridBarrier, HyperBarrier,
-    McsBarrier, NwayDisseminationBarrier, RingBarrier, SenseBarrier, ShyCtrBarrier,
+    CombiningTreeBarrier, DisseminationBarrier, FwayBarrier, FwayConfig, HybridBarrier,
+    HyperBarrier, McsBarrier, NwayDisseminationBarrier, RingBarrier, SenseBarrier, ShyCtrBarrier,
     ShyProxyBarrier, TournamentBarrier,
 };
 use crate::env::Barrier;
@@ -40,9 +40,9 @@ pub enum AlgorithmId {
     /// Extension: cluster-hierarchical hybrid (counters within clusters,
     /// tournament across) — the Rodchenko-style design of the related work.
     Hybrid,
-    /// Cited (ref [4]): Hoefler n-way dissemination, n = 2.
+    /// Cited (ref \[4\]): Hoefler n-way dissemination, n = 2.
     NwayDissemination,
-    /// Cited (ref [7]): Aravind two-pass ring barrier.
+    /// Cited (ref \[7\]): Aravind two-pass ring barrier.
     Ring,
     /// Dynamic-membership centralized counter phaser (PR 7). Built here at
     /// fixed full membership; not part of [`AlgorithmId::ALL`] so the
@@ -190,6 +190,37 @@ impl AlgorithmId {
 impl std::fmt::Display for AlgorithmId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+/// What a measurement builds: a recipe for a fresh barrier of `p` threads
+/// on `topo`, its state allocated from `arena`. A repeated measurement
+/// calls [`BarrierSpec::build`] once per run, each time on a fresh arena,
+/// so runs stay independent.
+///
+/// A registry [`AlgorithmId`], an f-way [`FwayConfig`] and any closure
+/// `Fn(&mut Arena, usize, &Topology) -> Box<dyn Barrier>` are specs. The
+/// first two are `Copy + Eq + Hash`, so they can key a cache of results.
+pub trait BarrierSpec: Sync {
+    /// Builds the barrier for `p` threads on `topo` in `arena`.
+    fn build(&self, arena: &mut Arena, p: usize, topo: &Topology) -> Box<dyn Barrier>;
+}
+
+impl BarrierSpec for AlgorithmId {
+    fn build(&self, arena: &mut Arena, p: usize, topo: &Topology) -> Box<dyn Barrier> {
+        AlgorithmId::build(*self, arena, p, topo)
+    }
+}
+
+impl BarrierSpec for FwayConfig {
+    fn build(&self, arena: &mut Arena, p: usize, topo: &Topology) -> Box<dyn Barrier> {
+        Box::new(FwayBarrier::with_config(arena, p, topo, *self))
+    }
+}
+
+impl<F: Fn(&mut Arena, usize, &Topology) -> Box<dyn Barrier> + Sync> BarrierSpec for F {
+    fn build(&self, arena: &mut Arena, p: usize, topo: &Topology) -> Box<dyn Barrier> {
+        self(arena, p, topo)
     }
 }
 

@@ -9,7 +9,7 @@
 //!
 //! * **Deadlines** — [`RobustBarrier::wait`] re-implements the inner
 //!   barrier's spin waits as bounded polling loops (same Acquire loads,
-//!   staged by a [`SpinPolicy`]) and returns
+//!   staged by a [`SpinWait`]) and returns
 //!   [`BarrierError::Timeout`] when an episode exceeds its deadline,
 //!   reporting the address the thread was stuck on and how many polls it
 //!   burned.
@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use armbar_simcoh::{Addr, Arena, WaitKind};
 
 use crate::env::{Barrier, MemCtx, MemLayer};
-use crate::host::SpinPolicy;
+use crate::host::SpinWait;
 use crate::phaser::{phaser_mark, Claim, Phaser, PH_COMPLETED};
 
 /// How a hardened episode failed.
@@ -74,15 +74,12 @@ impl std::fmt::Display for BarrierError {
 
 impl std::error::Error for BarrierError {}
 
-/// Deadline and waiting strategy for a [`RobustBarrier`] /
-/// [`RobustPhaser`].
+/// Deadlines for a [`RobustBarrier`] / [`RobustPhaser`].
 #[derive(Debug, Clone)]
 pub struct RobustConfig {
     /// Per-`wait` deadline. Generous by default: a deadline exists to turn
     /// a hang into an error, not to race healthy episodes.
     pub deadline: Duration,
-    /// Staged spin/yield/backoff policy for the bounded waits.
-    pub policy: SpinPolicy,
     /// Deterministic deadline: abort a bounded wait after this many failed
     /// polls, in addition to the wall clock. This is how timeouts become
     /// meaningful **on the simulator**, whose virtual clock makes
@@ -95,7 +92,7 @@ pub struct RobustConfig {
 
 impl Default for RobustConfig {
     fn default() -> Self {
-        Self { deadline: Duration::from_secs(5), policy: SpinPolicy::from_env(), max_polls: None }
+        Self { deadline: Duration::from_secs(5), max_polls: None }
     }
 }
 
@@ -576,7 +573,7 @@ impl MemLayer for BoundedCtx<'_> {
         self.inner
     }
     fn spin_until(&self, addrs: &[Addr], kind: WaitKind) -> u32 {
-        let mut wait = self.hard.config.policy.waiter();
+        let mut wait = SpinWait::default();
         let mut polls: u64 = 0;
         loop {
             match kind.probe(addrs, |a| self.inner.load(a)) {
@@ -602,16 +599,8 @@ mod tests {
     use armbar_topology::{Platform, Topology};
     use std::sync::Arc;
 
-    fn fast_config(deadline_ms: u64) -> RobustConfig {
-        RobustConfig {
-            deadline: Duration::from_millis(deadline_ms),
-            policy: SpinPolicy {
-                yields_before_backoff: 8,
-                max_backoff: Duration::from_micros(200),
-                ..SpinPolicy::default()
-            },
-            ..RobustConfig::default()
-        }
+    fn deadline_config(deadline_ms: u64) -> RobustConfig {
+        RobustConfig { deadline: Duration::from_millis(deadline_ms), ..RobustConfig::default() }
     }
 
     /// The last arriver "forgets" its release store: a lost wakeup.
@@ -664,7 +653,7 @@ mod tests {
             counter: arena.alloc_padded_u32(64),
             wake: arena.alloc_padded_u32(64),
         });
-        let robust = Arc::new(RobustBarrier::new(&mut arena, 64, inner, fast_config(300)));
+        let robust = Arc::new(RobustBarrier::new(&mut arena, 64, inner, deadline_config(300)));
         let mem = HostMem::new(&arena);
         let t0 = Instant::now();
         let results: Vec<Result<(), BarrierError>> = std::thread::scope(|s| {
@@ -701,7 +690,7 @@ mod tests {
         let p = 4;
         let mut arena = Arena::new();
         let inner = AlgorithmId::Mcs.build(&mut arena, p, &topo);
-        let robust = Arc::new(RobustBarrier::new(&mut arena, 64, inner, fast_config(5_000)));
+        let robust = Arc::new(RobustBarrier::new(&mut arena, 64, inner, deadline_config(5_000)));
         let mem = HostMem::new(&arena);
         let results: Vec<Result<(), BarrierError>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..p)

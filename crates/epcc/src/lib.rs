@@ -5,9 +5,11 @@
 //!
 //! * [`overhead`] — EPCC-style barrier overhead: time a loop of
 //!   `work(delay); barrier()` and subtract the reference work, per
-//!   episode. The paper runs the EPCC OpenMP micro-benchmark suite 20
-//!   times and reports averages; [`overhead::repeat_sim`] mirrors that with
-//!   independently seeded simulator runs.
+//!   episode, for any [`BarrierSpec`](armbar_core::BarrierSpec):
+//!   [`sim_overhead`] is one simulator run. The paper runs the EPCC
+//!   OpenMP micro-benchmark suite 20 times and reports averages;
+//!   [`sim_overhead_reps`] mirrors that with independently seeded runs
+//!   on an explicit `SweepPool`.
 //! * [`pingpong`] — the core-to-core communication micro-benchmark of
 //!   Section III-A: one thread *places* data (becoming the cache owner),
 //!   another *accesses* it; the per-line read latency is the layer latency
@@ -27,8 +29,8 @@ pub mod summary;
 
 pub use episodes::{trace_episodes, EpisodeTrace};
 pub use overhead::{
-    host_overhead_ns, host_overhead_of, repeat_sim, repeat_sim_of, repeat_sim_of_on, repeat_sim_on,
-    sim_overhead_ns, sim_overhead_of, OverheadConfig, SEED_STRIDE,
+    host_overhead_ns, host_overhead_of, sim_overhead, sim_overhead_reps, OverheadConfig,
+    SEED_STRIDE,
 };
 pub use phases::{phase_breakdown, PhaseBreakdown};
 pub use pingpong::{latency_table, measure_latency_ns, LatencyRow};

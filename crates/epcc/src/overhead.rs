@@ -12,18 +12,20 @@
 //!
 //! measured on the simulator's virtual clock (or the host monotonic clock).
 //!
-//! Simulator rep loops ([`repeat_sim`] / [`repeat_sim_of`]) are hot: a
-//! 1000-rep curve point used to spawn 1000×P OS threads. Each rep now
-//! runs on its sweep worker's ambient `armbar_simcoh::SimTeam`, which
-//! spawns the P simulated-thread workers once and reuses them across
-//! episodes (no call-site changes here — `SimBuilder::run` routes through
-//! the team).
+//! Two functions measure on the simulator, and both take a
+//! [`BarrierSpec`] — a registry [`AlgorithmId`], an f-way
+//! [`FwayConfig`](armbar_core::FwayConfig) or a closure — so a registry
+//! barrier and the equal custom build are measured by the same code:
+//! [`sim_overhead`] is one run, [`sim_overhead_reps`] the paper's averaged
+//! repetitions on an explicit [`SweepPool`]. Each rep runs on its sweep
+//! worker's ambient `armbar_simcoh::SimTeam`, which spawns the P
+//! simulated-thread workers once and reuses them across episodes.
 
 use std::sync::Arc;
 
 use armbar_core::env::{Barrier, MemCtx};
 use armbar_core::host::{HostCtx, HostMem};
-use armbar_core::registry::AlgorithmId;
+use armbar_core::registry::{AlgorithmId, BarrierSpec};
 use armbar_simcoh::{Arena, SimBuilder, SimError};
 use armbar_sweep::{Job, SweepPool};
 use armbar_topology::Topology;
@@ -35,11 +37,10 @@ const MARK_WARM: u32 = 1;
 const MARK_END: u32 = 2;
 
 /// Seed stride between consecutive repetitions of one measurement: the
-/// 32-bit golden-ratio constant. Every repeated-measurement path in the
-/// workspace — registry algorithms ([`repeat_sim`]) and custom barrier
-/// configurations ([`repeat_sim_of`]) alike — derives rep `r`'s seed as
-/// `base + r * SEED_STRIDE`, so curves measured through different paths
-/// are seed-matched point for point.
+/// 32-bit golden-ratio constant. Every repeated measurement in the
+/// workspace ([`sim_overhead_reps`], whatever its spec) derives rep `r`'s
+/// seed as `base + r * SEED_STRIDE`, so a registry barrier and the equal
+/// custom configuration are seed-matched point for point.
 pub const SEED_STRIDE: u64 = 0x9E37_79B9;
 
 /// Measurement parameters.
@@ -69,28 +70,16 @@ impl OverheadConfig {
     }
 }
 
-/// Measures the per-episode overhead (ns) of `algorithm` with `p` threads
-/// on the simulated `topo`.
-pub fn sim_overhead_ns(
+/// Measures the per-episode overhead (ns) of one run of the barrier `spec`
+/// builds for `p` threads on the simulated `topo`.
+pub fn sim_overhead(
     topo: &Arc<Topology>,
     p: usize,
-    algorithm: AlgorithmId,
-    cfg: OverheadConfig,
-) -> Result<f64, SimError> {
-    let mut arena = Arena::new();
-    let barrier: Arc<dyn Barrier> = Arc::from(algorithm.build(&mut arena, p, topo));
-    sim_overhead_of(topo, p, barrier, cfg)
-}
-
-/// Measures the per-episode overhead (ns) of an already-built barrier.
-/// Useful for custom configurations (wake-up sweeps, fan-in sweeps).
-pub fn sim_overhead_of(
-    topo: &Arc<Topology>,
-    p: usize,
-    barrier: Arc<dyn Barrier>,
+    spec: &dyn BarrierSpec,
     cfg: OverheadConfig,
 ) -> Result<f64, SimError> {
     assert!(cfg.episodes >= 1);
+    let barrier: Arc<dyn Barrier> = Arc::from(spec.build(&mut Arena::new(), p, topo));
     let stats = SimBuilder::new(Arc::clone(topo), p).seed(cfg.seed).run(move |ctx| {
         for _ in 0..cfg.warmup {
             ctx.compute_ns(cfg.delay_ns);
@@ -109,73 +98,22 @@ pub fn sim_overhead_of(
     Ok((per_episode - cfg.delay_ns).max(0.0))
 }
 
-/// The paper's protocol: `reps` independently seeded runs, averaged
-/// (the paper runs each benchmark 20 times and reports the mean).
-/// Repetitions fan out over the ambient [`SweepPool`]; each one is an
-/// independent simulation, so worker count cannot change the summary.
-pub fn repeat_sim(
-    topo: &Arc<Topology>,
-    p: usize,
-    algorithm: AlgorithmId,
-    cfg: OverheadConfig,
-    reps: u64,
-) -> Result<Summary, SimError> {
-    repeat_sim_on(&SweepPool::ambient(), topo, p, algorithm, cfg, reps)
-}
-
-/// [`repeat_sim`] on an explicit pool (tests pin the worker count).
-pub fn repeat_sim_on(
+/// The paper's protocol: `reps` independently seeded runs of `spec`,
+/// averaged (the paper runs each benchmark 20 times and reports the
+/// mean). Rep `r` runs [`sim_overhead`] on a fresh build with
+/// `cfg.rep(r)`. The reps fan out over `pool`; each one is an independent
+/// simulation, so the worker count cannot change the summary.
+pub fn sim_overhead_reps(
     pool: &SweepPool,
     topo: &Arc<Topology>,
     p: usize,
-    algorithm: AlgorithmId,
-    cfg: OverheadConfig,
-    reps: u64,
-) -> Result<Summary, SimError> {
-    repeat_sim_of_on(
-        pool,
-        topo,
-        p,
-        move |arena| Arc::from(algorithm.build(arena, p, topo)),
-        cfg,
-        reps,
-    )
-}
-
-/// Repeated measurement of a *custom* barrier: `build` constructs a fresh
-/// instance from a fresh arena for every repetition (so per-rep runs stay
-/// independent), and the seed schedule is the same [`SEED_STRIDE`] walk
-/// used by [`repeat_sim`] — the two paths are directly comparable.
-pub fn repeat_sim_of(
-    topo: &Arc<Topology>,
-    p: usize,
-    build: impl Fn(&mut Arena) -> Arc<dyn Barrier> + Sync,
-    cfg: OverheadConfig,
-    reps: u64,
-) -> Result<Summary, SimError> {
-    repeat_sim_of_on(&SweepPool::ambient(), topo, p, build, cfg, reps)
-}
-
-/// [`repeat_sim_of`] on an explicit pool.
-pub fn repeat_sim_of_on(
-    pool: &SweepPool,
-    topo: &Arc<Topology>,
-    p: usize,
-    build: impl Fn(&mut Arena) -> Arc<dyn Barrier> + Sync,
+    spec: &dyn BarrierSpec,
     cfg: OverheadConfig,
     reps: u64,
 ) -> Result<Summary, SimError> {
     assert!(reps >= 1);
-    let build = &build;
-    let jobs: Vec<Job<'_, Result<f64, SimError>>> = (0..reps)
-        .map(|r| {
-            Job::parallel(move || {
-                let mut arena = Arena::new();
-                let barrier = build(&mut arena);
-                sim_overhead_of(topo, p, barrier, cfg.rep(r))
-            })
-        })
-        .collect();
+    let jobs: Vec<Job<'_, Result<f64, SimError>>> =
+        (0..reps).map(|r| Job::parallel(move || sim_overhead(topo, p, spec, cfg.rep(r)))).collect();
     let samples: Vec<f64> = pool.run(jobs).into_iter().collect::<Result<_, _>>()?;
     Ok(Summary::of(&samples))
 }
@@ -200,7 +138,7 @@ pub fn host_overhead_ns(p: usize, algorithm: AlgorithmId, cfg: OverheadConfig) -
 /// construct under test (a plain or a wrapped barrier built in `mem`'s
 /// arena).
 ///
-/// Follows the same EPCC protocol as [`sim_overhead_of`]: each measured
+/// Follows the same EPCC protocol as [`sim_overhead`]: each measured
 /// episode is `work(delay_ns); wait()`, and the cost of the work term
 /// is removed by timing the work-only reference loop and subtracting it —
 /// so host and simulator numbers answer the same question. Host-backend
@@ -251,6 +189,7 @@ pub fn host_overhead_of(
 mod tests {
     use super::*;
     use armbar_core::robust::{RobustBarrier, RobustConfig};
+    use armbar_core::FwayConfig;
     use armbar_topology::Platform;
 
     fn topo(p: Platform) -> Arc<Topology> {
@@ -261,8 +200,8 @@ mod tests {
     fn overhead_is_positive_and_grows_with_threads() {
         let t = topo(Platform::ThunderX2);
         let cfg = OverheadConfig::default();
-        let o8 = sim_overhead_ns(&t, 8, AlgorithmId::Sense, cfg).unwrap();
-        let o32 = sim_overhead_ns(&t, 32, AlgorithmId::Sense, cfg).unwrap();
+        let o8 = sim_overhead(&t, 8, &AlgorithmId::Sense, cfg).unwrap();
+        let o32 = sim_overhead(&t, 32, &AlgorithmId::Sense, cfg).unwrap();
         assert!(o8 > 0.0);
         assert!(o32 > o8, "SENSE must scale poorly: {o8} vs {o32}");
     }
@@ -270,7 +209,7 @@ mod tests {
     #[test]
     fn single_thread_overhead_is_tiny() {
         let t = topo(Platform::Phytium2000Plus);
-        let o = sim_overhead_ns(&t, 1, AlgorithmId::Stour, OverheadConfig::default()).unwrap();
+        let o = sim_overhead(&t, 1, &AlgorithmId::Stour, OverheadConfig::default()).unwrap();
         assert!(o < 50.0, "P=1 should be near-free, got {o}");
     }
 
@@ -279,11 +218,11 @@ mod tests {
         // The reference subtraction must cancel the work term.
         let t = topo(Platform::Kunpeng920);
         let base = OverheadConfig::default();
-        let a = sim_overhead_ns(&t, 16, AlgorithmId::Tournament, base).unwrap();
-        let b = sim_overhead_ns(
+        let a = sim_overhead(&t, 16, &AlgorithmId::Tournament, base).unwrap();
+        let b = sim_overhead(
             &t,
             16,
-            AlgorithmId::Tournament,
+            &AlgorithmId::Tournament,
             OverheadConfig { delay_ns: 1000.0, ..base },
         )
         .unwrap();
@@ -292,9 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn repeat_sim_summarizes() {
+    fn repeated_runs_summarize() {
         let t = topo(Platform::Kunpeng920);
-        let s = repeat_sim(&t, 16, AlgorithmId::Stour, OverheadConfig::default(), 5).unwrap();
+        let cfg = OverheadConfig::default();
+        let s =
+            sim_overhead_reps(&SweepPool::ambient(), &t, 16, &AlgorithmId::Stour, cfg, 5).unwrap();
         assert_eq!(s.n, 5);
         assert!(s.min <= s.mean && s.mean <= s.max);
         // Kunpeng 920 is configured jittery: expect visible spread.
@@ -305,8 +246,8 @@ mod tests {
     fn determinism_same_seed_same_overhead() {
         let t = topo(Platform::Phytium2000Plus);
         let cfg = OverheadConfig::default();
-        let a = sim_overhead_ns(&t, 24, AlgorithmId::Mcs, cfg).unwrap();
-        let b = sim_overhead_ns(&t, 24, AlgorithmId::Mcs, cfg).unwrap();
+        let a = sim_overhead(&t, 24, &AlgorithmId::Mcs, cfg).unwrap();
+        let b = sim_overhead(&t, 24, &AlgorithmId::Mcs, cfg).unwrap();
         assert_eq!(a, b);
     }
 
@@ -373,33 +314,30 @@ mod tests {
     }
 
     #[test]
-    fn repeat_sim_matches_repeat_sim_of_for_registry_barriers() {
-        // The two repeated-measurement paths (registry id vs. custom
-        // builder) must be seed-matched: same barrier, same summary.
+    fn registry_fway_and_closure_specs_measure_alike() {
+        // A registry id, the equal f-way config and a closure building
+        // the same barrier are seed-matched through the one entry point:
+        // same barrier, same summary.
         let t = topo(Platform::ThunderX2);
         let cfg = OverheadConfig { episodes: 10, ..Default::default() };
-        let a = repeat_sim(&t, 16, AlgorithmId::Stour, cfg, 3).unwrap();
-        let b = repeat_sim_of(
-            &t,
-            16,
-            |arena| Arc::from(AlgorithmId::Stour.build(arena, 16, &t)),
-            cfg,
-            3,
-        )
-        .unwrap();
-        assert_eq!(a.mean, b.mean);
-        assert_eq!(a.min, b.min);
-        assert_eq!(a.max, b.max);
+        let pool = SweepPool::new(2);
+        let closure = |arena: &mut Arena, p: usize, topo: &Topology| -> Box<dyn Barrier> {
+            AlgorithmId::Stour.build(arena, p, topo)
+        };
+        let specs: [&dyn BarrierSpec; 3] = [&AlgorithmId::Stour, &FwayConfig::stour(), &closure];
+        let [a, b, c] = specs.map(|spec| sim_overhead_reps(&pool, &t, 16, spec, cfg, 3).unwrap());
+        for s in [&b, &c] {
+            assert_eq!((a.mean, a.min, a.max), (s.mean, s.min, s.max));
+        }
     }
 
     #[test]
-    fn repeat_sim_is_independent_of_worker_count() {
+    fn repeated_runs_are_independent_of_worker_count() {
         let t = topo(Platform::Kunpeng920);
         let cfg = OverheadConfig { episodes: 10, ..Default::default() };
-        let serial =
-            repeat_sim_on(&SweepPool::new(1), &t, 16, AlgorithmId::Optimized, cfg, 4).unwrap();
-        let parallel =
-            repeat_sim_on(&SweepPool::new(4), &t, 16, AlgorithmId::Optimized, cfg, 4).unwrap();
+        let spec = &AlgorithmId::Optimized;
+        let serial = sim_overhead_reps(&SweepPool::new(1), &t, 16, spec, cfg, 4).unwrap();
+        let parallel = sim_overhead_reps(&SweepPool::new(4), &t, 16, spec, cfg, 4).unwrap();
         assert_eq!(serial.mean, parallel.mean);
         assert_eq!(serial.std, parallel.std);
     }

@@ -12,14 +12,14 @@
 //!    paper's optimized barrier on any modeled machine?
 
 use armbar_core::prelude::*;
-use armbar_core::{HybridBarrier, SenseBarrier};
-use armbar_epcc::sim_overhead_of;
+use armbar_core::SenseBarrier;
+use armbar_epcc::sim_overhead;
 use armbar_simcoh::Arena;
-use armbar_topology::Platform;
-use std::sync::Arc;
+use armbar_sweep::SweepPool;
+use armbar_topology::{Platform, Topology};
 
 use crate::report::{us, Report};
-use crate::runner::{algo_overhead_ns, fway_overhead_ns, topo, Scale};
+use crate::runner::{overhead_ns, topo, Scale};
 
 /// Runs the three ablation reports.
 pub fn run(scale: &Scale) -> Vec<Report> {
@@ -32,19 +32,14 @@ fn sense_layout(scale: &Scale) -> Report {
         "Ablation — SENSE flag layout (us)",
         &["platform", "threads", "packed (libgomp)", "separate lines", "packing cost"],
     );
+    let separate_lines = |arena: &mut Arena, p: usize, t: &Topology| -> Box<dyn Barrier> {
+        Box::new(SenseBarrier::separate_lines(arena, p, t))
+    };
     for platform in Platform::ARM {
         let t = topo(platform);
         for p in [16usize, 32, 64] {
-            let packed = {
-                let mut arena = Arena::new();
-                let b: Arc<dyn Barrier> = Arc::new(SenseBarrier::gcc_style(&mut arena, p, &t));
-                sim_overhead_of(&t, p, b, scale.cfg(0)).unwrap()
-            };
-            let separate = {
-                let mut arena = Arena::new();
-                let b: Arc<dyn Barrier> = Arc::new(SenseBarrier::separate_lines(&mut arena, p, &t));
-                sim_overhead_of(&t, p, b, scale.cfg(0)).unwrap()
-            };
+            let packed = sim_overhead(&t, p, &AlgorithmId::Sense, scale.cfg(0)).unwrap();
+            let separate = sim_overhead(&t, p, &separate_lines, scale.cfg(0)).unwrap();
             r.row(vec![
                 t.name().to_string(),
                 p.to_string(),
@@ -61,6 +56,7 @@ fn sense_layout(scale: &Scale) -> Report {
 
 /// Ablation 2: fan-in 4 with and without padding, against fan-in 8.
 fn padding_fanin(scale: &Scale) -> Report {
+    let pool = SweepPool::ambient();
     let mut r = Report::new(
         "Ablation — padding x fan-in interaction at 64 threads (us)",
         &["platform", "packed f=4", "padded f=4", "packed f=8", "padded f=8"],
@@ -68,10 +64,11 @@ fn padding_fanin(scale: &Scale) -> Report {
     for platform in Platform::ARM {
         let t = topo(platform);
         let cell = |f: usize, padded: bool| {
-            fway_overhead_ns(
+            overhead_ns(
+                &pool,
                 &t,
                 64,
-                FwayConfig { fanin: Fanin::Fixed(f), padded_flags: padded, ..FwayConfig::stour() },
+                &FwayConfig { fanin: Fanin::Fixed(f), padded_flags: padded, ..FwayConfig::stour() },
                 scale,
             )
         };
@@ -91,19 +88,16 @@ fn padding_fanin(scale: &Scale) -> Report {
 
 /// Ablation 3: the HYBRID extension vs the paper's optimized barrier.
 fn hybrid(scale: &Scale) -> Report {
+    let pool = SweepPool::ambient();
     let mut r = Report::new(
         "Ablation — HYBRID (cluster counters + tournament) vs OPT at 64 threads (us)",
         &["platform", "HYBRID", "OPT", "TOUR", "verdict"],
     );
     for platform in Platform::ARM {
         let t = topo(platform);
-        let hybrid = {
-            let mut arena = Arena::new();
-            let b: Arc<dyn Barrier> = Arc::new(HybridBarrier::new(&mut arena, 64, &t));
-            sim_overhead_of(&t, 64, b, scale.cfg(0)).unwrap()
-        };
-        let opt = algo_overhead_ns(&t, 64, AlgorithmId::Optimized, scale);
-        let tour = algo_overhead_ns(&t, 64, AlgorithmId::Tournament, scale);
+        let hybrid = sim_overhead(&t, 64, &AlgorithmId::Hybrid, scale.cfg(0)).unwrap();
+        let opt = overhead_ns(&pool, &t, 64, &AlgorithmId::Optimized, scale);
+        let tour = overhead_ns(&pool, &t, 64, &AlgorithmId::Tournament, scale);
         let verdict = if hybrid < opt { "HYBRID wins" } else { "OPT wins" };
         r.row(vec![t.name().to_string(), us(hybrid), us(opt), us(tour), verdict.to_string()]);
     }

@@ -13,10 +13,11 @@
 
 use armbar_core::prelude::*;
 use armbar_model::crossover as model;
+use armbar_sweep::SweepPool;
 use armbar_topology::Platform;
 
 use crate::report::{us, Report};
-use crate::runner::{algo_overhead_ns, topo, Scale};
+use crate::runner::{overhead_ns, topo, Scale};
 
 /// The four curves measured and predicted, in column order.
 const CURVES: [AlgorithmId; 4] =
@@ -25,12 +26,13 @@ const CURVES: [AlgorithmId; 4] =
 /// Measured sim curves for one platform over `grid`: per point, the mean
 /// overhead of each of [`CURVES`].
 fn sim_curves(platform: Platform, grid: &[usize], scale: &Scale) -> Vec<(usize, [f64; 4])> {
+    let pool = SweepPool::ambient();
     let t = topo(platform);
     grid.iter()
         .map(|&p| {
             let mut ns = [0.0; 4];
             for (slot, id) in ns.iter_mut().zip(CURVES) {
-                *slot = algo_overhead_ns(&t, p, id, scale);
+                *slot = overhead_ns(&pool, &t, p, &id, scale);
             }
             (p, ns)
         })

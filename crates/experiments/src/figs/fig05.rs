@@ -6,25 +6,27 @@
 //! (GCC on ThunderX2) — an 8× slowdown on comparable clock speeds.
 
 use armbar_core::prelude::*;
+use armbar_sweep::SweepPool;
 use armbar_topology::Platform;
 
 use crate::report::{us, Report};
-use crate::runner::{algo_overhead_ns, topo, Scale};
+use crate::runner::{overhead_ns, topo, Scale};
 
 /// Thread count of the figure.
 const P: usize = 32;
 
 /// Runs the Figure 5 comparison.
 pub fn run(scale: &Scale) -> Vec<Report> {
+    let pool = SweepPool::ambient();
     let mut r = Report::new(
         format!("Figure 5 — GCC vs LLVM barrier overhead at {P} threads (us)"),
         &["platform", "GCC (us)", "LLVM (us)", "GCC vs Xeon"],
     );
-    let xeon_gcc = algo_overhead_ns(&topo(Platform::XeonGold), P, AlgorithmId::Sense, scale);
+    let xeon_gcc = overhead_ns(&pool, &topo(Platform::XeonGold), P, &AlgorithmId::Sense, scale);
     for platform in Platform::ALL {
         let t = topo(platform);
-        let gcc = algo_overhead_ns(&t, P, AlgorithmId::Sense, scale);
-        let llvm = algo_overhead_ns(&t, P, AlgorithmId::LlvmHyper, scale);
+        let gcc = overhead_ns(&pool, &t, P, &AlgorithmId::Sense, scale);
+        let llvm = overhead_ns(&pool, &t, P, &AlgorithmId::LlvmHyper, scale);
         r.row(vec![t.name().to_string(), us(gcc), us(llvm), format!("{:.1}x", gcc / xeon_gcc)]);
     }
     r.note("paper: Intel ~2 us; ThunderX2 GCC ~16 us (8x the Intel platform);");

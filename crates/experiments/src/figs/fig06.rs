@@ -7,13 +7,15 @@
 //! 10× on ThunderX2); Kunpeng 920 fluctuates visibly in both.
 
 use armbar_core::prelude::*;
+use armbar_sweep::SweepPool;
 use armbar_topology::Platform;
 
 use crate::report::{us, Report};
-use crate::runner::{algo_curve, topo, Scale};
+use crate::runner::{curve, topo, Scale};
 
 /// Runs Figure 6(a) (GCC) and 6(b) (LLVM).
 pub fn run(scale: &Scale) -> Vec<Report> {
+    let pool = SweepPool::ambient();
     [("a", "GNU GCC", AlgorithmId::Sense), ("b", "LLVM", AlgorithmId::LlvmHyper)]
         .into_iter()
         .map(|(panel, name, id)| {
@@ -22,7 +24,7 @@ pub fn run(scale: &Scale) -> Vec<Report> {
                 &["threads", "Phytium 2000+", "ThunderX2", "Kunpeng920"],
             );
             let curves: Vec<Vec<(usize, f64)>> =
-                Platform::ARM.iter().map(|&pf| algo_curve(&topo(pf), id, scale)).collect();
+                Platform::ARM.iter().map(|&pf| curve(&pool, &topo(pf), &id, scale)).collect();
             for (i, &(p, _)) in curves[0].iter().enumerate() {
                 r.row(vec![
                     p.to_string(),

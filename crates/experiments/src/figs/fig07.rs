@@ -9,22 +9,26 @@
 //! the tournament family performs best, with DTOUR strongest on ThunderX2.
 
 use armbar_core::prelude::*;
+use armbar_sweep::SweepPool;
 use armbar_topology::Platform;
 
 use crate::report::{us, Report};
-use crate::runner::{algo_curve, topo, Scale};
+use crate::runner::{curve, topo, Scale};
 
 /// Runs Figure 7: one report for SENSE across platforms (panel a) and one
 /// per platform for the remaining six algorithms (panels b–d).
 pub fn run(scale: &Scale) -> Vec<Report> {
+    let pool = SweepPool::ambient();
     let mut out = Vec::new();
 
     let mut a = Report::new(
         "Figure 7(a) — SENSE overhead vs threads (us)",
         &["threads", "Phytium 2000+", "ThunderX2", "Kunpeng920"],
     );
-    let sense: Vec<Vec<(usize, f64)>> =
-        Platform::ARM.iter().map(|&pf| algo_curve(&topo(pf), AlgorithmId::Sense, scale)).collect();
+    let sense: Vec<Vec<(usize, f64)>> = Platform::ARM
+        .iter()
+        .map(|&pf| curve(&pool, &topo(pf), &AlgorithmId::Sense, scale))
+        .collect();
     for (i, &(p, phytium_ns)) in sense[0].iter().enumerate() {
         a.row(vec![p.to_string(), us(phytium_ns), us(sense[1][i].1), us(sense[2][i].1)]);
     }
@@ -47,7 +51,7 @@ pub fn run(scale: &Scale) -> Vec<Report> {
             &["threads", "DIS", "CMB", "MCS", "TOUR", "STOUR", "DTOUR"],
         );
         let curves: Vec<Vec<(usize, f64)>> =
-            OTHERS.iter().map(|&id| algo_curve(&t, id, scale)).collect();
+            OTHERS.iter().map(|&id| curve(&pool, &t, &id, scale)).collect();
         for i in 0..curves[0].len() {
             let mut row = vec![curves[0][i].0.to_string()];
             row.extend(curves.iter().map(|c| us(c[i].1)));
@@ -63,16 +67,17 @@ pub fn run(scale: &Scale) -> Vec<Report> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::algo_overhead_ns;
+    use crate::runner::overhead_ns;
 
     #[test]
     fn sense_dominates_every_other_algorithm_at_64() {
         let scale = Scale::quick();
+        let pool = SweepPool::ambient();
         for platform in Platform::ARM {
             let t = topo(platform);
-            let sense = algo_overhead_ns(&t, 64, AlgorithmId::Sense, &scale);
+            let sense = overhead_ns(&pool, &t, 64, &AlgorithmId::Sense, &scale);
             for id in [AlgorithmId::Dissemination, AlgorithmId::Mcs, AlgorithmId::Stour] {
-                let v = algo_overhead_ns(&t, 64, id, &scale);
+                let v = overhead_ns(&pool, &t, 64, &id, &scale);
                 assert!(sense > 3.0 * v, "{platform:?}: SENSE {sense} vs {id} {v}");
             }
         }
@@ -81,21 +86,23 @@ mod tests {
     #[test]
     fn mcs_beats_cmb_small_but_loses_large() {
         let scale = Scale::quick();
+        let pool = SweepPool::ambient();
         let t = topo(Platform::Kunpeng920);
-        let mcs64 = algo_overhead_ns(&t, 64, AlgorithmId::Mcs, &scale);
-        let cmb64 = algo_overhead_ns(&t, 64, AlgorithmId::Combining, &scale);
+        let mcs64 = overhead_ns(&pool, &t, 64, &AlgorithmId::Mcs, &scale);
+        let cmb64 = overhead_ns(&pool, &t, 64, &AlgorithmId::Combining, &scale);
         assert!(mcs64 > cmb64, "at 64 threads MCS ({mcs64}) must exceed CMB ({cmb64})");
-        let mcs4 = algo_overhead_ns(&t, 4, AlgorithmId::Mcs, &scale);
-        let cmb4 = algo_overhead_ns(&t, 4, AlgorithmId::Combining, &scale);
+        let mcs4 = overhead_ns(&pool, &t, 4, &AlgorithmId::Mcs, &scale);
+        let cmb4 = overhead_ns(&pool, &t, 4, &AlgorithmId::Combining, &scale);
         assert!(mcs4 <= cmb4 * 1.2, "at 4 threads MCS ({mcs4}) should not trail CMB ({cmb4})");
     }
 
     #[test]
     fn mcs_clearly_worse_than_tour_on_kunpeng() {
         let scale = Scale::quick();
+        let pool = SweepPool::ambient();
         let t = topo(Platform::Kunpeng920);
-        let mcs = algo_overhead_ns(&t, 64, AlgorithmId::Mcs, &scale);
-        let tour = algo_overhead_ns(&t, 64, AlgorithmId::Tournament, &scale);
+        let mcs = overhead_ns(&pool, &t, 64, &AlgorithmId::Mcs, &scale);
+        let tour = overhead_ns(&pool, &t, 64, &AlgorithmId::Tournament, &scale);
         assert!(mcs > 1.25 * tour, "MCS {mcs} vs TOUR {tour}");
     }
 

@@ -12,10 +12,11 @@
 //! count, which the fixed 4-way smooths out and beats.
 
 use armbar_core::prelude::*;
+use armbar_sweep::SweepPool;
 use armbar_topology::Platform;
 
 use crate::report::{us, Report};
-use crate::runner::{fway_curve, topo, Scale};
+use crate::runner::{curve, topo, Scale};
 
 /// The three Figure 11 configurations, in figure order.
 pub fn configs() -> [(&'static str, FwayConfig); 3] {
@@ -31,6 +32,7 @@ pub fn configs() -> [(&'static str, FwayConfig); 3] {
 
 /// Runs Figure 11(a)–(c), one report per ARMv8 platform.
 pub fn run(scale: &Scale) -> Vec<Report> {
+    let pool = SweepPool::ambient();
     ["a", "b", "c"]
         .into_iter()
         .zip(Platform::ARM)
@@ -41,7 +43,7 @@ pub fn run(scale: &Scale) -> Vec<Report> {
                 &["threads", "static f-way", "padding static f-way", "padding static 4-way"],
             );
             let curves: Vec<Vec<(usize, f64)>> =
-                configs().iter().map(|(_, c)| fway_curve(&t, *c, scale)).collect();
+                configs().iter().map(|(_, c)| curve(&pool, &t, c, scale)).collect();
             for i in 0..curves[0].len() {
                 let mut row = vec![curves[0][i].0.to_string()];
                 row.extend(curves.iter().map(|c| us(c[i].1)));
@@ -57,16 +59,17 @@ pub fn run(scale: &Scale) -> Vec<Report> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::fway_overhead_ns;
+    use crate::runner::overhead_ns;
 
     #[test]
     fn padding_helps_at_full_width() {
         let scale = Scale::quick();
+        let pool = SweepPool::ambient();
         let cfgs = configs();
         for platform in Platform::ARM {
             let t = topo(platform);
-            let packed = fway_overhead_ns(&t, 64, cfgs[0].1, &scale);
-            let padded = fway_overhead_ns(&t, 64, cfgs[1].1, &scale);
+            let packed = overhead_ns(&pool, &t, 64, &cfgs[0].1, &scale);
+            let padded = overhead_ns(&pool, &t, 64, &cfgs[1].1, &scale);
             assert!(padded < packed, "{platform:?}: padded {padded} vs packed {packed}");
         }
     }
@@ -74,11 +77,12 @@ mod tests {
     #[test]
     fn padded_4way_beats_padded_fway_at_full_width() {
         let scale = Scale::quick();
+        let pool = SweepPool::ambient();
         let cfgs = configs();
         for platform in Platform::ARM {
             let t = topo(platform);
-            let fway = fway_overhead_ns(&t, 64, cfgs[1].1, &scale);
-            let four = fway_overhead_ns(&t, 64, cfgs[2].1, &scale);
+            let fway = overhead_ns(&pool, &t, 64, &cfgs[1].1, &scale);
+            let four = overhead_ns(&pool, &t, 64, &cfgs[2].1, &scale);
             assert!(four <= fway * 1.05, "{platform:?}: 4-way {four} vs f-way {fway}");
         }
     }
@@ -88,11 +92,12 @@ mod tests {
         // The paper attributes the biggest padding speedup to Kunpeng 920's
         // wider cache lines (more flags per line → more conflicts).
         let scale = Scale::quick();
+        let pool = SweepPool::ambient();
         let cfgs = configs();
         let gain = |pf: Platform| {
             let t = topo(pf);
-            fway_overhead_ns(&t, 64, cfgs[0].1, &scale)
-                / fway_overhead_ns(&t, 64, cfgs[1].1, &scale)
+            overhead_ns(&pool, &t, 64, &cfgs[0].1, &scale)
+                / overhead_ns(&pool, &t, 64, &cfgs[1].1, &scale)
         };
         let kp = gain(Platform::Kunpeng920);
         assert!(kp > 1.1, "Kunpeng padding gain {kp}");

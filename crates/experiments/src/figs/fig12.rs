@@ -10,10 +10,11 @@
 //! scalable tree variant on the clustered machines.
 
 use armbar_core::prelude::*;
+use armbar_sweep::SweepPool;
 use armbar_topology::Platform;
 
 use crate::report::{us, Report};
-use crate::runner::{fway_curve, topo, Scale};
+use crate::runner::{curve, topo, Scale};
 
 /// The three wake-up policies on the padded 4-way arrival base.
 pub fn configs() -> [(&'static str, FwayConfig); 3] {
@@ -32,6 +33,7 @@ pub fn configs() -> [(&'static str, FwayConfig); 3] {
 
 /// Runs Figure 12(a)–(c), one report per ARMv8 platform.
 pub fn run(scale: &Scale) -> Vec<Report> {
+    let pool = SweepPool::ambient();
     ["a", "b", "c"]
         .into_iter()
         .zip(Platform::ARM)
@@ -42,7 +44,7 @@ pub fn run(scale: &Scale) -> Vec<Report> {
                 &["threads", "global", "binary tree", "NUMA-aware tree"],
             );
             let curves: Vec<Vec<(usize, f64)>> =
-                configs().iter().map(|(_, c)| fway_curve(&t, *c, scale)).collect();
+                configs().iter().map(|(_, c)| curve(&pool, &t, c, scale)).collect();
             for i in 0..curves[0].len() {
                 let mut row = vec![curves[0][i].0.to_string()];
                 row.extend(curves.iter().map(|c| us(c[i].1)));
@@ -58,16 +60,17 @@ pub fn run(scale: &Scale) -> Vec<Report> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::fway_overhead_ns;
+    use crate::runner::overhead_ns;
 
     #[test]
     fn tree_wakeup_wins_on_phytium_and_thunderx2() {
         let scale = Scale::quick();
+        let pool = SweepPool::ambient();
         let cfgs = configs();
         for platform in [Platform::Phytium2000Plus, Platform::ThunderX2] {
             let t = topo(platform);
-            let global = fway_overhead_ns(&t, 64, cfgs[0].1, &scale);
-            let numa = fway_overhead_ns(&t, 64, cfgs[2].1, &scale);
+            let global = overhead_ns(&pool, &t, 64, &cfgs[0].1, &scale);
+            let numa = overhead_ns(&pool, &t, 64, &cfgs[2].1, &scale);
             assert!(numa < global, "{platform:?}: numa {numa} vs global {global}");
         }
     }
@@ -75,20 +78,22 @@ mod tests {
     #[test]
     fn global_wakeup_wins_on_kunpeng() {
         let scale = Scale::quick();
+        let pool = SweepPool::ambient();
         let cfgs = configs();
         let t = topo(Platform::Kunpeng920);
-        let global = fway_overhead_ns(&t, 64, cfgs[0].1, &scale);
-        let binary = fway_overhead_ns(&t, 64, cfgs[1].1, &scale);
+        let global = overhead_ns(&pool, &t, 64, &cfgs[0].1, &scale);
+        let binary = overhead_ns(&pool, &t, 64, &cfgs[1].1, &scale);
         assert!(global < binary, "global {global} vs binary {binary}");
     }
 
     #[test]
     fn numa_tree_beats_binary_tree_at_scale_on_thunderx2() {
         let scale = Scale::quick();
+        let pool = SweepPool::ambient();
         let cfgs = configs();
         let t = topo(Platform::ThunderX2);
-        let binary = fway_overhead_ns(&t, 64, cfgs[1].1, &scale);
-        let numa = fway_overhead_ns(&t, 64, cfgs[2].1, &scale);
+        let binary = overhead_ns(&pool, &t, 64, &cfgs[1].1, &scale);
+        let numa = overhead_ns(&pool, &t, 64, &cfgs[2].1, &scale);
         assert!(numa < binary, "numa {numa} vs binary {binary}");
     }
 
@@ -97,10 +102,11 @@ mod tests {
         // On ThunderX2 (N_c = 32) a 16-thread barrier never leaves the
         // socket: the NUMA tree equals the binary tree by construction.
         let scale = Scale::quick();
+        let pool = SweepPool::ambient();
         let cfgs = configs();
         let t = topo(Platform::ThunderX2);
-        let binary = fway_overhead_ns(&t, 16, cfgs[1].1, &scale);
-        let numa = fway_overhead_ns(&t, 16, cfgs[2].1, &scale);
+        let binary = overhead_ns(&pool, &t, 16, &cfgs[1].1, &scale);
+        let numa = overhead_ns(&pool, &t, 16, &cfgs[2].1, &scale);
         let rel = (binary - numa).abs() / binary.max(numa);
         assert!(rel < 0.05, "binary {binary} vs numa {numa} should coincide");
     }

@@ -8,10 +8,11 @@
 
 use armbar_core::prelude::*;
 use armbar_model::optimal_fanin_int;
+use armbar_sweep::SweepPool;
 use armbar_topology::Platform;
 
 use crate::report::{us, Report};
-use crate::runner::{fway_overhead_ns, topo, Scale};
+use crate::runner::{overhead_ns, topo, Scale};
 
 /// Thread count of the figure.
 const P: usize = 64;
@@ -20,6 +21,7 @@ pub const FANINS: [usize; 6] = [2, 4, 8, 16, 32, 64];
 
 /// Runs the Figure 13 fan-in sweep.
 pub fn run(scale: &Scale) -> Vec<Report> {
+    let pool = SweepPool::ambient();
     let mut r = Report::new(
         format!("Figure 13 — static f-way tournament by fan-in at {P} threads (us)"),
         &["fan-in", "Phytium 2000+", "ThunderX2", "Kunpeng920"],
@@ -31,10 +33,11 @@ pub fn run(scale: &Scale) -> Vec<Report> {
             FANINS
                 .iter()
                 .map(|&f| {
-                    fway_overhead_ns(
+                    overhead_ns(
+                        &pool,
                         &t,
                         P,
-                        FwayConfig {
+                        &FwayConfig {
                             fanin: Fanin::Fixed(f),
                             padded_flags: true,
                             ..FwayConfig::stour()

@@ -17,7 +17,7 @@ use armbar_sweep::{Job, SweepPool};
 use armbar_topology::Platform;
 
 use crate::report::{us, Report};
-use crate::runner::{algo_overhead_ns_on, topo, Scale};
+use crate::runner::{overhead_ns, topo, Scale};
 
 /// Thread counts projected, filtered per platform to its core count.
 const POINTS: [usize; 3] = [64, 256, 1024];
@@ -55,7 +55,7 @@ fn run_platform(pool: &SweepPool, platform: Platform, scale: &Scale) -> Report {
         .iter()
         .map(|&(id, p)| {
             let t = std::sync::Arc::clone(&t);
-            Job::parallel(move || algo_overhead_ns_on(pool, &t, p, id, scale))
+            Job::parallel(move || overhead_ns(pool, &t, p, &id, scale))
         })
         .collect();
     for ((id, p), ns) in cells.iter().zip(pool.run(jobs)) {

@@ -7,10 +7,11 @@
 
 use armbar_core::prelude::*;
 use armbar_epcc::summary::geomean;
+use armbar_sweep::SweepPool;
 use armbar_topology::Platform;
 
 use crate::report::{speedup, Report};
-use crate::runner::{algo_overhead_ns, topo, Scale};
+use crate::runner::{overhead_ns, topo, Scale};
 
 /// Thread count of the table.
 const P: usize = 64;
@@ -30,6 +31,7 @@ pub struct SpeedupRow {
 /// won per platform (the "state of the art" is whatever existing algorithm
 /// is fastest there, as in the paper).
 pub fn measure(scale: &Scale) -> (Vec<SpeedupRow>, Vec<(Platform, AlgorithmId)>) {
+    let pool = SweepPool::ambient();
     let mut opt = [0.0f64; 3];
     let mut gcc = [0.0f64; 3];
     let mut llvm = [0.0f64; 3];
@@ -38,15 +40,15 @@ pub fn measure(scale: &Scale) -> (Vec<SpeedupRow>, Vec<(Platform, AlgorithmId)>)
 
     for (i, platform) in Platform::ARM.into_iter().enumerate() {
         let t = topo(platform);
-        opt[i] = algo_overhead_ns(&t, P, AlgorithmId::Optimized, scale);
-        gcc[i] = algo_overhead_ns(&t, P, AlgorithmId::Sense, scale);
-        llvm[i] = algo_overhead_ns(&t, P, AlgorithmId::LlvmHyper, scale);
+        opt[i] = overhead_ns(&pool, &t, P, &AlgorithmId::Optimized, scale);
+        gcc[i] = overhead_ns(&pool, &t, P, &AlgorithmId::Sense, scale);
+        llvm[i] = overhead_ns(&pool, &t, P, &AlgorithmId::LlvmHyper, scale);
         // Best existing algorithm = the cheapest of the paper's seven plus
         // the LLVM barrier (everything that predates the optimization).
         let (id, v) = AlgorithmId::SEVEN
             .into_iter()
             .chain([AlgorithmId::LlvmHyper])
-            .map(|id| (id, algo_overhead_ns(&t, P, id, scale)))
+            .map(|id| (id, overhead_ns(&pool, &t, P, &id, scale)))
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .unwrap();
         best[i] = v;

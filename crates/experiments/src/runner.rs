@@ -1,10 +1,14 @@
 //! Sweep runners shared by all experiments.
 //!
-//! Every sweep point is an independent simulation (a pure function of
-//! `(topology, seed, program)`), so the curve runners fan their points out
-//! over the ambient [`SweepPool`] — `--jobs`/`ARMBAR_JOBS` workers —
-//! while collecting results in submission order. Output is byte-identical
-//! to the serial path at any worker count.
+//! Two functions measure, and both take a [`BarrierSpec`] (a registry
+//! [`AlgorithmId`], an f-way [`FwayConfig`] or a closure) and the
+//! [`SweepPool`] they fan out on: [`overhead_ns`] is one point (the mean
+//! over `Scale::reps` seeded runs), [`curve`] one overhead-vs-threads
+//! curve. The figures pass `SweepPool::ambient()` — `--jobs`/`ARMBAR_JOBS`
+//! workers. Every sweep point is an independent simulation (a pure
+//! function of `(topology, seed, program)`) and results collect in
+//! submission order, so output is byte-identical to the serial path at
+//! any worker count.
 //!
 //! Below the pool, each worker keeps an ambient `armbar_simcoh::SimTeam`:
 //! the P simulated-thread workers of an episode are spawned once per
@@ -15,7 +19,8 @@
 use std::sync::Arc;
 
 use armbar_core::prelude::*;
-use armbar_epcc::{repeat_sim_of_on, repeat_sim_on, OverheadConfig};
+use armbar_epcc::{sim_overhead_reps, OverheadConfig};
+use armbar_simcoh::Arena;
 use armbar_sweep::{Job, SweepPool};
 use armbar_topology::{Platform, Topology};
 
@@ -49,9 +54,8 @@ impl Scale {
     }
 
     /// The measurement configuration for rep `r`, on the workspace-wide
-    /// seed schedule ([`armbar_epcc::SEED_STRIDE`]) shared by every
-    /// repeated-measurement path — registry algorithms and custom barrier
-    /// configurations see identical per-rep seeds.
+    /// seed schedule ([`armbar_epcc::SEED_STRIDE`]) — registry algorithms
+    /// and custom barrier configurations see identical per-rep seeds.
     pub fn cfg(&self, rep: u64) -> OverheadConfig {
         OverheadConfig { warmup: 4, episodes: self.episodes, delay_ns: 100.0, seed: 0x5EED }
             .rep(rep)
@@ -64,90 +68,38 @@ pub fn topo(platform: Platform) -> Arc<Topology> {
     Arc::new(Topology::preset(platform))
 }
 
-/// Mean overhead (ns) of a registry algorithm at `p` threads over
-/// `scale.reps` repetitions.
-pub fn algo_overhead_ns(topo: &Arc<Topology>, p: usize, id: AlgorithmId, scale: &Scale) -> f64 {
-    algo_overhead_ns_on(&SweepPool::ambient(), topo, p, id, scale)
-}
-
-/// [`algo_overhead_ns`] on an explicit pool.
-pub fn algo_overhead_ns_on(
+/// Mean overhead (ns) of the barrier `spec` builds at `p` threads over
+/// `scale.reps` repetitions, fanned out over `pool` (inline when called
+/// from one of its jobs).
+pub fn overhead_ns(
     pool: &SweepPool,
     topo: &Arc<Topology>,
     p: usize,
-    id: AlgorithmId,
+    spec: &dyn BarrierSpec,
     scale: &Scale,
 ) -> f64 {
-    repeat_sim_on(pool, topo, p, id, scale.cfg(0), scale.reps)
-        .unwrap_or_else(|e| panic!("{id} at p={p} on {}: {e}", topo.name()))
+    sim_overhead_reps(pool, topo, p, spec, scale.cfg(0), scale.reps)
+        .unwrap_or_else(|e| {
+            let name = spec.build(&mut Arena::new(), p, topo).name().to_string();
+            panic!("{name} at p={p} on {}: {e}", topo.name())
+        })
         .mean
 }
 
-/// Mean overhead (ns) of a custom f-way configuration at `p` threads, on
-/// the same seed schedule as the registry path.
-pub fn fway_overhead_ns(topo: &Arc<Topology>, p: usize, config: FwayConfig, scale: &Scale) -> f64 {
-    fway_overhead_ns_on(&SweepPool::ambient(), topo, p, config, scale)
-}
-
-/// [`fway_overhead_ns`] on an explicit pool.
-pub fn fway_overhead_ns_on(
+/// An overhead-vs-threads curve of `spec` over `scale.sweep` (points past
+/// the machine's core count dropped): one parallel job per point on
+/// `pool`, the repetitions of a point inline on its worker.
+pub fn curve(
     pool: &SweepPool,
     topo: &Arc<Topology>,
-    p: usize,
-    config: FwayConfig,
-    scale: &Scale,
-) -> f64 {
-    repeat_sim_of_on(
-        pool,
-        topo,
-        p,
-        |arena| Arc::new(FwayBarrier::with_config(arena, p, topo, config)),
-        scale.cfg(0),
-        scale.reps,
-    )
-    .unwrap_or_else(|e| panic!("fway {config:?} at p={p}: {e}"))
-    .mean
-}
-
-/// An overhead-vs-threads curve for a registry algorithm.
-pub fn algo_curve(topo: &Arc<Topology>, id: AlgorithmId, scale: &Scale) -> Vec<(usize, f64)> {
-    algo_curve_on(&SweepPool::ambient(), topo, id, scale)
-}
-
-/// [`algo_curve`] on an explicit pool: one parallel job per sweep point
-/// (repetitions inside a point run inline on that point's worker).
-pub fn algo_curve_on(
-    pool: &SweepPool,
-    topo: &Arc<Topology>,
-    id: AlgorithmId,
+    spec: &dyn BarrierSpec,
     scale: &Scale,
 ) -> Vec<(usize, f64)> {
     let points: Vec<usize> =
         scale.sweep.iter().copied().filter(|&p| p <= topo.num_cores()).collect();
     let jobs = points
         .iter()
-        .map(|&p| Job::parallel(move || algo_overhead_ns_on(pool, topo, p, id, scale)))
-        .collect();
-    points.iter().copied().zip(pool.run(jobs)).collect()
-}
-
-/// An overhead-vs-threads curve for a custom f-way configuration.
-pub fn fway_curve(topo: &Arc<Topology>, config: FwayConfig, scale: &Scale) -> Vec<(usize, f64)> {
-    fway_curve_on(&SweepPool::ambient(), topo, config, scale)
-}
-
-/// [`fway_curve`] on an explicit pool.
-pub fn fway_curve_on(
-    pool: &SweepPool,
-    topo: &Arc<Topology>,
-    config: FwayConfig,
-    scale: &Scale,
-) -> Vec<(usize, f64)> {
-    let points: Vec<usize> =
-        scale.sweep.iter().copied().filter(|&p| p <= topo.num_cores()).collect();
-    let jobs = points
-        .iter()
-        .map(|&p| Job::parallel(move || fway_overhead_ns_on(pool, topo, p, config, scale)))
+        .map(|&p| Job::parallel(move || overhead_ns(pool, topo, p, spec, scale)))
         .collect();
     points.iter().copied().zip(pool.run(jobs)).collect()
 }
@@ -164,7 +116,7 @@ mod tests {
     #[test]
     fn quick_scale_runs_a_curve() {
         let t = topo(Platform::ThunderX2);
-        let curve = algo_curve(&t, AlgorithmId::Tournament, &Scale::quick());
+        let curve = curve(&SweepPool::ambient(), &t, &AlgorithmId::Tournament, &Scale::quick());
         assert_eq!(curve.len(), 4);
         assert!(curve.iter().all(|&(_, ns)| ns >= 0.0));
         // Larger thread counts cost more for any real barrier.
@@ -174,19 +126,15 @@ mod tests {
     #[test]
     fn sweep_respects_core_count() {
         let t = topo(Platform::XeonGold); // 32 cores
-        let curve = algo_curve(&t, AlgorithmId::Sense, &Scale::quick());
+        let curve = curve(&SweepPool::ambient(), &t, &AlgorithmId::Sense, &Scale::quick());
         assert!(curve.iter().all(|&(p, _)| p <= 32));
     }
 
     #[test]
     fn fway_runner_accepts_custom_configs() {
         let t = topo(Platform::Kunpeng920);
-        let ns = fway_overhead_ns(
-            &t,
-            16,
-            FwayConfig { fanin: Fanin::Fixed(4), ..FwayConfig::stour() },
-            &Scale::quick(),
-        );
+        let config = FwayConfig { fanin: Fanin::Fixed(4), ..FwayConfig::stour() };
+        let ns = overhead_ns(&SweepPool::ambient(), &t, 16, &config, &Scale::quick());
         assert!(ns > 0.0);
     }
 
@@ -207,12 +155,13 @@ mod tests {
     fn registry_stour_curve_matches_equivalent_fway_config() {
         // Regression for the seed-protocol bug: the registry STOUR curve
         // and the custom FwayConfig::stour() curve measure the same
-        // barrier and must now be seed-matched point for point — the
-        // paper's STOUR-vs-optimized comparison depends on it.
+        // barrier and must be seed-matched point for point — the paper's
+        // STOUR-vs-optimized comparison depends on it.
         let scale = Scale::quick();
+        let pool = SweepPool::ambient();
         let t = topo(Platform::Kunpeng920);
-        let registry = algo_curve(&t, AlgorithmId::Stour, &scale);
-        let custom = fway_curve(&t, FwayConfig::stour(), &scale);
+        let registry = curve(&pool, &t, &AlgorithmId::Stour, &scale);
+        let custom = curve(&pool, &t, &FwayConfig::stour(), &scale);
         assert_eq!(registry, custom);
     }
 
@@ -220,8 +169,8 @@ mod tests {
     fn curves_are_identical_at_any_worker_count() {
         let scale = Scale::quick();
         let t = topo(Platform::ThunderX2);
-        let serial = algo_curve_on(&SweepPool::new(1), &t, AlgorithmId::Mcs, &scale);
-        let parallel = algo_curve_on(&SweepPool::new(4), &t, AlgorithmId::Mcs, &scale);
+        let serial = curve(&SweepPool::new(1), &t, &AlgorithmId::Mcs, &scale);
+        let parallel = curve(&SweepPool::new(4), &t, &AlgorithmId::Mcs, &scale);
         assert_eq!(serial, parallel);
     }
 }

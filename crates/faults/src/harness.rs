@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use armbar_core::{
     AlgorithmId, Barrier, BarrierError, CentralPhaser, HostMem, MemCtx, Phaser, RobustBarrier,
-    RobustConfig, RobustPhaser, SpinPolicy, TreePhaser,
+    RobustConfig, RobustPhaser, TreePhaser,
 };
 use armbar_simcoh::{Addr, Arena, RunStats, SimBuilder, SimError};
 use armbar_sweep::{Job, SweepPool};
@@ -187,15 +187,9 @@ impl ChaosCell {
     }
 }
 
-/// Runs the full matrix described by `config` and returns one cell per
-/// (backend × platform × algorithm × scenario) combination, in that
-/// nesting order. Cells fan out over the ambient [`SweepPool`]
-/// (`--jobs`/`ARMBAR_JOBS` workers); see [`chaos_matrix_on`].
-pub fn chaos_matrix(config: &ChaosConfig) -> Vec<ChaosCell> {
-    chaos_matrix_on(&SweepPool::ambient(), config)
-}
-
-/// [`chaos_matrix`] on an explicit pool. Simulator cells are pure
+/// Runs the full matrix described by `config` on `pool` and returns one
+/// cell per (backend × platform × algorithm × scenario) combination, in
+/// that nesting order. Simulator cells are pure
 /// functions of the seed and run concurrently; host cells spawn real
 /// threads, race a wall-clock deadline, and would misclassify under
 /// oversubscription — they are [`Job::serial`] and run alone with the
@@ -308,7 +302,7 @@ fn run_host_cell(
         &mut arena,
         topo.cacheline_bytes(),
         inner,
-        RobustConfig { deadline: config.deadline, policy: SpinPolicy::from_env(), max_polls: None },
+        RobustConfig { deadline: config.deadline, max_polls: None },
     );
     let plan = FaultPlan::scenario(scenario, config.seed, p);
     let mem = HostMem::new(&arena);
@@ -602,7 +596,7 @@ fn run_churn_host_cell(
         &mut arena,
         topo.cacheline_bytes(),
         inner,
-        RobustConfig { deadline: config.deadline, policy: SpinPolicy::from_env(), max_polls: None },
+        RobustConfig { deadline: config.deadline, max_polls: None },
     );
     let mem = HostMem::new(&arena);
     let verdicts: Vec<ChurnVerdict> = std::thread::scope(|s| {
@@ -690,7 +684,7 @@ mod tests {
 
     #[test]
     fn sim_matrix_classifies_survivable_scenarios_as_survived() {
-        let cells = chaos_matrix(&small_config());
+        let cells = chaos_matrix_on(&SweepPool::ambient(), &small_config());
         for c in &cells {
             if Scenario::SURVIVABLE.contains(&c.scenario) {
                 assert!(
@@ -707,7 +701,7 @@ mod tests {
 
     #[test]
     fn sim_matrix_detects_crashes_with_typed_errors() {
-        let cells = chaos_matrix(&small_config());
+        let cells = chaos_matrix_on(&SweepPool::ambient(), &small_config());
         for c in cells.iter().filter(|c| c.scenario == Scenario::Crash) {
             assert!(
                 matches!(&c.outcome, CellOutcome::Detected { mechanism } if mechanism.starts_with("panic")),
@@ -731,12 +725,12 @@ mod tests {
     #[test]
     fn sim_matrix_replays_bit_identically() {
         let config = small_config();
-        let a = render_csv(&chaos_matrix(&config), &config);
-        let b = render_csv(&chaos_matrix(&config), &config);
+        let a = render_csv(&chaos_matrix_on(&SweepPool::ambient(), &config), &config);
+        let b = render_csv(&chaos_matrix_on(&SweepPool::ambient(), &config), &config);
         assert_eq!(a, b);
         let mut reseeded = small_config();
         reseeded.seed ^= 1;
-        let c = render_csv(&chaos_matrix(&reseeded), &reseeded);
+        let c = render_csv(&chaos_matrix_on(&SweepPool::ambient(), &reseeded), &reseeded);
         assert_ne!(a, c, "different seed must perturb the table");
     }
 
@@ -750,7 +744,7 @@ mod tests {
             deadline: Duration::from_millis(300),
             ..ChaosConfig::default()
         };
-        let cells = chaos_matrix(&config);
+        let cells = chaos_matrix_on(&SweepPool::ambient(), &config);
         assert_eq!(cells.len(), 3);
         assert!(matches!(cells[0].outcome, CellOutcome::Completed), "{:?}", cells[0].outcome);
         // Dissemination: every thread stores a flag each round, so the
@@ -769,7 +763,7 @@ mod tests {
 
     #[test]
     fn churn_matrix_recovers_joins_leaves_and_flaps_on_sim() {
-        let cells = chaos_matrix(&churn_config());
+        let cells = chaos_matrix_on(&SweepPool::ambient(), &churn_config());
         assert_eq!(cells.len(), 8, "2 phasers x 4 churn scenarios");
         for c in &cells {
             match c.scenario {
@@ -799,7 +793,7 @@ mod tests {
         let serial = render_csv(&chaos_matrix_on(&SweepPool::new(1), &config), &config);
         let parallel = render_csv(&chaos_matrix_on(&SweepPool::new(4), &config), &config);
         assert_eq!(serial, parallel);
-        let again = render_csv(&chaos_matrix(&config), &config);
+        let again = render_csv(&chaos_matrix_on(&SweepPool::ambient(), &config), &config);
         assert_eq!(serial, again, "same seed must replay the same churn table");
     }
 
@@ -812,7 +806,7 @@ mod tests {
             deadline: Duration::from_millis(500),
             ..ChaosConfig::churn()
         };
-        let cells = chaos_matrix(&config);
+        let cells = chaos_matrix_on(&SweepPool::ambient(), &config);
         for c in &cells {
             let want = if c.scenario == Scenario::CrashEvict { "degraded" } else { "recovered" };
             assert_eq!(
@@ -833,7 +827,7 @@ mod tests {
             scenarios: vec![Scenario::CrashEvict],
             ..ChaosConfig::churn()
         };
-        let cells = chaos_matrix(&config);
+        let cells = chaos_matrix_on(&SweepPool::ambient(), &config);
         assert_eq!(cells.len(), 1);
         assert!(
             matches!(&cells[0].outcome, CellOutcome::Detected { mechanism } if mechanism.contains("phaser")),
@@ -850,7 +844,7 @@ mod tests {
             threads: 2,
             ..ChaosConfig::default()
         };
-        let cells = chaos_matrix(&config);
+        let cells = chaos_matrix_on(&SweepPool::ambient(), &config);
         let csv = render_csv(&cells, &config);
         assert!(csv.starts_with("# chaos: seed 0xc4a05"));
         assert_eq!(csv.lines().count(), 2 + cells.len());

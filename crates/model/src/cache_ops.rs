@@ -15,7 +15,7 @@
 //!   locally-owned line is `ε`;
 //! * `O(RMW_R, k) = O(W_R) + alu_k·ε + frac_k·L_i`;
 //!
-//! with `(alu_k, frac_k)` the platform's [`RmwCosts`] entry for kind `k`.
+//! with `(alu_k, frac_k)` the platform's [`RmwCosts`](armbar_topology::RmwCosts) entry for kind `k`.
 
 use armbar_topology::{LayerId, RmwOp, Topology};
 

@@ -217,8 +217,7 @@ fn drive_team(conns: &mut Vec<Option<Conn>>, plan: &TeamPlan, samples: &mut Vec<
 /// over the workers, drives all episodes, and collects outcomes.
 pub fn run_load(cfg: &LoadConfig) -> LoadReport {
     let plans = plan(cfg);
-    let registry =
-        Registry::new(cfg.shards, TeamConfig { deadline: cfg.deadline, ..TeamConfig::default() });
+    let registry = Registry::new(cfg.shards, TeamConfig { deadline: cfg.deadline });
     // Setup (untimed): register teams, attach connections.
     let mut teams = Vec::with_capacity(cfg.teams);
     let mut conns: Vec<Vec<Option<Conn>>> = Vec::with_capacity(cfg.teams);

@@ -11,7 +11,7 @@
 //! ## Batched, backpressure-aware wakeups
 //!
 //! A boundary commit does not notify its waiters directly. It bumps the
-//! team's release clock and calls [`ShardWake::flush`], which:
+//! team's release clock and calls `ShardWake::flush`, which:
 //!
 //! * **elides** the flush entirely when nobody in the shard is parked
 //!   (the common case under a load driver that self-releases teams) —
@@ -388,7 +388,7 @@ mod tests {
     #[test]
     fn every_commit_is_a_flush_an_elision_or_a_coalesced_flush() {
         // One shard, so every team shares the wakeup path.
-        let cfg = TeamConfig { deadline: Duration::from_millis(50), ..TeamConfig::default() };
+        let cfg = TeamConfig { deadline: Duration::from_millis(50) };
         let reg = Registry::new(1, cfg);
         let wake = Arc::clone(&reg.shards[0].wake);
         let episode = |conns: &[&Conn]| {

@@ -42,21 +42,22 @@ use armbar_simcoh::Arena;
 
 use crate::registry::ShardWake;
 
-/// Patience knobs the teams of a registry wait by (held once per shard).
+/// Busy polls on the release word before a waiter parks.
+const SPIN_POLLS: u32 = 96;
+/// One timed park on the shard condvar; bounds wakeup loss windows.
+const PARK_SLICE: Duration = Duration::from_millis(2);
+
+/// Patience the teams of a registry wait with (held once per shard).
 #[derive(Debug, Clone)]
 pub struct TeamConfig {
     /// Wall-clock budget per epoch before a waiter starts evicting (and,
     /// when eviction cannot apply, poisons).
     pub deadline: Duration,
-    /// One timed park on the shard condvar; bounds wakeup loss windows.
-    pub park_slice: Duration,
-    /// Busy polls on the release word before parking.
-    pub spin: u32,
 }
 
 impl Default for TeamConfig {
     fn default() -> Self {
-        Self { deadline: Duration::from_secs(5), park_slice: Duration::from_millis(2), spin: 96 }
+        Self { deadline: Duration::from_secs(5) }
     }
 }
 
@@ -324,14 +325,14 @@ impl Team {
     fn wait(&self, slot: usize, epoch: u32) -> Result<(), BarrierError> {
         let ctx = &self.ctx(slot);
         let released = || self.phaser.completed(ctx) >= epoch;
-        for _ in 0..self.wake.cfg.spin {
+        for _ in 0..SPIN_POLLS {
             if released() {
                 return Ok(());
             }
             std::hint::spin_loop();
         }
         self.parked_waits.fetch_add(1, Relaxed);
-        let mut polls = u64::from(self.wake.cfg.spin);
+        let mut polls = u64::from(SPIN_POLLS);
         // The waited epoch seeds the lap's start: no load off the wait path.
         let (mut attempts, mut seen) = (0, epoch);
         let mut next_recovery = Instant::now() + self.wake.cfg.deadline;
@@ -358,7 +359,7 @@ impl Team {
                 next_recovery = Instant::now() + self.wake.cfg.deadline;
             }
             polls += 1;
-            self.wake.park(self.wake.cfg.park_slice, || released() || self.poisoned_by().is_some());
+            self.wake.park(PARK_SLICE, || released() || self.poisoned_by().is_some());
         }
     }
 
@@ -467,7 +468,7 @@ impl Conn {
         r
     }
 
-    /// Blocks until `epoch` releases (see [`Team::wait`] semantics).
+    /// Blocks until `epoch` releases (see `Team::wait` semantics).
     pub fn wait(&self, epoch: u32) -> Result<(), BarrierError> {
         self.team.wait(self.slot(), epoch)?;
         if let ConnState::Arrived(arrived) = self.state() {
@@ -523,11 +524,11 @@ mod tests {
     }
 
     fn patient() -> TeamConfig {
-        TeamConfig { deadline: Duration::from_secs(30), ..TeamConfig::default() }
+        TeamConfig { deadline: Duration::from_secs(30) }
     }
 
     fn impatient() -> TeamConfig {
-        TeamConfig { deadline: Duration::from_millis(40), ..TeamConfig::default() }
+        TeamConfig { deadline: Duration::from_millis(40) }
     }
 
     #[test]

@@ -927,7 +927,7 @@ impl SimThread {
     ///
     /// Free of any engine handoff: the time is accumulated locally and
     /// folded into the clock at the next real operation. A long compute-only
-    /// stretch still posts a heartbeat every [`DEFERRED_COMPUTE_FLUSH`] ops
+    /// stretch still posts a heartbeat every `DEFERRED_COMPUTE_FLUSH` ops
     /// so the live-lock budget keeps counting.
     pub fn compute_ns(&self, ns: f64) {
         assert!(ns >= 0.0 && ns.is_finite(), "bad compute duration {ns}");

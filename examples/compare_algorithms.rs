@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use armbar::core::prelude::*;
-use armbar::epcc::{sim_overhead_ns, OverheadConfig};
+use armbar::epcc::{sim_overhead, OverheadConfig};
 use armbar::{Platform, Topology};
 
 fn main() {
@@ -50,7 +50,7 @@ fn main() {
         }
         print!("{p:>8}");
         for &id in &algorithms {
-            let ns = sim_overhead_ns(&topo, p, id, OverheadConfig::default()).unwrap();
+            let ns = sim_overhead(&topo, p, &id, OverheadConfig::default()).unwrap();
             print!("{:>11.2}", ns / 1000.0);
         }
         println!();

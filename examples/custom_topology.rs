@@ -13,9 +13,8 @@
 use std::sync::Arc;
 
 use armbar::core::prelude::*;
-use armbar::epcc::{sim_overhead_of, OverheadConfig};
+use armbar::epcc::{sim_overhead, OverheadConfig};
 use armbar::model::{optimal_fanin_int, recommend_wakeup, WakeupChoice};
-use armbar::simcoh::Arena;
 use armbar::TopologyBuilder;
 
 fn main() {
@@ -76,10 +75,7 @@ fn main() {
             },
         ),
     ] {
-        let mut arena = Arena::new();
-        let barrier: Arc<dyn Barrier> =
-            Arc::new(FwayBarrier::with_config(&mut arena, p, &topo, config));
-        let ns = sim_overhead_of(&topo, p, barrier, OverheadConfig::default()).unwrap();
+        let ns = sim_overhead(&topo, p, &config, OverheadConfig::default()).unwrap();
         println!("  {label:32} {:8.2}", ns / 1000.0);
     }
 }

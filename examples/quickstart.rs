@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use armbar::core::prelude::*;
-use armbar::epcc::{sim_overhead_ns, OverheadConfig};
+use armbar::epcc::{sim_overhead, OverheadConfig};
 use armbar::simcoh::Arena;
 use armbar::{Platform, Topology};
 
@@ -48,8 +48,8 @@ fn main() {
     for platform in Platform::ARM {
         let t = Arc::new(Topology::preset(platform));
         let optimized =
-            sim_overhead_ns(&t, 64, AlgorithmId::Optimized, OverheadConfig::default()).unwrap();
-        let gcc = sim_overhead_ns(&t, 64, AlgorithmId::Sense, OverheadConfig::default()).unwrap();
+            sim_overhead(&t, 64, &AlgorithmId::Optimized, OverheadConfig::default()).unwrap();
+        let gcc = sim_overhead(&t, 64, &AlgorithmId::Sense, OverheadConfig::default()).unwrap();
         println!(
             "simulated {:16} @64 threads: optimized {:7.2} us | GCC-style {:7.2} us ({:.1}x)",
             t.name(),

@@ -10,9 +10,10 @@ use std::time::{Duration, Instant};
 
 use armbar::core::prelude::*;
 use armbar::core::HostMem;
-use armbar::faults::{chaos_matrix, render_csv, Backend, ChaosConfig, Scenario};
+use armbar::faults::{chaos_matrix_on, render_csv, Backend, ChaosConfig, Scenario};
 use armbar::simcoh::{Arena, SimBuilder, SimError};
 use armbar::{Platform, Topology};
+use armbar_sweep::SweepPool;
 
 /// A deliberately broken "barrier": the last arrival forgets to release
 /// the waiters (a classic lost-wakeup bug).
@@ -215,7 +216,7 @@ fn chaos_matrix_replays_byte_identically() {
         threads: 8,
         ..ChaosConfig::default()
     };
-    let first = chaos_matrix(&config);
+    let first = chaos_matrix_on(&SweepPool::ambient(), &config);
     let algos = AlgorithmId::ALL.len() + AlgorithmId::CONTENDERS.len();
     assert_eq!(first.len(), 2 * algos * Scenario::SURVIVABLE.len());
     for cell in &first {
@@ -229,7 +230,7 @@ fn chaos_matrix_replays_byte_identically() {
         );
     }
     let a = render_csv(&first, &config);
-    let b = render_csv(&chaos_matrix(&config), &config);
+    let b = render_csv(&chaos_matrix_on(&SweepPool::ambient(), &config), &config);
     assert_eq!(a, b, "same seed must reproduce the same survival table");
 }
 

@@ -1,7 +1,7 @@
 //! Golden-master regression: the simulator's model output is pinned
 //! byte-for-byte.
 //!
-//! The fixture under `tests/fixtures/` is a quick-scale `algo_curve` CSV for
+//! The fixture under `tests/fixtures/` is a quick-scale `runner::curve` CSV for
 //! phytium2000p × {SENSE, STOUR, DIS} on the canonical seed schedule,
 //! rendered with Rust's default (shortest round-trip) `f64` formatting. Any
 //! engine or topology change that shifts a single bit of any overhead value
@@ -22,7 +22,7 @@ use std::sync::Arc;
 use armbar_core::env::Barrier;
 use armbar_core::prelude::AlgorithmId;
 use armbar_experiments::{
-    runner::{algo_curve_on, topo},
+    runner::{curve, topo},
     Scale,
 };
 use armbar_simcoh::{Arena, SimBuilder};
@@ -44,7 +44,7 @@ fn render_golden_csv_for(t: &Arc<Topology>) -> String {
     let pool = SweepPool::new(1);
     let mut csv = String::from("algorithm,threads,overhead_ns\n");
     for id in ALGOS {
-        for (p, ns) in algo_curve_on(&pool, t, id, &scale) {
+        for (p, ns) in curve(&pool, t, &id, &scale) {
             writeln!(csv, "{},{},{}", id.label(), p, ns).unwrap();
         }
     }

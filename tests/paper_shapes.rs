@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use armbar::core::prelude::*;
-use armbar::epcc::{sim_overhead_ns, OverheadConfig};
+use armbar::epcc::{sim_overhead, OverheadConfig};
 use armbar::{Platform, Topology};
 
 fn topo(p: Platform) -> Arc<Topology> {
@@ -14,7 +14,7 @@ fn topo(p: Platform) -> Arc<Topology> {
 }
 
 fn overhead(t: &Arc<Topology>, p: usize, id: AlgorithmId) -> f64 {
-    sim_overhead_ns(t, p, id, OverheadConfig { episodes: 20, ..Default::default() }).unwrap()
+    sim_overhead(t, p, &id, OverheadConfig { episodes: 20, ..Default::default() }).unwrap()
 }
 
 #[test]
@@ -102,10 +102,14 @@ fn sense_grows_roughly_linearly() {
 fn kunpeng_is_the_noisy_platform() {
     // The paper reports dramatic fluctuation on Kunpeng 920. Compare the
     // spread of repeated measurements across seeds.
-    use armbar::epcc::repeat_sim;
+    use armbar::epcc::sim_overhead_reps;
+    use armbar_sweep::SweepPool;
     let cfg = OverheadConfig { episodes: 20, ..Default::default() };
-    let kp = repeat_sim(&topo(Platform::Kunpeng920), 32, AlgorithmId::Stour, cfg, 8).unwrap();
-    let phy = repeat_sim(&topo(Platform::Phytium2000Plus), 32, AlgorithmId::Stour, cfg, 8).unwrap();
+    let reps = |platform| {
+        let pool = SweepPool::ambient();
+        sim_overhead_reps(&pool, &topo(platform), 32, &AlgorithmId::Stour, cfg, 8).unwrap()
+    };
+    let (kp, phy) = (reps(Platform::Kunpeng920), reps(Platform::Phytium2000Plus));
     assert!(
         kp.cv() > 2.0 * phy.cv(),
         "Kunpeng cv {:.3} should dwarf Phytium cv {:.3}",

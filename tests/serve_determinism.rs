@@ -46,8 +46,7 @@ fn connection_drop_mid_episode_degrades_without_hanging_survivors() {
     // arriving for epoch 1 and epoch 2. The survivors must finish every
     // episode (the drop is proxied, never timed out), the team must end
     // `degraded`, and nobody may see a poison error.
-    let reg =
-        Registry::new(2, TeamConfig { deadline: Duration::from_secs(20), ..Default::default() });
+    let reg = Registry::new(2, TeamConfig { deadline: Duration::from_secs(20) });
     let team = reg.register("drops-mid-episode", 3).unwrap();
     let epochs: u32 = 12;
     let failures = AtomicU32::new(0);

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use armbar_core::prelude::*;
-use armbar_experiments::runner::{algo_curve_on, fway_curve_on, topo};
+use armbar_experiments::runner::{curve, topo};
 use armbar_experiments::{figs, Scale};
 use armbar_faults::{chaos_matrix_on, render_csv, render_json, ChaosConfig};
 use armbar_sweep::{Job, SweepPool};
@@ -31,13 +31,13 @@ fn curves_are_byte_identical_across_worker_counts() {
     let scale = Scale::quick();
     for platform in [Platform::Phytium2000Plus, Platform::Kunpeng920] {
         let t = topo(platform);
-        let serial = algo_curve_on(&SweepPool::new(1), &t, AlgorithmId::Optimized, &scale);
-        let parallel = algo_curve_on(&SweepPool::new(4), &t, AlgorithmId::Optimized, &scale);
+        let serial = curve(&SweepPool::new(1), &t, &AlgorithmId::Optimized, &scale);
+        let parallel = curve(&SweepPool::new(4), &t, &AlgorithmId::Optimized, &scale);
         assert_eq!(serial, parallel, "{platform:?}");
 
         let config = FwayConfig::stour();
-        let serial = fway_curve_on(&SweepPool::new(1), &t, config, &scale);
-        let parallel = fway_curve_on(&SweepPool::new(4), &t, config, &scale);
+        let serial = curve(&SweepPool::new(1), &t, &config, &scale);
+        let parallel = curve(&SweepPool::new(4), &t, &config, &scale);
         assert_eq!(serial, parallel, "{platform:?}");
     }
 }
@@ -64,8 +64,8 @@ fn registry_and_custom_fway_curves_are_seed_matched() {
     let pool = SweepPool::new(2);
     for platform in Platform::ARM {
         let t = topo(platform);
-        let registry = algo_curve_on(&pool, &t, AlgorithmId::Stour, &scale);
-        let custom = fway_curve_on(&pool, &t, FwayConfig::stour(), &scale);
+        let registry = curve(&pool, &t, &AlgorithmId::Stour, &scale);
+        let custom = curve(&pool, &t, &FwayConfig::stour(), &scale);
         assert_eq!(registry, custom, "{platform:?}");
     }
 }
@@ -82,10 +82,10 @@ fn mixed_serial_and_parallel_jobs_keep_submission_order() {
                 Job::serial(move || (i, true))
             } else {
                 Job::parallel(move || {
-                    let ns = armbar_epcc::sim_overhead_ns(
+                    let ns = armbar_epcc::sim_overhead(
                         t,
                         4,
-                        AlgorithmId::Dissemination,
+                        &AlgorithmId::Dissemination,
                         armbar_epcc::OverheadConfig { episodes: 4, ..Default::default() },
                     )
                     .unwrap();
