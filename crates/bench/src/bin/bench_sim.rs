@@ -14,13 +14,25 @@
 //! total and per suite, and the median time to build the MemPool-1024
 //! preset, and writes the numbers as JSON to the repo root.
 //!
-//! Each contender point also writes an exact work key,
-//! `work_stall_records_<algo>_p<P>`: the write plus read stalls its timed
-//! repetitions record (every attempt runs the same seeds, so every attempt
-//! counts the same). A stall is one busy-line re-post, the unit of work of
-//! the stall-queue path; the count is a pure function of seed and program,
-//! so it reads the same on every host and transport, and an engine change
-//! that claims to do the same work faster must leave it equal.
+//! Every engine point also writes an exact work key beside its rate,
+//! `work_ops_<point>` (`work_ops_stour_p1024` beside
+//! `engine_ops_per_sec_stour_p1024`): the ops its timed repetitions push
+//! through the engine plus their busy-line stall re-posts, each of which
+//! the engine dispatches once more. Each contender point also writes
+//! `work_stall_records_<algo>_p<P>`: the write plus read stalls alone, the
+//! unit of work of the stall-queue path. Every attempt runs the same
+//! seeds, so every attempt counts the same; the counts are pure functions
+//! of seed and program, so they read the same on every host and transport
+//! (the OS-transport point's count equals the fiber point's, and the run
+//! checks that), and an engine change that claims to do the same work
+//! faster must leave them equal.
+//!
+//! `engine_floor_ns_p{1,64,1024}` are the engine's hand-off floor: host ns
+//! per simulated op when P threads on MemPool-1024 each store to a line of
+//! their own, so no op meets a sharer, a waiter or a busy line. They
+//! measure the per-op cost of posting, scheduling and replying with no
+//! protocol in it, and how it grows with P. They are wall-clock readings
+//! of the runner like the rates, and informational.
 //!
 //! ```text
 //! bench_sim [--out PATH] [--gate-drop-pct N] [--summary PATH]
@@ -63,6 +75,7 @@ use armbar_conformance::{ExplorerConfig, ExplorerPolicy};
 use armbar_core::env::Barrier;
 use armbar_core::registry::AlgorithmId;
 use armbar_experiments::{Scale, SUITES};
+use armbar_simcoh::arena::padded_elem;
 use armbar_simcoh::{Arena, OpKind, SimBuilder, SimTeam, SimThread};
 use armbar_topology::{Platform, Topology};
 
@@ -94,9 +107,17 @@ impl Effort {
     }
 }
 
+/// What one engine point writes: its rate, its exact `work_ops_*` count
+/// and the stall records of its timed repetitions.
+struct EnginePoint {
+    rate: Point,
+    work: Point,
+    stalls: u64,
+}
+
 /// Engine operations per wall-clock second of one barrier microbench on
-/// the default heap path, and the stall records of its timed repetitions.
-fn engine_point(platform: Platform, p: usize, id: AlgorithmId) -> (Point, u64) {
+/// the default heap path, with its work counts.
+fn engine_point(platform: Platform, p: usize, id: AlgorithmId) -> EnginePoint {
     let key = format!("engine_ops_per_sec_{}_p{p}", id.label().to_ascii_lowercase());
     engine_rate(key, platform, p, id, None, None)
 }
@@ -104,26 +125,34 @@ fn engine_point(platform: Platform, p: usize, id: AlgorithmId) -> (Point, u64) {
 /// SENSE at P = 8 on Kunpeng920 with every run steered by a seeded
 /// [`ExplorerPolicy`]: the policy path, where the engine offers each
 /// decision to the policy.
-fn policy_point(suffix: &str, explorer: ExplorerConfig) -> Point {
+fn policy_point(suffix: &str, explorer: ExplorerConfig) -> EnginePoint {
     let key = format!("engine_ops_per_sec_policy_sense_p8{suffix}");
-    engine_rate(key, Platform::Kunpeng920, 8, AlgorithmId::Sense, Some(explorer), None).0
+    engine_rate(key, Platform::Kunpeng920, 8, AlgorithmId::Sense, Some(explorer), None)
 }
 
 /// Informational: measures the host's park/unpark path (module doc).
 const OS_TRANSPORT_KEY: &str = "engine_ops_per_sec_sense_p16_os";
 
+/// Thread counts of the hand-off floor keys.
+const FLOOR_THREADS: [usize; 3] = [1, 64, 1024];
+
+/// Keys reported but never gated: the OS-transport rate and the hand-off
+/// floor (module doc).
+const INFORMATIONAL: [&str; 4] =
+    [OS_TRANSPORT_KEY, "engine_floor_ns_p1", "engine_floor_ns_p64", "engine_floor_ns_p1024"];
+
 /// The SENSE P = 16 point run on an explicit [`SimTeam`], whose workers are
 /// OS threads: the OS-thread transport's side of the transport split.
-fn os_transport_point() -> Point {
+fn os_transport_point() -> EnginePoint {
     let mut team = SimTeam::new(16);
     let key = OS_TRANSPORT_KEY.to_string();
-    engine_rate(key, Platform::Phytium2000Plus, 16, AlgorithmId::Sense, None, Some(&mut team)).0
+    engine_rate(key, Platform::Phytium2000Plus, 16, AlgorithmId::Sense, None, Some(&mut team))
 }
 
 /// Engine operations per wall-clock second of one barrier microbench,
 /// under `explorer` when given and on `team` when given (else on the
-/// ambient transport, fibers by default), reported as `key`, and the
-/// write plus read stalls its timed repetitions record.
+/// ambient transport, fibers by default), reported as `key`, with the
+/// work counts of its timed repetitions.
 fn engine_rate(
     key: String,
     platform: Platform,
@@ -131,7 +160,7 @@ fn engine_rate(
     id: AlgorithmId,
     explorer: Option<ExplorerConfig>,
     mut team: Option<&mut SimTeam>,
-) -> (Point, u64) {
+) -> EnginePoint {
     let topo = Arc::new(Topology::preset(platform));
     let effort = Effort::for_threads(p);
     let episodes = effort.episodes;
@@ -161,7 +190,43 @@ fn engine_rate(
         reps.iter().map(|&(ops, _)| ops).sum::<u64>() as f64 / secs
     });
     eprintln!("{key:>42}: {ops_per_sec:>12.0} ops/s");
-    (Point::new(key, ops_per_sec), reps.iter().map(|&(_, stalls)| stalls).sum())
+    let stalls = reps.iter().map(|&(_, stalls)| stalls).sum();
+    let ops: u64 = reps.iter().map(|&(ops, _)| ops).sum();
+    let work_key = key.replacen("engine_ops_per_sec_", "work_ops_", 1);
+    EnginePoint {
+        rate: Point::new(key, ops_per_sec),
+        work: Point::new(work_key, (ops + stalls) as f64),
+        stalls,
+    }
+}
+
+/// Host ns per simulated op when `p` threads on MemPool-1024 each store to
+/// a line of their own: the engine's hand-off floor (module doc).
+fn floor_point(p: usize) -> Point {
+    /// Stores per repetition, split evenly over the threads.
+    const STORES: usize = 1 << 17;
+    let topo = Arc::new(Topology::preset(Platform::MemPool1024));
+    let line = topo.cacheline_bytes();
+    let one_rep = |rep: u64| -> u64 {
+        let mut arena = Arena::new();
+        let base = arena.alloc_padded_u32_array(p, line);
+        let stats = SimBuilder::new(Arc::clone(&topo), p)
+            .seed(0x5EED ^ rep)
+            .reserve_for(&arena)
+            .run(move |ctx| {
+                let word = padded_elem(base, ctx.tid(), line);
+                for i in 0..STORES / p {
+                    ctx.store(word, i as u32);
+                }
+            })
+            .expect("floor run must complete");
+        stats.total_mem_ops()
+    };
+    let (ops_per_sec, _) =
+        best_pass(3, 3, one_rep, |reps, secs| reps.iter().sum::<u64>() as f64 / secs);
+    let ns = 1e9 / ops_per_sec;
+    eprintln!("{:>42}: {ns:>12.0} ns/op", format!("engine floor P={p}"));
+    Point::new(format!("engine_floor_ns_p{p}"), ns)
 }
 
 /// Wall-clock seconds of a quick-scale regeneration of every suite
@@ -208,50 +273,63 @@ fn main() {
     let out = args.value("--out").unwrap_or("BENCH_sim.json");
     let gate = args.value("--gate-drop-pct").map(|s| Gate {
         prefix: "engine_ops_per_sec_",
-        informational: &[OS_TRANSPORT_KEY],
+        informational: &INFORMATIONAL,
         max_drop_pct: s
             .parse()
             .unwrap_or_else(|_| args.fail(&format!("bad --gate-drop-pct {s:?}"))),
     });
 
-    let mut points = Vec::new();
+    let mut engine = Vec::new();
     for id in [AlgorithmId::Sense, AlgorithmId::Stour] {
         for p in [16usize, 64] {
-            points.push(engine_point(Platform::Phytium2000Plus, p, id).0);
+            engine.push(engine_point(Platform::Phytium2000Plus, p, id));
         }
         // Kilocore points: the hierarchical MemPool presets at their full
         // core counts, where every write meets a thousand-wide sharer set.
         for (platform, p) in [(Platform::MemPool256, 256usize), (Platform::MemPool1024, 1024)] {
-            points.push(engine_point(platform, p, id).0);
+            engine.push(engine_point(platform, p, id));
         }
     }
-    points.push(engine_point(Platform::MemPool1024, 1024, AlgorithmId::Dissemination).0);
+    engine.push(engine_point(Platform::MemPool1024, 1024, AlgorithmId::Dissemination));
     // Contender points: the lock-guarded counters are the engine's worst
     // case for RMW traffic (CAS storms and spin wake-ups on one line: at
     // P = 256 every processed op is re-posted a hundred times behind the
-    // line's queue), the stall-queue path. Their stall records follow the
-    // rates as exact work keys.
-    let mut work = Vec::new();
+    // line's queue), the stall-queue path. Their stall records are exact
+    // work keys too.
+    let mut stall_records = Vec::new();
     for id in [AlgorithmId::ShyCtr, AlgorithmId::ShyProxy] {
         for (platform, p) in [
             (Platform::Phytium2000Plus, 16usize),
             (Platform::Phytium2000Plus, 64),
             (Platform::MemPool256, 256),
         ] {
-            let (rate, stalls) = engine_point(platform, p, id);
-            points.push(rate);
+            let point = engine_point(platform, p, id);
             let algo = id.label().to_ascii_lowercase();
-            work.push(Point::new(format!("work_stall_records_{algo}_p{p}"), stalls as f64));
+            let key = format!("work_stall_records_{algo}_p{p}");
+            stall_records.push(Point::new(key, point.stalls as f64));
+            engine.push(point);
         }
     }
-    points.extend(work);
     // Policy points: the explorer's perturbation budget, then the same
     // with the weak-memory reordering search the `conform --weak` leg runs.
     let sc = ExplorerConfig::default();
     let weak = ExplorerConfig { reorder_prob: 0.8, ..sc }.with_reorder_budget(64);
-    points.push(policy_point("", sc));
-    points.push(policy_point("_weak", weak));
-    points.push(os_transport_point());
+    engine.push(policy_point("", sc));
+    engine.push(policy_point("_weak", weak));
+    let os = os_transport_point();
+    let fiber = engine.iter().find(|e| e.rate.key == "engine_ops_per_sec_sense_p16");
+    assert_eq!(
+        fiber.map(|e| e.work.value),
+        Some(os.work.value),
+        "the transports must do the same work"
+    );
+    engine.push(os);
+
+    let (mut points, work): (Vec<Point>, Vec<Point>) =
+        engine.into_iter().map(|e| (e.rate, e.work)).unzip();
+    points.extend(work);
+    points.extend(stall_records);
+    points.extend(FLOOR_THREADS.map(floor_point));
     points.extend(quick_experiments_secs());
     points.push(preset_build_ms());
 

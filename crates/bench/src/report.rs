@@ -56,12 +56,14 @@ pub const WORK_PREFIX: &str = "work_";
 /// dropped more than `max_drop_pct` percent against the committed file, or
 /// if any [`WORK_PREFIX`] key changed at all (a count cannot move on
 /// noise; one that moved is re-committed with its reason). Other keys, and
-/// the `informational` ones under `prefix`, are reported but never gated.
+/// the `informational` ones, are reported but never gated.
 #[derive(Debug, Clone, Copy)]
 pub struct Gate {
     /// Key prefix of the gated (higher-is-better) metrics.
     pub prefix: &'static str,
-    /// Keys under `prefix` that are reported but not gated.
+    /// Keys reported but not gated, each with its reason at its writer
+    /// (keys outside `prefix` are listed when they read like engine
+    /// metrics but measure the runner).
     pub informational: &'static [&'static str],
     /// Largest tolerated drop, in percent.
     pub max_drop_pct: f64,

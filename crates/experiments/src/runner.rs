@@ -150,27 +150,4 @@ mod tests {
         assert_eq!(s.cfg(3).seed, s.cfg(0).rep(3).seed);
         assert_eq!(s.cfg(0).seed, 0x5EED);
     }
-
-    #[test]
-    fn registry_stour_curve_matches_equivalent_fway_config() {
-        // Regression for the seed-protocol bug: the registry STOUR curve
-        // and the custom FwayConfig::stour() curve measure the same
-        // barrier and must be seed-matched point for point — the paper's
-        // STOUR-vs-optimized comparison depends on it.
-        let scale = Scale::quick();
-        let pool = SweepPool::ambient();
-        let t = topo(Platform::Kunpeng920);
-        let registry = curve(&pool, &t, &AlgorithmId::Stour, &scale);
-        let custom = curve(&pool, &t, &FwayConfig::stour(), &scale);
-        assert_eq!(registry, custom);
-    }
-
-    #[test]
-    fn curves_are_identical_at_any_worker_count() {
-        let scale = Scale::quick();
-        let t = topo(Platform::ThunderX2);
-        let serial = curve(&SweepPool::new(1), &t, &AlgorithmId::Mcs, &scale);
-        let parallel = curve(&SweepPool::new(4), &t, &AlgorithmId::Mcs, &scale);
-        assert_eq!(serial, parallel);
-    }
 }

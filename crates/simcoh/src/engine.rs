@@ -50,7 +50,9 @@
 //! touches the lock, and pending wakeups are deferred until the engine lock
 //! is released so a woken worker never piles onto a held mutex. State
 //! tables, the per-line traffic counters included, are dense `Vec`s
-//! indexed by arena-derived word/line slots rather than hash maps — see
+//! indexed by arena-derived word/line slots rather than hash maps; the
+//! directory's sharer sets are `⌈nthreads/64⌉` words wide (the `line`
+//! module), so an op copies no set and reads only its nonzero words — see
 //! `DESIGN.md` §11 for the performance numbers.
 
 use std::cell::UnsafeCell;
@@ -63,7 +65,7 @@ use armbar_topology::{CoreId, LayerId, RmwOp, Topology};
 
 use crate::arena::{Addr, Arena};
 use crate::error::{DeadlockWaiter, SimError, WaitKind};
-use crate::line::{CoreSet, Line};
+use crate::line::{set, Line, SetTable};
 use crate::rng::SplitMix64;
 use crate::sched::{Sched, SchedKey, TimeKey};
 use crate::schedule::{
@@ -213,18 +215,18 @@ struct WaiterTable {
     /// already woken through another word.
     by_word: Vec<Vec<(u64, u32)>>,
     /// Line key → tids of the blocked waiters watching a word on it.
-    spinners: Vec<CoreSet>,
+    spinners: SetTable,
     line_shift: u32,
     next_seq: u64,
 }
 
 impl WaiterTable {
-    fn new(line_shift: u32) -> Self {
+    fn new(nthreads: usize, line_shift: u32) -> Self {
         Self {
             slots: Vec::new(),
             free: Vec::new(),
             by_word: Vec::new(),
-            spinners: Vec::new(),
+            spinners: SetTable::new(nthreads, 0),
             line_shift,
             next_seq: 0,
         }
@@ -238,11 +240,7 @@ impl WaiterTable {
         let slot = self.free.pop().unwrap_or(self.slots.len());
         let entry = (seq, slot as u32);
         for &a in w.addrs() {
-            let line = (a >> self.line_shift) as usize;
-            if line >= self.spinners.len() {
-                self.spinners.resize(line + 1, CoreSet::EMPTY);
-            }
-            self.spinners[line].insert(w.tid);
+            set::insert(self.spinners.get_mut((a >> self.line_shift) as usize), w.tid);
             let word = (a >> 2) as usize;
             if word >= self.by_word.len() {
                 self.by_word.resize_with(word + 1, Vec::new);
@@ -257,11 +255,6 @@ impl WaiterTable {
         } else {
             self.slots[slot] = Some((seq, w));
         }
-    }
-
-    /// The blocked waiters watching some word of line `line_key`, if any.
-    fn spinners(&self, line_key: u32) -> Option<&CoreSet> {
-        self.spinners.get(line_key as usize).filter(|s| !s.is_empty())
     }
 
     /// Takes the registration bucket for one word (possibly containing
@@ -306,7 +299,7 @@ impl WaiterTable {
     fn release(&mut self, slot: u32, w: &Waiter) {
         debug_assert!(self.slots[slot as usize].is_none());
         for &a in w.addrs() {
-            self.spinners[(a >> self.line_shift) as usize].remove(w.tid);
+            set::remove(self.spinners.get_mut((a >> self.line_shift) as usize), w.tid);
         }
         self.free.push(slot as usize);
     }
@@ -437,8 +430,10 @@ struct State {
     /// copies them into the coherence counters when anything reads those
     /// (`collect`, `OpReq::Counters`).
     stall_counts: Vec<StallCounters>,
-    /// Dense per-line directory, indexed `addr >> line_shift`.
+    /// Dense per-line directory headers, indexed `addr >> line_shift`.
     lines: Vec<Line>,
+    /// The lines' sharer sets, run-width, indexed like `lines`.
+    sharers: SetTable,
     /// Dense word values, indexed `addr >> 2`.
     values: Vec<u32>,
     stats: RunStats,
@@ -543,11 +538,12 @@ impl State {
             nrunning: if policy_mode { nthreads } else { 0 },
             policy,
             policy_mode,
-            waiters: WaiterTable::new(line_shift),
+            waiters: WaiterTable::new(nthreads, line_shift),
             time: vec![0.0; nthreads],
             stalled: vec![StalledOp::EMPTY; nthreads],
             stall_counts: vec![StallCounters::default(); nthreads],
-            lines: vec![Line::default(); reserve_bytes.div_ceil(1usize << line_shift)],
+            lines: vec![Line::COLD; reserve_bytes.div_ceil(1usize << line_shift)],
+            sharers: SetTable::new(nthreads, reserve_bytes.div_ceil(1usize << line_shift)),
             values: vec![0; reserve_bytes.div_ceil(4)],
             stats: RunStats::new(nthreads),
             rng: SplitMix64::new(seed),
@@ -967,6 +963,9 @@ impl SimThread {
     }
 }
 
+/// Largest machine the simulator accepts: the kilocore presets' width.
+const MAX_CORES: usize = 1024;
+
 /// Configures and launches simulations.
 pub struct SimBuilder {
     pub(crate) topo: Arc<Topology>,
@@ -992,11 +991,7 @@ impl SimBuilder {
             topo.num_cores(),
             topo.name()
         );
-        assert!(
-            topo.num_cores() <= CoreSet::CAPACITY,
-            "simulator supports at most {} cores",
-            CoreSet::CAPACITY
-        );
+        assert!(topo.num_cores() <= MAX_CORES, "simulator supports at most {MAX_CORES} cores");
         Self {
             topo,
             nthreads,
@@ -1442,7 +1437,10 @@ impl Shared {
         unsafe {
             *self.cells[tid].reply.get() = Some(r);
         }
-        self.cells[tid].seq.fetch_add(1, Ordering::Release);
+        // Only the engine writes `seq`, under the state lock, so it needs no
+        // locked RMW; the release store pairs with the owner's acquire load.
+        let seq = &self.cells[tid].seq;
+        seq.store(seq.load(Ordering::Relaxed).wrapping_add(1), Ordering::Release);
         g.wake_list.push(tid);
     }
 
@@ -1458,27 +1456,22 @@ impl Shared {
         addr >> self.line_shift
     }
 
-    /// Read-only directory lookup; unbacked lines read as cold defaults.
+    /// Read-only directory lookup: the line's header and its sharers;
+    /// unbacked lines read as cold and unshared.
     #[inline]
-    fn line_at(&self, g: &State, key: u32) -> Line {
-        g.lines.get(key as usize).copied().unwrap_or_default()
+    fn line_at<'a>(&self, g: &'a State, key: u32) -> (Line, &'a [u64]) {
+        let i = key as usize;
+        (g.lines.get(i).copied().unwrap_or(Line::COLD), g.sharers.get(i))
     }
 
-    /// When `addr`'s line is next free for a transfer (0 for unbacked
-    /// lines) — the busy check, without copying the directory entry.
+    /// Mutable directory lookup, growing the dense tables on demand.
     #[inline]
-    fn available_at(&self, g: &State, addr: Addr) -> f64 {
-        g.lines.get(self.line_key(addr) as usize).map_or(0.0, |l| l.available_at)
-    }
-
-    /// Mutable directory lookup, growing the dense table on demand.
-    #[inline]
-    fn line_mut<'a>(&self, g: &'a mut State, key: u32) -> &'a mut Line {
+    fn line_mut<'a>(&self, g: &'a mut State, key: u32) -> (&'a mut Line, &'a mut [u64]) {
         let i = key as usize;
         if i >= g.lines.len() {
-            g.lines.resize(i + 1, Line::default());
+            g.lines.resize(i + 1, Line::COLD);
         }
-        &mut g.lines[i]
+        (&mut g.lines[i], g.sharers.get_mut(i))
     }
 
     #[inline]
@@ -1495,17 +1488,28 @@ impl Shared {
         g.values[i] = v;
     }
 
-    /// The non-local layers joining `t` to members of `set`, as a bitmask
+    /// The non-local layers joining `t` to `sharers`' members, as a bitmask
     /// over `L_i` indices (`t` itself joins over the local layer and never
     /// counts; a topology has at most 64 layers). A pair's latency and RFO
     /// cost depend only on its layer, so a maximum or minimum over the set
-    /// is one over these layers — a few word ANDs per layer instead of a
-    /// walk over up to P members.
-    fn layers_of(&self, t: CoreId, set: &CoreSet) -> u64 {
+    /// is one over these layers: a few word ANDs of the set's nonzero words
+    /// with the masks of the layers not found yet, not a walk over P members.
+    fn layers_of(&self, t: CoreId, sharers: &[u64]) -> u64 {
+        let all = u64::MAX.checked_shr(64 - self.topo.layers().len() as u32).unwrap_or(0);
         let mut present = 0u64;
-        for i in 0..self.topo.layers().len() {
-            if set.intersects(self.topo.layer_mask(t, LayerId(i as u8))) {
-                present |= 1 << i;
+        for (w, &bits) in sharers.iter().enumerate() {
+            // The word's members not placed yet (no layer mask holds `t`).
+            let mut rest = bits & !(u64::from(t / 64 == w) << (t % 64));
+            let mut todo = all & !present;
+            while rest != 0 && todo != 0 {
+                let l = todo.trailing_zeros();
+                todo &= todo - 1;
+                let hit = rest & self.topo.layer_mask(t, LayerId(l as u8))[w];
+                present |= u64::from(hit != 0) << l;
+                rest &= !hit;
+            }
+            if present == all {
+                break;
             }
         }
         present
@@ -1513,21 +1517,42 @@ impl Shared {
 
     /// Smallest transfer latency from `t` to any member of a non-empty
     /// `set` (`ε` when `t` itself is one).
-    fn nearest_latency(&self, t: CoreId, set: &CoreSet) -> f64 {
-        let local = if set.contains(t) { self.topo.epsilon_ns() } else { f64::INFINITY };
-        layer_ids(self.layers_of(t, set))
+    fn nearest_latency(&self, t: CoreId, sharers: &[u64]) -> f64 {
+        let local = if set::contains(sharers, t) { self.topo.epsilon_ns() } else { f64::INFINITY };
+        layer_ids(self.layers_of(t, sharers))
             .map(|l| self.topo.layer_latency_ns(l))
             .fold(local, f64::min)
     }
 
+    /// A read miss by `t` on line `key`: `t` joins the sharers and the
+    /// readers since the last write. Returns the transfer (from the owner,
+    /// else the nearest sharer, else memory) plus the reader-contention
+    /// term, and whether other readers contended.
+    fn read_miss(&self, g: &mut State, t: CoreId, key: u32) -> (f64, bool) {
+        let (line, sharers) = self.line_at(g, key);
+        let src = if let Some(o) = line.owner() {
+            self.topo.latency_ns(t, o)
+        } else if !set::is_empty(sharers) {
+            self.nearest_latency(t, sharers)
+        } else {
+            self.topo.max_latency_ns()
+        };
+        let (line, sharers) = self.line_mut(g, key);
+        line.readers_since_write += 1;
+        set::insert(sharers, t);
+        let readers = line.readers_since_write;
+        let contention = self.topo.coherence().read_contention_ns * (readers - 1) as f64;
+        (src + contention, readers > 1)
+    }
+
     /// Cost of acquiring ownership for a write by `t`, and whether it was
     /// remote. Does not include the RFO fan-out.
-    fn write_transfer(&self, t: CoreId, line: &Line) -> (f64, bool) {
-        match line.owner {
+    fn write_transfer(&self, t: CoreId, line: &Line, sharers: &[u64]) -> (f64, bool) {
+        match line.owner() {
             Some(o) if o == t => (self.topo.epsilon_ns(), false),
             Some(o) => (self.topo.latency_ns(t, o), true),
-            None if line.sharers.is_empty() => (self.topo.epsilon_ns(), false),
-            None => (self.nearest_latency(t, &line.sharers), true),
+            None if set::is_empty(sharers) => (self.topo.epsilon_ns(), false),
+            None => (self.nearest_latency(t, sharers), true),
         }
     }
 
@@ -1554,7 +1579,7 @@ impl Shared {
     /// paper's `W_R = (1+α)·L_far` even when the previous writer was
     /// nearby.
     fn farthest_holder_latency(&self, t: CoreId, line: &Line, present: u64) -> f64 {
-        let owner = match line.owner {
+        let owner = match line.owner() {
             Some(o) if o != t => self.topo.latency_ns(t, o),
             _ => 0.0,
         };
@@ -1756,11 +1781,12 @@ impl Shared {
         // any spinner subscribes to the line, and the invalidation-crowd
         // cost that dominates SENSE on many-cores would vanish.
         let addr = single_addr(&op);
+        let free_at = |a| self.line_at(g, self.line_key(a)).0.available_at;
         let busy_until = match &op {
             OpReq::SpinUntilAllGe(addrs, _) => {
-                addrs.iter().map(|&a| self.available_at(g, a)).fold(0.0, f64::max)
+                addrs.iter().copied().map(free_at).fold(0.0, f64::max)
             }
-            _ => addr.map_or(0.0, |a| self.available_at(g, a)),
+            _ => addr.map_or(0.0, free_at),
         };
         if busy_until > g.time[tid] {
             let write = is_write(&op);
@@ -1860,29 +1886,17 @@ impl Shared {
     fn do_read(&self, g: &mut State, tid: usize, addr: Addr) {
         let now = g.time[tid];
         let eps = self.topo.epsilon_ns();
-        let read_c = self.topo.coherence().read_contention_ns;
         let key = self.line_key(addr);
-        let line = self.line_at(g, key);
-        if line.sharers.contains(tid) {
+        let (line, sharers) = self.line_at(g, key);
+        if set::contains(sharers, tid) {
             g.time[tid] = now + eps;
             g.stats.record_read(tid, key, true, false);
         } else {
             let start = now.max(line.available_at);
-            let src = if let Some(o) = line.owner {
-                self.topo.latency_ns(tid, o)
-            } else if !line.sharers.is_empty() {
-                self.nearest_latency(tid, &line.sharers)
-            } else {
-                self.topo.max_latency_ns()
-            };
             let queue = self.noc_queue(g, start);
-            let lm = self.line_mut(g, key);
-            lm.readers_since_write += 1;
-            let contended = lm.readers_since_write > 1;
-            let contention = read_c * (lm.readers_since_write - 1) as f64;
-            lm.sharers.insert(tid);
+            let (fetch, contended) = self.read_miss(g, tid, key);
             let jf = self.jitter(g);
-            g.time[tid] = start + queue + (src + contention) * jf;
+            g.time[tid] = start + queue + fetch * jf;
             g.stats.record_read(tid, key, false, contended);
         }
     }
@@ -1894,32 +1908,19 @@ impl Shared {
         /// Fraction of each additional overlapped miss that still shows up
         /// on the critical path (finite load-queue bandwidth).
         const MLP_OVERLAP: f64 = 0.3;
-        let read_c = self.topo.coherence().read_contention_ns;
         let now = g.time[tid];
         let mut max_l = 0.0f64;
         let mut sum_l = 0.0f64;
         let mut fetched = 0usize;
         for &a in addrs {
             let key = self.line_key(a);
-            let snapshot = self.line_at(g, key);
-            if snapshot.sharers.contains(tid) {
+            if set::contains(self.line_at(g, key).1, tid) {
                 continue;
             }
-            let src = if let Some(o) = snapshot.owner {
-                self.topo.latency_ns(tid, o)
-            } else if !snapshot.sharers.is_empty() {
-                self.nearest_latency(tid, &snapshot.sharers)
-            } else {
-                self.topo.max_latency_ns()
-            };
             let queue = self.noc_queue(g, now);
-            let line = self.line_mut(g, key);
-            line.readers_since_write += 1;
-            let contended = line.readers_since_write > 1;
-            let contention = read_c * (line.readers_since_write - 1) as f64;
-            line.sharers.insert(tid);
-            max_l = max_l.max(src + contention + queue);
-            sum_l += src + contention + queue;
+            let (fetch, contended) = self.read_miss(g, tid, key);
+            max_l = max_l.max(fetch + queue);
+            sum_l += fetch + queue;
             fetched += 1;
             g.stats.record_read(tid, key, false, contended);
         }
@@ -1950,14 +1951,12 @@ impl Shared {
     fn do_write(&self, g: &mut State, tid: usize, addr: Addr, new_value: u32, rmw: Option<RmwOp>) {
         let now = g.time[tid];
         let key = self.line_key(addr);
-        let line_snapshot = self.line_at(g, key);
-        let start = now.max(line_snapshot.available_at);
-        let sharers_snapshot = line_snapshot.sharers;
-        let present = self.layers_of(tid, &sharers_snapshot);
-        let invalidated = sharers_snapshot.len() - usize::from(sharers_snapshot.contains(tid));
-        let (near_transfer, remote) = self.write_transfer(tid, &line_snapshot);
-        let transfer =
-            near_transfer.max(self.farthest_holder_latency(tid, &line_snapshot, present));
+        let (line, sharers) = self.line_at(g, key);
+        let start = now.max(line.available_at);
+        let present = self.layers_of(tid, sharers);
+        let invalidated = set::len(sharers) - usize::from(set::contains(sharers, tid));
+        let (near_transfer, remote) = self.write_transfer(tid, &line, sharers);
+        let transfer = near_transfer.max(self.farthest_holder_latency(tid, &line, present));
         let rfo = self.rfo_cost(present, invalidated);
         // Atomic RMWs carry a surcharge beyond a plain store: on ARMv8 the
         // far-atomic / exclusive-monitor handshake adds another partial
@@ -1978,12 +1977,12 @@ impl Shared {
         let jf = self.jitter(g);
         let end = start + queue + (transfer + rfo + rmw_alu) * jf;
 
-        let line = self.line_mut(g, key);
-        line.owner = Some(tid);
-        line.sharers.clear();
-        line.sharers.insert(tid);
+        let (line, sharers) = self.line_mut(g, key);
+        line.owner = tid as u32;
         line.available_at = end;
         line.readers_since_write = 0;
+        sharers.fill(0);
+        set::insert(sharers, tid);
 
         self.set_value(g, addr, new_value);
         if let Some(w) = g.weak.as_mut() {
@@ -2008,11 +2007,13 @@ impl Shared {
     /// sweep reads, so it is applied to the whole line at once.
     fn wake_waiters(&self, g: &mut State, addr: Addr, writer: usize, changed: bool) {
         let key = self.line_key(addr);
-        let Some(spinners) = g.waiters.spinners(key) else { return };
+        let spinners = g.waiters.spinners.get(key as usize);
+        if set::is_empty(spinners) {
+            return;
+        }
         // `do_write` just backed the line.
-        let line = &mut g.lines[key as usize];
-        line.sharers.union_with(spinners);
-        line.readers_since_write += spinners.len() as u32;
+        set::union(g.sharers.get_mut(key as usize), spinners);
+        g.lines[key as usize].readers_since_write += set::len(spinners) as u32;
         if !changed {
             return;
         }
@@ -2053,7 +2054,8 @@ impl Shared {
                     .filter(|&&a| self.line_key(a) != key)
                     .map(|&a| {
                         self.line_at(g, self.line_key(a))
-                            .owner
+                            .0
+                            .owner()
                             .map_or(0.0, |o| 0.3 * self.topo.latency_ns(w.tid, o))
                     })
                     .sum(),
@@ -2904,5 +2906,69 @@ mod tests {
                 );
             })
             .unwrap();
+    }
+
+    /// A random set over cores `0..p`, run-width, of one of five densities
+    /// (empty, one core, sparse, half, full), so the zero-word skip, the
+    /// partial last word and the early exit all get exercised.
+    fn random_sharers(rng: &mut SplitMix64, p: usize) -> Vec<u64> {
+        let mut sharers = vec![0u64; p.div_ceil(64)];
+        let density = [0.0, 0.0, 0.02, 0.5, 1.0][(rng.next_u64() % 5) as usize];
+        for c in 0..p {
+            if rng.next_f64() < density {
+                set::insert(&mut sharers, c);
+            }
+        }
+        if density == 0.0 && rng.next_u64() % 2 == 1 {
+            set::insert(&mut sharers, (rng.next_u64() % p as u64) as usize);
+        }
+        sharers
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 16, ..Default::default() })]
+        /// The layer-mask reductions over a sharer set equal the per-member
+        /// folds of `topo.layer(t, s)` they stand for, on every preset, at
+        /// run widths on both sides of the 64-core word boundaries.
+        #[test]
+        fn sharer_reductions_match_per_member_folds(seed in 0u64..u64::MAX) {
+            let mut rng = SplitMix64::new(seed);
+            for platform in armbar_topology::Platform::EVERY {
+                let topo = Arc::new(Topology::preset(platform));
+                let widths = [1, 63, 64, 65, 256, 1024];
+                for p in widths.into_iter().filter(|&p| p <= topo.num_cores()) {
+                    let shared = SimBuilder::new(Arc::clone(&topo), p).into_shared();
+                    let at = |t| format!("{} P={p} t={t}", topo.name());
+                    for _ in 0..16 {
+                        let sharers = random_sharers(&mut rng, p);
+                        let t = (rng.next_u64() % p as u64) as usize;
+                        let owner = match rng.next_u64() % (p as u64 + 1) {
+                            o if o == p as u64 => Line::NO_OWNER,
+                            o => o as u32,
+                        };
+                        let line = Line { owner, ..Line::COLD };
+                        let members: Vec<usize> =
+                            (0..p).filter(|&c| set::contains(&sharers, c)).collect();
+                        let others = members.iter().filter(|&&s| s != t);
+                        let layers = others.clone().fold(0u64, |m, &s| m | 1 << topo.layer(t, s).0);
+                        let present = shared.layers_of(t, &sharers);
+                        assert_eq!(present, layers, "{}", at(t));
+                        if !members.is_empty() {
+                            let nearest = members
+                                .iter()
+                                .map(|&s| topo.latency_ns(t, s))
+                                .fold(f64::INFINITY, f64::min);
+                            assert_eq!(shared.nearest_latency(t, &sharers), nearest, "{}", at(t));
+                        }
+                        let owner_ns =
+                            line.owner().filter(|&o| o != t).map_or(0.0, |o| topo.latency_ns(t, o));
+                        let farthest =
+                            others.map(|&s| topo.latency_ns(t, s)).fold(owner_ns, f64::max);
+                        let got = shared.farthest_holder_latency(t, &line, present);
+                        assert_eq!(got, farthest, "{}", at(t));
+                    }
+                }
+            }
+        }
     }
 }

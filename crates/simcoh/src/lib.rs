@@ -75,7 +75,7 @@ pub mod engine;
 mod engine_tests;
 pub mod error;
 pub(crate) mod fiber;
-pub mod line;
+mod line;
 pub mod rng;
 mod sched;
 pub mod schedule;

@@ -1,130 +1,124 @@
-//! Per-cache-line coherence directory state.
+//! Per-cache-line coherence directory state, sized to the run.
+//!
+//! A line's header is 16 bytes; its sharer set lives beside it in a
+//! [`SetTable`], `⌈nthreads/64⌉` words per line. Thread `i` runs on core
+//! `i`, so no core at or past the run's thread count ever joins a set, and
+//! a P ≤ 64 run keeps one word per line however wide the machine is.
 
 use armbar_topology::CoreId;
 
-/// A set of cores holding a valid copy of a line. The simulator supports up
-/// to [`CoreSet::CAPACITY`] cores (sixteen 64-bit words), which covers the
-/// paper's machines and the 1024-core kilocore presets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoreSet {
-    bits: [u64; Self::WORDS],
+/// Directory header for one cache line.
+///
+/// `owner` is the core whose cache holds the authoritative (most recently
+/// written) copy, or [`Line::NO_OWNER`]; the owner is always a sharer of
+/// its own line. `available_at` is the virtual time at which the line next
+/// becomes free for an ownership transfer — writes and RMWs to one line
+/// serialize on it, producing hot-spot queueing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Line {
+    /// Core owning the authoritative copy (last writer).
+    pub(crate) owner: u32,
+    /// Readers that piled onto the line since its last write — used for the
+    /// paper's `c·(j−1)` reader-contention term (Eq. 3).
+    pub(crate) readers_since_write: u32,
+    /// Virtual time when the line is next available for a write/RMW.
+    pub(crate) available_at: f64,
 }
 
-impl CoreSet {
-    /// Bitset width in 64-bit words.
-    const WORDS: usize = 16;
+impl Line {
+    /// `owner` of a line nobody has written.
+    pub(crate) const NO_OWNER: u32 = u32::MAX;
 
-    /// Largest supported core count.
-    pub const CAPACITY: usize = Self::WORDS * 64;
+    /// A line nobody has touched.
+    pub(crate) const COLD: Line =
+        Line { owner: Self::NO_OWNER, readers_since_write: 0, available_at: 0.0 };
 
-    /// The empty set.
-    pub const EMPTY: CoreSet = CoreSet { bits: [0; Self::WORDS] };
+    /// The owning core, if any.
+    #[inline]
+    pub(crate) fn owner(&self) -> Option<CoreId> {
+        (self.owner != Self::NO_OWNER).then_some(self.owner as CoreId)
+    }
+}
+
+/// One core set per entry (a line's sharers, or the blocked waiters
+/// watching it), `words` 64-bit words each, in one dense `Vec`: bit `c % 64`
+/// of an entry's word `c / 64` stands for core `c`. An entry past the end
+/// reads as the empty slice; [`SetTable::get_mut`] backs it on demand.
+pub(crate) struct SetTable {
+    bits: Vec<u64>,
+    words: usize,
+}
+
+impl SetTable {
+    /// A table for cores `0..ncores`, with `entries` entries backed.
+    pub(crate) fn new(ncores: usize, entries: usize) -> Self {
+        let words = ncores.div_ceil(64);
+        Self { bits: vec![0; entries * words], words }
+    }
+
+    /// Entry `i`'s words; empty when the entry is unbacked.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> &[u64] {
+        self.bits.get(i * self.words..(i + 1) * self.words).unwrap_or(&[])
+    }
+
+    /// Entry `i`'s words, growing the table to back it.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, i: usize) -> &mut [u64] {
+        let end = (i + 1) * self.words;
+        if end > self.bits.len() {
+            self.bits.resize(end, 0);
+        }
+        &mut self.bits[end - self.words..end]
+    }
+
+    /// Empties every entry and releases the backing.
+    pub(crate) fn clear(&mut self) {
+        self.bits.clear();
+    }
+}
+
+/// Operations on one [`SetTable`] entry. Each touches only the entry's
+/// words; an unbacked (empty) entry holds no core.
+pub(crate) mod set {
+    use armbar_topology::CoreId;
+
+    /// Membership test.
+    #[inline]
+    pub(crate) fn contains(set: &[u64], c: CoreId) -> bool {
+        set.get(c / 64).is_some_and(|w| w & (1 << (c % 64)) != 0)
+    }
 
     /// Inserts a core.
     #[inline]
-    pub fn insert(&mut self, c: CoreId) {
-        debug_assert!(c < Self::CAPACITY);
-        self.bits[c / 64] |= 1u64 << (c % 64);
+    pub(crate) fn insert(set: &mut [u64], c: CoreId) {
+        set[c / 64] |= 1 << (c % 64);
     }
 
     /// Removes a core.
     #[inline]
-    pub fn remove(&mut self, c: CoreId) {
-        debug_assert!(c < Self::CAPACITY);
-        self.bits[c / 64] &= !(1u64 << (c % 64));
-    }
-
-    /// Membership test.
-    #[inline]
-    pub fn contains(&self, c: CoreId) -> bool {
-        debug_assert!(c < Self::CAPACITY);
-        self.bits[c / 64] & (1u64 << (c % 64)) != 0
+    pub(crate) fn remove(set: &mut [u64], c: CoreId) {
+        set[c / 64] &= !(1 << (c % 64));
     }
 
     /// Number of cores in the set.
     #[inline]
-    pub fn len(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+    pub(crate) fn len(set: &[u64]) -> usize {
+        set.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// True when empty.
     #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.bits == [0; Self::WORDS]
+    pub(crate) fn is_empty(set: &[u64]) -> bool {
+        set.iter().all(|&w| w == 0)
     }
 
-    /// Clears the set.
+    /// Adds every member of `other`, an entry of the same width.
     #[inline]
-    pub fn clear(&mut self) {
-        self.bits = [0; Self::WORDS];
-    }
-
-    /// Whether the set shares a member with `mask`, a bitset in the same
-    /// word layout (e.g. a `Topology::layer_mask`); words past the end of
-    /// `mask` count as empty.
-    #[inline]
-    pub fn intersects(&self, mask: &[u64]) -> bool {
-        self.bits.iter().zip(mask).any(|(a, b)| a & b != 0)
-    }
-
-    /// Adds every member of `other`.
-    #[inline]
-    pub fn union_with(&mut self, other: &CoreSet) {
-        for (a, b) in self.bits.iter_mut().zip(other.bits) {
+    pub(crate) fn union(set: &mut [u64], other: &[u64]) {
+        for (a, b) in set.iter_mut().zip(other) {
             *a |= b;
         }
-    }
-
-    /// Iterates over member core ids in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
-        (0..Self::WORDS).flat_map(move |w| {
-            let mut word = self.bits[w];
-            std::iter::from_fn(move || {
-                if word == 0 {
-                    None
-                } else {
-                    let b = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    Some(w * 64 + b)
-                }
-            })
-        })
-    }
-}
-
-impl FromIterator<CoreId> for CoreSet {
-    fn from_iter<T: IntoIterator<Item = CoreId>>(iter: T) -> Self {
-        let mut s = CoreSet::EMPTY;
-        for c in iter {
-            s.insert(c);
-        }
-        s
-    }
-}
-
-/// Directory entry for one cache line.
-///
-/// `owner` is the core whose cache holds the authoritative (most recently
-/// written) copy; `sharers` are cores holding valid read copies (the owner
-/// is always a sharer of its own line). `available_at` is the virtual time
-/// at which the line next becomes free for an ownership transfer — writes
-/// and RMWs to one line serialize on it, producing hot-spot queueing.
-#[derive(Debug, Clone, Copy)]
-pub struct Line {
-    /// Core owning the authoritative copy (last writer), if any.
-    pub owner: Option<CoreId>,
-    /// Cores with a valid copy.
-    pub sharers: CoreSet,
-    /// Virtual time when the line is next available for a write/RMW.
-    pub available_at: f64,
-    /// Readers that piled onto the line since its last write — used for the
-    /// paper's `c·(j−1)` reader-contention term (Eq. 3).
-    pub readers_since_write: u32,
-}
-
-impl Default for Line {
-    fn default() -> Self {
-        Self { owner: None, sharers: CoreSet::EMPTY, available_at: 0.0, readers_since_write: 0 }
     }
 }
 
@@ -133,76 +127,50 @@ mod tests {
     use super::*;
 
     #[test]
-    fn coreset_basic_ops() {
-        let mut s = CoreSet::EMPTY;
-        assert!(s.is_empty());
-        s.insert(0);
-        s.insert(63);
-        s.insert(64);
-        s.insert(127);
-        assert_eq!(s.len(), 4);
-        assert!(s.contains(0) && s.contains(63) && s.contains(64) && s.contains(127));
-        assert!(!s.contains(1));
-        s.remove(63);
-        assert!(!s.contains(63));
-        assert_eq!(s.len(), 3);
+    fn set_ops_touch_only_the_entry() {
+        let mut t = SetTable::new(129, 2);
+        assert_eq!(t.get(0).len(), 3, "⌈129/64⌉ words");
+        for c in [0, 63, 64, 128] {
+            set::insert(t.get_mut(1), c);
+        }
+        assert!(set::is_empty(t.get(0)), "a neighbour entry stays empty");
+        let s = t.get(1);
+        assert_eq!(set::len(s), 4);
+        assert!([0, 63, 64, 128].iter().all(|&c| set::contains(s, c)));
+        assert!(!set::contains(s, 1) && !set::contains(s, 127));
+        set::remove(t.get_mut(1), 63);
+        assert!(!set::contains(t.get(1), 63));
+        assert_eq!(set::len(t.get(1)), 3);
     }
 
     #[test]
-    fn coreset_iter_ascending() {
-        let s: CoreSet = [5usize, 1, 64, 99].into_iter().collect();
-        let v: Vec<_> = s.iter().collect();
-        assert_eq!(v, vec![1, 5, 64, 99]);
+    fn unbacked_entries_read_empty_and_grow_on_demand() {
+        let mut t = SetTable::new(1024, 0);
+        assert!(t.get(7).is_empty() && !set::contains(t.get(7), 1023));
+        set::insert(t.get_mut(7), 1023);
+        assert_eq!(t.get(7).len(), 16);
+        assert!(set::contains(t.get(7), 1023) && set::is_empty(t.get(6)));
+        t.clear();
+        assert!(t.get(7).is_empty());
     }
 
     #[test]
-    fn coreset_insert_idempotent() {
-        let mut s = CoreSet::EMPTY;
-        s.insert(7);
-        s.insert(7);
-        assert_eq!(s.len(), 1);
+    fn union_adds_every_member() {
+        let mut t = SetTable::new(128, 2);
+        set::insert(t.get_mut(0), 1);
+        set::insert(t.get_mut(0), 70);
+        set::insert(t.get_mut(1), 2);
+        set::insert(t.get_mut(1), 70);
+        let a = t.get(0).to_vec();
+        set::union(t.get_mut(1), &a);
+        let members: Vec<usize> = (0..128).filter(|&c| set::contains(t.get(1), c)).collect();
+        assert_eq!(members, [1, 2, 70]);
     }
 
     #[test]
-    fn coreset_clear() {
-        let mut s: CoreSet = (0..100).collect();
-        assert_eq!(s.len(), 100);
-        s.clear();
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn coreset_covers_kilocore_range() {
-        let mut s = CoreSet::EMPTY;
-        s.insert(128);
-        s.insert(512);
-        s.insert(CoreSet::CAPACITY - 1);
-        assert_eq!(s.len(), 3);
-        assert!(s.contains(128) && s.contains(512) && s.contains(1023));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![128, 512, 1023]);
-        s.remove(512);
-        assert_eq!(s.len(), 2);
-        let full: CoreSet = (0..CoreSet::CAPACITY).collect();
-        assert_eq!(full.len(), 1024);
-    }
-
-    #[test]
-    fn coreset_intersects_and_unions() {
-        let a: CoreSet = [1usize, 70].into_iter().collect();
-        assert!(a.intersects(&[0, 1 << 6]));
-        assert!(a.intersects(&[1 << 1]));
-        assert!(!a.intersects(&[1 << 2, 1 << 7]));
-        assert!(!a.intersects(&[0]), "words past the mask are empty");
-        let mut b: CoreSet = [2usize, 70].into_iter().collect();
-        b.union_with(&a);
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![1, 2, 70]);
-    }
-
-    #[test]
-    fn line_default_is_cold() {
-        let l = Line::default();
-        assert!(l.owner.is_none());
-        assert!(l.sharers.is_empty());
-        assert_eq!(l.available_at, 0.0);
+    fn a_cold_line_has_no_owner() {
+        assert_eq!(Line::COLD.owner(), None);
+        assert_eq!(Line { owner: 3, ..Line::COLD }.owner(), Some(3));
+        assert_eq!(std::mem::size_of::<Line>(), 16);
     }
 }

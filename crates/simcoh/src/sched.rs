@@ -305,8 +305,11 @@ impl Sched {
         let i = self.pos[tid] as usize;
         let k = pack(time, tid);
         debug_assert!(k >= self.heap[i], "thread {tid} rekeyed backward in time");
-        self.heap[i] = k;
-        self.sift_down(i);
+        // Unchanged when a thread posts at the time it resumed at.
+        if k != self.heap[i] {
+            self.heap[i] = k;
+            self.sift_down(i);
+        }
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -333,7 +336,8 @@ impl Sched {
             if l >= n {
                 break;
             }
-            let c = if l + 1 < n && self.heap[l + 1] < self.heap[l] { l + 1 } else { l };
+            // The smaller child, without a branch the predictor would miss.
+            let c = if l + 1 < n { l + usize::from(self.heap[l + 1] < self.heap[l]) } else { l };
             let ck = self.heap[c];
             if k < ck {
                 break;
