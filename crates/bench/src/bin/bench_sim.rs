@@ -27,6 +27,13 @@
 //! checks that), and an engine change that claims to do the same work
 //! faster must leave them equal.
 //!
+//! Every point run on the fiber transport (all but the OS-transport point)
+//! also writes `work_switches_<point>`: the context switches the fiber
+//! runtime made over the timed repetitions, into and out of its driver
+//! included. The count follows from the engine's wake order alone, so it
+//! too is exact, and a change to the transport that claims to do the same
+//! work must leave it equal.
+//!
 //! `engine_floor_ns_p{1,64,1024}` are the engine's hand-off floor: host ns
 //! per simulated op when P threads on MemPool-1024 each store to a line of
 //! their own, so no op meets a sharer, a waiter or a busy line. They
@@ -107,11 +114,13 @@ impl Effort {
     }
 }
 
-/// What one engine point writes: its rate, its exact `work_ops_*` count
-/// and the stall records of its timed repetitions.
+/// What one engine point writes: its rate, its exact `work_ops_*` count,
+/// its `work_switches_*` count on the fiber transport and the stall
+/// records of its timed repetitions.
 struct EnginePoint {
     rate: Point,
     work: Point,
+    switches: Option<Point>,
     stalls: u64,
 }
 
@@ -164,7 +173,7 @@ fn engine_rate(
     let topo = Arc::new(Topology::preset(platform));
     let effort = Effort::for_threads(p);
     let episodes = effort.episodes;
-    let one_rep = |rep: u64| -> (u64, u64) {
+    let one_rep = |rep: u64| -> (u64, u64, Option<u64>) {
         let mut arena = Arena::new();
         let barrier: Arc<dyn Barrier> = Arc::from(id.build(&mut arena, p, &topo));
         let seed = 0x5EED ^ rep;
@@ -184,18 +193,21 @@ fn engine_rate(
         }
         .expect("benchmark barrier must complete");
         let c = stats.coherence().total();
-        (stats.total_mem_ops() + stats.ops(OpKind::Compute), c.write_stalls + c.read_stalls)
+        let ops = stats.total_mem_ops() + stats.ops(OpKind::Compute);
+        (ops, c.write_stalls + c.read_stalls, stats.fiber_switches())
     };
     let (ops_per_sec, reps) = best_pass(effort.attempts, effort.reps, one_rep, |reps, secs| {
-        reps.iter().map(|&(ops, _)| ops).sum::<u64>() as f64 / secs
+        reps.iter().map(|&(ops, ..)| ops).sum::<u64>() as f64 / secs
     });
     eprintln!("{key:>42}: {ops_per_sec:>12.0} ops/s");
-    let stalls = reps.iter().map(|&(_, stalls)| stalls).sum();
-    let ops: u64 = reps.iter().map(|&(ops, _)| ops).sum();
-    let work_key = key.replacen("engine_ops_per_sec_", "work_ops_", 1);
+    let stalls = reps.iter().map(|&(_, stalls, _)| stalls).sum();
+    let ops: u64 = reps.iter().map(|&(ops, ..)| ops).sum();
+    let switches: Option<u64> = reps.iter().map(|&(.., switches)| switches).sum();
+    let work_key = |kind: &str| key.replacen("engine_ops_per_sec_", kind, 1);
     EnginePoint {
+        work: Point::new(work_key("work_ops_"), (ops + stalls) as f64),
+        switches: switches.map(|n| Point::new(work_key("work_switches_"), n as f64)),
         rate: Point::new(key, ops_per_sec),
-        work: Point::new(work_key, (ops + stalls) as f64),
         stalls,
     }
 }
@@ -325,9 +337,14 @@ fn main() {
     );
     engine.push(os);
 
-    let (mut points, work): (Vec<Point>, Vec<Point>) =
-        engine.into_iter().map(|e| (e.rate, e.work)).unzip();
+    let (mut points, mut work, mut switches) = (Vec::new(), Vec::new(), Vec::new());
+    for e in engine {
+        points.push(e.rate);
+        work.push(e.work);
+        switches.extend(e.switches);
+    }
     points.extend(work);
+    points.extend(switches);
     points.extend(stall_records);
     points.extend(FLOOR_THREADS.map(floor_point));
     points.extend(quick_experiments_secs());

@@ -12,7 +12,7 @@ use armbar_epcc::{
 };
 use armbar_faults::{chaos_matrix_on, render_csv, render_json, Backend, ChaosConfig, Scenario};
 use armbar_model::{optimal_fanin_int, recommend_wakeup, WakeupChoice};
-use armbar_simcoh::{Arena, SimError};
+use armbar_simcoh::Arena;
 use armbar_sweep::{Job, SweepPool};
 use armbar_topology::{Platform, Topology};
 
@@ -28,7 +28,9 @@ USAGE:
   armbar sweep <platform> [--threads N,N,...] [--algos NAME,NAME,...] [--jobs N]
       Simulated barrier overhead per algorithm and thread count. The
       default set includes the shyper contender barriers (SHY-CTR,
-      SHY-PROXY) alongside the paper algorithms.
+      SHY-PROXY) alongside the paper algorithms, up to their
+      simulability bound; above it their cells read skipped* unless
+      --algos names them.
   armbar recommend <platform> [--threads N]
       Model-driven configuration (fan-in, wake-up) with validation runs.
   armbar phases <platform> [--threads N]
@@ -335,37 +337,77 @@ pub fn sweep(rest: &[String]) -> Result<(), String> {
     let topo = Arc::new(Topology::preset(platform));
     let threads = parse_threads(rest, &[2, 4, 8, 16, 32, 64], topo.num_cores())?;
     let algos = parse_algos(rest)?;
+    let named = flag_value(rest, "--algos").is_some();
     let pool = parse_pool(rest)?;
+    let table = sweep_table(topo.name(), &threads, &algos, named, &pool, |p, id| {
+        sim_overhead(&topo, p, &id, OverheadConfig::default()).map_err(|e| e.to_string())
+    })?;
+    print!("{table}");
+    Ok(())
+}
 
-    // One independent simulation per (threads × algorithm) cell, fanned
-    // out over the pool; results come back in submission (row-major)
-    // order, so the table prints exactly as the serial path would.
-    let topo_ref = &topo;
-    let jobs: Vec<Job<'_, Result<f64, SimError>>> = threads
+/// What a sweep prints in place of a cell it does not run.
+const SKIPPED: &str = "skipped*";
+
+/// The sweep's table of overhead (us/episode) on `machine`: one row per
+/// thread count, one column per algorithm. `cell(p, id)` simulates one
+/// cell, in ns. The cells are independent jobs fanned out over `pool`;
+/// results come back in submission (row-major) order, so the table is the
+/// same at any worker count. Unless the algorithms were `named` by the
+/// user, a cell above the algorithm's [`AlgorithmId::max_threads`] is not
+/// run: it reads [`SKIPPED`], and a note under the table gives the bound.
+/// A named algorithm runs at every P, and its failure fails the sweep.
+fn sweep_table(
+    machine: &str,
+    threads: &[usize],
+    algos: &[AlgorithmId],
+    named: bool,
+    pool: &SweepPool,
+    cell: impl Fn(usize, AlgorithmId) -> Result<f64, String> + Sync,
+) -> Result<String, String> {
+    let runs = |p: usize, id: AlgorithmId| named || p <= id.max_threads();
+    let cell = &cell;
+    let jobs: Vec<Job<'_, Result<f64, String>>> = threads
         .iter()
         .flat_map(|&p| {
-            algos.iter().map(move |&id| {
-                Job::parallel(move || sim_overhead(topo_ref, p, &id, OverheadConfig::default()))
-            })
+            algos
+                .iter()
+                .filter(move |&&id| runs(p, id))
+                .map(move |&id| Job::parallel(move || cell(p, id)))
         })
         .collect();
-    let mut cells = pool.run(jobs).into_iter();
+    let mut results = pool.run(jobs).into_iter();
 
-    println!("barrier overhead (us/episode) on simulated {}:", topo.name());
-    print!("{:>8}", "threads");
-    for id in &algos {
-        print!("{:>11}", id.label());
+    let mut out = format!("barrier overhead (us/episode) on simulated {machine}:\n");
+    out.push_str(&format!("{:>8}", "threads"));
+    for id in algos {
+        out.push_str(&format!("{:>11}", id.label()));
     }
-    println!();
-    for &p in &threads {
-        print!("{p:>8}");
-        for _ in &algos {
-            let ns = cells.next().expect("cell count mismatch").map_err(|e| e.to_string())?;
-            print!("{:>11.2}", ns / 1000.0);
+    out.push('\n');
+    let mut skipped = Vec::new();
+    for &p in threads {
+        out.push_str(&format!("{p:>8}"));
+        for &id in algos {
+            if runs(p, id) {
+                let ns = results.next().expect("one result per run cell")?;
+                out.push_str(&format!("{:>11.2}", ns / 1000.0));
+            } else {
+                out.push_str(&format!("{SKIPPED:>11}"));
+                if !skipped.contains(&id) {
+                    skipped.push(id);
+                }
+            }
         }
-        println!();
+        out.push('\n');
     }
-    Ok(())
+    for id in skipped {
+        out.push_str(&format!(
+            "* {id} is not simulated above P = {} by default (a run there outgrows the \
+             simulator's op budget); name it in --algos to run it\n",
+            id.max_threads()
+        ));
+    }
+    Ok(out)
 }
 
 /// `armbar recommend <platform> [--threads N]`
@@ -1425,6 +1467,41 @@ mod tests {
         ])
         .unwrap();
         assert!(sweep(&["kunpeng".to_string(), "--jobs".into(), "zero".into()]).is_err());
+    }
+
+    /// The default set skips each cell above its algorithm's bound, with a
+    /// placeholder and a note, the same at any worker count; a named
+    /// algorithm runs there, and its failure fails the sweep. A stand-in
+    /// cell replaces the kilocore simulations.
+    #[test]
+    fn default_sweep_skips_contenders_above_their_bound_but_named_ones_run() {
+        let ran = std::sync::Mutex::new(Vec::new());
+        let cell = |p: usize, id: AlgorithmId| {
+            ran.lock().unwrap().push((p, id));
+            Ok(p as f64)
+        };
+        let algos = parse_algos(&[]).unwrap();
+        let table =
+            sweep_table("M", &[256, 1024], &algos, false, &SweepPool::new(2), cell).unwrap();
+        let row = |p: &str| table.lines().find(|l| l.trim_start().starts_with(p)).unwrap();
+        assert!(!row("256 ").contains(SKIPPED));
+        assert!(row("1024 ").ends_with(&format!("{SKIPPED:>11}").repeat(2)));
+        assert_eq!(row("1024 ").matches(SKIPPED).count(), 2);
+        for id in AlgorithmId::CONTENDERS {
+            assert!(table.contains(&format!("* {id} is not simulated above P = 256 by default")));
+            assert!(ran.lock().unwrap().contains(&(256, id)));
+            assert!(!ran.lock().unwrap().contains(&(1024, id)));
+        }
+        let serial = sweep_table("M", &[256, 1024], &algos, false, &SweepPool::new(1), cell);
+        assert_eq!(serial.unwrap(), table);
+
+        let named = [AlgorithmId::ShyCtr];
+        let runs = sweep_table("M", &[1024], &named, true, &SweepPool::new(1), cell).unwrap();
+        assert!(!runs.contains(SKIPPED) && ran.lock().unwrap().contains(&(1024, named[0])));
+        let fails = sweep_table("M", &[1024], &named, true, &SweepPool::new(1), |_, _| {
+            Err("budget exceeded".to_string())
+        });
+        assert_eq!(fails, Err("budget exceeded".to_string()));
     }
 
     #[test]

@@ -154,6 +154,20 @@ impl AlgorithmId {
     /// family append this set.
     pub const CONTENDERS: [AlgorithmId; 2] = [AlgorithmId::ShyCtr, AlgorithmId::ShyProxy];
 
+    /// The largest thread count a default grid simulates this algorithm
+    /// at; `usize::MAX` when any machine size is fine. The contenders' lock
+    /// serializes every arrival behind a failed-CAS storm quadratic in P:
+    /// at P = 1024 one run outgrows the simulator's default op budget, at a
+    /// point the model already prices out. The kilocore suite and `armbar
+    /// sweep`'s default set skip the cells above the bound; a sweep that
+    /// names the algorithm still runs them.
+    pub fn max_threads(self) -> usize {
+        match self {
+            AlgorithmId::ShyCtr | AlgorithmId::ShyProxy => 256,
+            _ => usize::MAX,
+        }
+    }
+
     /// Parses a figure-legend label (case-insensitive) or a long-form
     /// alias (`optimized`, `dissemination`, …), for CLI use.
     pub fn parse(s: &str) -> Option<Self> {

@@ -38,18 +38,13 @@ fn run_platform(pool: &SweepPool, platform: Platform, scale: &Scale) -> Report {
     );
     // One parallel job per (algorithm, P) point; collection order is the
     // submission order, so the table is deterministic at any worker count.
-    // The shyper contenders ride along capped at P ≤ 256: their lock
-    // serializes every arrival (with a failed-CAS storm quadratic in P),
-    // so the 1024-core point would burn minutes simulating a barrier the
-    // model already prices out at a fraction of that scale.
+    // The shyper contenders ride along up to their simulability bound.
     let cells: Vec<(AlgorithmId, usize)> = AlgorithmId::ALL
-        .iter()
-        .flat_map(|&id| points.iter().map(move |&p| (id, p)))
-        .chain(
-            AlgorithmId::CONTENDERS
-                .iter()
-                .flat_map(|&id| points.iter().filter(|&&p| p <= 256).map(move |&p| (id, p))),
-        )
+        .into_iter()
+        .chain(AlgorithmId::CONTENDERS)
+        .flat_map(|id| {
+            points.iter().filter(move |&&p| p <= id.max_threads()).map(move |&p| (id, p))
+        })
         .collect();
     let jobs = cells
         .iter()
@@ -63,7 +58,8 @@ fn run_platform(pool: &SweepPool, platform: Platform, scale: &Scale) -> Report {
     }
     r.note("hierarchy: 4-core tiles, 64-core groups; MemPool-style NUMA-on-chip;");
     r.note("centralized schemes hot-spot ~linearly in P, trees in log P.");
-    r.note("SHY-CTR/SHY-PROXY contender rows are capped at P <= 256 (lock");
+    let cap = AlgorithmId::ShyCtr.max_threads();
+    r.note(format!("SHY-CTR/SHY-PROXY contender rows are capped at P <= {cap} (lock"));
     r.note("serialization makes the 1024-point a pure CAS storm).");
     r
 }

@@ -15,6 +15,17 @@
 //! wedged). Resuming a blocked thread therefore costs one context switch,
 //! not a round trip through the driver.
 //!
+//! A run of P threads cycles through P stacks, so at kilocore scale the
+//! stack a fiber resumes on has left the host's caches since it last ran,
+//! and the resume stalls on each line its return path reads. Whenever the
+//! next fiber is popped, the runtime therefore prefetches the top of the
+//! stack of the fiber queued behind it: the lines from its saved stack
+//! pointer up to the stack top, at most 16. Those loads overlap the popped
+//! fiber's whole run slice. A prefetch is only a hint, so it changes
+//! nothing the engine can see. The runtime also counts its context
+//! switches ([`RunStats::fiber_switches`]), an exact measure of the
+//! transport's work.
+//!
 //! Determinism is untouched: the engine under its mutex processes exactly
 //! the same operations in exactly the same order as under the OS transport
 //! — only the mechanism that resumes a blocked thread changes. The
@@ -262,6 +273,26 @@ mod imp {
         }
     }
 
+    /// Bytes in one host cache line: the unit of a resume prefetch.
+    const LINE: usize = 64;
+
+    /// Most lines one resume prefetch issues. A barrier body suspends
+    /// 660–870 bytes below its stack top (11–14 lines), so 16 covers the
+    /// whole live frame chain without running into cold stack below it.
+    const PREFETCH_LINES: usize = 16;
+
+    /// Line addresses a fiber suspended at `rsp` reads first when it
+    /// resumes: from its saved stack pointer, rounded down to a line, up to
+    /// `top` (exclusive), at most [`PREFETCH_LINES`] lines. `fiber_switch`
+    /// pops the saved registers at `rsp`; the frames it returns through
+    /// (`suspend`, `SimThread::call`, the barrier body) lie above them. A
+    /// fiber that has not started holds only its boot frame, one line
+    /// below the top.
+    fn resume_window(rsp: usize, top: usize) -> impl Iterator<Item = usize> {
+        let start = rsp & !(LINE - 1);
+        (start..top.min(start + PREFETCH_LINES * LINE)).step_by(LINE)
+    }
+
     struct RtInner {
         /// The driver's saved context while a fiber runs.
         driver_ctx: Context,
@@ -274,6 +305,8 @@ mod imp {
         /// The fiber currently executing, if any.
         current: Option<usize>,
         finished: usize,
+        /// Context switches so far, into and out of the driver included.
+        switches: u64,
         shared: Arc<crate::engine::Shared>,
         body: Arc<dyn Fn(&SimThread) + Send + Sync>,
     }
@@ -286,6 +319,22 @@ mod imp {
     /// context switch.
     pub(crate) struct FiberRt {
         inner: RefCell<RtInner>,
+    }
+
+    impl RtInner {
+        /// Called once the next fiber is popped: starts loading the
+        /// [`resume_window`] of the fiber queued after it, which runs once
+        /// the popped one suspends (see the module doc).
+        fn prefetch_queued(&self) {
+            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let Some(&after) = self.runnable.front() else { return };
+            let fiber = &self.fibers[after];
+            for line in resume_window(fiber.ctx.rsp, fiber.stack.top() as usize) {
+                // SAFETY: a prefetch is a hint: it never faults and changes
+                // no memory, whatever the address.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(line as *const i8) };
+            }
+        }
     }
 
     impl FiberRt {
@@ -312,6 +361,8 @@ mod imp {
                         )
                     };
                     inner.current = Some(next);
+                    inner.switches += 1;
+                    inner.prefetch_queued();
                     let save: *mut usize = &mut inner.driver_ctx.rsp;
                     let restore: *const usize = &inner.fibers[next].ctx.rsp;
                     (save, restore)
@@ -333,6 +384,8 @@ mod imp {
                 let t = inner.current.take().expect("suspend outside a fiber");
                 let next = inner.runnable.pop_front();
                 inner.current = next;
+                inner.switches += 1;
+                inner.prefetch_queued();
                 let save: *mut usize = &mut inner.fibers[t].ctx.rsp;
                 let restore: *const usize = match next {
                     Some(n) => &inner.fibers[n].ctx.rsp,
@@ -431,6 +484,7 @@ mod imp {
                 runnable: VecDeque::with_capacity(nthreads),
                 current: None,
                 finished: 0,
+                switches: 0,
                 shared: Arc::clone(&shared),
                 body,
             }),
@@ -450,9 +504,47 @@ mod imp {
             }
         }
         rt.drive();
-        let result = shared.collect();
+        let switches = rt.inner.borrow().switches;
+        let result = shared.collect().map(|mut stats| {
+            stats.set_fiber_switches(switches);
+            stats
+        });
         pool_put(rt.inner.borrow_mut().fibers.drain(..).map(|f| f.stack));
         result
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn resume_window_is_line_aligned_clamped_to_the_top_and_capped() {
+            let top = 0x10_0000;
+            // A frame two and a half lines deep: the partial line under the
+            // saved stack pointer is included, nothing at or above the top.
+            let rsp = top - 2 * LINE - 24;
+            let lines: Vec<usize> = resume_window(rsp, top).collect();
+            assert_eq!(lines, [top - 3 * LINE, top - 2 * LINE, top - LINE]);
+            // A deep frame: the first PREFETCH_LINES lines from the pointer.
+            let deep = top - 40 * LINE + 8;
+            let lines: Vec<usize> = resume_window(deep, top).collect();
+            assert_eq!(lines.len(), PREFETCH_LINES);
+            assert_eq!(lines[0], top - 40 * LINE);
+            assert!(lines.iter().all(|&l| l % LINE == 0 && l < top));
+            assert!(lines.windows(2).all(|w| w[1] == w[0] + LINE));
+        }
+
+        #[test]
+        fn an_unstarted_fiber_prefetches_exactly_its_boot_frame() {
+            let stack = pool_take(1).pop().expect("one stack");
+            let ctx = prepare_stack(&stack, std::ptr::null_mut());
+            let top = stack.top() as usize;
+            let lines: Vec<usize> = resume_window(ctx.rsp, top).collect();
+            // The eight seeded words fill the stack's last line.
+            assert_eq!(lines, [top - LINE]);
+            assert_eq!(ctx.rsp, top - 8 * std::mem::size_of::<usize>());
+            pool_put(std::iter::once(stack));
+        }
     }
 }
 

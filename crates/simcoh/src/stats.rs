@@ -301,6 +301,7 @@ pub struct RunStats {
     line_traffic: LineTrafficTable,
     coherence: CoherenceStats,
     schedule_hash: u64,
+    fiber_switches: Option<u64>,
 }
 
 impl RunStats {
@@ -312,6 +313,7 @@ impl RunStats {
             line_traffic: LineTrafficTable::default(),
             coherence: CoherenceStats::new(nthreads),
             schedule_hash: 0,
+            fiber_switches: None,
         }
     }
 
@@ -328,6 +330,10 @@ impl RunStats {
     /// events with [`fold_schedule`] in a local stores the result here.
     pub(crate) fn set_schedule_hash(&mut self, hash: u64) {
         self.schedule_hash = hash;
+    }
+
+    pub(crate) fn set_fiber_switches(&mut self, n: u64) {
+        self.fiber_switches = Some(n);
     }
 
     pub(crate) fn set_thread_time(&mut self, tid: usize, t: f64) {
@@ -478,6 +484,14 @@ impl RunStats {
     /// a search explored. Identical for repeated runs of one seed.
     pub fn schedule_hash(&self) -> u64 {
         self.schedule_hash
+    }
+
+    /// Context switches the fiber transport made to run this simulation,
+    /// into and out of its driver included; `None` on the OS-thread
+    /// transport. Like the op counts, a pure function of seed and program:
+    /// the same on every host and in every run.
+    pub fn fiber_switches(&self) -> Option<u64> {
+        self.fiber_switches
     }
 
     /// The latest time at which any thread recorded `label` — useful for
