@@ -60,7 +60,8 @@
 //! `topology_preset_ms_mempool1024` sits outside the gated prefix: it is
 //! set-up cost, paid once per machine model before any simulation starts,
 //! so no engine throughput depends on it. It tracks what building the
-//! largest preset's pair→layer map and layer masks costs.
+//! largest preset costs; as a nested power-of-two machine it builds no
+//! pair→layer map and no per-core layer masks.
 //! `--summary PATH` appends a markdown delta table (GitHub step-summary
 //! format) to the given file.
 //!

@@ -49,7 +49,10 @@ USAGE:
       deterministic on the simulator, deadline-guarded on the host.
       --churn switches to the membership-churn preset: both phasers under
       the join / leave / crash-evict / flap scenarios, with recovered /
-      degraded / poisoned outcomes.
+      degraded / poisoned outcomes. On the simulator the default set
+      stops at each algorithm's simulability bound (a note on stderr
+      names what it leaves out); --algos runs a named one at any
+      --threads.
   armbar conform [--quick] [--weak] [--phasers] [--platforms NAME,...]
                  [--algos NAME,...] [--scenarios NAME,...] [--threads N]
                  [--episodes N] [--seeds N] [--schedule-seed N] [--budget N]
@@ -61,7 +64,8 @@ USAGE:
       lost wake-up, quiescence). Violations ship a shrunk deterministic
       reproducer and make the command exit nonzero. --quick = all 14
       algorithms plus the SHY-CTR/SHY-PROXY contenders on Kunpeng920 at
-      8 threads, 1200 seeds per cell.
+      8 threads, 1200 seeds per cell. The default set stops at each
+      algorithm's simulability bound, as in sweep and chaos.
       --phasers searches register/deregister interleavings of the dynamic
       phasers under churn scripts instead, auditing the membership oracles
       (no lost member, no phantom arrival), 800 seeds per cell by default.
@@ -400,14 +404,27 @@ fn sweep_table(
         }
         out.push('\n');
     }
-    for id in skipped {
-        out.push_str(&format!(
-            "* {id} is not simulated above P = {} by default (a run there outgrows the \
-             simulator's op budget); name it in --algos to run it\n",
-            id.max_threads()
-        ));
-    }
+    out.extend(skipped.into_iter().map(skip_note));
     Ok(out)
+}
+
+/// The note for a default-set algorithm left out above its simulability
+/// bound ([`AlgorithmId::max_threads`]).
+fn skip_note(id: AlgorithmId) -> String {
+    format!(
+        "* {id} is not simulated above P = {} by default (a run there outgrows the \
+         simulator's op budget); name it in --algos to run it\n",
+        id.max_threads()
+    )
+}
+
+/// A default algorithm set at `threads` simulated threads: the algorithms
+/// within their simulability bound, and a note naming each one left out.
+/// An `--algos` list is run as named and never passes through here.
+fn within_bound(set: Vec<AlgorithmId>, threads: usize) -> (Vec<AlgorithmId>, String) {
+    let (kept, skipped): (Vec<_>, Vec<_>) =
+        set.into_iter().partition(|id| threads <= id.max_threads());
+    (kept, skipped.into_iter().map(skip_note).collect())
 }
 
 /// `armbar recommend <platform> [--threads N]`
@@ -533,6 +550,20 @@ pub fn trace(rest: &[String]) -> Result<(), String> {
 /// [--backend sim|host|both] [--threads N] [--episodes N] [--seed N]
 /// [--deadline-ms N] [--jobs N] [--format csv|json] [--out FILE]`
 pub fn chaos(rest: &[String]) -> Result<(), String> {
+    let (config, note) = chaos_config(rest)?;
+    let json = json_format(rest)?;
+    let pool = parse_pool(rest)?;
+    eprint!("{note}");
+
+    let cells = chaos_matrix_on(&pool, &config);
+    let text = if json { render_json(&cells, &config) } else { render_csv(&cells, &config) };
+    emit(rest, &text, &format!("{} chaos cells", cells.len()))
+}
+
+/// The chaos matrix `rest` asks for, and the note on any default-set
+/// algorithm it leaves out: with the simulator among the backends, the
+/// default set stops at each algorithm's simulability bound.
+fn chaos_config(rest: &[String]) -> Result<(ChaosConfig, String), String> {
     // `--churn` swaps in the membership-churn preset (both phasers under
     // the churn scenarios); every explicit flag still overrides it.
     let churn = rest.iter().any(|a| a == "--churn");
@@ -545,11 +576,8 @@ pub fn chaos(rest: &[String]) -> Result<(), String> {
         None if churn => defaults.platforms.clone(),
         None => Platform::ARM.to_vec(),
     };
-    let algorithms = if flag_value(rest, "--algos").is_some() {
-        parse_algos(rest)?
-    } else {
-        defaults.algorithms.clone()
-    };
+    let named = flag_value(rest, "--algos").is_some();
+    let algorithms = if named { parse_algos(rest)? } else { defaults.algorithms.clone() };
     let scenarios = match flag_value(rest, "--scenarios") {
         Some(spec) => {
             let mut out = Vec::new();
@@ -588,6 +616,11 @@ pub fn chaos(rest: &[String]) -> Result<(), String> {
         },
         None => defaults.deadline,
     };
+    let (algorithms, note) = if !named && backends.contains(&Backend::Sim) {
+        within_bound(algorithms, threads)
+    } else {
+        (algorithms, String::new())
+    };
     let config = ChaosConfig {
         platforms,
         algorithms,
@@ -598,12 +631,7 @@ pub fn chaos(rest: &[String]) -> Result<(), String> {
         seed,
         deadline,
     };
-    let json = json_format(rest)?;
-    let pool = parse_pool(rest)?;
-
-    let cells = chaos_matrix_on(&pool, &config);
-    let text = if json { render_json(&cells, &config) } else { render_csv(&cells, &config) };
-    emit(rest, &text, &format!("{} chaos cells", cells.len()))
+    Ok((config, note))
 }
 
 /// The schedule-search flags `conform`, `conform --phasers` and the
@@ -711,23 +739,8 @@ pub fn conform(rest: &[String]) -> Result<(), String> {
     if rest.iter().any(|a| a == "--phasers") {
         return conform_phasers(rest, &flags, json, &pool);
     }
-    let quick = rest.iter().any(|a| a == "--quick");
-    let d = ConformConfig::default();
-    let config = ConformConfig {
-        platforms: flags.platforms.clone().unwrap_or(d.platforms),
-        algorithms: if flag_value(rest, "--algos").is_some() {
-            parse_algos(rest)?
-        } else {
-            d.algorithms
-        },
-        threads: flags.threads.unwrap_or(d.threads),
-        episodes: flags.episodes.unwrap_or(d.episodes),
-        // The --quick acceptance sweep: ≥1000 distinct schedules per cell.
-        seeds: flags.seeds.unwrap_or(if quick { 1200 } else { d.seeds }),
-        base_seed: flags.base_seed.unwrap_or(d.base_seed),
-        explorer: flags.explorer(d.explorer),
-        ..d
-    };
+    let (config, note) = conform_config(rest, &flags)?;
+    eprint!("{note}");
     let fence_seeds = count_flag(rest, "--fence-seeds", "--fence-seeds", 1)?;
 
     let mut cells = conform_matrix_on(&pool, &config);
@@ -766,6 +779,32 @@ pub fn conform(rest: &[String]) -> Result<(), String> {
         }));
     }
     report_violations(violated, "safety")
+}
+
+/// The fixed-membership matrix `rest` asks for, and the note on any
+/// default-set algorithm it leaves out: the default set stops at each
+/// algorithm's simulability bound, a named one runs at any `--threads`.
+fn conform_config(rest: &[String], flags: &SearchFlags) -> Result<(ConformConfig, String), String> {
+    let quick = rest.iter().any(|a| a == "--quick");
+    let d = ConformConfig::default();
+    let threads = flags.threads.unwrap_or(d.threads);
+    let (algorithms, note) = if flag_value(rest, "--algos").is_some() {
+        (parse_algos(rest)?, String::new())
+    } else {
+        within_bound(d.algorithms.clone(), threads)
+    };
+    let config = ConformConfig {
+        platforms: flags.platforms.clone().unwrap_or(d.platforms),
+        algorithms,
+        threads,
+        episodes: flags.episodes.unwrap_or(d.episodes),
+        // The --quick acceptance sweep: ≥1000 distinct schedules per cell.
+        seeds: flags.seeds.unwrap_or(if quick { 1200 } else { d.seeds }),
+        base_seed: flags.base_seed.unwrap_or(d.base_seed),
+        explorer: flags.explorer(d.explorer),
+        ..d
+    };
+    Ok((config, note))
 }
 
 /// A conformance table as JSON or CSV.
@@ -993,6 +1032,44 @@ mod tests {
     #[test]
     fn thread_default_respects_core_count() {
         assert_eq!(parse_threads(&[], &[2, 64, 128], 64).unwrap(), vec![2, 64]);
+    }
+
+    #[test]
+    fn default_sets_stop_at_the_simulability_bound() {
+        use AlgorithmId::{ShyCtr, ShyProxy};
+        let all = ConformConfig::default().algorithms;
+        let (kept, note) = within_bound(all.clone(), 1024);
+        assert_eq!(
+            kept,
+            all.iter().copied().filter(|a| ![ShyCtr, ShyProxy].contains(a)).collect::<Vec<_>>()
+        );
+        assert_eq!(note.lines().count(), 2, "{note}");
+        assert!(note.contains("SHY-CTR") && note.contains("SHY-PROXY"), "{note}");
+        assert_eq!(within_bound(all.clone(), 256), (all, String::new()));
+
+        // Both commands read the bound; no cell is simulated here.
+        let args = |s: &str| s.split(' ').map(String::from).collect::<Vec<_>>();
+        let conform_algos = |s: &str| {
+            let rest = args(s);
+            let flags = SearchFlags::parse(&rest).unwrap();
+            conform_config(&rest, &flags).unwrap()
+        };
+        let (cfg, note) = conform_algos("--platforms mempool1024 --threads 1024");
+        assert!(!cfg.algorithms.contains(&ShyCtr) && !cfg.algorithms.contains(&ShyProxy));
+        assert_eq!(note.lines().count(), 2, "{note}");
+        let (cfg, note) = conform_algos("--platforms mempool1024 --threads 1024 --algos SHY-CTR");
+        assert_eq!((cfg.algorithms, note), (vec![ShyCtr], String::new()));
+
+        let (cfg, note) = chaos_config(&args("--platforms mempool1024 --threads 1024")).unwrap();
+        assert!(!cfg.algorithms.contains(&ShyCtr) && !cfg.algorithms.contains(&ShyProxy));
+        assert_eq!(note.lines().count(), 2, "{note}");
+        let (cfg, note) = chaos_config(&args("--threads 1024 --algos SHY-PROXY")).unwrap();
+        assert_eq!((cfg.algorithms, note), (vec![ShyProxy], String::new()));
+        // The bound is the simulator's: a host-only default set is whole.
+        let (cfg, _) = chaos_config(&args("--backend host --threads 512")).unwrap();
+        assert_eq!(cfg.algorithms, ChaosConfig::default().algorithms);
+        let (cfg, _) = chaos_config(&args("--threads 256")).unwrap();
+        assert_eq!(cfg.algorithms, ChaosConfig::default().algorithms);
     }
 
     #[test]

@@ -213,7 +213,7 @@ struct WaiterTable {
     /// Word index (`addr >> 2`) → `(seq, slot)` registrations in seq
     /// (= append) order; may hold stale entries of multi-word waiters
     /// already woken through another word.
-    by_word: Vec<Vec<(u64, u32)>>,
+    by_word: Vec<Bucket>,
     /// Line key → tids of the blocked waiters watching a word on it.
     spinners: SetTable,
     line_shift: u32,
@@ -243,12 +243,9 @@ impl WaiterTable {
             set::insert(self.spinners.get_mut((a >> self.line_shift) as usize), w.tid);
             let word = (a >> 2) as usize;
             if word >= self.by_word.len() {
-                self.by_word.resize_with(word + 1, Vec::new);
+                self.by_word.resize_with(word + 1, Bucket::default);
             }
-            // A word listed twice already ends its bucket with this entry.
-            if self.by_word[word].last() != Some(&entry) {
-                self.by_word[word].push(entry);
-            }
+            self.by_word[word].push(entry);
         }
         if slot == self.slots.len() {
             self.slots.push(Some((seq, w)));
@@ -260,15 +257,15 @@ impl WaiterTable {
     /// Takes the registration bucket for one word (possibly containing
     /// stale entries for already-woken multi-word waiters); empty when no
     /// waiter ever watched the word.
-    fn take_bucket(&mut self, word: u32) -> Vec<(u64, u32)> {
+    fn take_bucket(&mut self, word: u32) -> Bucket {
         match self.by_word.get_mut(word as usize) {
             Some(b) => std::mem::take(b),
-            None => Vec::new(),
+            None => Bucket::default(),
         }
     }
 
     /// Restores the still-blocked entries of a bucket after a wake sweep.
-    fn put_bucket(&mut self, word: u32, bucket: Vec<(u64, u32)>) {
+    fn put_bucket(&mut self, word: u32, bucket: Bucket) {
         let i = word as usize;
         debug_assert!(self.by_word[i].is_empty(), "bucket repopulated during wake sweep");
         self.by_word[i] = bucket;
@@ -320,6 +317,75 @@ impl WaiterTable {
         self.by_word.clear();
         self.spinners.clear();
         v.into_iter().map(|(_, w)| w).collect()
+    }
+}
+
+/// One word's `(seq, slot)` registrations in seq order. The first sits
+/// inline in the word's index entry, so a word watched by one waiter at a
+/// time (a DIS or tournament flag) is registered and swept without
+/// touching the heap; later ones spill to a `Vec` that keeps its capacity
+/// across sweeps. The entry is 40 bytes where a bare `Vec` was 24; boxing
+/// the spill `Vec` to keep 24 cost the many-waiter words (a contended
+/// lock word) a pointer chase per entry.
+struct Bucket {
+    /// The first registration; `seq == EMPTY` when the bucket is empty.
+    first: (u64, u32),
+    more: Vec<(u64, u32)>,
+}
+
+impl Default for Bucket {
+    fn default() -> Self {
+        Self { first: (Self::EMPTY, 0), more: Vec::new() }
+    }
+}
+
+impl Bucket {
+    /// The `seq` of an empty bucket's `first`; no registration reaches it.
+    const EMPTY: u64 = u64::MAX;
+
+    fn len(&self) -> usize {
+        match self.first.0 {
+            Self::EMPTY => 0,
+            _ => 1 + self.more.len(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.first.0 == Self::EMPTY
+    }
+
+    /// Appends `e`, unless it already ends the bucket (a waiter that
+    /// lists a word twice).
+    fn push(&mut self, e: (u64, u32)) {
+        if self.is_empty() {
+            self.first = e;
+        } else if *self.more.last().unwrap_or(&self.first) != e {
+            self.more.push(e);
+        }
+    }
+
+    fn get(&self, i: usize) -> (u64, u32) {
+        if i == 0 {
+            self.first
+        } else {
+            self.more[i - 1]
+        }
+    }
+
+    fn set(&mut self, i: usize, e: (u64, u32)) {
+        if i == 0 {
+            self.first = e;
+        } else {
+            self.more[i - 1] = e;
+        }
+    }
+
+    /// Keeps the first `n` registrations.
+    fn truncate(&mut self, n: usize) {
+        if n == 0 {
+            self.first.0 = Self::EMPTY;
+        }
+        self.more.truncate(n.saturating_sub(1));
     }
 }
 
@@ -1489,30 +1555,10 @@ impl Shared {
     }
 
     /// The non-local layers joining `t` to `sharers`' members, as a bitmask
-    /// over `L_i` indices (`t` itself joins over the local layer and never
-    /// counts; a topology has at most 64 layers). A pair's latency and RFO
-    /// cost depend only on its layer, so a maximum or minimum over the set
-    /// is one over these layers: a few word ANDs of the set's nonzero words
-    /// with the masks of the layers not found yet, not a walk over P members.
+    /// over `L_i` indices ([`Topology::layers_of`]).
+    #[inline]
     fn layers_of(&self, t: CoreId, sharers: &[u64]) -> u64 {
-        let all = u64::MAX.checked_shr(64 - self.topo.layers().len() as u32).unwrap_or(0);
-        let mut present = 0u64;
-        for (w, &bits) in sharers.iter().enumerate() {
-            // The word's members not placed yet (no layer mask holds `t`).
-            let mut rest = bits & !(u64::from(t / 64 == w) << (t % 64));
-            let mut todo = all & !present;
-            while rest != 0 && todo != 0 {
-                let l = todo.trailing_zeros();
-                todo &= todo - 1;
-                let hit = rest & self.topo.layer_mask(t, LayerId(l as u8))[w];
-                present |= u64::from(hit != 0) << l;
-                rest &= !hit;
-            }
-            if present == all {
-                break;
-            }
-        }
-        present
+        self.topo.layers_of(t, sharers)
     }
 
     /// Smallest transfer latency from `t` to any member of a non-empty
@@ -2031,13 +2077,13 @@ impl Shared {
         let mut woken = 0usize;
         let mut kept = 0;
         for i in 0..bucket.len() {
-            let (seq, slot) = bucket[i];
+            let (seq, slot) = bucket.get(i);
             // A stale entry (multi-word waiter already woken via another of
             // its words) no longer matches its slot's seq; drop it.
             let Some(w) = g.waiters.take_slot(slot, seq) else { continue };
             let Ok(reply_value) = w.kind.probe(w.addrs(), |a| self.value(g, a)) else {
                 g.waiters.restore(slot, seq, w);
-                bucket[kept] = (seq, slot);
+                bucket.set(kept, (seq, slot));
                 kept += 1;
                 continue;
             };
@@ -2093,6 +2139,29 @@ mod tests {
     use super::*;
     use crate::arena::Arena;
     use armbar_topology::TopologyBuilder;
+
+    #[test]
+    fn waiter_bucket_keeps_seq_order_and_one_inline_entry() {
+        assert_eq!(std::mem::size_of::<Bucket>(), 40);
+        let mut b = Bucket::default();
+        assert_eq!((b.is_empty(), b.len()), (true, 0));
+        // seq 0 is a real registration, not the empty mark.
+        b.push((0, 7));
+        b.push((0, 7)); // the same waiter listing the word twice
+        assert!(b.more.is_empty() && b.len() == 1 && b.get(0) == (0, 7));
+        b.push((1, 3));
+        b.push((2, 5));
+        b.push((2, 5));
+        assert_eq!((0..b.len()).map(|i| b.get(i)).collect::<Vec<_>>(), [(0, 7), (1, 3), (2, 5)]);
+        // A sweep keeps the still-blocked entries in order.
+        b.set(0, (1, 3));
+        b.truncate(1);
+        assert_eq!((b.len(), b.get(0)), (1, (1, 3)));
+        b.truncate(0);
+        assert!(b.is_empty() && b.more.is_empty() && b.more.capacity() >= 2);
+        b.push((4, 1));
+        assert_eq!((b.len(), b.get(0)), (1, (4, 1)));
+    }
 
     /// 8 cores, clusters of 4; zero jitter, known constants:
     /// ε = 1, L0 = 10 (α .5), L1 = 40 (α .5), inv = 2, read contention = 3.

@@ -7,7 +7,7 @@
 
 use crate::atomics::RmwCosts;
 use crate::layer::{Layer, LayerId};
-use crate::machine::{CoherenceParams, CoreId, Topology};
+use crate::machine::{CoherenceParams, CoreId, LayerMap, Topology};
 
 /// Incremental construction of a [`Topology`].
 ///
@@ -40,7 +40,7 @@ pub struct TopologyBuilder {
     epsilon_ns: f64,
     layers: Vec<Layer>,
     n_c: Option<usize>,
-    pair_layer: Option<Vec<LayerId>>,
+    pairs: Option<Pairs>,
     coherence: CoherenceParams,
     rmw_costs: RmwCosts,
 }
@@ -59,7 +59,7 @@ impl TopologyBuilder {
             epsilon_ns: 1.0,
             layers: Vec::new(),
             n_c: None,
-            pair_layer: None,
+            pairs: None,
             coherence: CoherenceParams::new(0.0, 0.0, 0.0),
             rmw_costs: RmwCosts::legacy(),
         }
@@ -88,7 +88,8 @@ impl TopologyBuilder {
     }
 
     /// Sets the logical cluster size `N_c`. Defaults to the innermost
-    /// hierarchy level (or the whole machine when no hierarchy is given).
+    /// hierarchy level, or the whole machine when no hierarchy is given or
+    /// its innermost level is larger than the machine.
     pub fn n_c(mut self, n_c: usize) -> Self {
         assert!(n_c >= 1);
         self.n_c = Some(n_c);
@@ -103,28 +104,17 @@ impl TopologyBuilder {
     /// Requires exactly `sizes.len() + 1` layers to have been registered.
     ///
     /// # Panics
-    /// Panics if the sizes are not strictly increasing or don't divide
-    /// evenly into each other.
+    /// Panics if a size is zero, or the sizes are not strictly increasing
+    /// or don't divide evenly into each other.
     pub fn hierarchy(mut self, sizes: &[usize]) -> Self {
+        assert!(!sizes.contains(&0), "hierarchy sizes must be positive");
         for w in sizes.windows(2) {
             assert!(w[0] < w[1], "hierarchy sizes must be strictly increasing");
             assert_eq!(w[1] % w[0], 0, "hierarchy sizes must nest evenly");
         }
-        // Each row starts as the outermost layer; then each nested
-        // cluster's block of it is filled from the outside in, so an inner
-        // block overwrites the cluster around it.
-        let n = self.num_cores;
-        let mut m = vec![LayerId(sizes.len() as u8); n * n];
-        for (a, row) in m.chunks_exact_mut(n).enumerate() {
-            for (i, &s) in sizes.iter().enumerate().rev() {
-                let start = a / s * s;
-                row[start..start + s.min(n - start)].fill(LayerId(i as u8));
-            }
-            row[a] = LayerId::LOCAL;
-        }
-        self.pair_layer = Some(m);
+        self.pairs = Some(Pairs::Hierarchy(sizes.to_vec()));
         if self.n_c.is_none() {
-            self.n_c = sizes.first().copied();
+            self.n_c = sizes.first().map(|&s| s.min(self.num_cores));
         }
         self
     }
@@ -141,7 +131,7 @@ impl TopologyBuilder {
                 }
             }
         }
-        self.pair_layer = Some(m);
+        self.pairs = Some(Pairs::Map(m));
         self
     }
 
@@ -170,26 +160,40 @@ impl TopologyBuilder {
 
     /// Finishes construction, validating the model.
     ///
+    /// A hierarchy of power-of-two sizes gets a layer function of the two
+    /// core ids' bits and no per-pair table; any other machine gets the
+    /// dense pair→layer map. Both answer every query the same.
+    ///
     /// # Panics
     /// Panics when no layers were registered, no pair map was provided, or
     /// validation fails (asymmetric map, dangling layer ids, …).
     pub fn build(self) -> Topology {
         assert!(!self.layers.is_empty(), "register at least one layer");
-        let pair_layer =
-            self.pair_layer.expect("provide a pair→layer map via hierarchy() or pair_layer_fn()");
+        let n = self.num_cores;
+        let map = match self
+            .pairs
+            .expect("provide a pair→layer map via hierarchy() or pair_layer_fn()")
+        {
+            Pairs::Hierarchy(sizes) if sizes.iter().all(|s| s.is_power_of_two()) => {
+                LayerMap::nested(&sizes)
+            }
+            Pairs::Hierarchy(sizes) => {
+                LayerMap::Dense { pair_layer: fill_hierarchy(n, &sizes), layer_masks: Vec::new() }
+            }
+            Pairs::Map(pair_layer) => LayerMap::Dense { pair_layer, layer_masks: Vec::new() },
+        };
         let latency_by_layer = std::iter::once(self.epsilon_ns)
             .chain(self.layers.iter().map(|l| l.latency_ns))
             .collect();
         let mut topo = Topology {
             name: self.name,
-            num_cores: self.num_cores,
+            num_cores: n,
             cacheline_bytes: self.cacheline_bytes,
             epsilon_ns: self.epsilon_ns,
             layers: self.layers,
-            pair_layer,
+            map,
             latency_by_layer,
-            layer_masks: Vec::new(),
-            n_c: self.n_c.unwrap_or(self.num_cores),
+            n_c: self.n_c.unwrap_or(n),
             coherence: self.coherence,
             rmw_costs: self.rmw_costs,
         };
@@ -197,6 +201,31 @@ impl TopologyBuilder {
         topo.compute_layer_masks();
         topo
     }
+}
+
+/// How a builder was told to join core pairs.
+#[derive(Debug, Clone)]
+enum Pairs {
+    /// Nested cluster sizes, innermost first ([`TopologyBuilder::hierarchy`]).
+    Hierarchy(Vec<usize>),
+    /// An explicit dense map ([`TopologyBuilder::pair_layer_fn`]).
+    Map(Vec<LayerId>),
+}
+
+/// The dense `n × n` pair→layer map of hierarchy `sizes`. Each row starts
+/// as the outermost layer; then each nested cluster's block of it is
+/// filled from the outside in, so an inner block overwrites the cluster
+/// around it.
+fn fill_hierarchy(n: usize, sizes: &[usize]) -> Vec<LayerId> {
+    let mut m = vec![LayerId(sizes.len() as u8); n * n];
+    for (a, row) in m.chunks_exact_mut(n).enumerate() {
+        for (i, &s) in sizes.iter().enumerate().rev() {
+            let start = a / s * s;
+            row[start..start + s.min(n - start)].fill(LayerId(i as u8));
+        }
+        row[a] = LayerId::LOCAL;
+    }
+    m
 }
 
 #[cfg(test)]
@@ -242,6 +271,17 @@ mod tests {
             .hierarchy(&[4])
             .build();
         assert_eq!(t.n_c(), 2);
+    }
+
+    #[test]
+    fn default_n_c_is_capped_at_the_machine() {
+        let t = TopologyBuilder::new("small", 10)
+            .layer("near", 10.0, 0.4)
+            .layer("far", 40.0, 0.8)
+            .hierarchy(&[64])
+            .build();
+        assert_eq!(t.n_c(), 10);
+        assert_eq!(t.num_clusters(), 1);
     }
 
     #[test]

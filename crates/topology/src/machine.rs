@@ -84,27 +84,88 @@ pub struct Topology {
     pub(crate) epsilon_ns: f64,
     /// Latency layers `L_0..L_k`.
     pub(crate) layers: Vec<Layer>,
-    /// Dense `num_cores × num_cores` map of layer ids, one byte per core
-    /// pair; the diagonal is LOCAL. The only per-pair table: a pair's
-    /// latency and RFO cost depend on nothing but its layer, so both are
-    /// read through this map.
-    pub(crate) pair_layer: Vec<LayerId>,
+    /// Which layer joins two cores, and the masks that fold a core set
+    /// into the layers present in it. A pair's latency and RFO cost depend
+    /// on nothing but its layer, so both are read through this.
+    pub(crate) map: LayerMap,
     /// Transfer latency per layer byte: entry `0` is `ε` and entry `i + 1`
     /// is `L_i` ([`LayerId::LOCAL`] is `u8::MAX`, which `+ 1` wraps to 0).
-    /// [`Topology::latency_ns`] prices a pair with one `pair_layer` load and
-    /// one load from this table.
+    /// [`Topology::latency_ns`] prices a pair with one layer lookup and one
+    /// load from this table.
     pub(crate) latency_by_layer: Vec<f64>,
-    /// Per-(core, layer) bitsets over cores, [`Topology::mask_words`] words
-    /// each: bit `b` of the mask for `(a, L_i)` is set iff `layer(a, b) ==
-    /// L_i`. Lets the simulator reduce a sharer set to the layers present
-    /// in it with a few word ANDs instead of a walk over its members.
-    pub(crate) layer_masks: Vec<u64>,
     /// Logical core-cluster size `N_c` (Section III-A).
     pub(crate) n_c: usize,
     pub(crate) coherence: CoherenceParams,
     /// Per-op-kind atomic RMW surcharge parameters (DESIGN.md §17).
     /// [`RmwCosts::legacy`] unless the preset/builder differentiates.
     pub(crate) rmw_costs: RmwCosts,
+}
+
+/// The two representations of a machine's pair→layer function. Which one a
+/// machine gets is decided by [`crate::TopologyBuilder::build`]; every
+/// query answers the same on both.
+#[derive(Debug, Clone)]
+pub(crate) enum LayerMap {
+    /// A hierarchy of nested power-of-two blocks. Two cores share the
+    /// level-`i` block of size `2^k` iff their ids agree above bit `k`, so
+    /// the highest bit in which they differ decides the innermost block
+    /// that holds both: the layer is a function of `bit_len(a ^ b)` alone.
+    Nested {
+        /// Entry `d` is the layer joining two cores whose ids first differ
+        /// in bit `d - 1`: the number of levels whose size is below `2^d`.
+        /// Entry `0` (`a == b`) is [`LayerId::LOCAL`].
+        by_bit_len: [LayerId; 65],
+        /// Per-(core mod 64, layer) bitsets over one 64-core word: bit `j`
+        /// of entry `c · layers + i` is set iff cores `c` and `j` of the
+        /// same word are joined over `L_i`. Every word holds the same
+        /// pattern, since a 64-aligned word sits inside any block of 64
+        /// cores or more and holds whole blocks of fewer.
+        word_masks: Vec<u64>,
+    },
+    /// Any other machine: one byte per core pair and one core bitset per
+    /// (core, layer).
+    Dense {
+        /// `num_cores × num_cores` layer ids; the diagonal is LOCAL.
+        pair_layer: Vec<LayerId>,
+        /// [`Topology::mask_words`] words per (core, layer): bit `b` of
+        /// the mask for `(a, L_i)` is set iff `layer(a, b) == L_i`.
+        layer_masks: Vec<u64>,
+    },
+}
+
+impl LayerMap {
+    /// The nested map of power-of-two hierarchy `sizes` (innermost first);
+    /// its word masks are filled by [`Topology::compute_layer_masks`].
+    pub(crate) fn nested(sizes: &[usize]) -> Self {
+        debug_assert!(sizes.iter().all(|s| s.is_power_of_two()));
+        let mut by_bit_len = [LayerId::LOCAL; 65];
+        for (d, l) in by_bit_len.iter_mut().enumerate().skip(1) {
+            *l = LayerId(sizes.iter().filter(|s| (s.trailing_zeros() as usize) < d).count() as u8);
+        }
+        LayerMap::Nested { by_bit_len, word_masks: Vec::new() }
+    }
+}
+
+/// Number of significant bits of `x` (`0` for `0`).
+#[inline]
+fn bit_len(x: usize) -> usize {
+    (usize::BITS - x.leading_zeros()) as usize
+}
+
+/// The layers among `todo` whose `mask` meets `rest`, tried innermost
+/// first. A member found in one layer leaves `rest`, and the walk stops
+/// once `rest` or `todo` is empty.
+#[inline]
+fn word_layers(mut rest: u64, mut todo: u64, mask: impl Fn(usize) -> u64) -> u64 {
+    let mut present = 0u64;
+    while rest != 0 && todo != 0 {
+        let l = todo.trailing_zeros();
+        todo &= todo - 1;
+        let hit = rest & mask(l as usize);
+        present |= u64::from(hit != 0) << l;
+        rest &= !hit;
+    }
+    present
 }
 
 impl Topology {
@@ -182,12 +243,14 @@ impl Topology {
     #[inline]
     pub fn layer(&self, a: CoreId, b: CoreId) -> LayerId {
         assert!(a < self.num_cores && b < self.num_cores, "core id out of range");
-        self.pair_layer[a * self.num_cores + b]
+        match &self.map {
+            LayerMap::Nested { by_bit_len, .. } => by_bit_len[bit_len(a ^ b)],
+            LayerMap::Dense { pair_layer, .. } => pair_layer[a * self.num_cores + b],
+        }
     }
 
     /// Cache-to-cache transfer latency between cores `a` and `b` in ns
-    /// (`ε` when `a == b`): the latency of the layer joining them, looked
-    /// up through the pair→layer map.
+    /// (`ε` when `a == b`): the latency of the layer joining them.
     ///
     /// # Panics
     /// Panics if either core id is out of range.
@@ -215,7 +278,7 @@ impl Topology {
 
     /// Cost in ns of sending an RFO invalidation from `writer` to a sharer
     /// at `holder`: `α_i · L_i` for the layer `L_i` joining them
-    /// (Section III-B), computed from the pair→layer map.
+    /// (Section III-B).
     ///
     /// # Panics
     /// Panics if either core id is out of range.
@@ -251,20 +314,60 @@ impl Topology {
         self.num_cores.div_ceil(64)
     }
 
-    /// The cores joined to `core` over the non-local layer `layer`, as a
-    /// bitset of [`Topology::mask_words`] words (bit `b % 64` of word
-    /// `b / 64` stands for core `b`). Since a latency or RFO matrix entry
-    /// depends only on the layer, a maximum or minimum over a core set
-    /// equals the one over the layers whose masks intersect it.
+    /// The non-local layers joining `t` to the members of `set`, as a
+    /// bitmask over `L_i` indices. `set` is a core bitset of at most
+    /// [`Topology::mask_words`] words (bit `b % 64` of word `b / 64` stands
+    /// for core `b`); `t` itself joins over the local layer and never
+    /// counts. A pair's latency and RFO cost depend only on its layer, so a
+    /// maximum or minimum over the set is one over these layers: a few word
+    /// ANDs of the set's nonzero words with the masks of the layers not
+    /// found yet, not a walk over its members. On a nested machine a word
+    /// other than `t`'s own lies wholly in one layer, read off its index.
     ///
     /// # Panics
-    /// Panics if `core` is out of range or `layer` is [`LayerId::LOCAL`].
+    /// Panics if `t` is out of range or `set` is longer than
+    /// [`Topology::mask_words`].
     #[inline]
-    pub fn layer_mask(&self, core: CoreId, layer: LayerId) -> &[u64] {
-        assert!(core < self.num_cores, "core id out of range");
-        let w = self.mask_words();
-        let i = (core * self.layers.len() + layer.index()) * w;
-        &self.layer_masks[i..i + w]
+    pub fn layers_of(&self, t: CoreId, set: &[u64]) -> u64 {
+        assert!(t < self.num_cores, "core id out of range");
+        assert!(set.len() <= self.mask_words(), "core set wider than the machine");
+        let nl = self.layers.len();
+        let all = u64::MAX.checked_shr(64 - nl as u32).unwrap_or(0);
+        let (tw, tb) = (t / 64, t % 64);
+        let mut present = 0u64;
+        match &self.map {
+            LayerMap::Nested { by_bit_len, word_masks } => {
+                let own = &word_masks[tb * nl..(tb + 1) * nl];
+                for (w, &bits) in set.iter().enumerate() {
+                    if w != tw {
+                        // Cores of word `w` differ from `t` first in bit
+                        // `6 + bit_len(tw ^ w) - 1`, whatever their offset.
+                        if bits != 0 {
+                            present |= 1 << by_bit_len[6 + bit_len(tw ^ w)].0;
+                        }
+                    } else {
+                        present |= word_layers(bits & !(1 << tb), all & !present, |l| own[l]);
+                    }
+                    if present == all {
+                        break;
+                    }
+                }
+            }
+            LayerMap::Dense { layer_masks, .. } => {
+                let mw = self.mask_words();
+                let masks = &layer_masks[t * nl * mw..(t + 1) * nl * mw];
+                for (w, &bits) in set.iter().enumerate() {
+                    // The word's members not placed yet (no layer mask
+                    // holds `t`).
+                    let rest = bits & !(u64::from(tw == w) << tb);
+                    present |= word_layers(rest, all & !present, |l| masks[l * mw + w]);
+                    if present == all {
+                        break;
+                    }
+                }
+            }
+        }
+        present
     }
 
     /// The largest (outermost) layer latency of the machine, in ns.
@@ -293,43 +396,70 @@ impl Topology {
         sum / n as f64
     }
 
-    /// Fills the per-(core, layer) masks from the pair→layer map. Called
-    /// once by the builder, after validation.
+    /// Fills the layer masks from the layer map. Called once by the
+    /// builder, after validation.
     pub(crate) fn compute_layer_masks(&mut self) {
-        let n = self.num_cores;
-        let (nl, w) = (self.layers.len(), self.mask_words());
-        let mut masks = vec![0u64; n * nl * w];
-        for (a, row) in self.pair_layer.chunks_exact(n).enumerate() {
-            for (b, l) in row.iter().enumerate() {
-                if !l.is_local() {
-                    masks[(a * nl + l.index()) * w + b / 64] |= 1u64 << (b % 64);
+        let (n, nl, w) = (self.num_cores, self.layers.len(), self.mask_words());
+        match &mut self.map {
+            LayerMap::Nested { by_bit_len, word_masks } => {
+                let m = n.min(64);
+                let mut masks = vec![0u64; 64 * nl];
+                for c in 0..m {
+                    for j in (0..m).filter(|&j| j != c) {
+                        masks[c * nl + by_bit_len[bit_len(c ^ j)].index()] |= 1u64 << j;
+                    }
                 }
+                *word_masks = masks;
+            }
+            LayerMap::Dense { pair_layer, layer_masks } => {
+                let mut masks = vec![0u64; n * nl * w];
+                for (a, row) in pair_layer.chunks_exact(n).enumerate() {
+                    for (b, l) in row.iter().enumerate() {
+                        if !l.is_local() {
+                            masks[(a * nl + l.index()) * w + b / 64] |= 1u64 << (b % 64);
+                        }
+                    }
+                }
+                *layer_masks = masks;
             }
         }
-        self.layer_masks = masks;
     }
 
     /// Verifies internal consistency; called by the builder and presets.
-    /// Checks the map is symmetric, the diagonal is LOCAL, every
-    /// referenced layer exists, and there are at most 64 layers. Each
-    /// unordered pair is checked once.
+    /// Checks there are at most 64 layers and every layer a pair is joined
+    /// over exists. A dense map must also be symmetric with a LOCAL
+    /// diagonal; each unordered pair is checked once. A nested map is both
+    /// by construction, and its outermost pair, `(0, n − 1)`, is joined
+    /// over the largest layer id it uses.
     pub(crate) fn validate(&self) {
         let n = self.num_cores;
-        assert_eq!(self.pair_layer.len(), n * n);
-        assert!(self.n_c >= 1 && self.n_c <= n);
+        assert!(self.n_c >= 1 && self.n_c <= n, "N_c = {} outside 1..={n}", self.n_c);
         // The simulator folds sharer sets into a 64-bit set of layers.
         assert!(self.layers.len() <= 64, "at most 64 latency layers, got {}", self.layers.len());
+        let in_range = |l: LayerId| {
+            assert!(
+                l.index() < self.layers.len(),
+                "layer {l} out of range (machine has {} layers)",
+                self.layers.len()
+            );
+        };
+        let pair_layer = match &self.map {
+            LayerMap::Nested { .. } => {
+                if n > 1 {
+                    in_range(self.layer(0, n - 1));
+                }
+                return;
+            }
+            LayerMap::Dense { pair_layer, .. } => pair_layer,
+        };
+        assert_eq!(pair_layer.len(), n * n);
         for a in 0..n {
-            assert!(self.pair_layer[a * n + a].is_local(), "diagonal of pair_layer must be LOCAL");
+            assert!(pair_layer[a * n + a].is_local(), "diagonal of pair_layer must be LOCAL");
             for b in a + 1..n {
-                let l = self.pair_layer[a * n + b];
+                let l = pair_layer[a * n + b];
                 assert!(!l.is_local(), "off-diagonal must not be LOCAL");
-                assert!(
-                    l.index() < self.layers.len(),
-                    "layer {l} out of range (machine has {} layers)",
-                    self.layers.len()
-                );
-                assert_eq!(l, self.pair_layer[b * n + a], "pair_layer must be symmetric");
+                in_range(l);
+                assert_eq!(l, pair_layer[b * n + a], "pair_layer must be symmetric");
             }
         }
     }
@@ -341,13 +471,52 @@ mod tests {
 
     #[test]
     fn presets_validate() {
-        for p in Platform::ALL {
+        // `validate` on each representation, and what it checks of a
+        // dense map read through `layer` on every pair of every preset:
+        // a LOCAL diagonal, symmetry, and only layers that exist.
+        for p in Platform::EVERY {
             let t = Topology::preset(p);
             t.validate();
             assert!(t.num_cores() >= 32);
             assert!(t.epsilon_ns() > 0.0);
             assert!(!t.layers().is_empty());
+            for a in 0..t.num_cores() {
+                assert!(t.layer(a, a).is_local(), "{p:?} {a}");
+                for b in a + 1..t.num_cores() {
+                    let l = t.layer(a, b);
+                    assert!(!l.is_local() && l.index() < t.layers().len(), "{p:?} {a} {b}");
+                    assert_eq!(l, t.layer(b, a), "{p:?} {a} {b}");
+                }
+            }
         }
+    }
+
+    /// Bytes of per-machine lookup tables: the layer map and masks plus
+    /// the per-layer latencies.
+    fn table_bytes(t: &Topology) -> usize {
+        let map = match &t.map {
+            LayerMap::Nested { by_bit_len, word_masks } => {
+                std::mem::size_of_val(by_bit_len) + std::mem::size_of_val(&word_masks[..])
+            }
+            LayerMap::Dense { pair_layer, layer_masks } => {
+                std::mem::size_of_val(&pair_layer[..]) + std::mem::size_of_val(&layer_masks[..])
+            }
+        };
+        map + std::mem::size_of_val(&t.latency_by_layer[..])
+    }
+
+    #[test]
+    fn nested_presets_build_no_pair_tables() {
+        // Every hierarchy preset is nested powers of two, so it answers by
+        // bit arithmetic; only Phytium's panel-distance rule keeps a map.
+        for p in Platform::EVERY {
+            let t = Topology::preset(p);
+            let nested = matches!(t.map, LayerMap::Nested { .. });
+            assert_eq!(nested, p != Platform::Phytium2000Plus, "{p:?}");
+        }
+        // MemPool-1024 held a 1 MiB pair map and 384 KiB of masks.
+        let bytes = table_bytes(&Topology::preset(Platform::MemPool1024));
+        assert!(bytes < 64 << 10, "MemPool-1024 tables take {bytes} bytes");
     }
 
     #[test]
@@ -385,17 +554,17 @@ mod tests {
 
     #[test]
     fn pair_costs_equal_layer_math_exactly() {
-        // The simulator prices a pair through the pair→layer map and folds
-        // sharer sets over the layer masks; both must agree bit for bit
-        // with the per-layer formulas, on every preset.
+        // The simulator prices a pair through its layer and folds sharer
+        // sets over the layer masks; both must agree bit for bit with the
+        // per-layer formulas, on every preset and either representation.
         for p in Platform::EVERY {
             let t = Topology::preset(p);
-            let nl = t.layers().len();
-            for a in 0..t.num_cores() {
-                let masks: Vec<&[u64]> =
-                    (0..nl).map(|i| t.layer_mask(a, LayerId(i as u8))).collect();
-                assert!(masks.iter().all(|m| m.len() == t.mask_words()), "{p:?} {a}");
-                for b in 0..t.num_cores() {
+            let n = t.num_cores();
+            let mut set = vec![0u64; t.mask_words()];
+            let mut all = 0u64;
+            for a in 0..n {
+                let mut joined = 0u64;
+                for b in 0..n {
                     let l = t.layer(a, b);
                     let lat = if l.is_local() {
                         t.epsilon_ns()
@@ -406,17 +575,22 @@ mod tests {
                     assert_eq!(t.layer_latency_ns(l).to_bits(), lat.to_bits(), "{p:?} {a} {b}");
                     let rfo = t.alpha(l) * lat;
                     assert_eq!(t.rfo_ns(a, b).to_bits(), rfo.to_bits(), "{p:?} {a} {b}");
-                    for (i, m) in masks.iter().enumerate() {
-                        let member = m[b / 64] >> (b % 64) & 1 == 1;
-                        assert_eq!(member, l == LayerId(i as u8), "{p:?} {a} {b} L{i}");
-                    }
+                    // The one-member set {b} folds to b's layer alone.
+                    let want = if l.is_local() { 0 } else { 1u64 << l.0 };
+                    set[b / 64] = 1 << (b % 64);
+                    assert_eq!(t.layers_of(a, &set), want, "{p:?} {a} {b}");
+                    set[b / 64] = 0;
+                    joined |= want;
                 }
-                // No stray bits past the last core.
-                let tail = t.num_cores() % 64;
-                if tail != 0 {
-                    assert!(masks.iter().all(|m| m[m.len() - 1] >> tail == 0), "{p:?} {a}");
-                }
+                // The whole machine folds to every layer joining `a`.
+                set.iter_mut()
+                    .enumerate()
+                    .for_each(|(w, m)| *m = u64::MAX >> (64 - (n - 64 * w).min(64)));
+                assert_eq!(t.layers_of(a, &set), joined, "{p:?} {a}");
+                set.fill(0);
+                all |= joined;
             }
+            assert_eq!(all, u64::MAX >> (64 - t.layers().len()), "{p:?}: an unused layer");
         }
     }
 

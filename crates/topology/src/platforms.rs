@@ -95,16 +95,7 @@ pub fn phytium_2000plus() -> Topology {
         b = b.layer(&format!("panel distance {}", d + 1), l, 0.55);
     }
     b.n_c(4)
-        .pair_layer_fn(|a, c| {
-            if a / 4 == c / 4 {
-                LayerId(0) // same core group
-            } else if a / 8 == c / 8 {
-                LayerId(1) // same panel
-            } else {
-                let d = (a / 8).abs_diff(c / 8);
-                LayerId(1 + d as u8) // L2..L8 by panel distance
-            }
-        })
+        .pair_layer_fn(phytium_layer)
         .coherence(5.0, 10.0, 0.03)
         .noc_ns(3.0)
         // FT-2000+ cores are ARMv8.0: every atomic is an LDXR…STXR
@@ -112,6 +103,20 @@ pub fn phytium_2000plus() -> Topology {
         // cheap failed CAS). See DESIGN.md §17.
         .rmw_costs(RmwCosts::llsc(1.6, 1.2))
         .build()
+}
+
+/// The layer joining distinct Phytium 2000+ cores `a` and `c`: `L0` within
+/// a core group of 4, `L1` within a panel of 8, else `L2..L8` by panel
+/// distance. Not a nested hierarchy, so the machine keeps a pair map.
+fn phytium_layer(a: usize, c: usize) -> LayerId {
+    if a / 4 == c / 4 {
+        LayerId(0) // same core group
+    } else if a / 8 == c / 8 {
+        LayerId(1) // same panel
+    } else {
+        let d = (a / 8).abs_diff(c / 8);
+        LayerId(1 + d as u8) // L2..L8 by panel distance
+    }
 }
 
 /// ThunderX2 (Table II). Two 32-core sockets; uniform ~24 ns within a
@@ -233,6 +238,31 @@ mod tests {
             assert_eq!(t.latency_ns(0, (p + 1) * 8), l, "panel 0-{}", p + 1);
         }
         assert_eq!(t.n_c(), 4);
+    }
+
+    #[test]
+    fn every_preset_layer_matches_its_definition() {
+        // Each preset's layer function, restated pair by pair: the
+        // per-pair rule of its hierarchy sizes, or Phytium's panel rule.
+        for p in Platform::EVERY {
+            let t = Topology::preset(p);
+            let sizes: &[usize] = match p {
+                Platform::Phytium2000Plus => &[],
+                Platform::ThunderX2 => &[32],
+                Platform::Kunpeng920 => &[4, 32],
+                Platform::XeonGold => &[],
+                Platform::MemPool256 | Platform::MemPool1024 => &[4, 64],
+            };
+            for a in 0..t.num_cores() {
+                for b in 0..t.num_cores() {
+                    let want = match p {
+                        Platform::Phytium2000Plus if a != b => phytium_layer(a, b),
+                        _ => crate::proptests::per_pair_layer(sizes, a, b),
+                    };
+                    assert_eq!(t.layer(a, b), want, "{p:?} ({a}, {b})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -86,7 +86,7 @@ proptest! {
 /// The layer `hierarchy(sizes)` assigns to the pair `(a, b)`, pair by pair:
 /// the innermost level whose cluster holds both cores, else the outermost
 /// layer.
-fn per_pair_layer(sizes: &[usize], a: usize, b: usize) -> LayerId {
+pub(crate) fn per_pair_layer(sizes: &[usize], a: usize, b: usize) -> LayerId {
     if a == b {
         return LayerId::LOCAL;
     }
@@ -97,18 +97,29 @@ fn per_pair_layer(sizes: &[usize], a: usize, b: usize) -> LayerId {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// `hierarchy()` fills nested blocks of each row; its map equals the
-    /// per-pair rule on every pair, also when the core count is not a
-    /// multiple of the outer cluster sizes (a ragged last cluster) or is
-    /// smaller than them.
+    /// `hierarchy()`'s layer function equals the per-pair rule on every
+    /// pair, and its layer masks fold core sets into the layers of their
+    /// members, also when the core count is not a multiple of the outer
+    /// cluster sizes (a ragged last cluster) or is smaller than them. Half
+    /// the cases draw power-of-two nests, whose sizes run from 1 to 4096,
+    /// below and above a 64-core word; these take the nested, table-free
+    /// representation.
     #[test]
     fn hierarchy_matches_per_pair_rule(
         cores in 1usize..=300,
         levels in 0usize..=3,
         base in 1usize..=8,
         fanouts in (2usize..=5, 2usize..=5),
+        pow2 in any::<bool>(),
+        logs in (0u32..=6, 1u32..=3, 1u32..=3),
+        set_seed in 0u64..u64::MAX,
     ) {
-        let mut sizes = vec![base, base * fanouts.0, base * fanouts.0 * fanouts.1];
+        let mut sizes = if pow2 {
+            let (k0, k1, k2) = logs;
+            vec![1 << k0, 1 << (k0 + k1), 1 << (k0 + k1 + k2)]
+        } else {
+            vec![base, base * fanouts.0, base * fanouts.0 * fanouts.1]
+        };
         sizes.truncate(levels);
         let t = (0..=levels)
             .fold(TopologyBuilder::new("prop", cores), |b, i| {
@@ -116,10 +127,34 @@ proptest! {
             })
             .hierarchy(&sizes)
             .build();
+        let nested = matches!(t.map, crate::machine::LayerMap::Nested { .. });
+        prop_assert!(nested == sizes.iter().all(|s| s.is_power_of_two()), "sizes {sizes:?}");
         for a in 0..cores {
             for c in 0..cores {
                 let (got, want) = (t.layer(a, c), per_pair_layer(&sizes, a, c));
                 prop_assert!(got == want, "sizes {sizes:?}, pair ({a}, {c}): {got} != {want}");
+            }
+        }
+        // Sets from full to sparse.
+        let mut x = set_seed;
+        for density in [0u32, 1, 3, 6] {
+            let set: Vec<u64> = (0..t.mask_words())
+                .map(|w| {
+                    let mut bits = u64::MAX;
+                    for _ in 0..density {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        bits &= x;
+                    }
+                    let live = (cores - 64 * w).min(64);
+                    bits & u64::MAX >> (64 - live)
+                })
+                .collect();
+            for a in 0..cores {
+                let want = (0..cores)
+                    .filter(|&c| c != a && set[c / 64] >> (c % 64) & 1 == 1)
+                    .fold(0u64, |m, c| m | 1 << t.layer(a, c).0);
+                let got = t.layers_of(a, &set);
+                prop_assert!(got == want, "sizes {sizes:?}, core {a}: {got:#x} != {want:#x}");
             }
         }
     }
