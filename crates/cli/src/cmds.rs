@@ -7,9 +7,7 @@ use armbar_conformance::{
     PhaserConformConfig, TableConfig,
 };
 use armbar_core::prelude::*;
-use armbar_epcc::{
-    latency_table, phase_breakdown, sim_overhead, trace_episodes, EpisodeTrace, OverheadConfig,
-};
+use armbar_epcc::{latency_table, sim_overhead, trace_episodes, EpisodeTrace, OverheadConfig};
 use armbar_faults::{chaos_matrix_on, render_csv, render_json, Backend, ChaosConfig, Scenario};
 use armbar_model::{optimal_fanin_int, recommend_wakeup, WakeupChoice};
 use armbar_simcoh::Arena;
@@ -436,13 +434,7 @@ pub fn recommend(rest: &[String]) -> Result<(), String> {
     let f = optimal_fanin_int(&topo, p);
     let wake = match recommend_wakeup(&topo, p) {
         WakeupChoice::Global => WakeupKind::Global,
-        WakeupChoice::Tree => {
-            if topo.num_clusters() > 1 {
-                WakeupKind::NumaTree
-            } else {
-                WakeupKind::BinaryTree
-            }
-        }
+        WakeupChoice::Tree => WakeupKind::tree_for(&topo),
     };
     println!("{} at {p} threads:", topo.name());
     println!("  model-optimal fan-in:  {f}");
@@ -471,12 +463,14 @@ pub fn phases(rest: &[String]) -> Result<(), String> {
     {
         let mut arena = Arena::new();
         let barrier: Arc<dyn Barrier> = Arc::from(id.build(&mut arena, p, &topo));
-        match phase_breakdown(&topo, p, barrier, 4).map_err(|e| e.to_string())? {
-            Some(b) => println!(
+        let cfg = OverheadConfig { warmup: 4, episodes: 1, ..OverheadConfig::default() };
+        let traces = trace_episodes(&topo, p, barrier, cfg).map_err(|e| e.to_string())?;
+        match traces.last().and_then(|t| Some((t.arrival_ns()?, t.notification_ns()?))) {
+            Some((arrival, notification)) => println!(
                 "{:>10} {:>10.2} {:>14.2}",
                 id.label(),
-                b.arrival_ns / 1000.0,
-                b.notification_ns / 1000.0
+                arrival / 1000.0,
+                notification / 1000.0
             ),
             None => println!("{:>10} (no phase marks)", id.label()),
         }

@@ -201,12 +201,6 @@ impl FenceCell {
     pub fn weakest_passing(&self) -> Option<FenceLevel> {
         self.results.iter().find(|r| r.violation.is_none()).map(|r| r.level)
     }
-
-    /// Whether the shipped placement is minimal: no strictly weaker
-    /// probed level also passes.
-    pub fn shipped_is_minimal(&self) -> bool {
-        self.weakest_passing() == Some(FenceLevel::AsShipped)
-    }
 }
 
 /// The conformance trial of `algorithm` with its `wait` demoted to `level`.

@@ -87,13 +87,7 @@ impl FwayConfig {
         // per-thread contention coefficients are small (the paper's
         // Kunpeng 920 case).
         let cheap_contention = coh.inv_ns + coh.read_contention_ns < 7.0;
-        let wakeup = if cheap_contention {
-            WakeupKind::Global
-        } else if topo.num_clusters() > 1 {
-            WakeupKind::NumaTree
-        } else {
-            WakeupKind::BinaryTree
-        };
+        let wakeup = if cheap_contention { WakeupKind::Global } else { WakeupKind::tree_for(topo) };
         Self { fanin: Fanin::Fixed(4), padded_flags: true, dynamic: false, wakeup }
     }
 }

@@ -4,19 +4,18 @@
 //! | Module | Paper name | Notes |
 //! |---|---|---|
 //! | [`sense`] | SENSE | sense-reversing centralized; = GCC libgomp |
-//! | [`dissemination`] | DIS | ⌈log₂P⌉ pairwise rounds, no notification phase |
+//! | [`nway_dissemination`] | DIS | n-way dissemination at n = 1: ⌈log₂P⌉ pairwise rounds, no notification phase |
 //! | [`combining`] | CMB | software combining tree (Yew/Tzeng/Lawrie), fan-in 2 |
 //! | [`mcs`] | MCS | Mellor-Crummey & Scott P-node tree (4-ary arrive, binary wake) |
 //! | [`tournament`] | TOUR | Hensgen/Finkel/Manber pairwise tournament, global wake-up |
 //! | [`fway`] | STOUR / DTOUR | Grunwald & Vajracharya static/dynamic f-way tournament — and, fully configured, the paper's optimized barrier |
 //! | [`hyper`] | (LLVM) | hypercube-embedded tree, branch factor 4; = LLVM libomp default |
 //! | [`hybrid`] | (extension) | per-cluster counters + tournament over representatives |
-//! | [`nway_dissemination`] | (cited, ref \[4\]) | Hoefler n-way dissemination |
+//! | [`nway_dissemination`] | NDIS (cited, ref \[4\]) | Hoefler n-way dissemination at n = 2 |
 //! | [`ring`] | (cited, ref \[7\]) | Aravind two-pass ring/token barrier |
 //! | [`shyper`] | (contender) | rust_shyper/rtshyper spinlock-guarded counter, `round_up` reuse-safe exit + proxy arrival |
 
 pub mod combining;
-pub mod dissemination;
 pub mod fway;
 pub mod hybrid;
 pub mod hyper;
@@ -28,7 +27,6 @@ pub mod shyper;
 pub mod tournament;
 
 pub use combining::CombiningTreeBarrier;
-pub use dissemination::DisseminationBarrier;
 pub use fway::{FwayBarrier, FwayConfig};
 pub use hybrid::HybridBarrier;
 pub use hyper::HyperBarrier;

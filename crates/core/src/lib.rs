@@ -56,8 +56,8 @@ pub mod trees;
 pub mod wakeup;
 
 pub use algorithms::{
-    CombiningTreeBarrier, DisseminationBarrier, FwayBarrier, FwayConfig, HybridBarrier,
-    HyperBarrier, McsBarrier, SenseBarrier, TournamentBarrier,
+    CombiningTreeBarrier, FwayBarrier, FwayConfig, HybridBarrier, HyperBarrier, McsBarrier,
+    NwayDisseminationBarrier, SenseBarrier, TournamentBarrier,
 };
 pub use env::{Barrier, MemCtx, MemLayer};
 pub use host::{HostCtx, HostMem};

@@ -5,9 +5,9 @@ use armbar_simcoh::Arena;
 use armbar_topology::Topology;
 
 use crate::algorithms::{
-    CombiningTreeBarrier, DisseminationBarrier, FwayBarrier, FwayConfig, HybridBarrier,
-    HyperBarrier, McsBarrier, NwayDisseminationBarrier, RingBarrier, SenseBarrier, ShyCtrBarrier,
-    ShyProxyBarrier, TournamentBarrier,
+    CombiningTreeBarrier, FwayBarrier, FwayConfig, HybridBarrier, HyperBarrier, McsBarrier,
+    NwayDisseminationBarrier, RingBarrier, SenseBarrier, ShyCtrBarrier, ShyProxyBarrier,
+    TournamentBarrier,
 };
 use crate::env::Barrier;
 use crate::phaser::{CentralPhaser, TreePhaser};
@@ -17,7 +17,7 @@ use crate::phaser::{CentralPhaser, TreePhaser};
 pub enum AlgorithmId {
     /// Sense-reversing centralized (Figure 7a) = GCC libgomp's barrier.
     Sense,
-    /// Dissemination barrier.
+    /// Dissemination barrier: n-way dissemination with n = 1.
     Dissemination,
     /// Software combining tree, fan-in 2.
     Combining,
@@ -120,7 +120,9 @@ impl AlgorithmId {
     pub fn build(self, arena: &mut Arena, p: usize, topo: &Topology) -> Box<dyn Barrier> {
         match self {
             AlgorithmId::Sense => Box::new(SenseBarrier::gcc_style(arena, p, topo)),
-            AlgorithmId::Dissemination => Box::new(DisseminationBarrier::new(arena, p, topo)),
+            AlgorithmId::Dissemination => {
+                Box::new(NwayDisseminationBarrier::new(arena, p, topo, 1))
+            }
             AlgorithmId::Combining => Box::new(CombiningTreeBarrier::new(arena, p, topo, 2)),
             AlgorithmId::Mcs => Box::new(McsBarrier::new(arena, p, topo)),
             AlgorithmId::Tournament => Box::new(TournamentBarrier::new(arena, p, topo)),

@@ -332,8 +332,8 @@ impl Drop for PoisonGuard<'_> {
 /// **proxy-arrives** for the victim (shyper's `add_barrier_count` idiom),
 /// the episode completes *degraded*, and the next epoch reforms with P−1
 /// members. The victim's slot receives [`BarrierError::Evicted`] exactly
-/// once. Poisoning remains the fallback when eviction is disabled, the
-/// team is down to its last member, or recovery attempts run out.
+/// once. Poisoning remains the fallback when the team is down to its last
+/// member or recovery attempts run out.
 ///
 /// Timeouts are wall-clock on the host and poll-count
 /// ([`RobustConfig::max_polls`]) on the simulator, where detection order
@@ -342,12 +342,10 @@ impl Drop for PoisonGuard<'_> {
 pub struct RobustPhaser {
     inner: Box<dyn Phaser>,
     hard: Hardening,
-    eviction: bool,
 }
 
 impl RobustPhaser {
     /// Wraps `inner`; same arena discipline as [`RobustBarrier::new`].
-    /// Eviction starts enabled.
     pub fn new(
         arena: &mut Arena,
         line_bytes: usize,
@@ -355,14 +353,7 @@ impl RobustPhaser {
         config: RobustConfig,
     ) -> Self {
         let hard = Hardening::new(arena, line_bytes, config);
-        Self { inner, hard, eviction: true }
-    }
-
-    /// Enables or disables the eviction vote; disabled means every timeout
-    /// poisons, exactly like [`RobustBarrier`].
-    pub fn with_eviction(mut self, enabled: bool) -> Self {
-        self.eviction = enabled;
-        self
+        Self { inner, hard }
     }
 
     /// The wrapped phaser's label.
@@ -468,7 +459,7 @@ impl RobustPhaser {
                 Err(WaitAbort::Timeout { addr, spins }) => (addr, spins),
                 Err(abort) => return Err(abort.into_error(ctx.tid())),
             };
-            let step = recover(&*self.inner, ctx, &mut attempts, stalled, &mut seen, self.eviction);
+            let step = recover(&*self.inner, ctx, &mut attempts, stalled, &mut seen);
             if step == Recovery::Poison {
                 return Err(self.hard.claim_timeout(ctx, addr, spins));
             }
@@ -498,22 +489,21 @@ pub enum Recovery {
 /// lapse in between falls in the notification phase and re-waits without
 /// spending an attempt. Otherwise the step spends one and votes on
 /// `stalled` ([`Phaser::find_victim`], then [`Phaser::evict`]). It poisons
-/// when `eviction` is off, when evicting would drain the team, or past
-/// the members plus 2 attempts (each productive vote evicts a member).
+/// when evicting would drain the team, or past the members plus 2
+/// attempts (each productive vote evicts a member).
 pub fn recover(
     phaser: &dyn Phaser,
     ctx: &dyn MemCtx,
     attempts: &mut u32,
     stalled: u32,
     seen: &mut u32,
-    eviction: bool,
 ) -> Recovery {
     let now = phaser.epoch(ctx);
     if std::mem::replace(seen, now) != now || now > stalled {
         return Recovery::Rewait;
     }
     *attempts += 1;
-    let members = if eviction { phaser.members(ctx) } else { return Recovery::Poison };
+    let members = phaser.members(ctx);
     if *attempts > members + 2 {
         return Recovery::Poison;
     }
@@ -946,47 +936,6 @@ mod tests {
                 }
             })
             .unwrap();
-    }
-
-    /// Eviction disabled → the legacy terminal-poisoning behavior.
-    #[test]
-    fn robust_phaser_without_eviction_poisons() {
-        use crate::phaser::CentralPhaser;
-        use armbar_simcoh::SimBuilder;
-        let topo = Arc::new(Topology::preset(Platform::Kunpeng920));
-        let p = 4;
-        let mut arena = Arena::new();
-        let inner: Box<dyn Phaser> = Box::new(CentralPhaser::full(&mut arena, p, &topo));
-        let config = RobustConfig { max_polls: Some(500), ..RobustConfig::default() };
-        let robust =
-            Arc::new(RobustPhaser::new(&mut arena, 64, inner, config).with_eviction(false));
-        let results = Arc::new(std::sync::Mutex::new(vec![None; p]));
-        SimBuilder::new(Arc::clone(&topo), p)
-            .run({
-                let robust = Arc::clone(&robust);
-                let results = Arc::clone(&results);
-                move |ctx| {
-                    if ctx.tid() == 2 {
-                        return; // deserts the first episode
-                    }
-                    let r = robust.arrive_and_wait(ctx);
-                    results.lock().unwrap()[ctx.tid()] = Some(r);
-                }
-            })
-            .unwrap();
-        let r = results.lock().unwrap();
-        for (tid, res) in r.iter().enumerate() {
-            if tid == 2 {
-                continue;
-            }
-            assert!(
-                matches!(
-                    res,
-                    Some(Err(BarrierError::Timeout { .. } | BarrierError::Poisoned { .. }))
-                ),
-                "t{tid}: expected Timeout/Poisoned, got {res:?}"
-            );
-        }
     }
 
     /// One spin case: the values a peer stores into the watched words (one

@@ -18,6 +18,7 @@
 //! paper's Re-initialization-Phase disappears into the monotonic counter).
 
 use armbar_simcoh::{arena::padded_elem, Addr, Arena};
+use armbar_topology::Topology;
 
 use crate::env::MemCtx;
 use crate::trees::WakeTree;
@@ -40,6 +41,16 @@ impl WakeupKind {
             WakeupKind::Global => "global",
             WakeupKind::BinaryTree => "binary tree",
             WakeupKind::NumaTree => "NUMA-aware tree",
+        }
+    }
+
+    /// The tree wake-up for `topo`: the NUMA-aware tree on a machine with
+    /// more than one cluster, the binary tree otherwise.
+    pub fn tree_for(topo: &Topology) -> Self {
+        if topo.num_clusters() > 1 {
+            WakeupKind::NumaTree
+        } else {
+            WakeupKind::BinaryTree
         }
     }
 }
@@ -264,5 +275,17 @@ mod tests {
         assert_eq!(WakeupKind::Global.label(), "global");
         assert_eq!(WakeupKind::BinaryTree.label(), "binary tree");
         assert_eq!(WakeupKind::NumaTree.label(), "NUMA-aware tree");
+    }
+
+    #[test]
+    fn tree_wakeup_is_numa_aware_only_across_clusters() {
+        let one_cluster = armbar_topology::TopologyBuilder::new("one cluster", 4)
+            .layer("shared", 10.0, 0.5)
+            .n_c(4)
+            .hierarchy(&[4])
+            .build();
+        assert_eq!(WakeupKind::tree_for(&one_cluster), WakeupKind::BinaryTree);
+        let thunderx2 = Topology::preset(Platform::ThunderX2);
+        assert_eq!(WakeupKind::tree_for(&thunderx2), WakeupKind::NumaTree);
     }
 }

@@ -1,6 +1,8 @@
 //! Per-episode traces: phase timings *and* coherence-op counter deltas for
 //! every measured barrier episode, the raw material behind the CLI `trace`
-//! subcommand and the per-episode experiment tables.
+//! and `phases` subcommands and the phase-breakdown experiment. The
+//! simulator's arrival/notification split exists only here: a one-episode
+//! split is the trace of a run with `episodes: 1`.
 //!
 //! Timing comes from the centralized phase hooks (`Barrier::wait_traced`
 //! brackets each measured episode with ENTER/EXIT; the champion paths emit
@@ -217,6 +219,82 @@ mod tests {
             assert!(t.arrived_ns.is_none());
             assert!(t.arrival_ns().is_none());
         }
+    }
+
+    /// The phase split of one measured episode after 3 untraced warm-up
+    /// episodes, as `(arrival, notification)`; `None` without an ARRIVED.
+    fn split_of(topo: &Arc<Topology>, p: usize, barrier: Arc<dyn Barrier>) -> Option<(f64, f64)> {
+        let cfg = OverheadConfig { warmup: 3, episodes: 1, ..OverheadConfig::default() };
+        let t = trace_episodes(topo, p, barrier, cfg).unwrap().pop().unwrap();
+        Some((t.arrival_ns()?, t.notification_ns()?))
+    }
+
+    fn split(platform: Platform, p: usize, id: AlgorithmId) -> Option<(f64, f64)> {
+        let topo = Arc::new(Topology::preset(platform));
+        let mut arena = Arena::new();
+        let barrier: Arc<dyn Barrier> = Arc::from(id.build(&mut arena, p, &topo));
+        split_of(&topo, p, barrier)
+    }
+
+    #[test]
+    fn optimized_barrier_reports_both_phases() {
+        let (arrival, notification) =
+            split(Platform::ThunderX2, 64, AlgorithmId::Optimized).unwrap();
+        assert!(arrival > 0.0);
+        assert!(notification > 0.0);
+        assert!(arrival + notification < 10_000.0, "{arrival} + {notification}");
+    }
+
+    #[test]
+    fn sense_notification_is_the_smaller_share_at_scale() {
+        // SENSE's cost is the serialized arrival RMW storm; the release is
+        // one store plus staggered wakeups.
+        let (arrival, notification) = split(Platform::ThunderX2, 64, AlgorithmId::Sense).unwrap();
+        assert!(arrival > notification, "arrival {arrival:.0} vs notification {notification:.0}");
+    }
+
+    #[test]
+    fn every_algorithm_reports_phases_via_central_hooks() {
+        // No per-algorithm instrumentation needed: wait_traced brackets the
+        // episode and the champion paths emit ARRIVED.
+        for id in AlgorithmId::ALL.into_iter().chain(AlgorithmId::CONTENDERS) {
+            let (arrival, notification) = split(Platform::ThunderX2, 16, id)
+                .unwrap_or_else(|| panic!("{id:?} reported no phase marks"));
+            assert!(arrival >= 0.0 && notification >= 0.0, "{id:?}: {arrival} {notification}");
+            assert!(arrival + notification > 0.0, "{id:?}: {arrival} {notification}");
+        }
+    }
+
+    #[test]
+    fn single_thread_episode_has_no_arrival_mark() {
+        // With p = 1 every algorithm returns before any champion moment, so
+        // ARRIVED is absent and the split is undefined.
+        assert!(split(Platform::ThunderX2, 1, AlgorithmId::Mcs).is_none());
+    }
+
+    #[test]
+    fn wakeup_choice_changes_only_notification() {
+        use armbar_core::FwayBarrier;
+        let topo = Arc::new(Topology::preset(Platform::ThunderX2));
+        let get = |wakeup| {
+            let mut arena = Arena::new();
+            let b: Arc<dyn Barrier> = Arc::new(FwayBarrier::with_config(
+                &mut arena,
+                64,
+                &topo,
+                FwayConfig { wakeup, ..FwayConfig::optimized(&topo) },
+            ));
+            split_of(&topo, 64, b).unwrap()
+        };
+        let global = get(WakeupKind::Global);
+        let numa = get(WakeupKind::NumaTree);
+        // Arrival phases should be close; notification should differ more.
+        let arrival_gap = (global.0 - numa.0).abs() / global.0.max(numa.0);
+        assert!(arrival_gap < 0.35, "arrival {global:?} vs {numa:?}");
+        assert!(
+            global.1 > numa.1,
+            "on ThunderX2 the NUMA tree must beat the global flip: {global:?} vs {numa:?}"
+        );
     }
 
     #[test]

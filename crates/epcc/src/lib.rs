@@ -14,16 +14,15 @@
 //!   Section III-A: one thread *places* data (becoming the cache owner),
 //!   another *accesses* it; the per-line read latency is the layer latency
 //!   `L_i`. Regenerates Tables I–III from the simulator.
-//! * [`phases`] — Arrival/Notification split of one episode from the
-//!   centralized phase hooks (`Barrier::wait_traced` + champion ARRIVED).
-//! * [`episodes`] — per-episode traces: phase timings plus coherence-op
-//!   counter deltas for every measured episode (feeds the CLI `trace`
-//!   subcommand).
+//! * [`episodes`] — per-episode traces: the Arrival/Notification split
+//!   from the centralized phase hooks (`Barrier::wait_traced` + champion
+//!   ARRIVED) plus coherence-op counter deltas for every measured episode
+//!   (feeds the CLI `trace` and `phases` subcommands and the
+//!   phase-breakdown experiment).
 //! * [`summary`] — small-sample statistics used by the experiment reports.
 
 pub mod episodes;
 pub mod overhead;
-pub mod phases;
 pub mod pingpong;
 pub mod summary;
 
@@ -32,6 +31,5 @@ pub use overhead::{
     host_overhead_ns, host_overhead_of, sim_overhead, sim_overhead_reps, OverheadConfig,
     SEED_STRIDE,
 };
-pub use phases::{phase_breakdown, PhaseBreakdown};
 pub use pingpong::{latency_table, measure_latency_ns, LatencyRow};
 pub use summary::Summary;

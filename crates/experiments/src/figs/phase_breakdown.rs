@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use armbar_core::prelude::*;
-use armbar_epcc::{phase_breakdown, trace_episodes, OverheadConfig};
+use armbar_epcc::{trace_episodes, OverheadConfig};
 use armbar_simcoh::Arena;
 use armbar_topology::Platform;
 
@@ -41,15 +41,18 @@ pub fn run(_scale: &Scale) -> Vec<Report> {
         ] {
             let mut arena = Arena::new();
             let barrier: Arc<dyn Barrier> = Arc::from(id.build(&mut arena, P, &t));
-            let Some(b) = phase_breakdown(&t, P, barrier, 4).unwrap() else {
+            let cfg = OverheadConfig { warmup: 4, episodes: 1, ..OverheadConfig::default() };
+            let tr = trace_episodes(&t, P, barrier, cfg).unwrap().pop().unwrap();
+            let (Some(arrival), Some(notification)) = (tr.arrival_ns(), tr.notification_ns())
+            else {
                 continue;
             };
             r.row(vec![
                 t.name().to_string(),
                 id.label().to_string(),
-                us(b.arrival_ns),
-                us(b.notification_ns),
-                format!("{:.0}%", 100.0 * b.arrival_ns / b.total_ns()),
+                us(arrival),
+                us(notification),
+                format!("{:.0}%", 100.0 * arrival / (arrival + notification)),
             ]);
         }
     }

@@ -344,7 +344,7 @@ impl Team {
                 return Err(BarrierError::Poisoned { tid: ctx.tid(), by });
             }
             if Instant::now() >= next_recovery {
-                match recover(&self.phaser, ctx, &mut attempts, epoch, &mut seen, true) {
+                match recover(&self.phaser, ctx, &mut attempts, epoch, &mut seen) {
                     Recovery::Rewait => {}
                     Recovery::Evicted(claim) => {
                         self.counters.evictions.fetch_add(1, Relaxed);

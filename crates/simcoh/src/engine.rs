@@ -72,7 +72,7 @@ use crate::schedule::{
     oldest_index, ready_order, LoadOrder, ReadyOp, ReadyOpKind, ScheduleDecision, SchedulePolicy,
     StoreOrder, WeakDecision, WeakOp, WeakOpKind,
 };
-use crate::stats::{fold_schedule, CoherenceCounters, Mark, OpKind, RunStats, StallCounters};
+use crate::stats::{fold_schedule, CoherenceCounters, Mark, RunStats, StallCounters};
 
 /// Typed panic payload used to tear down worker threads when the simulation
 /// aborts (deadlock, budget exhaustion). Recognized and swallowed by the
@@ -818,7 +818,7 @@ impl SimThread {
             if def_count > 0 {
                 g.time[self.tid] += def_ns;
                 g.ops += def_count;
-                g.stats.count_ops(OpKind::Compute, def_count);
+                g.stats.count_compute(def_count);
             }
             g.slots[self.tid].pending = Some(op);
             g.post(self.tid);
@@ -1180,7 +1180,7 @@ impl Shared {
             // in now so per-thread times include them.
             g.time[tid] += def_ns;
             g.ops += def_count;
-            g.stats.count_ops(OpKind::Compute, def_count);
+            g.stats.count_compute(def_count);
         }
         if let Some(m) = panic_msg {
             g.panics.push((tid, m));
@@ -2138,6 +2138,7 @@ fn layer_ids(mut present: u64) -> impl Iterator<Item = LayerId> {
 mod tests {
     use super::*;
     use crate::arena::Arena;
+    use crate::stats::OpKind;
     use armbar_topology::TopologyBuilder;
 
     #[test]
@@ -2722,7 +2723,7 @@ mod tests {
             })
             .unwrap();
         let total = stats.coherence().total();
-        // Aggregate counters must agree with the legacy op-kind counts.
+        // Each op kind reads its own per-thread counter field.
         assert_eq!(total.local_reads, stats.ops(OpKind::LocalRead));
         assert_eq!(total.remote_reads, stats.ops(OpKind::RemoteRead));
         assert_eq!(

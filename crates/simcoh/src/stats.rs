@@ -27,17 +27,6 @@ impl OpKind {
         OpKind::SpinWakeup,
         OpKind::Compute,
     ];
-
-    fn idx(self) -> usize {
-        match self {
-            OpKind::LocalRead => 0,
-            OpKind::RemoteRead => 1,
-            OpKind::LocalWrite => 2,
-            OpKind::RemoteWrite => 3,
-            OpKind::SpinWakeup => 4,
-            OpKind::Compute => 5,
-        }
-    }
 }
 
 /// A user-recorded timestamp (`SimThread::mark`).
@@ -63,9 +52,6 @@ pub struct LineTraffic {
     pub peak_sharers: u32,
     /// Remote read transfers that pulled this line.
     pub remote_reads: u64,
-    /// Remote reads that paid the `c·(j−1)` reader-contention term, i.e.
-    /// arrived while other readers were already piling onto the line.
-    pub contended_reads: u64,
 }
 
 impl LineTraffic {
@@ -296,7 +282,8 @@ pub(crate) fn fold_schedule(hash: u64, tag: u64, payload: u64) -> u64 {
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
     per_thread_time_ns: Vec<f64>,
-    op_counts: [u64; 6],
+    /// `compute_ns` ops; every other [`OpKind`] is counted in `coherence`.
+    compute_ops: u64,
     marks: Vec<Mark>,
     line_traffic: LineTrafficTable,
     coherence: CoherenceStats,
@@ -308,7 +295,7 @@ impl RunStats {
     pub(crate) fn new(nthreads: usize) -> Self {
         Self {
             per_thread_time_ns: vec![0.0; nthreads],
-            op_counts: [0; 6],
+            compute_ops: 0,
             marks: Vec::new(),
             line_traffic: LineTrafficTable::default(),
             coherence: CoherenceStats::new(nthreads),
@@ -340,32 +327,26 @@ impl RunStats {
         self.per_thread_time_ns[tid] = t;
     }
 
-    pub(crate) fn count_ops(&mut self, kind: OpKind, n: u64) {
-        self.op_counts[kind.idx()] += n;
+    pub(crate) fn count_compute(&mut self, n: u64) {
+        self.compute_ops += n;
     }
 
     pub(crate) fn push_mark(&mut self, m: Mark) {
         self.marks.push(m);
     }
 
-    /// Accounts one read by `tid` of `line` (op counts, per-thread
-    /// coherence counters, per-line traffic).
+    /// Accounts one read by `tid` of `line` (per-thread coherence
+    /// counters, per-line traffic).
     pub(crate) fn record_read(&mut self, tid: usize, line: u32, local: bool, contended: bool) {
         let c = self.coherence.thread_mut(tid);
         if local {
             c.local_reads += 1;
-            self.op_counts[OpKind::LocalRead.idx()] += 1;
         } else {
             c.remote_reads += 1;
             if contended {
                 c.reader_contention_events += 1;
             }
-            self.op_counts[OpKind::RemoteRead.idx()] += 1;
-            let t = self.line_traffic.entry(line);
-            t.remote_reads += 1;
-            if contended {
-                t.contended_reads += 1;
-            }
+            self.line_traffic.entry(line).remote_reads += 1;
         }
     }
 
@@ -375,10 +356,8 @@ impl RunStats {
         let c = self.coherence.thread_mut(tid);
         if remote {
             c.remote_writes += 1;
-            self.op_counts[OpKind::RemoteWrite.idx()] += 1;
         } else {
             c.local_writes += 1;
-            self.op_counts[OpKind::LocalWrite.idx()] += 1;
         }
         c.rfo_invalidations += invalidated as u64;
         let t = self.line_traffic.entry(line);
@@ -417,7 +396,6 @@ impl RunStats {
     /// Accounts one blocking spin-wait of `tid` woken by a write.
     pub(crate) fn record_spin_wakeup(&mut self, tid: usize) {
         self.coherence.thread_mut(tid).spin_wakeups += 1;
-        self.op_counts[OpKind::SpinWakeup.idx()] += 1;
     }
 
     /// Virtual completion time of each thread, in ns.
@@ -430,9 +408,19 @@ impl RunStats {
         self.per_thread_time_ns.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Number of operations of a kind across all threads.
+    /// Number of operations of a kind across all threads: a sum over the
+    /// per-thread [`coherence`](Self::coherence) counters, except for
+    /// [`OpKind::Compute`], which they do not count.
     pub fn ops(&self, kind: OpKind) -> u64 {
-        self.op_counts[kind.idx()]
+        let field: fn(&CoherenceCounters) -> u64 = match kind {
+            OpKind::LocalRead => |c| c.local_reads,
+            OpKind::RemoteRead => |c| c.remote_reads,
+            OpKind::LocalWrite => |c| c.local_writes,
+            OpKind::RemoteWrite => |c| c.remote_writes,
+            OpKind::SpinWakeup => |c| c.spin_wakeups,
+            OpKind::Compute => return self.compute_ops,
+        };
+        self.coherence.per_thread.iter().map(field).sum()
     }
 
     /// Total memory operations (excluding compute).
@@ -520,9 +508,10 @@ mod tests {
 
     #[test]
     fn op_counting_accumulates() {
-        let mut s = RunStats::new(1);
-        s.count_ops(OpKind::RemoteRead, 2);
-        s.count_ops(OpKind::LocalWrite, 1);
+        let mut s = RunStats::new(2);
+        s.record_read(0, 4, false, false);
+        s.record_read(1, 4, false, true);
+        s.record_write(1, 4, false, 0);
         assert_eq!(s.ops(OpKind::RemoteRead), 2);
         assert_eq!(s.ops(OpKind::LocalWrite), 1);
         assert_eq!(s.ops(OpKind::RemoteWrite), 0);
@@ -532,7 +521,8 @@ mod tests {
     #[test]
     fn compute_not_a_mem_op() {
         let mut s = RunStats::new(1);
-        s.count_ops(OpKind::Compute, 1);
+        s.count_compute(1);
+        assert_eq!(s.ops(OpKind::Compute), 1);
         assert_eq!(s.total_mem_ops(), 0);
     }
 
@@ -574,7 +564,6 @@ mod tests {
         assert_eq!(t.writes, 1);
         assert_eq!(t.invalidations, 3);
         assert_eq!(t.remote_reads, 1);
-        assert_eq!(t.contended_reads, 1);
     }
 
     #[test]
