@@ -27,6 +27,10 @@
 //! | "padding static f-way" (Fig. 11) | [`FwayConfig::padded_flags`] on STOUR |
 //! | "padding static 4-way" (Fig. 11) | [`FwayBarrier::padded_4way`] |
 //! | **optimized barrier** (Table IV) | [`FwayBarrier::optimized`] |
+//!
+//! Every configuration plays its rounds through one level walk, `climb`,
+//! which also serves HYBRID ([`crate::algorithms::hybrid`]): a dynamic
+//! level of fan-in `N_c` under static 4-way levels.
 
 use armbar_simcoh::{arena::padded_elem, Addr, Arena};
 use armbar_topology::Topology;
@@ -92,24 +96,103 @@ impl FwayConfig {
     }
 }
 
-/// One tournament level's flag (or counter) array.
+/// One tournament level: contestants play in groups of `fanin`. A static
+/// level's first contestant wins its group and polls the others' flags; a
+/// dynamic level's last arrival on the group's counter wins.
 #[derive(Debug)]
-struct Level {
-    /// Base address of this level's per-contestant flags (static) or
-    /// per-group counters (dynamic).
-    base: Addr,
-    /// Stride between consecutive entries, bytes.
-    stride: usize,
-    /// Group size at this level.
+pub(crate) struct Level {
     fanin: usize,
-    /// Number of contestants entering this level.
     contestants: usize,
+    dynamic: bool,
+    /// Per-group counters (dynamic) or per-contestant flags (static), fixed
+    /// at construction: a static winner polls its group's flags as a slice.
+    entries: Box<[Addr]>,
 }
 
 impl Level {
-    fn entry(&self, i: usize) -> Addr {
-        padded_elem(self.base, i, self.stride)
+    /// Allocates a level of `n` contestants whose entries lie `stride`
+    /// bytes apart: a line to pad them (always, for counters: they are RMW
+    /// hot words) or 4 to pack them.
+    pub(crate) fn new(
+        arena: &mut Arena,
+        n: usize,
+        fanin: usize,
+        dynamic: bool,
+        stride: usize,
+    ) -> Self {
+        let len = if dynamic { n.div_ceil(fanin) } else { n };
+        let base = arena.alloc_padded_u32_array(len, stride);
+        let entries = (0..len).map(|i| padded_elem(base, i, stride)).collect();
+        Self { fanin, contestants: n, dynamic, entries }
     }
+
+    /// One level per round of `config`'s fan-in schedule over `p`
+    /// contestants.
+    pub(crate) fn rounds(
+        arena: &mut Arena,
+        p: usize,
+        config: &FwayConfig,
+        line: usize,
+    ) -> Vec<Self> {
+        let plan = match config.fanin {
+            Fanin::Balanced { max } => FaninPlan::balanced(p, max),
+            Fanin::Fixed(f) => FaninPlan::fixed(p, f),
+        };
+        let stride = if config.dynamic || config.padded_flags { line } else { 4 };
+        let rounds = plan.rounds().iter().enumerate();
+        rounds
+            .map(|(l, &f)| Self::new(arena, plan.contestants(p, l), f, config.dynamic, stride))
+            .collect()
+    }
+
+    /// Number of groups the contestants form.
+    pub(crate) fn groups(&self) -> usize {
+        self.contestants.div_ceil(self.fanin)
+    }
+
+    fn entry(&self, i: usize) -> Addr {
+        self.entries[i]
+    }
+}
+
+/// Plays episode `e` of the tournament `levels` as contestant `idx` of the
+/// first level: a thread that loses a level awaits `wakeup`'s release, and
+/// the champion of the last level releases everyone.
+pub(crate) fn climb(levels: &[Level], ctx: &dyn MemCtx, mut idx: usize, e: u32, wakeup: &Wakeup) {
+    for level in levels {
+        let f = level.fanin;
+        let group = idx / f;
+        let size = f.min(level.contestants - group * f);
+        if level.dynamic {
+            if size > 1 {
+                let counter = level.entry(group);
+                if ctx.fetch_add(counter, 1) != size as u32 - 1 {
+                    wakeup.wait(ctx, e);
+                    return;
+                }
+                // Last arrival wins the group; reset for the next episode
+                // (safe: group peers are blocked until the release). May
+                // relax: every path from here ends in a release store (a
+                // loser's flag or the wake-up release) before any peer can
+                // wake and re-enter, and that store orders the reset ahead
+                // of it (a higher-level RMW drains it even sooner).
+                ctx.store_relaxed(counter, 0);
+            }
+        } else if !idx.is_multiple_of(f) {
+            // Loser: publish arrival on own flag, await release.
+            ctx.store(level.entry(idx), e);
+            wakeup.wait(ctx, e);
+            return;
+        } else if size > 1 {
+            // Winner: poll the whole group in one loop. With packed flags
+            // the first fetch brings every sibling's flag in one line (one
+            // R_R); with padded flags the independent line fetches overlap.
+            ctx.spin_until_all_ge(&level.entries[idx + 1..idx + size], e);
+        }
+        idx = group;
+    }
+    debug_assert_eq!(idx, 0, "the last level has one group");
+    wakeup.release(ctx, e);
 }
 
 /// The f-way tournament barrier family. See the module docs for the
@@ -129,26 +212,7 @@ impl FwayBarrier {
     pub fn with_config(arena: &mut Arena, p: usize, topo: &Topology, config: FwayConfig) -> Self {
         assert!(p >= 1);
         let line = topo.cacheline_bytes();
-        let plan = match config.fanin {
-            Fanin::Balanced { max } => FaninPlan::balanced(p, max),
-            Fanin::Fixed(f) => FaninPlan::fixed(p, f),
-        };
-        let mut levels = Vec::with_capacity(plan.rounds().len());
-        for (l, &f) in plan.rounds().iter().enumerate() {
-            let contestants = plan.contestants(p, l);
-            let (base, stride) = if config.dynamic {
-                // One padded counter per group (counters are RMW hot words;
-                // packing them would be self-sabotage even in the original).
-                let groups = contestants.div_ceil(f);
-                (arena.alloc_padded_u32_array(groups, line), line)
-            } else if config.padded_flags {
-                (arena.alloc_padded_u32_array(contestants, line), line)
-            } else {
-                // Original layout: packed 4-byte flags, many per line.
-                (arena.alloc_u32_array(contestants), 4)
-            };
-            levels.push(Level { base, stride, fanin: f, contestants });
-        }
+        let levels = Level::rounds(arena, p, &config, line);
         let wakeup = Wakeup::new(arena, p, line, topo.n_c(), config.wakeup);
         let epochs = EpochSlots::new(arena, p, line);
         let name = Self::display_name(&config);
@@ -207,58 +271,6 @@ impl FwayBarrier {
     pub fn rounds(&self) -> usize {
         self.levels.len()
     }
-
-    fn wait_static(&self, ctx: &dyn MemCtx, e: u32) {
-        let mut idx = ctx.tid();
-        for level in &self.levels {
-            let f = level.fanin;
-            let group = idx / f;
-            let pos = idx % f;
-            if pos != 0 {
-                // Loser: publish arrival on own flag, await release.
-                ctx.store(level.entry(idx), e);
-                self.wakeup.wait(ctx, e);
-                return;
-            }
-            // Winner: poll the whole group in one loop. With packed flags
-            // the first fetch brings every sibling's flag in one line (one
-            // R_R); with padded flags the independent line fetches overlap.
-            let size = f.min(level.contestants - group * f);
-            if size > 1 {
-                let flags: Vec<_> = (1..size).map(|q| level.entry(idx + q)).collect();
-                ctx.spin_until_all_ge(&flags, e);
-            }
-            idx = group;
-        }
-        debug_assert_eq!(idx, 0, "static champion must be thread 0");
-        self.wakeup.release(ctx, e);
-    }
-
-    fn wait_dynamic(&self, ctx: &dyn MemCtx, e: u32) {
-        let mut idx = ctx.tid();
-        for level in &self.levels {
-            let f = level.fanin;
-            let group = idx / f;
-            let size = f.min(level.contestants - group * f);
-            if size > 1 {
-                let counter = level.entry(group);
-                let prev = ctx.fetch_add(counter, 1);
-                if prev != size as u32 - 1 {
-                    self.wakeup.wait(ctx, e);
-                    return;
-                }
-                // Last arrival wins the group; reset for the next episode
-                // (safe: group peers are blocked until the release). May
-                // relax — the winner's next operation is a higher-level
-                // fetch_add (an RMW, which drains buffered stores) or the
-                // wake-up release store, either of which orders the reset
-                // before any peer can wake and re-enter.
-                ctx.store_relaxed(counter, 0);
-            }
-            idx = group;
-        }
-        self.wakeup.release(ctx, e);
-    }
 }
 
 impl Barrier for FwayBarrier {
@@ -267,11 +279,7 @@ impl Barrier for FwayBarrier {
             return;
         }
         let e = self.epochs.next(ctx);
-        if self.config.dynamic {
-            self.wait_dynamic(ctx, e);
-        } else {
-            self.wait_static(ctx, e);
-        }
+        climb(&self.levels, ctx, ctx.tid(), e, &self.wakeup);
     }
 
     fn name(&self) -> &str {

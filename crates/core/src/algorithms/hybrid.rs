@@ -12,28 +12,25 @@
 //! Arrival: each cluster's threads fetch-add a cluster-local padded
 //! counter; the last arrival becomes the cluster representative and enters
 //! a padded 4-way static tournament over representatives (one per
-//! cluster). Notification: any [`WakeupKind`].
+//! cluster). Both are levels of the f-way tournament's walk
+//! ([`crate::algorithms::fway`]): one dynamic level of fan-in `N_c` over
+//! the threads, then the static levels over the clusters. Notification:
+//! any [`WakeupKind`].
 
-use armbar_simcoh::{arena::padded_elem, Addr, Arena};
+use armbar_simcoh::Arena;
 use armbar_topology::Topology;
 
+use crate::algorithms::fway::{climb, Fanin, FwayConfig, Level};
 use crate::env::{Barrier, MemCtx};
-use crate::trees::FaninPlan;
 use crate::wakeup::{EpochSlots, Wakeup, WakeupKind};
 
 /// Cluster-hierarchical barrier: per-cluster counters + a static f-way
 /// tournament over cluster representatives.
 #[derive(Debug)]
 pub struct HybridBarrier {
-    /// Padded per-cluster arrival counters.
-    counters: Addr,
-    /// Per-representative tournament levels (padded flags), flattened:
-    /// `levels[l]` holds (base, fanin, contestants).
-    levels: Vec<(Addr, usize, usize)>,
-    line: usize,
-    n_c: usize,
-    clusters: usize,
-    p: usize,
+    /// The cluster level (dynamic, fan-in `N_c`), then the padded 4-way
+    /// static levels over the cluster representatives.
+    levels: Vec<Level>,
     wakeup: Wakeup,
     epochs: EpochSlots,
 }
@@ -42,12 +39,7 @@ impl HybridBarrier {
     /// Builds the barrier for `p` threads on `topo`, clustering by the
     /// machine's `N_c` and using the machine-appropriate wake-up.
     pub fn new(arena: &mut Arena, p: usize, topo: &Topology) -> Self {
-        Self::with_wakeup(
-            arena,
-            p,
-            topo,
-            crate::algorithms::fway::FwayConfig::optimized(topo).wakeup,
-        )
+        Self::with_wakeup(arena, p, topo, FwayConfig::optimized(topo).wakeup)
     }
 
     /// Builds with an explicit wake-up policy.
@@ -56,20 +48,12 @@ impl HybridBarrier {
         let line = topo.cacheline_bytes();
         let n_c = topo.n_c().min(p).max(1);
         let clusters = p.div_ceil(n_c);
-        let counters = arena.alloc_padded_u32_array(clusters, line);
-        let plan = FaninPlan::fixed(clusters, 4);
-        let mut levels = Vec::new();
-        for (l, &f) in plan.rounds().iter().enumerate() {
-            let contestants = plan.contestants(clusters, l);
-            levels.push((arena.alloc_padded_u32_array(contestants, line), f, contestants));
-        }
+        let mut levels = vec![Level::new(arena, p, n_c, true, line)];
+        let tournament =
+            FwayConfig { fanin: Fanin::Fixed(4), padded_flags: true, dynamic: false, wakeup };
+        levels.extend(Level::rounds(arena, clusters, &tournament, line));
         Self {
-            counters,
             levels,
-            line,
-            n_c,
-            clusters,
-            p,
             wakeup: Wakeup::new(arena, p, line, topo.n_c(), wakeup),
             epochs: EpochSlots::new(arena, p, line),
         }
@@ -77,11 +61,7 @@ impl HybridBarrier {
 
     /// Number of clusters participating.
     pub fn clusters(&self) -> usize {
-        self.clusters
-    }
-
-    fn counter(&self, cluster: usize) -> Addr {
-        padded_elem(self.counters, cluster, self.line)
+        self.levels[0].groups()
     }
 }
 
@@ -90,50 +70,8 @@ impl Barrier for HybridBarrier {
         if ctx.nthreads() == 1 {
             return;
         }
-        debug_assert_eq!(ctx.nthreads(), self.p, "built for {} threads", self.p);
-        let me = ctx.tid();
         let e = self.epochs.next(ctx);
-
-        // Intra-cluster: centralized counter among L_0 neighbours.
-        let cluster = me / self.n_c;
-        let members = self.n_c.min(self.p - cluster * self.n_c);
-        if members > 1 {
-            let counter = self.counter(cluster);
-            let prev = ctx.fetch_add(counter, 1);
-            if prev != members as u32 - 1 {
-                self.wakeup.wait(ctx, e);
-                return;
-            }
-            // Reset for reuse before anyone re-enters. May relax: every
-            // representative path from here ends in a release store (loser
-            // flag or wake-up release) before any cluster peer can wake and
-            // re-enter, and that release orders the reset ahead of it.
-            ctx.store_relaxed(counter, 0);
-        }
-
-        // Inter-cluster: padded 4-way static tournament over
-        // representatives. The representative of cluster k plays as
-        // contestant k; the *static* winner of a group is its first
-        // contestant, but representatives are dynamic (last arrival), so
-        // losers signal by flag exactly as in STOUR while winners poll.
-        let mut idx = cluster;
-        for &(base, f, contestants) in &self.levels {
-            let group = idx / f;
-            let pos = idx % f;
-            if pos != 0 {
-                ctx.store(padded_elem(base, idx, self.line), e);
-                self.wakeup.wait(ctx, e);
-                return;
-            }
-            let size = f.min(contestants - group * f);
-            if size > 1 {
-                let flags: Vec<_> =
-                    (1..size).map(|q| padded_elem(base, idx + q, self.line)).collect();
-                ctx.spin_until_all_ge(&flags, e);
-            }
-            idx = group;
-        }
-        self.wakeup.release(ctx, e);
+        climb(&self.levels, ctx, ctx.tid(), e, &self.wakeup);
     }
 
     fn name(&self) -> &str {
@@ -144,8 +82,86 @@ impl Barrier for HybridBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::testutil::{check_host, check_sim, HOST_SIZES, SIM_SIZES};
-    use armbar_topology::Platform;
+    use crate::algorithms::testutil::{check_host, check_sim, check_sim_on, HOST_SIZES, SIM_SIZES};
+    use crate::env::MemLayer;
+    use armbar_simcoh::{Addr, SimBuilder};
+    use armbar_topology::{Platform, TopologyBuilder};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// An 8-core machine with logical clusters of `n_c` cores.
+    fn machine(n_c: usize) -> Topology {
+        TopologyBuilder::new("flat", 8).layer("noc", 20.0, 0.5).n_c(n_c).hierarchy(&[8]).build()
+    }
+
+    /// Counts the RMWs a thread issues.
+    struct RmwCount<'a> {
+        inner: &'a dyn MemCtx,
+        rmws: &'a AtomicU64,
+    }
+
+    impl MemLayer for RmwCount<'_> {
+        fn inner(&self) -> &dyn MemCtx {
+            self.inner
+        }
+        fn fetch_add(&self, addr: Addr, delta: u32) -> u32 {
+            self.rmws.fetch_add(1, Ordering::Relaxed);
+            self.inner.fetch_add(addr, delta)
+        }
+    }
+
+    /// RMWs issued over `episodes` simulated episodes of HYBRID on `topo`.
+    fn rmws(topo: Topology, p: usize, episodes: u32) -> u64 {
+        let mut arena = Arena::new();
+        let barrier = Arc::new(HybridBarrier::new(&mut arena, p, &topo));
+        let rmws = Arc::new(AtomicU64::new(0));
+        let sink = Arc::clone(&rmws);
+        SimBuilder::new(Arc::new(topo), p)
+            .run(move |sim| {
+                let ctx = RmwCount { inner: sim, rmws: &sink };
+                for _ in 0..episodes {
+                    barrier.wait(&ctx);
+                }
+            })
+            .unwrap();
+        rmws.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn single_core_clusters_are_a_fan_in_one_level() {
+        // N_c = 1: every thread is its own cluster's representative, so
+        // the cluster level issues no RMW and the static levels play over
+        // all 8 threads (two 4-way rounds).
+        let topo = machine(1);
+        let mut arena = Arena::new();
+        let b = HybridBarrier::new(&mut arena, 8, &topo);
+        assert_eq!((b.clusters(), b.levels.len()), (8, 3));
+        assert_eq!(rmws(machine(1), 8, 3), 0);
+        for p in [2usize, 5, 8] {
+            check_sim_on(Arc::new(machine(1)), p, 4, |a, p, t| {
+                Box::new(HybridBarrier::new(a, p, t))
+            });
+        }
+        // The host runs the barrier shaped by the same machine.
+        check_host(5, 30, |a, p, _| Box::new(HybridBarrier::new(a, p, &machine(1))));
+    }
+
+    #[test]
+    fn one_cluster_is_a_single_dynamic_level() {
+        // N_c ≥ P: one cluster counter over every thread and no static
+        // level; each thread fetch-adds the counter once per episode.
+        let topo = machine(8);
+        for p in [2usize, 5, 8] {
+            let mut arena = Arena::new();
+            let b = HybridBarrier::new(&mut arena, p, &topo);
+            assert_eq!((b.clusters(), b.levels.len()), (1, 1), "p={p}");
+            assert_eq!(rmws(machine(8), p, 3), 3 * p as u64, "p={p}");
+            check_sim_on(Arc::new(machine(8)), p, 4, |a, p, t| {
+                Box::new(HybridBarrier::new(a, p, t))
+            });
+        }
+        check_host(5, 30, |a, p, _| Box::new(HybridBarrier::new(a, p, &machine(8))));
+    }
 
     #[test]
     fn sim_correct_across_sizes() {

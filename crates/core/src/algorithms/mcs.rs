@@ -6,7 +6,8 @@
 //! packed words in the node's own cache-line-sized record, exactly the
 //! original `childnotready` layout — then signals its slot in its parent's
 //! record. Wake-up descends a separate binary tree (`2i+1`, `2i+2`) over
-//! padded per-thread flags, as in the original algorithm.
+//! padded per-thread flags, as in the original algorithm: that is
+//! [`WakeupKind::BinaryTree`].
 //!
 //! The paper's finding (Figure 7): because the 4-ary tree packs more
 //! threads per level, synchronization partners quickly span core clusters,
@@ -16,8 +17,7 @@ use armbar_simcoh::{arena::padded_elem, Addr, Arena};
 use armbar_topology::Topology;
 
 use crate::env::{Barrier, MemCtx};
-use crate::trees::binary_children;
-use crate::wakeup::EpochSlots;
+use crate::wakeup::{EpochSlots, Wakeup, WakeupKind};
 
 /// Arrival fan-in of the MCS tree (fixed at 4 in the original).
 const ARRIVAL_FANIN: usize = 4;
@@ -28,8 +28,8 @@ pub struct McsBarrier {
     /// Node records: `records + line·i + 4·s` = arrival flag of node `i`'s
     /// child slot `s` (packed within node `i`'s line).
     records: Addr,
-    /// Padded per-thread wake flags for the binary wake-up tree.
-    wake: Addr,
+    /// Binary wake-up tree over padded per-thread flags.
+    wakeup: Wakeup,
     line: usize,
     epochs: EpochSlots,
 }
@@ -42,7 +42,7 @@ impl McsBarrier {
         assert!(4 * ARRIVAL_FANIN <= line, "child slots must fit one line");
         Self {
             records: arena.alloc_padded_u32_array(p, line),
-            wake: arena.alloc_padded_u32_array(p, line),
+            wakeup: Wakeup::new(arena, p, line, topo.n_c(), WakeupKind::BinaryTree),
             line,
             epochs: EpochSlots::new(arena, p, line),
         }
@@ -50,10 +50,6 @@ impl McsBarrier {
 
     fn arrival_slot(&self, parent: usize, slot: usize) -> Addr {
         padded_elem(self.records, parent, self.line) + 4 * slot as Addr
-    }
-
-    fn wake_flag(&self, i: usize) -> Addr {
-        padded_elem(self.wake, i, self.line)
     }
 }
 
@@ -68,25 +64,21 @@ impl Barrier for McsBarrier {
 
         // Arrival: wait for own children (one polling loop over the packed
         // slots — they share the node's line anyway), then notify parent.
-        let slots: Vec<_> = (0..ARRIVAL_FANIN)
-            .filter(|&s| ARRIVAL_FANIN * me + 1 + s < p)
-            .map(|s| self.arrival_slot(me, s))
-            .collect();
-        if !slots.is_empty() {
-            ctx.spin_until_all_ge(&slots, e);
+        let children = ARRIVAL_FANIN.min(p.saturating_sub(ARRIVAL_FANIN * me + 1));
+        if children > 0 {
+            let slots: [Addr; ARRIVAL_FANIN] = std::array::from_fn(|s| self.arrival_slot(me, s));
+            ctx.spin_until_all_ge(&slots[..children], e);
         }
         if me != 0 {
             let parent = (me - 1) / ARRIVAL_FANIN;
             let slot = (me - 1) % ARRIVAL_FANIN;
             ctx.store(self.arrival_slot(parent, slot), e);
-            // Wake-up: block until the binary tree reaches us.
-            ctx.spin_until_ge(self.wake_flag(me), e);
+            // Wake-up: block until the binary tree reaches us, then wake
+            // our own children.
+            self.wakeup.wait(ctx, e);
         } else {
             // Root saw its subtree complete: the whole arrival tree is done.
-            ctx.mark(crate::env::MARK_ARRIVED);
-        }
-        for c in binary_children(me, p) {
-            ctx.store(self.wake_flag(c), e);
+            self.wakeup.release(ctx, e);
         }
     }
 
@@ -134,7 +126,7 @@ mod tests {
         }
         // … and are distinct from node 1's record and from wake flags.
         assert_ne!(b.arrival_slot(0, 0) / line, b.arrival_slot(1, 0) / line);
-        assert_ne!(b.arrival_slot(0, 0) / line, b.wake_flag(0) / line);
+        assert_ne!(b.arrival_slot(0, 0) / line, b.wakeup.flag(0) / line);
     }
 
     #[test]

@@ -26,6 +26,10 @@ use armbar_topology::Topology;
 use crate::env::{Barrier, MemCtx};
 use crate::wakeup::EpochSlots;
 
+/// Most partners per round: one 128-byte line of 4-byte flags, the widest
+/// line of any preset (a round's flags never span more than a line).
+const MAX_PARTNERS: usize = 32;
+
 /// n-way dissemination barrier; `n = 1` is DIS.
 #[derive(Debug)]
 pub struct NwayDisseminationBarrier {
@@ -42,11 +46,12 @@ impl NwayDisseminationBarrier {
     /// Builds the barrier for `p` threads with `n` partners per round.
     ///
     /// # Panics
-    /// Panics when `n < 1` or the per-thread flag block exceeds one cache
-    /// line (ensuring the classic compact layout stays honest).
+    /// Panics when `n` is not in `1..=32` or the per-thread flag block
+    /// exceeds one cache line (keeping the classic compact layout honest).
     pub fn new(arena: &mut Arena, p: usize, topo: &Topology, n: usize) -> Self {
         assert!(p >= 1);
         assert!(n >= 1, "need at least one partner per round");
+        assert!(n <= MAX_PARTNERS, "at most {MAX_PARTNERS} partners per round");
         let w = n + 1;
         let mut rounds = 0usize;
         let mut span = 1usize;
@@ -116,8 +121,10 @@ impl Barrier for NwayDisseminationBarrier {
                 // over one word.
                 ctx.spin_until_ge(self.flag(me, r, 1), e);
             } else {
-                let waits: Vec<Addr> = (1..=self.n).map(|j| self.flag(me, r, j)).collect();
-                ctx.spin_until_all_ge(&waits, e);
+                // The round's n in-flags are consecutive words.
+                let first = self.flag(me, r, 1);
+                let waits: [Addr; MAX_PARTNERS] = std::array::from_fn(|j| first + 4 * j as Addr);
+                ctx.spin_until_all_ge(&waits[..self.n], e);
             }
             stride = stride.saturating_mul(w);
         }

@@ -4,8 +4,9 @@
 //! `⌈log₂P⌉` rounds of statically paired play-offs: in round `k`, thread
 //! `i` with `i mod 2^(k+1) == 0` is the *winner* and waits for the *loser*
 //! `i + 2^k`, who signals its arrival and drops out to await the global
-//! release. Thread 0 is the champion by construction and flips the global
-//! (epoch-valued) wake word — the original algorithm's global wake-up.
+//! release. Thread 0 is the champion by construction and releases everyone
+//! through the global (epoch-valued) wake word, [`WakeupKind::Global`] —
+//! the original algorithm's global wake-up.
 //!
 //! Equivalent to a bottom-up static combining tree with fan-in 2 but with
 //! no atomic read-modify-writes anywhere: every flag has exactly one
@@ -16,7 +17,7 @@ use armbar_simcoh::{arena::padded_elem, Addr, Arena};
 use armbar_topology::Topology;
 
 use crate::env::{Barrier, MemCtx};
-use crate::wakeup::EpochSlots;
+use crate::wakeup::{EpochSlots, Wakeup, WakeupKind};
 
 /// Pairwise tournament barrier with global wake-up.
 #[derive(Debug)]
@@ -24,7 +25,7 @@ pub struct TournamentBarrier {
     /// `flags + line·i + 4·k` = round-`k` arrival flag of winner `i`,
     /// packed in winner `i`'s line (written by its round-`k` loser).
     flags: Addr,
-    gwake: Addr,
+    wakeup: Wakeup,
     line: usize,
     rounds: usize,
     epochs: EpochSlots,
@@ -39,7 +40,7 @@ impl TournamentBarrier {
         assert!(4 * rounds.max(1) <= line, "round flags exceed a cache line");
         Self {
             flags: arena.alloc_padded_u32_array(p, line),
-            gwake: arena.alloc_padded_u32(line),
+            wakeup: Wakeup::new(arena, p, line, topo.n_c(), WakeupKind::Global),
             line,
             rounds,
             epochs: EpochSlots::new(arena, p, line),
@@ -76,13 +77,12 @@ impl Barrier for TournamentBarrier {
             } else {
                 let winner = me - (1 << k);
                 ctx.store(self.flag(winner, k), e);
-                ctx.spin_until_ge(self.gwake, e);
+                self.wakeup.wait(ctx, e);
                 return;
             }
         }
         // Champion (thread 0): global release.
-        ctx.mark(crate::env::MARK_ARRIVED);
-        ctx.store(self.gwake, e);
+        self.wakeup.release(ctx, e);
     }
 
     fn name(&self) -> &str {

@@ -7,14 +7,8 @@
 
 /// Children of node `n` in the classic binary wake-up tree over `p` nodes:
 /// `2n+1` and `2n+2` where in range.
-pub fn binary_children(n: usize, p: usize) -> Vec<usize> {
-    let mut c = Vec::with_capacity(2);
-    for k in [2 * n + 1, 2 * n + 2] {
-        if k < p {
-            c.push(k);
-        }
-    }
-    c
+pub fn binary_children(n: usize, p: usize) -> impl Iterator<Item = usize> {
+    [2 * n + 1, 2 * n + 2].into_iter().filter(move |&k| k < p)
 }
 
 /// Children of node `n` in the NUMA-aware wake-up tree over `p` nodes with
@@ -33,68 +27,73 @@ pub fn binary_children(n: usize, p: usize) -> Vec<usize> {
 /// When `p ≤ n_c` there is a single cluster and the tree degenerates to the
 /// plain binary tree, matching the paper's observation that the two wake-up
 /// schemes coincide for small thread counts.
-pub fn numa_children(n: usize, p: usize, n_c: usize) -> Vec<usize> {
+pub fn numa_children(n: usize, p: usize, n_c: usize) -> impl Iterator<Item = usize> {
     assert!(n_c >= 1);
     let clusters = p.div_ceil(n_c);
-    let mut out = Vec::with_capacity(4);
-    if n.is_multiple_of(n_c) {
-        // Master: wake the masters of clusters 2k+1 and 2k+2 …
-        let k = n / n_c;
-        for kc in [2 * k + 1, 2 * k + 2] {
-            if kc < clusters {
-                let m = kc * n_c;
-                if m < p {
-                    out.push(m);
-                }
-            }
-        }
-    }
+    let k = n / n_c;
+    // Master: wake the masters of clusters 2k+1 and 2k+2 …
+    let master = n.is_multiple_of(n_c);
+    let masters = [2 * k + 1, 2 * k + 2].into_iter().filter(move |&kc| master && kc < clusters);
     // … and everyone continues the local binary tree within the cluster.
-    let base = (n / n_c) * n_c;
-    let local = n - base;
+    let base = k * n_c;
     let local_size = n_c.min(p - base);
-    for lc in [2 * local + 1, 2 * local + 2] {
-        if lc < local_size {
-            out.push(base + lc);
-        }
-    }
-    out
+    let locals =
+        [2 * (n - base) + 1, 2 * (n - base) + 2].into_iter().filter(move |&l| l < local_size);
+    masters.map(move |kc| kc * n_c).chain(locals.map(move |l| base + l))
 }
 
-/// A wake-up tree materialized as per-node child lists plus a root.
+/// A wake-up tree rooted at node 0, its child lists stored back to back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WakeTree {
-    /// `children[n]` lists the nodes `n` wakes, in wake order.
-    pub children: Vec<Vec<usize>>,
+    /// `children[first[n]..first[n + 1]]` lists the nodes `n` wakes, in
+    /// wake order.
+    first: Vec<usize>,
+    children: Vec<usize>,
 }
 
 impl WakeTree {
+    fn from_fn<I: Iterator<Item = usize>>(p: usize, children_of: impl Fn(usize) -> I) -> Self {
+        let mut first = Vec::with_capacity(p + 1);
+        let mut children = Vec::with_capacity(p.saturating_sub(1));
+        for n in 0..p {
+            first.push(children.len());
+            children.extend(children_of(n));
+        }
+        first.push(children.len());
+        Self { first, children }
+    }
+
     /// Binary tree over `p` nodes rooted at 0.
     pub fn binary(p: usize) -> Self {
-        Self { children: (0..p).map(|n| binary_children(n, p)).collect() }
+        Self::from_fn(p, |n| binary_children(n, p))
     }
 
     /// NUMA-aware tree over `p` nodes with cluster size `n_c`, rooted at 0.
     pub fn numa(p: usize, n_c: usize) -> Self {
-        Self { children: (0..p).map(|n| numa_children(n, p, n_c)).collect() }
+        Self::from_fn(p, |n| numa_children(n, p, n_c))
+    }
+
+    /// The nodes `n` wakes, in wake order.
+    pub fn children(&self, n: usize) -> &[usize] {
+        &self.children[self.first[n]..self.first[n + 1]]
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.children.len()
+        self.first.len() - 1
     }
 
     /// True when the tree is empty.
     pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
+        self.len() == 0
     }
 
     /// Depth of the tree (number of edges on the longest root→leaf path).
     pub fn depth(&self) -> usize {
         fn rec(t: &WakeTree, n: usize) -> usize {
-            t.children[n].iter().map(|&c| 1 + rec(t, c)).max().unwrap_or(0)
+            t.children(n).iter().map(|&c| 1 + rec(t, c)).max().unwrap_or(0)
         }
-        if self.children.is_empty() {
+        if self.is_empty() {
             0
         } else {
             rec(self, 0)
@@ -105,10 +104,8 @@ impl WakeTree {
     /// `n_c` — the "remote accesses with `L_i` (i > 0)" the paper's Figure
     /// 10 counts.
     pub fn cross_cluster_edges(&self, n_c: usize) -> usize {
-        self.children
-            .iter()
-            .enumerate()
-            .flat_map(|(n, cs)| cs.iter().map(move |&c| (n, c)))
+        (0..self.len())
+            .flat_map(|n| self.children(n).iter().map(move |&c| (n, c)))
             .filter(|&(a, b)| a / n_c != b / n_c)
             .count()
     }
@@ -117,10 +114,10 @@ impl WakeTree {
     /// the root has exactly one parent and is reachable from the root.
     /// Returns an error description on violation (used by tests).
     pub fn check_spanning(&self) -> Result<(), String> {
-        let p = self.children.len();
+        let p = self.len();
         let mut parent_count = vec![0usize; p];
-        for (n, cs) in self.children.iter().enumerate() {
-            for &c in cs {
+        for n in 0..p {
+            for &c in self.children(n) {
                 if c >= p {
                     return Err(format!("node {n} has out-of-range child {c}"));
                 }
@@ -148,7 +145,7 @@ impl WakeTree {
             }
             seen[n] = true;
             visited += 1;
-            stack.extend(self.children[n].iter().copied());
+            stack.extend(self.children(n).iter().copied());
         }
         if visited != p {
             return Err(format!("only {visited} of {p} nodes reachable from root"));
@@ -270,7 +267,7 @@ mod tests {
         // When p ≤ n_c the NUMA tree *is* the binary tree (paper: the two
         // wake-up methods coincide for small thread counts).
         for p in 1..=32 {
-            assert_eq!(WakeTree::numa(p, 32).children, WakeTree::binary(p).children, "p={p}");
+            assert_eq!(WakeTree::numa(p, 32), WakeTree::binary(p), "p={p}");
         }
     }
 
@@ -298,7 +295,8 @@ mod tests {
     #[test]
     fn numa_master_has_at_most_four_children() {
         let t = WakeTree::numa(64, 4);
-        for (n, cs) in t.children.iter().enumerate() {
+        for n in 0..t.len() {
+            let cs = t.children(n);
             let bound = if n % 4 == 0 { 4 } else { 2 };
             assert!(cs.len() <= bound, "node {n} has {} children", cs.len());
         }

@@ -101,13 +101,14 @@ impl Wakeup {
         self.kind
     }
 
-    fn flag(&self, i: usize) -> Addr {
+    /// Thread `i`'s wake flag under a tree policy.
+    pub(crate) fn flag(&self, i: usize) -> Addr {
         padded_elem(self.flags, i, self.stride)
     }
 
     fn forward(&self, ctx: &dyn MemCtx, node: usize, epoch: u32) {
         let tree = self.tree.as_ref().expect("tree wakeup without a tree");
-        for &c in &tree.children[node] {
+        for &c in tree.children(node) {
             ctx.store(self.flag(c), epoch);
         }
     }
