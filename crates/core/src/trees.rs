@@ -31,15 +31,16 @@ pub fn numa_children(n: usize, p: usize, n_c: usize) -> impl Iterator<Item = usi
     assert!(n_c >= 1);
     let clusters = p.div_ceil(n_c);
     let k = n / n_c;
-    // Master: wake the masters of clusters 2k+1 and 2k+2 …
+    // Master: wake the masters of clusters 2k+1 and 2k+2 (every cluster
+    // below `clusters` has its master below `p`) …
     let master = n.is_multiple_of(n_c);
     let masters = [2 * k + 1, 2 * k + 2].into_iter().filter(move |&kc| master && kc < clusters);
     // … and everyone continues the local binary tree within the cluster.
     let base = k * n_c;
+    let local = n - base;
     let local_size = n_c.min(p - base);
-    let locals =
-        [2 * (n - base) + 1, 2 * (n - base) + 2].into_iter().filter(move |&l| l < local_size);
-    masters.map(move |kc| kc * n_c).chain(locals.map(move |l| base + l))
+    let locals = [2 * local + 1, 2 * local + 2].into_iter().filter(move |&lc| lc < local_size);
+    masters.map(move |kc| kc * n_c).chain(locals.map(move |lc| base + lc))
 }
 
 /// A wake-up tree rooted at node 0, its child lists stored back to back.

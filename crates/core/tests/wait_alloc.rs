@@ -6,7 +6,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use armbar_core::{AlgorithmId, HostMem};
+use armbar_core::{AlgorithmId, FwayConfig, HostMem, WakeupKind};
 use armbar_simcoh::Arena;
 use armbar_topology::TopologyBuilder;
 
@@ -41,12 +41,15 @@ const EPISODES: u32 = 50;
 /// `id`'s barrier, after `WARM_UP` episodes.
 fn allocs_per_thread(id: AlgorithmId) -> Vec<u64> {
     // Two clusters of two cores: HYBRID gets a cluster level and a
-    // tournament level, the NUMA-aware tree a cross-cluster edge.
+    // tournament level, and the contention makes OPT and HYBRID pick the
+    // NUMA-aware tree wake-up.
     let topo = TopologyBuilder::new("two pairs", P)
         .layer("pair", 10.0, 0.5)
         .layer("cross", 40.0, 0.5)
         .hierarchy(&[2])
+        .coherence(5.0, 5.0, 0.0)
         .build();
+    assert_eq!(FwayConfig::optimized(&topo).wakeup, WakeupKind::NumaTree);
     let mut arena = Arena::new();
     let barrier: Arc<dyn armbar_core::Barrier> = Arc::from(id.build(&mut arena, P, &topo));
     let mem = HostMem::new(&arena);
